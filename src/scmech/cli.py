@@ -26,8 +26,7 @@ from .mechanism import (AnchorLine, FiniteMechanism, ParamSequence,
                         constant_sequence, countable_geometric,
                         epsilon_truncate, harmonic_sequence)
 from .optimize import OptimizeOptions, closed_form_deterministic, solve_finite
-from .verify import (CSV_COLUMNS, check_individual_rationality, check_shape,
-                     check_strategy_proof, verify_mechanism)
+from .verify import CSV_COLUMNS, verify_mechanism
 
 
 def _mode(text: str) -> str:
@@ -74,20 +73,30 @@ def _emit(obj, path=None):
 
 
 def _load_mechanism(path: str):
-    """Returns (domain, finite-mechanism-or-None, callable)."""
+    """Returns (domain, mechanism): a ``FiniteMechanism``, or a callable for
+    an affine rule.  Malformed files raise ``SpecParseError``."""
     data = serialize.load_file(path)
-    domain = PreferenceDomain.from_spec(data["domain"])
-    if "bundles" in data:
-        mech = FiniteMechanism.from_dict(data)
-        return domain, mech, mech.evaluate
-    if "affine" in data:
-        t0, t1 = data["affine"]["t"]
-        q0, q1 = data["affine"]["q"]
+    if not isinstance(data, dict):
+        raise SpecParseError(f"{path} must hold a JSON object")
+    try:
+        if "bundles" in data:
+            mech = FiniteMechanism.from_dict(data)
+            return mech.domain, mech
+        if "affine" in data:
+            domain = PreferenceDomain.from_spec(data["domain"])
+            t0, t1 = (float(x) for x in data["affine"]["t"])
+            q0, q1 = (float(x) for x in data["affine"]["q"])
 
-        def fn(r):
-            return Bundle(t0 + t1 * r, q0 + q1 * r)
+            def fn(r):
+                return Bundle(t0 + t1 * r, q0 + q1 * r)
 
-        return domain, None, fn
+            return domain, fn
+    except ScmechError:
+        raise
+    except KeyError as exc:
+        raise SpecParseError(f"{path} lacks the entry {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise SpecParseError(f"{path} is malformed: {exc}") from None
     raise SpecParseError(
         f"{path} holds neither a step mechanism ('bundles') nor an affine "
         f"rule ('affine')"
@@ -129,12 +138,8 @@ def _cmd_optimize(ns) -> int:
 
 def _cmd_verify(ns) -> int:
     _apply_config(ns)
-    domain, mech, fn = _load_mechanism(ns.mech)
-    grid = _grid(domain, ns.grid)
-    report = check_strategy_proof(domain, fn, grid)
-    report = report.merged_with(check_individual_rationality(domain, fn, grid))
-    if mech is not None:
-        report = report.merged_with(check_shape(domain, mech, grid))
+    domain, mech = _load_mechanism(ns.mech)
+    report = verify_mechanism(domain, mech, _grid(domain, ns.grid))
     if ns.out:
         serialize.dump_file(report.to_dict(), ns.out)
     if ns.csv:
@@ -146,10 +151,9 @@ def _cmd_verify(ns) -> int:
 
 def _cmd_revenue(ns) -> int:
     _apply_config(ns)
-    domain, mech, fn = _load_mechanism(ns.mech)
+    domain, mech = _load_mechanism(ns.mech)
     dist = serialize.parse_dist_spec(ns.dist)
-    value = measure.expected_revenue(domain, mech if mech is not None else fn,
-                                     dist, ns.revenue_mode)
+    value = measure.expected_revenue(domain, mech, dist, ns.revenue_mode)
     _emit({"revenue": value}, ns.out)
     return 0
 
@@ -299,7 +303,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return ns.func(ns)
-    except (ScmechError, OSError, KeyError) as exc:
+    except (ScmechError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(record) + "\n")
         return 1

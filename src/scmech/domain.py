@@ -15,6 +15,19 @@ Each built-in family stores closed forms for
 * ``special(a, b)``        - the unique order parameter making two diagonal
   bundles indifferent, where a closed form exists.
 
+Seven of the nine built-in families are instances of two separable forms
+and are built from their ingredients rather than written out:
+
+* classical, ``f_r(t, q) = phi^-1(phi(t) + a(r) * (1 - h(q)))`` with
+  ``phi`` in {t, t**2} and ``h`` in {q, sqrt(q)} (:func:`_classical`:
+  ``quasilinear``, ``sqrt_quasilinear``, ``income_effect``,
+  ``payment_param``, ``two_param``);
+* restricted classical, ``f_r(t, q) = r * (1 - w(q)) + w(q) * t`` with
+  ``w`` in {q, q**2} (:func:`_restricted`: ``myerson``, ``risk_averse``).
+
+``power_q`` and ``power_q_raw`` are written out and have no closed-form
+indifference parameter.
+
 The order parameter is chosen per family so that ``f_r(z)`` is strictly
 increasing in ``r`` for every bundle with ``q < 1``; families whose natural
 parameter runs the other way are stored under a reparametrization (see the
@@ -90,13 +103,20 @@ def _two_param_coeff(r):
     return coeff if coeff.ndim else float(coeff)
 
 
+def _two_param_coeff_inv(c):
+    return c if c <= 2.0 else 3.0 - 2.0 / c
+
+
 @dataclass(frozen=True)
 class Family:
     """Closed-form description of one preference family.
 
     ``kind`` is ``"classical"`` (monotone everywhere) or ``"restricted"``
     (monotone up to a payment bound ``t_R = r``, with every bundle on the
-    bound indifferent to ``(0, 0)``).
+    bound indifferent to ``(0, 0)``).  The built-in families other than
+    ``power_q`` and ``power_q_raw`` are instances of the separable forms
+    built by :func:`_classical` and :func:`_restricted`; any family can be
+    given directly.
     """
 
     name: str
@@ -114,53 +134,87 @@ class Family:
         return self.kind == "restricted"
 
 
+def _identity(x):
+    return x
+
+
+def _square(x):
+    return x * x
+
+
+def _classical(name, utility, phi, h, a=_identity, a_inv=_identity,
+               param_hi=math.inf, blurb=""):
+    """Family with canonical payment ``phi^-1(phi(t) + a(r) * (1 - h(q)))``.
+
+    ``phi`` is the payment transform, ``_identity`` or ``_square``; ``h``
+    is an increasing quantity transform with ``h(1) = 1``; ``a`` is an
+    increasing positive coefficient with inverse ``a_inv``.  The form is
+    linear in ``phi(t)``, so the curve inverse and the indifference
+    parameter of two bundles follow in closed form.
+    """
+    if phi is _identity:
+        def canonical(r, t, q):
+            return t + a(r) * (1.0 - h(q))
+
+        def curve_payment(r, c, q):
+            return c - a(r) * (1.0 - h(q))
+    else:
+        def canonical(r, t, q):
+            return np.sqrt(phi(t) + a(r) * (1.0 - h(q)))
+
+        def curve_payment(r, c, q):
+            # A difference of squares, so that the round trip through
+            # canonical is exact at t = 0; NaN where the curve leaves the
+            # bundle space.
+            s = np.sqrt(a(r) * (1.0 - h(q)))
+            with np.errstate(invalid="ignore"):
+                return np.sqrt((c - s) * (c + s))
+
+    def special(za, zb):
+        return a_inv((phi(zb[0]) - phi(za[0])) / (h(zb[1]) - h(za[1])))
+
+    return Family(name, "classical", 0.0, param_hi, utility, canonical,
+                  curve_payment, special, blurb)
+
+
+def _restricted(name, utility, w, blurb=""):
+    """Family with canonical payment ``r * (1 - w(q)) + w(q) * t``.
+
+    ``w`` is an increasing quantity weight with ``w(0) = 0`` and
+    ``w(1) = 1``, so every bundle with payment ``r`` is indifferent to
+    ``(0, 0)``.
+    """
+
+    def canonical(r, t, q):
+        wq = w(q)
+        return r * (1.0 - wq) + wq * t
+
+    def curve_payment(r, c, q):
+        # NaN at w(q) = 0, where every payment up to r is on the curve
+        wq = np.asarray(w(q), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(wq > 0.0, r - (r - c) / np.where(wq > 0.0, wq, 1.0),
+                           np.nan)
+        return out if out.ndim else float(out)
+
+    def special(za, zb):
+        wa, wb = w(za[1]), w(zb[1])
+        return (wb * zb[0] - wa * za[0]) / (wb - wa)
+
+    return Family(name, "restricted", 0.0, math.inf, utility, canonical,
+                  curve_payment, special, blurb)
+
+
 def _ql_utility(r, t, q):
     return r * q - t
-
-
-def _ql_canonical(r, t, q):
-    return t + r * (1.0 - q)
-
-
-def _ql_curve(r, c, q):
-    return c - r * (1.0 - q)
-
-
-def _ql_special(a, b):
-    return (b[0] - a[0]) / (b[1] - a[1])
 
 
 def _sq_utility(r, t, q):
     return r * np.sqrt(q) - t
 
 
-def _sq_canonical(r, t, q):
-    return t + r * (1.0 - np.sqrt(q))
-
-
-def _sq_curve(r, c, q):
-    return c - r * (1.0 - np.sqrt(q))
-
-
-def _sq_special(a, b):
-    return (b[0] - a[0]) / (math.sqrt(b[1]) - math.sqrt(a[1]))
-
-
 def _ie_utility(r, t, q):
     return r * np.sqrt(q) - t * t
-
-
-def _ie_canonical(r, t, q):
-    return np.sqrt(t * t + r * (1.0 - np.sqrt(q)))
-
-
-def _ie_curve(r, c, q):
-    with np.errstate(invalid="ignore"):
-        return np.sqrt(c * c - r * (1.0 - np.sqrt(q)))
-
-
-def _ie_special(a, b):
-    return (b[0] ** 2 - a[0] ** 2) / (math.sqrt(b[1]) - math.sqrt(a[1]))
 
 
 def _pp_utility(r, t, q):
@@ -169,37 +223,10 @@ def _pp_utility(r, t, q):
     return q - t * t / r
 
 
-def _pp_canonical(r, t, q):
-    return np.sqrt(t * t + r * (1.0 - q))
-
-
-def _pp_curve(r, c, q):
-    with np.errstate(invalid="ignore"):
-        return np.sqrt(c * c - r * (1.0 - q))
-
-
-def _pp_special(a, b):
-    return (b[0] ** 2 - a[0] ** 2) / (b[1] - a[1])
-
-
 def _tp_utility(r, t, q):
     if r <= 2.0:
         return r * np.sqrt(q) - t * t
     return 2.0 * np.sqrt(q) - (3.0 - r) * t * t
-
-
-def _tp_canonical(r, t, q):
-    return np.sqrt(t * t + _two_param_coeff(r) * (1.0 - np.sqrt(q)))
-
-
-def _tp_curve(r, c, q):
-    with np.errstate(invalid="ignore"):
-        return np.sqrt(c * c - _two_param_coeff(r) * (1.0 - np.sqrt(q)))
-
-
-def _tp_special(a, b):
-    coeff = (b[0] ** 2 - a[0] ** 2) / (math.sqrt(b[1]) - math.sqrt(a[1]))
-    return coeff if coeff <= 2.0 else 3.0 - 2.0 / coeff
 
 
 def _pq_utility(r, t, q):
@@ -245,39 +272,8 @@ def _my_utility(r, t, q):
     return q * (r - t)
 
 
-def _my_canonical(r, t, q):
-    return r * (1.0 - q) + q * t
-
-
-def _my_curve(r, c, q):
-    q = np.asarray(q, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(q > 0.0, (c - r * (1.0 - q)) / np.where(q > 0.0, q, 1.0), np.nan)
-    return out if out.ndim else float(out)
-
-
-def _my_special(a, b):
-    return (b[1] * b[0] - a[1] * a[0]) / (b[1] - a[1])
-
-
 def _ra_utility(r, t, q):
     return q * np.sqrt(np.maximum(r - t, 0.0))
-
-
-def _ra_canonical(r, t, q):
-    return r * (1.0 - q * q) + q * q * t
-
-
-def _ra_curve(r, c, q):
-    q = np.asarray(q, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(q > 0.0, r - (r - c) / np.where(q > 0.0, q * q, 1.0), np.nan)
-    return out if out.ndim else float(out)
-
-
-def _ra_special(a, b):
-    qa2, qb2 = a[1] ** 2, b[1] ** 2
-    return (qb2 * b[0] - qa2 * a[0]) / (qb2 - qa2)
 
 
 FAMILIES: dict[str, Family] = {}
@@ -286,9 +282,11 @@ FAMILIES: dict[str, Family] = {}
 def register_family(fam: Family) -> Family:
     """Extension point: add a preference family to the registry.
 
-    The family must supply a canonical-payment map increasing in the order
-    parameter; everything else (mechanism construction, verification,
-    optimization) is family-agnostic.
+    The family supplies its utility, a canonical-payment map increasing in
+    the order parameter, that map's inverse in the payment, and optionally
+    a closed-form indifference parameter (without one, indifference
+    parameters are found by bisection).  Everything else (mechanism
+    construction, verification, optimization) is family-agnostic.
     """
     if fam.name in FAMILIES:
         raise ValueError(f"family {fam.name!r} already registered")
@@ -296,29 +294,25 @@ def register_family(fam: Family) -> Family:
     return fam
 
 
-register_family(Family(
-    "quasilinear", "classical", 0.0, math.inf,
-    _ql_utility, _ql_canonical, _ql_curve, _ql_special,
+register_family(_classical(
+    "quasilinear", _ql_utility, _identity, _identity,
     blurb="r*q - t; linear indifference curves with slope 1/r",
 ))
-register_family(Family(
-    "sqrt_quasilinear", "classical", 0.0, math.inf,
-    _sq_utility, _sq_canonical, _sq_curve, _sq_special,
+register_family(_classical(
+    "sqrt_quasilinear", _sq_utility, _identity, np.sqrt,
     blurb="r*sqrt(q) - t; strictly convex indifference curves",
 ))
-register_family(Family(
-    "income_effect", "classical", 0.0, math.inf,
-    _ie_utility, _ie_canonical, _ie_curve, _ie_special,
+register_family(_classical(
+    "income_effect", _ie_utility, _square, np.sqrt,
     blurb="r*sqrt(q) - t**2; payment increments shrink at higher payments",
 ))
-register_family(Family(
-    "payment_param", "classical", 0.0, math.inf,
-    _pp_utility, _pp_canonical, _pp_curve, _pp_special,
+register_family(_classical(
+    "payment_param", _pp_utility, _square, _identity,
     blurb="q - t**2/r; stored parameter is the reciprocal of the payment weight",
 ))
-register_family(Family(
-    "two_param", "classical", 0.0, 3.0,
-    _tp_utility, _tp_canonical, _tp_curve, _tp_special,
+register_family(_classical(
+    "two_param", _tp_utility, _square, np.sqrt,
+    _two_param_coeff, _two_param_coeff_inv, param_hi=3.0,
     blurb="two-branch chart: r*sqrt(q)-t**2 on (0,2], 2*sqrt(q)-(3-r)*t**2 on [2,3)",
 ))
 register_family(Family(
@@ -331,14 +325,12 @@ register_family(Family(
     _pqr_utility, _pqr_canonical, _pqr_curve, None,
     blurb="q**r - t on the full quantity range; not single-crossing",
 ))
-register_family(Family(
-    "myerson", "restricted", 0.0, math.inf,
-    _my_utility, _my_canonical, _my_curve, _my_special,
+register_family(_restricted(
+    "myerson", _my_utility, _identity,
     blurb="q*(r - t); win-probability model with expected payment q*t",
 ))
-register_family(Family(
-    "risk_averse", "restricted", 0.0, math.inf,
-    _ra_utility, _ra_canonical, _ra_curve, _ra_special,
+register_family(_restricted(
+    "risk_averse", _ra_utility, _square,
     blurb="q*sqrt(r - t); payments above r are inadmissible",
 ))
 
@@ -515,6 +507,8 @@ class PreferenceDomain:
             )
         fam = FAMILIES[name]
         params = spec.get("params", {}) or {}
+        if not isinstance(params, dict):
+            raise SpecParseError("domain spec 'params' must be an object")
         lo = params.get("lo", fam.param_lo)
         hi = params.get("hi", fam.param_hi)
         lo = fam.param_lo if lo is None else float(lo)

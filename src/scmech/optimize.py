@@ -18,9 +18,7 @@ their own).
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -35,21 +33,19 @@ from .mechanism import FiniteMechanism, from_range
 from .verify import verify_mechanism
 
 COLLAPSE_TOL = 1e-6  # componentwise duplicate-bundle threshold for reporting
+SWEEP_ROUNDS = 12  # coordinate sweeps per local search, at most
+REVENUE_TOL = 1e-9  # sweeps stop once a round gains under REVENUE_TOL * 1e-3
 
 
 @dataclass(frozen=True)
 class OptimizeOptions:
     max_bundles: int = 2
     restarts: int = 16
-    sweep_rounds: int = 12
-    revenue_tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
         if self.max_bundles < 2:
             raise DomainError("max_bundles must be at least 2")
-        if self.revenue_tol <= 0:
-            raise DomainError("revenue_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -131,12 +127,12 @@ def _profile_revenue(domain, dist, mode, thetas, qs) -> float:
     return total
 
 
-def _sweep(domain, dist, mode, thetas, qs, rounds, tol):
+def _sweep(domain, dist, mode, thetas, qs, tol):
     """Coordinate-wise bounded maximization with endpoint probing."""
     thetas, qs = list(thetas), list(qs)
     m = len(thetas)
     best = _profile_revenue(domain, dist, mode, thetas, qs)
-    for _ in range(rounds):
+    for _ in range(SWEEP_ROUNDS):
         improved = 0.0
         for which, k in [(w, k) for w in ("theta", "q") for k in range(m)]:
             if which == "theta":
@@ -221,21 +217,13 @@ def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
         starts.append((list(th), list(qq)))
     starts = starts[:opts.restarts]
 
-    def run_start(start):
-        th, qq = start
-        th, qq, rev = _sweep(domain, dist, mode, th, qq,
-                             opts.sweep_rounds, opts.revenue_tol * 1e-3)
+    results = []
+    for th, qq in starts:
+        th, qq, rev = _sweep(domain, dist, mode, th, qq, REVENUE_TOL * 1e-3)
         th2, qq2, rev2 = _polish_simplex(domain, dist, mode, th, qq)
         if rev2 > rev:
             th, qq, rev = th2, qq2, rev2
-        return rev, tuple(th), tuple(qq)
-
-    workers = int(os.environ.get("SC_MECH_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-            results = list(pool.map(run_start, starts))
-    else:
-        results = [run_start(s) for s in starts]
+        results.append((rev, tuple(th), tuple(qq)))
     # deterministic merge: best revenue, ties broken lexicographically
     results.sort(key=lambda r: (-r[0], r[1], r[2]))
     rev, thetas, qs = results[0]
@@ -252,14 +240,13 @@ def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
             cth = thetas[:k] + thetas[k + 1:]
             cq = qs[:k] + qs[k + 1:]
             cth, cq, crev = _sweep(domain, dist, mode, cth, cq,
-                                   opts.sweep_rounds, opts.revenue_tol * 1e-3)
+                                   REVENUE_TOL * 1e-3)
             if crev >= rev - 1e-10:
                 thetas, qs, rev = cth, cq, crev
                 reduced = True
                 break
 
-    thetas, qs, rev = _sweep(domain, dist, mode, thetas, qs,
-                             opts.sweep_rounds, 0.0)
+    thetas, qs, rev = _sweep(domain, dist, mode, thetas, qs, 0.0)
     payments = payments_from_breakpoints(domain, thetas, qs)
     bundles = [ZERO_BUNDLE]
     for t, q in zip(payments, qs):

@@ -56,7 +56,10 @@ def dump_file(obj: Any, path: str) -> None:
 
 def load_file(path: str) -> Any:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # bad JSON syntax or text encoding
+            raise SpecParseError(f"{path} is not valid JSON: {exc}") from None
 
 
 def write_csv(rows: list[dict], path: str, columns: list[str]) -> None:

@@ -128,6 +128,31 @@ def test_bad_input_emits_error_record(capsys):
     assert record["error"] == "FileNotFoundError"
 
 
+QL_SPEC = {"family": "quasilinear", "params": {"lo": 0, "hi": 1}}
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]",
+    json.dumps({"domain": QL_SPEC, "bundles": [[0, 0], [0.5]],
+                "breakpoints": [0.5]}),
+    json.dumps({"bundles": [[0, 0], [0.5, 1]], "breakpoints": [0.5]}),
+    json.dumps({"domain": QL_SPEC, "bundles": [[0, 0], [0.5, 1]]}),
+    json.dumps({"domain": QL_SPEC, "affine": {"t": [0, 1]}}),
+    json.dumps({"domain": {"family": "quasilinear", "params": [0, 1]},
+                "bundles": [[0, 0], [0.5, 1]], "breakpoints": [0.5]}),
+    '{"domain": ',
+], ids=["list", "short-bundle", "no-domain", "no-breakpoints",
+        "affine-no-q", "params-list", "truncated"])
+def test_malformed_mechanism_file_is_spec_error(tmp_path, capsys, text):
+    path = tmp_path / "mech.json"
+    path.write_text(text)
+    rc, out, err = run(capsys, "verify", "--mech", str(path))
+    assert rc == 1
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err)["error"] == "SpecParseError"
+
+
 def test_unknown_family_is_input_error(capsys):
     rc, _, err = run(capsys, "optimize", "--domain", "hyperbolic",
                      "--dist", "uniform:0,1")

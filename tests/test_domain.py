@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from scmech.domain import (Bundle, FAMILIES, Ordering, ZERO_BUNDLE,
-                           make_domain, validate_single_crossing)
+                           is_diagonal, make_domain, validate_single_crossing)
 from scmech.errors import DomainError, RichnessError
 
 QL = make_domain("quasilinear")
@@ -226,6 +226,32 @@ def test_canonical_strictly_increasing_in_parameter(name, t, q):
     z = _admissible(dom, min(rs), t, q)
     vals = [dom.canonical_payment(r, z) for r in rs]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(DOMAIN_NAMES + ["power_q"]), u=st.floats(0.0, 1.0),
+       t=st.floats(0.0, 3.0), q=st.floats(0.0, 1.0),
+       dt=st.floats(0.01, 1.0), dq=st.floats(0.01, 1.0))
+def test_closed_forms_agree_with_utility_oracle(name, u, t, q, dt, dq):
+    dom = make_domain(name)
+    # As w(q) -> 0 on a restricted family, every bundle nears the payment
+    # bound in canonical units, where both the utility and the inverse in t
+    # are ill-conditioned (slopes 1/sqrt(r - c) and 1/w).
+    assume(not (dom.restricted and q < 0.05))
+    util = dom.family.utility
+    r = dom.lo + (0.02 + 0.96 * u) * (min(dom.hi, 3.0) - dom.lo)
+    z = _admissible(dom, r, t, q)
+    c = dom.canonical_payment(r, z)
+    assert util(r, c, 1.0) == pytest.approx(util(r, z.t, z.q), rel=1e-9, abs=1e-9)
+    # a squared payment makes the inverse ill-conditioned near t = 0 (c/t)
+    back = float(dom.curve_payment(r, c, z.q))
+    assert back == pytest.approx(z.t, rel=1e-9, abs=1e-7)
+
+    a, b = z, Bundle(z.t + dt, min(z.q + dq, 1.0))
+    if dom.family.special is None or not is_diagonal(a, b):
+        return
+    rs = dom.special_preference(a, b)
+    assert util(rs, *a) == pytest.approx(util(rs, *b), rel=1e-9, abs=1e-9)
 
 
 # -- single-crossing validation ------------------------------------------------

@@ -95,16 +95,6 @@ def test_solver_is_seed_deterministic():
     assert a.revenue == b.revenue
 
 
-def test_solver_output_independent_of_worker_count(monkeypatch):
-    opts = OptimizeOptions(max_bundles=3, seed=6)
-    monkeypatch.setenv("SC_MECH_THREADS", "1")
-    a = solve_finite(QL, U01, opts)
-    monkeypatch.setenv("SC_MECH_THREADS", "4")
-    b = solve_finite(QL, U01, opts)
-    assert a.mechanism.to_dict() == b.mechanism.to_dict()
-    assert a.revenue == b.revenue
-
-
 def test_solver_rejects_mismatched_support():
     with pytest.raises(DomainError):
         solve_finite(QL, measure.uniform(0.0, 2.0), OptimizeOptions())
