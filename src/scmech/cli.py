@@ -34,22 +34,55 @@ def _mode(text: str) -> str:
     return text.replace("-", "_")
 
 
-def _floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x != ""]
+def _floats(text: str, count: int | None = None) -> list[float]:
+    """Comma-separated numbers; ``count`` fixes how many there must be."""
+    try:
+        vals = [float(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        raise SpecParseError(
+            f"expected comma-separated numbers, got {text!r}") from None
+    if count is not None and len(vals) != count:
+        raise SpecParseError(
+            f"expected {count} comma-separated numbers, got {text!r}")
+    return vals
 
 
-def _apply_config(ns: argparse.Namespace) -> None:
-    path = getattr(ns, "config", None)
-    if not path:
+def _config_value(key: str, action: argparse.Action, value):
+    """A config value converted as if typed after the option's flag; a
+    switch such as ``--closed-form`` takes true or false."""
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise SpecParseError(f"config key {key!r} must be true or false")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise SpecParseError(f"config key {key!r} must be a string or a number")
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        out = action.type(text) if action.type else text
+    except (TypeError, ValueError):
+        raise SpecParseError(
+            f"config key {key!r} has an invalid value {value!r}") from None
+    if action.choices is not None and out not in action.choices:
+        raise SpecParseError(
+            f"config key {key!r} must be one of {list(action.choices)}")
+    return out
+
+
+def _apply_config(parser, ns: argparse.Namespace) -> None:
+    """Override the subcommand's options from the ``--config`` JSON object."""
+    if not ns.config:
         return
-    cfg = serialize.load_file(path)
+    cfg = serialize.load_file(ns.config)
     if not isinstance(cfg, dict):
         raise SpecParseError("config file must hold a JSON object")
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest: a for a in sub.choices[ns.command]._actions}
     for key, value in cfg.items():
-        attr = key.replace("-", "_")
-        if not hasattr(ns, attr):
+        action = options.get(key.replace("-", "_"))
+        if action is None or action.dest in ("help", "config"):
             raise SpecParseError(f"config key {key!r} matches no option")
-        setattr(ns, attr, value)
+        setattr(ns, action.dest, _config_value(key, action, value))
 
 
 def _parse_seq(text: str) -> ParamSequence:
@@ -118,7 +151,6 @@ def _grid(domain: PreferenceDomain, n: int):
 
 
 def _cmd_optimize(ns) -> int:
-    _apply_config(ns)
     dist = serialize.parse_dist_spec(ns.dist)
     domain = serialize.parse_domain_spec(ns.domain)
     if ":" not in ns.domain and not ns.domain.endswith(".json"):
@@ -137,7 +169,6 @@ def _cmd_optimize(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
-    _apply_config(ns)
     domain, mech = _load_mechanism(ns.mech)
     report = verify_mechanism(domain, mech, _grid(domain, ns.grid))
     if ns.out:
@@ -150,7 +181,6 @@ def _cmd_verify(ns) -> int:
 
 
 def _cmd_revenue(ns) -> int:
-    _apply_config(ns)
     domain, mech = _load_mechanism(ns.mech)
     dist = serialize.parse_dist_spec(ns.dist)
     value = measure.expected_revenue(domain, mech, dist, ns.revenue_mode)
@@ -159,10 +189,9 @@ def _cmd_revenue(ns) -> int:
 
 
 def _cmd_truncate(ns) -> int:
-    _apply_config(ns)
     domain = serialize.parse_domain_spec(ns.domain)
     dist = serialize.parse_dist_spec(ns.dist)
-    slope, t_lo, t_hi = _floats(ns.line)
+    slope, t_lo, t_hi = _floats(ns.line, 3)
     cmech = countable_geometric(domain, AnchorLine(slope, t_lo, t_hi),
                                 _parse_seq(ns.seq))
     finite = epsilon_truncate(cmech, ns.eps, dist)
@@ -181,12 +210,12 @@ def _cmd_truncate(ns) -> int:
 
 
 def _cmd_multibuyer(ns) -> int:
-    _apply_config(ns)
     dist = serialize.parse_dist_spec(ns.dist)
     if ns.reserve == "auto":
         mech = multibuyer.from_distribution(ns.n, dist)
     else:
-        mech = multibuyer.MultiBuyerMechanism(ns.n, float(ns.reserve), dist)
+        mech = multibuyer.MultiBuyerMechanism(ns.n, _floats(ns.reserve, 1)[0],
+                                              dist)
     estimate, stderr = multibuyer.simulate_revenue(mech, ns.samples, ns.seed)
     _emit({
         "n": mech.n,
@@ -200,7 +229,6 @@ def _cmd_multibuyer(ns) -> int:
 
 
 def _cmd_validate_domain(ns) -> int:
-    _apply_config(ns)
     domain = serialize.parse_domain_spec(ns.domain)
     params = (_floats(ns.params) if ns.params
               else list(_grid(domain, ns.param_count)))
@@ -302,6 +330,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 1
     try:
+        _apply_config(parser, ns)
         return ns.func(ns)
     except (ScmechError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}

@@ -501,7 +501,7 @@ class PreferenceDomain:
             name = spec["family"]
         except (KeyError, TypeError):
             raise SpecParseError("domain spec needs a 'family' entry")
-        if name not in FAMILIES:
+        if not isinstance(name, str) or name not in FAMILIES:
             raise SpecParseError(
                 f"unknown family {name!r}; known: {sorted(FAMILIES)}"
             )
@@ -511,8 +511,12 @@ class PreferenceDomain:
             raise SpecParseError("domain spec 'params' must be an object")
         lo = params.get("lo", fam.param_lo)
         hi = params.get("hi", fam.param_hi)
-        lo = fam.param_lo if lo is None else float(lo)
-        hi = fam.param_hi if hi is None else float(hi)
+        try:
+            lo = fam.param_lo if lo is None else float(lo)
+            hi = fam.param_hi if hi is None else float(hi)
+        except (TypeError, ValueError) as exc:
+            raise SpecParseError(
+                f"domain bounds must be numbers: {exc}") from None
         dom = cls(fam, lo, hi)
         kind = spec.get("kind")
         if kind is not None and kind != dom.kind:

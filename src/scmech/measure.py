@@ -11,14 +11,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate
 from scipy import stats
 
 from .domain import Bundle, PreferenceDomain, ZERO_BUNDLE
-from .errors import DomainError, SpecParseError
+from .errors import DomainError, ScmechError, SpecParseError
 
 REVENUE_MODES = ("payment", "expected_payment")
 
@@ -43,7 +43,7 @@ class TypeDistribution:
     hi: float
     _cdf: Callable = field(repr=False)
     _pdf: Callable = field(repr=False)
-    _ppf: Optional[Callable] = field(repr=False, default=None)
+    _ppf: Callable = field(repr=False)
 
     def cdf(self, theta):
         theta = np.clip(np.asarray(theta, dtype=float), self.lo, self.hi)
@@ -57,24 +57,8 @@ class TypeDistribution:
         return float(out) if out.ndim == 0 else out
 
     def ppf(self, u):
-        u = np.asarray(u, dtype=float)
-        if self._ppf is not None:
-            out = self._ppf(u)
-            return float(out) if np.ndim(out) == 0 else out
-        return self._ppf_bisect(u)
-
-    def _ppf_bisect(self, u):
-        scalar = np.ndim(u) == 0
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        lo = np.full_like(u, self.lo)
-        hi = np.full_like(u, self.hi)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out = 0.5 * (lo + hi)
-        return float(out[0]) if scalar else out
+        out = self._ppf(np.asarray(u, dtype=float))
+        return float(out) if np.ndim(out) == 0 else out
 
     def mass(self, r_lo: float, r_hi: float) -> float:
         if r_hi <= r_lo:
@@ -86,12 +70,13 @@ class TypeDistribution:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "TypeDistribution":
-        if "table" in spec:
-            return from_table(spec["table"])
-        try:
-            name, params = spec["name"], spec.get("params", {})
-        except (KeyError, TypeError):
-            raise SpecParseError("distribution spec needs 'name' or 'table'")
+        if isinstance(spec, dict) and "table" in spec:
+            name, params = "table", {"points": spec["table"]}
+        else:
+            try:
+                name, params = spec["name"], spec.get("params", {})
+            except (KeyError, TypeError, AttributeError):
+                raise SpecParseError("distribution spec needs 'name' or 'table'")
         try:
             if name == "uniform":
                 return uniform(params["lo"], params["hi"])
@@ -102,8 +87,13 @@ class TypeDistribution:
                 return beta(params["a"], params["b"])
             if name == "table":
                 return from_table(params["points"])
+        except ScmechError:
+            raise
         except KeyError as exc:
             raise SpecParseError(f"distribution {name!r} is missing {exc}")
+        except (TypeError, ValueError) as exc:
+            raise SpecParseError(
+                f"distribution {name!r} has a malformed parameter: {exc}")
         raise SpecParseError(f"unknown distribution {name!r}")
 
 

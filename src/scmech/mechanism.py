@@ -48,8 +48,10 @@ class FiniteMechanism:
             raise DomainError("need exactly one breakpoint between adjacent bundles")
         object.__setattr__(self, "bundles",
                            tuple(check_bundle(z) for z in self.bundles))
-        object.__setattr__(self, "breakpoints",
-                           tuple(float(r) for r in self.breakpoints))
+        breakpoints = tuple(float(r) for r in self.breakpoints)
+        if not all(math.isfinite(r) for r in breakpoints):
+            raise DomainError(f"breakpoints must be finite, got {breakpoints}")
+        object.__setattr__(self, "breakpoints", breakpoints)
 
     def evaluate(self, r: float) -> Bundle:
         r = self.domain.check_param(r)

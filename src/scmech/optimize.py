@@ -8,11 +8,12 @@ relation that defines breakpoints).  The bottom bundle is anchored at
 ``(0, 0)``, which also makes every candidate individually rational.
 
 The objective is piecewise smooth and low-dimensional, so the solver is a
-multi-start local search: coordinate-wise bounded scalar maximization with
-endpoint probing, a simplex polish, and a ridge-collapse step that retries
-the profile with one bundle dropped (the optimum frequently uses fewer
-bundles than allowed, leaving flat directions the sweeps cannot tighten on
-their own).
+multi-start local search in two stages.  Each start is swept to convergence
+by coordinate-wise bounded scalar maximization with endpoint probing; the
+best sweep then goes through a ridge collapse that retries the profile with
+one bundle dropped and keeps the re-swept result when it loses no revenue
+(the optimum frequently uses fewer bundles than allowed, leaving flat
+directions the sweeps cannot tighten on their own).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .verify import verify_mechanism
 
 COLLAPSE_TOL = 1e-6  # componentwise duplicate-bundle threshold for reporting
 SWEEP_ROUNDS = 12  # coordinate sweeps per local search, at most
-REVENUE_TOL = 1e-9  # sweeps stop once a round gains under REVENUE_TOL * 1e-3
+SWEEP_TOL = 1e-12  # a sweep stops once a whole round gains less revenue
 
 
 @dataclass(frozen=True)
@@ -127,69 +128,46 @@ def _profile_revenue(domain, dist, mode, thetas, qs) -> float:
     return total
 
 
-def _sweep(domain, dist, mode, thetas, qs, tol):
-    """Coordinate-wise bounded maximization with endpoint probing."""
-    thetas, qs = list(thetas), list(qs)
+def _sweep(domain, dist, mode, thetas, qs):
+    """Coordinate-wise bounded maximization with endpoint probing.
+
+    The profile is one vector ``x = (theta_1..theta_m, q_1..q_m)``.  Each
+    coordinate is bounded by its neighbours in its own block, and at the
+    block ends by the support (thetas) or by [0, 1] (quantities).
+    """
     m = len(thetas)
+    x = [*thetas, *qs]
+    ends = ((dist.lo, dist.hi), (0.0, 1.0))
     best = _profile_revenue(domain, dist, mode, thetas, qs)
     for _ in range(SWEEP_ROUNDS):
         improved = 0.0
-        for which, k in [(w, k) for w in ("theta", "q") for k in range(m)]:
-            if which == "theta":
-                lo = dist.lo if k == 0 else thetas[k - 1]
-                hi = dist.hi if k == m - 1 else thetas[k + 1]
-                current = thetas[k]
-
-                def apply(v):
-                    trial = list(thetas)
-                    trial[k] = v
-                    return trial, qs
-            else:
-                lo = 0.0 if k == 0 else qs[k - 1]
-                hi = 1.0 if k == m - 1 else qs[k + 1]
-                current = qs[k]
-
-                def apply(v):
-                    trial = list(qs)
-                    trial[k] = v
-                    return thetas, trial
+        for i in range(2 * m):
+            floor, ceil = ends[i // m]
+            lo = floor if i % m == 0 else x[i - 1]
+            hi = ceil if i % m == m - 1 else x[i + 1]
             if hi - lo < 1e-13:
                 continue
+
+            def revenue_at(v):
+                trial = list(x)
+                trial[i] = v
+                return _profile_revenue(domain, dist, mode, trial[:m], trial[m:])
+
             res = _sciopt.minimize_scalar(
-                lambda v: -_profile_revenue(domain, dist, mode, *apply(v)),
+                lambda v: -revenue_at(v),
                 bounds=(lo, hi), method="bounded", options={"xatol": 1e-11},
             )
             # probe the exact endpoints: optima frequently sit on them
-            cands = [float(res.x), lo, hi, current]
-            vals = [_profile_revenue(domain, dist, mode, *apply(v)) for v in cands]
+            cands = [float(res.x), lo, hi, x[i]]
+            vals = [revenue_at(v) for v in cands]
             j = int(np.argmax(vals))
             if vals[j] > best + 1e-15:
                 improved += vals[j] - best
                 best = vals[j]
-                thetas, qs = (list(x) for x in apply(cands[j]))
-        if improved < tol:
+                x[i] = cands[j]
+        if improved < SWEEP_TOL:
             break
-    return thetas, qs, best
-
-
-def _polish_simplex(domain, dist, mode, thetas, qs):
-    m = len(thetas)
-    lo, hi = dist.lo, dist.hi
-
-    def decode(x):
-        th = np.clip(np.sort(x[:m]), lo, hi)
-        qq = np.clip(np.sort(x[m:]), 0.0, 1.0)
-        return list(th), list(qq)
-
-    def neg(x):
-        return -_profile_revenue(domain, dist, mode, *decode(x))
-
-    x0 = np.array([*thetas, *qs], dtype=float)
-    res = _sciopt.minimize(neg, x0, method="Nelder-Mead",
-                           options={"xatol": 1e-10, "fatol": 1e-13,
-                                    "maxiter": 400 * (2 * m), "disp": False})
-    th, qq = decode(res.x)
-    return th, qq, -float(res.fun)
+    return x[:m], x[m:], best
 
 
 def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
@@ -219,10 +197,7 @@ def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
 
     results = []
     for th, qq in starts:
-        th, qq, rev = _sweep(domain, dist, mode, th, qq, REVENUE_TOL * 1e-3)
-        th2, qq2, rev2 = _polish_simplex(domain, dist, mode, th, qq)
-        if rev2 > rev:
-            th, qq, rev = th2, qq2, rev2
+        th, qq, rev = _sweep(domain, dist, mode, th, qq)
         results.append((rev, tuple(th), tuple(qq)))
     # deterministic merge: best revenue, ties broken lexicographically
     results.sort(key=lambda r: (-r[0], r[1], r[2]))
@@ -232,21 +207,19 @@ def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
 
     # ridge collapse: the optimum often uses fewer bundles than allowed,
     # leaving flat directions; drop one bundle at a time whenever doing so
-    # costs no revenue after re-polishing
+    # costs no revenue after re-sweeping
     reduced = True
     while reduced and len(thetas) > 1:
         reduced = False
         for k in range(len(thetas)):
             cth = thetas[:k] + thetas[k + 1:]
             cq = qs[:k] + qs[k + 1:]
-            cth, cq, crev = _sweep(domain, dist, mode, cth, cq,
-                                   REVENUE_TOL * 1e-3)
+            cth, cq, crev = _sweep(domain, dist, mode, cth, cq)
             if crev >= rev - 1e-10:
                 thetas, qs, rev = cth, cq, crev
                 reduced = True
                 break
 
-    thetas, qs, rev = _sweep(domain, dist, mode, thetas, qs, 0.0)
     payments = payments_from_breakpoints(domain, thetas, qs)
     bundles = [ZERO_BUNDLE]
     for t, q in zip(payments, qs):

@@ -131,26 +131,31 @@ def test_bad_input_emits_error_record(capsys):
 QL_SPEC = {"family": "quasilinear", "params": {"lo": 0, "hi": 1}}
 
 
-@pytest.mark.parametrize("text", [
-    "[1, 2]",
-    json.dumps({"domain": QL_SPEC, "bundles": [[0, 0], [0.5]],
-                "breakpoints": [0.5]}),
-    json.dumps({"bundles": [[0, 0], [0.5, 1]], "breakpoints": [0.5]}),
-    json.dumps({"domain": QL_SPEC, "bundles": [[0, 0], [0.5, 1]]}),
-    json.dumps({"domain": QL_SPEC, "affine": {"t": [0, 1]}}),
-    json.dumps({"domain": {"family": "quasilinear", "params": [0, 1]},
-                "bundles": [[0, 0], [0.5, 1]], "breakpoints": [0.5]}),
-    '{"domain": ',
+@pytest.mark.parametrize("text, error", [
+    ("[1, 2]", "SpecParseError"),
+    (json.dumps({"domain": QL_SPEC, "bundles": [[0, 0], [0.5]],
+                 "breakpoints": [0.5]}), "SpecParseError"),
+    (json.dumps({"bundles": [[0, 0], [0.5, 1]], "breakpoints": [0.5]}),
+     "SpecParseError"),
+    (json.dumps({"domain": QL_SPEC, "bundles": [[0, 0], [0.5, 1]]}),
+     "SpecParseError"),
+    (json.dumps({"domain": QL_SPEC, "affine": {"t": [0, 1]}}), "SpecParseError"),
+    (json.dumps({"domain": {"family": "quasilinear", "params": [0, 1]},
+                 "bundles": [[0, 0], [0.5, 1]], "breakpoints": [0.5]}),
+     "SpecParseError"),
+    ('{"domain": ', "SpecParseError"),
+    (json.dumps({"domain": QL_SPEC, "bundles": [[0, 0], [0.5, 1]],
+                 "breakpoints": [float("nan")]}), "DomainError"),
 ], ids=["list", "short-bundle", "no-domain", "no-breakpoints",
-        "affine-no-q", "params-list", "truncated"])
-def test_malformed_mechanism_file_is_spec_error(tmp_path, capsys, text):
+        "affine-no-q", "params-list", "truncated", "nan-breakpoint"])
+def test_malformed_mechanism_file_is_spec_error(tmp_path, capsys, text, error):
     path = tmp_path / "mech.json"
     path.write_text(text)
     rc, out, err = run(capsys, "verify", "--mech", str(path))
     assert rc == 1
     assert out == ""
     assert err.endswith("\n") and err.count("\n") == 1
-    assert json.loads(err)["error"] == "SpecParseError"
+    assert json.loads(err)["error"] == error
 
 
 def test_unknown_family_is_input_error(capsys):
@@ -172,3 +177,51 @@ def test_config_file_overrides_flags(tmp_path, capsys):
     run(capsys, "optimize", "--domain", "quasilinear", "--dist", "uniform:0,1",
         "--max-bundles", "3", "--seed", "8", "--out", str(mech_b))
     assert mech_a.read_bytes() == mech_b.read_bytes()
+
+
+OPTIMIZE = ["optimize", "--domain", "quasilinear", "--dist", "uniform:0,1"]
+TRUNCATE = ["truncate", "--domain", "sqrt_quasilinear:0.2,1",
+            "--dist", "uniform:0.2,1", "--eps", "0.05"]
+LINE = "3,0.0833333333333333,0.3333333333333333"
+SEQ = "harmonic:0.6666666666666666,1,3"
+
+
+@pytest.mark.parametrize("files, argv", [
+    ({"cfg.json": {"max_bundles": "three"}}, [*OPTIMIZE, "--config", "cfg.json"]),
+    ({"cfg.json": {"max_bundles": 2.5}}, [*OPTIMIZE, "--config", "cfg.json"]),
+    ({"cfg.json": {"closed_form": "yes"}}, [*OPTIMIZE, "--config", "cfg.json"]),
+    ({"cfg.json": {"revenue_mode": "bid"}}, [*OPTIMIZE, "--config", "cfg.json"]),
+    ({"d.json": {"name": "uniform", "params": {"lo": "a", "hi": 1}}},
+     ["optimize", "--domain", "quasilinear", "--dist", "d.json"]),
+    ({"d.json": {"table": [[0, 0], ["a", 1]]}},
+     ["optimize", "--domain", "quasilinear", "--dist", "d.json"]),
+    ({"dom.json": {"family": "quasilinear", "params": {"lo": "a", "hi": 1}}},
+     ["validate-domain", "--domain", "dom.json"]),
+    ({"dom.json": {"family": ["quasilinear"]}},
+     ["validate-domain", "--domain", "dom.json"]),
+    ({}, ["validate-domain", "--domain", "quasilinear:0,1", "--params", "a"]),
+    ({}, [*TRUNCATE, "--line", "3,x", "--seq", SEQ]),
+    ({}, [*TRUNCATE, "--line", "3,0.1", "--seq", SEQ]),
+    ({}, [*TRUNCATE, "--line", LINE, "--seq", "harmonic:0.66,x,3"]),
+    ({}, ["multibuyer", "--dist", "uniform:0,1", "--reserve", "abc"]),
+], ids=["config-str", "config-float", "config-switch", "config-choice",
+        "dist-lo", "dist-table", "domain-lo", "domain-family", "params", "line-value",
+        "line-count", "seq-value", "reserve"])
+def test_bad_numeric_input_is_spec_error(tmp_path, capsys, files, argv):
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err)["error"] == "SpecParseError"
+
+
+def test_config_values_parse_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max-bundles": "3", "seed": 8}))
+    rc, by_config, _ = run(capsys, *OPTIMIZE, "--config", str(cfg))
+    assert rc == 0
+    rc, by_flags, _ = run(capsys, *OPTIMIZE, "--max-bundles", "3", "--seed", "8")
+    assert by_config == by_flags

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scmech import measure
+from scmech import measure, optimize
 from scmech.domain import Bundle, ZERO_BUNDLE, make_domain
 from scmech.errors import DomainError
 from scmech.optimize import (OptimizeOptions, closed_form_deterministic,
@@ -93,6 +93,22 @@ def test_solver_is_seed_deterministic():
     b = solve_finite(QL, U01, OptimizeOptions(max_bundles=3, seed=12))
     assert a.mechanism.to_dict() == b.mechanism.to_dict()
     assert a.revenue == b.revenue
+
+
+def test_solve_evaluation_budget(monkeypatch):
+    # the objective reaches payments through the module global, so this
+    # counts every profile evaluation of the solve
+    calls = 0
+    inner = optimize.payments_from_breakpoints
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return inner(*args)
+
+    monkeypatch.setattr(optimize, "payments_from_breakpoints", counted)
+    solve_finite(QL, U01, OptimizeOptions(max_bundles=4, seed=11))
+    assert calls <= 8000
 
 
 def test_solver_rejects_mismatched_support():
