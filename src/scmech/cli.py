@@ -89,6 +89,9 @@ def _parse_seq(text: str) -> ParamSequence:
     name, _, args = text.partition(":")
     vals = _floats(args)
     if name == "harmonic" and len(vals) == 3:
+        if not (vals[2].is_integer() and vals[2] >= 1):
+            raise SpecParseError(
+                f"sequence start must be a positive integer, got {text!r}")
         return harmonic_sequence(vals[0], vals[1], int(vals[2]))
     if name == "constant" and len(vals) == 1:
         return constant_sequence(vals[0])
@@ -136,6 +139,13 @@ def _load_mechanism(path: str):
     )
 
 
+def _linspace(lo: float, hi: float, n: int):
+    """``n`` evenly spaced points; a count below 1 is bad input."""
+    if n < 1:
+        raise SpecParseError(f"a grid needs at least 1 point, got {n}")
+    return np.linspace(lo, hi, n)
+
+
 def _grid(domain: PreferenceDomain, n: int):
     import math
 
@@ -144,7 +154,7 @@ def _grid(domain: PreferenceDomain, n: int):
             "domain interval is unbounded; give explicit bounds, e.g. "
             "quasilinear:0,1"
         )
-    return np.linspace(domain.lo, domain.hi, n)
+    return _linspace(domain.lo, domain.hi, n)
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -234,7 +244,7 @@ def _cmd_validate_domain(ns) -> int:
               else list(_grid(domain, ns.param_count)))
     anchors = [Bundle(t, q)
                for t in _floats(ns.anchor_t) for q in _floats(ns.anchor_q)]
-    q_grid = np.linspace(ns.q_lo, 1.0, ns.q_count)
+    q_grid = _linspace(ns.q_lo, 1.0, ns.q_count)
     report = validate_single_crossing(domain, anchors, params, q_grid=q_grid)
     _emit(report.to_dict(), ns.out)
     return 0 if report.ok else 2

@@ -168,6 +168,8 @@ class ParamSequence:
 
 def harmonic_sequence(limit: float, coeff: float = 1.0, start: int = 3) -> ParamSequence:
     """``limit - coeff/n`` for ``n >= start``; increasing when coeff > 0."""
+    if not start >= 1:
+        raise DomainError(f"harmonic sequence needs start >= 1, got {start}")
     return ParamSequence(lambda n: limit - coeff / n, float(limit), start)
 
 
@@ -191,13 +193,23 @@ class TailRule:
         return self._cache[n]
 
 
+def _span(below: bool, a: float, b: float) -> tuple:
+    """The parameter interval between walk coordinates ``a`` and ``b``.
+
+    A tail walk runs in ``s*r``, with ``s = 1`` below the limit and ``-1``
+    above it, so both tails ascend toward the limit bundle."""
+    return (a, b) if below else (-b, -a)
+
+
 @dataclass
 class CountableMechanism:
     """Mechanism whose range accumulates at one limit bundle.
 
     ``increasing`` generates bundles rising to ``limit_bundle`` and is
     allocated below ``limit_lo``; ``decreasing`` generates bundles falling
-    to it and is allocated above ``limit_hi``.  Either tail may be absent.
+    to it and is allocated above ``limit_hi``.  Either tail may be absent;
+    ``limit_lo`` is given exactly when ``increasing`` is, and ``limit_hi``
+    exactly when ``decreasing`` is.
     """
 
     domain: PreferenceDomain
@@ -206,32 +218,42 @@ class CountableMechanism:
     decreasing: Optional[TailRule] = None
     limit_lo: Optional[float] = None  # parameter where the limit bundle starts
     limit_hi: Optional[float] = None  # parameter where it ends
-    _inc_bp: dict = field(default_factory=dict, repr=False)
-    _dec_bp: dict = field(default_factory=dict, repr=False)
+    _switches: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.limit_bundle = check_bundle(self.limit_bundle)
-        if self.increasing is not None and self.limit_lo is None:
-            raise DomainError("an increasing tail needs limit_lo")
-        if self.decreasing is not None and self.limit_hi is None:
-            raise DomainError("a decreasing tail needs limit_hi")
+        if (self.increasing is None) != (self.limit_lo is None):
+            raise DomainError("limit_lo needs an increasing tail, and vice versa")
+        if (self.decreasing is None) != (self.limit_hi is None):
+            raise DomainError("limit_hi needs a decreasing tail, and vice versa")
 
-    # breakpoint entering increasing-tail bundle n (indifference with n-1)
+    def _switch(self, below: bool, n: int) -> float:
+        """Indifference parameter of tail bundles ``n`` and ``n + 1`` on the
+        side ``below`` (or above) the limit; memoized."""
+        key = (below, n)
+        if key not in self._switches:
+            tail = self.increasing if below else self.decreasing
+            lower, upper = (n, n + 1) if below else (n + 1, n)
+            self._switches[key] = self.domain.special_preference(
+                tail.bundle(lower), tail.bundle(upper))
+        return self._switches[key]
+
     def inc_breakpoint(self, n: int) -> float:
-        if n not in self._inc_bp:
-            tail = self.increasing
-            self._inc_bp[n] = self.domain.special_preference(
-                tail.bundle(n - 1), tail.bundle(n))
-        return self._inc_bp[n]
+        """Breakpoint entering increasing-tail bundle ``n`` from ``n - 1``."""
+        return self._switch(True, n - 1)
 
-    # breakpoint entering decreasing-tail bundle k from below (indifference
-    # of d(k) with the next-smaller bundle d(k+1))
-    def dec_breakpoint(self, k: int) -> float:
-        if k not in self._dec_bp:
-            tail = self.decreasing
-            self._dec_bp[k] = self.domain.special_preference(
-                tail.bundle(k + 1), tail.bundle(k))
-        return self._dec_bp[k]
+    def _walk(self, below: bool, dist):
+        """``(tail, s, start, end)`` for the walk through one tail, from the
+        support's outer end to the limit edge in walk coordinates ``s*r``;
+        None when there is no tail on that side or the support stops short
+        of it."""
+        tail = self.increasing if below else self.decreasing
+        if tail is None:
+            return None
+        s = 1.0 if below else -1.0
+        start = s * (dist.lo if below else dist.hi)
+        end = s * (self.limit_lo if below else self.limit_hi)
+        return (tail, s, start, end) if start < end else None
 
     def evaluate(self, r: float) -> Bundle:
         r = self.domain.check_param(r)
@@ -239,24 +261,17 @@ class CountableMechanism:
         hi = self.limit_hi if self.limit_hi is not None else math.inf
         if lo <= r <= hi:
             return self.limit_bundle
+        below = r < lo
+        tail = self.increasing if below else self.decreasing
         # Tail bundles inside numerical resolution of the limit are treated
-        # as the limit bundle itself.
+        # as the limit bundle itself.  A tie goes to the higher bundle.
         try:
-            if r < lo:
-                tail = self.increasing
-                n = tail.start
-                while self.inc_breakpoint(n + 1) <= r:
-                    n += 1
-                    if n - tail.start > TAIL_INDEX_CAP:
-                        return self.limit_bundle
-                return tail.bundle(n)
-            tail = self.decreasing
-            k = tail.start
-            while self.dec_breakpoint(k) > r:
-                k += 1
-                if k - tail.start > TAIL_INDEX_CAP:
+            n = tail.start
+            while (self._switch(below, n) <= r) == below:
+                n += 1
+                if n - tail.start > TAIL_INDEX_CAP:
                     return self.limit_bundle
-            return tail.bundle(k)
+            return tail.bundle(n)
         except DomainError:
             return self.limit_bundle
 
@@ -265,53 +280,38 @@ class CountableMechanism:
         the residual payment gap is below ``tol``."""
         lo = self.limit_lo if self.limit_lo is not None else dist.lo
         hi = self.limit_hi if self.limit_hi is not None else dist.hi
-        t_star = self.limit_bundle.t
-        if self.increasing is not None and dist.lo < lo:
-            tail = self.increasing
-            n = tail.start
-            prev = dist.lo
-            while prev < lo:
-                try:
-                    bp_next = min(self.inc_breakpoint(n + 1), lo)
-                except DomainError:
-                    bp_next = prev
-                if bp_next <= prev and n > tail.start:
-                    # tail resolution exhausted; remaining bundles are
-                    # within noise of the limit bundle
-                    yield prev, lo, self.limit_bundle
-                    break
-                z = tail.bundle(n)
-                yield prev, bp_next, z
-                prev = bp_next
-                n += 1
-                residual = dist.mass(prev, lo) * (t_star - z.t)
-                if residual < tol or n - tail.start > TAIL_INDEX_CAP:
-                    # remaining staircase is within tol of the limit payment
-                    yield prev, lo, self.limit_bundle
-                    break
+        yield from self._staircase(True, dist, tol)
         yield max(lo, dist.lo), min(hi, dist.hi), self.limit_bundle
-        if self.decreasing is not None and dist.hi > hi:
-            tail = self.decreasing
-            segs = []
-            k = tail.start
-            prev = dist.hi
-            while prev > hi:
-                try:
-                    bp = max(self.dec_breakpoint(k), hi)
-                except DomainError:
-                    bp = prev
-                if bp >= prev and k > tail.start:
-                    segs.append((hi, prev, self.limit_bundle))
-                    break
-                z = tail.bundle(k)
-                segs.append((bp, prev, z))
-                prev = bp
-                k += 1
-                residual = dist.mass(hi, prev) * (z.t - t_star)
-                if residual < tol or k - tail.start > TAIL_INDEX_CAP:
-                    segs.append((hi, prev, self.limit_bundle))
-                    break
-            yield from reversed(segs)
+        yield from reversed(list(self._staircase(False, dist, tol)))
+
+    def _staircase(self, below: bool, dist, tol: float) -> Iterator[tuple]:
+        """One tail's allocation intervals in walk order, outermost first."""
+        walk = self._walk(below, dist)
+        if walk is None:
+            return
+        tail, s, prev, end = walk
+        t_star = self.limit_bundle.t
+        n = tail.start
+        while prev < end:
+            try:
+                nxt = min(s * self._switch(below, n), end)
+            except DomainError:
+                nxt = prev
+            if nxt <= prev and n > tail.start:
+                # tail resolution exhausted; remaining bundles are within
+                # noise of the limit bundle
+                break
+            z = tail.bundle(n)
+            yield (*_span(below, prev, nxt), z)
+            prev = nxt
+            n += 1
+            residual = dist.mass(*_span(below, prev, end)) * s * (t_star - z.t)
+            if residual < tol or n - tail.start > TAIL_INDEX_CAP:
+                # remaining staircase is within tol of the limit payment
+                break
+        else:
+            return  # walked exactly onto the limit edge
+        yield (*_span(below, prev, end), self.limit_bundle)
 
 
 def countable_geometric(domain: PreferenceDomain, line: AnchorLine,
@@ -372,21 +372,15 @@ def countable_geometric(domain: PreferenceDomain, line: AnchorLine,
     tail = TailRule(lambda n: argbest(seq(n)), seq.start)
     z0 = tail.bundle(seq.start)
     z1 = tail.bundle(seq.start + 1)
-    if increasing:
-        if not is_diagonal(z0, z1) or not is_diagonal(z1, limit_bundle):
-            raise DomainError(
-                "best bundles along the line are not strictly increasing; "
-                "steepen the line or shorten the parameter range"
-            )
-        return CountableMechanism(domain, limit_bundle, increasing=tail,
-                                  limit_lo=seq.limit)
-    if not is_diagonal(z1, z0) or not is_diagonal(limit_bundle, z1):
+    chain = (z0, z1, limit_bundle) if increasing else (limit_bundle, z1, z0)
+    if not all(is_diagonal(a, b) for a, b in zip(chain, chain[1:])):
         raise DomainError(
-            "best bundles along the line are not strictly decreasing toward "
-            "the limit"
+            "best bundles along the line are not strictly monotone toward "
+            "the limit; steepen the line or shorten the parameter range"
         )
-    return CountableMechanism(domain, limit_bundle, decreasing=tail,
-                              limit_hi=seq.limit)
+    side = ({"increasing": tail, "limit_lo": seq.limit} if increasing
+            else {"decreasing": tail, "limit_hi": seq.limit})
+    return CountableMechanism(domain, limit_bundle, **side)
 
 
 def epsilon_truncate(cmech: CountableMechanism, eps: float,
@@ -410,40 +404,31 @@ def epsilon_truncate(cmech: CountableMechanism, eps: float,
 
     if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps}")
-    domain = cmech.domain
-    bundles: list[Bundle] = []
+
+    def kept(below: bool) -> list:
+        """Bundles of one tail up to its cut, outermost first.  The residual
+        weight is the limit payment below the limit and the payment bound
+        above it."""
+        walk = cmech._walk(below, dist)
+        if walk is None:
+            return []
+        tail, s, outer, end = walk
+        weight = (cmech.limit_bundle.t if below
+                  else revenue_upper_bound(cmech.domain, dist))
+        w = tail.start
+        while True:
+            entering = outer if w == tail.start else s * cmech._switch(below, w - 1)
+            if weight * dist.mass(*_span(below, entering, end)) < eps / 2.0:
+                break
+            w += 1
+            if w - tail.start > TAIL_INDEX_CAP:
+                raise TractabilityError("eps too small: tail cut index beyond cap")
+        return [tail.bundle(n) for n in range(tail.start, w + 1)]
 
     try:
-        if cmech.increasing is not None and dist.lo < cmech.limit_lo:
-            tail = cmech.increasing
-            t_star = cmech.limit_bundle.t
-            w = tail.start
-            while True:
-                entering = dist.lo if w == tail.start else cmech.inc_breakpoint(w)
-                if t_star * dist.mass(entering, cmech.limit_lo) < eps / 2.0:
-                    break
-                w += 1
-                if w - tail.start > TAIL_INDEX_CAP:
-                    raise TractabilityError("eps too small: tail cut index beyond cap")
-            bundles.extend(tail.bundle(n) for n in range(tail.start, w + 1))
-
-        bundles.append(cmech.limit_bundle)
-
-        if cmech.decreasing is not None and dist.hi > cmech.limit_hi:
-            tail = cmech.decreasing
-            t_bar = revenue_upper_bound(domain, dist)
-            k = tail.start
-            while True:
-                entering = dist.hi if k == tail.start else cmech.dec_breakpoint(k - 1)
-                if t_bar * dist.mass(cmech.limit_hi, entering) < eps / 2.0:
-                    break
-                k += 1
-                if k - tail.start > TAIL_INDEX_CAP:
-                    raise TractabilityError("eps too small: tail cut index beyond cap")
-            bundles.extend(tail.bundle(j) for j in range(k, tail.start - 1, -1))
+        bundles = [*kept(True), cmech.limit_bundle, *reversed(kept(False))]
     except DomainError as exc:
         raise TractabilityError(
             f"eps={eps} is below the tail's numerical resolution: {exc}"
         ) from exc
-
-    return from_range(domain, bundles)
+    return from_range(cmech.domain, bundles)

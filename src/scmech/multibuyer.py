@@ -20,8 +20,8 @@ from .domain import Bundle
 from .errors import DomainError
 from .measure import TypeDistribution, inverse_virtual
 
-_CHUNK = 1 << 18  # fixed sampling granularity: estimates do not depend on
-                  # how chunks are assigned to workers
+_CHUNK = 1 << 18  # fixed sampling granularity: an estimate depends only on
+                  # the seed and the sample count
 
 
 @dataclass(frozen=True)

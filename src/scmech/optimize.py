@@ -47,6 +47,8 @@ class OptimizeOptions:
     def __post_init__(self):
         if self.max_bundles < 2:
             raise DomainError("max_bundles must be at least 2")
+        if self.restarts < 1:
+            raise DomainError("restarts must be at least 1")
 
 
 @dataclass(frozen=True)

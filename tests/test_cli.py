@@ -184,6 +184,7 @@ TRUNCATE = ["truncate", "--domain", "sqrt_quasilinear:0.2,1",
             "--dist", "uniform:0.2,1", "--eps", "0.05"]
 LINE = "3,0.0833333333333333,0.3333333333333333"
 SEQ = "harmonic:0.6666666666666666,1,3"
+MECH = {"domain": QL_SPEC, "bundles": [[0, 0], [0.5, 1]], "breakpoints": [0.5]}
 
 
 @pytest.mark.parametrize("files, argv", [
@@ -204,9 +205,20 @@ SEQ = "harmonic:0.6666666666666666,1,3"
     ({}, [*TRUNCATE, "--line", "3,0.1", "--seq", SEQ]),
     ({}, [*TRUNCATE, "--line", LINE, "--seq", "harmonic:0.66,x,3"]),
     ({}, ["multibuyer", "--dist", "uniform:0,1", "--reserve", "abc"]),
+    ({}, [*TRUNCATE, "--line", LINE, "--seq", "harmonic:0.667,1,0"]),
+    ({}, [*TRUNCATE, "--line", LINE, "--seq", "harmonic:0.667,1,-2"]),
+    ({}, [*TRUNCATE, "--line", LINE, "--seq", "harmonic:0.667,1,nan"]),
+    ({}, [*TRUNCATE, "--line", LINE, "--seq", "harmonic:0.667,1,3.5"]),
+    ({"m.json": MECH}, ["verify", "--mech", "m.json", "--grid", "-3"]),
+    ({"m.json": MECH}, ["verify", "--mech", "m.json", "--grid", "0"]),
+    ({}, ["validate-domain", "--domain", "quasilinear:0,1", "--param-count", "-1"]),
+    ({}, ["validate-domain", "--domain", "quasilinear:0,1", "--q-count", "-1"]),
+    ({}, ["validate-domain", "--domain", "quasilinear:0,1", "--q-count", "0"]),
 ], ids=["config-str", "config-float", "config-switch", "config-choice",
         "dist-lo", "dist-table", "domain-lo", "domain-family", "params", "line-value",
-        "line-count", "seq-value", "reserve"])
+        "line-count", "seq-value", "reserve", "seq-start-zero", "seq-start-negative",
+        "seq-start-nan", "seq-start-fraction", "grid-negative", "grid-zero",
+        "param-count-negative", "q-count-negative", "q-count-zero"])
 def test_bad_numeric_input_is_spec_error(tmp_path, capsys, files, argv):
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
@@ -225,3 +237,12 @@ def test_config_values_parse_like_flags(tmp_path, capsys):
     assert rc == 0
     rc, by_flags, _ = run(capsys, *OPTIMIZE, "--max-bundles", "3", "--seed", "8")
     assert by_config == by_flags
+
+
+@pytest.mark.parametrize("restarts", ["0", "-2"])
+def test_restarts_below_one_is_domain_error(capsys, restarts):
+    rc, out, err = run(capsys, *OPTIMIZE, "--restarts", restarts)
+    assert rc == 1
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err)["error"] == "DomainError"

@@ -10,6 +10,7 @@ from scmech.errors import DomainError, InfeasibleRangeError
 from scmech.mechanism import (AnchorLine, CountableMechanism, FiniteMechanism,
                               TailRule, constant_sequence, countable_geometric,
                               epsilon_truncate, from_range, harmonic_sequence)
+from scmech.verify import verify_mechanism
 
 QL = make_domain("quasilinear")
 SQ = make_domain("sqrt_quasilinear")
@@ -243,6 +244,47 @@ def test_two_sided_truncation_cuts_both_tails():
         assert min(qs) < 0.8 < max(qs)  # kept bundles from both sides
         e_fin = measure.expected_revenue(QL, finite, dist)
         assert abs(e_full - e_fin) <= eps
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"limit_lo": 0.5},
+    {"limit_hi": 0.5},
+    {"decreasing": TailRule(lambda k: Bundle(0.1 + 1 / k, 0.3 + 1 / k), 3),
+     "limit_lo": 0.5, "limit_hi": 0.5},
+], ids=["lo-alone", "hi-alone", "lo-without-its-tail"])
+def test_limit_edge_needs_its_tail(kwargs):
+    with pytest.raises(DomainError):
+        CountableMechanism(QL, Bundle(0.1, 0.3), **kwargs)
+
+
+# -- decreasing tail -----------------------------------------------------------
+
+def test_decreasing_tail_geometric():
+    # best bundle on q = t under r*sqrt(q) - t is t = r^2/4; parameters
+    # 0.5 + 1/n fall to 0.5, so the staircase descends to (1/16, 1/16)
+    dom = make_domain("sqrt_quasilinear", 0.26, 1.0)
+    dist = measure.uniform(0.26, 1.0)
+    cm = countable_geometric(dom, AnchorLine(1.0, 0.01, 0.9),
+                             harmonic_sequence(0.5, -1.0, 3))
+    assert cm.increasing is None and cm.limit_hi == 0.5
+    assert cm.limit_bundle.t == pytest.approx(1 / 16, abs=1e-7)
+    assert cm.limit_bundle.q == pytest.approx(1 / 16, abs=1e-7)
+    for k in (3, 4, 10, 50):
+        assert cm.decreasing.bundle(k).t == pytest.approx(
+            (0.5 + 1 / k) ** 2 / 4, abs=1e-7)
+    prev = None
+    # nearest point above the limit is 0.5042, about 240 bundles deep
+    for r in np.linspace(0.26, 1.0, 101):
+        z = cm.evaluate(r)
+        if prev is not None:
+            assert z.t >= prev.t - 1e-12 and z.q >= prev.q - 1e-12
+        prev = z
+    e_full = measure.expected_revenue(dom, cm, dist)
+    for eps in (0.1, 0.01):
+        finite = epsilon_truncate(cm, eps, dist)
+        assert abs(e_full - measure.expected_revenue(dom, finite, dist)) <= eps
+        assert finite.is_well_formed()
+        assert verify_mechanism(dom, finite, np.linspace(0.26, 1.0, 200)).ok
 
 
 def test_anchor_line_validation():

@@ -188,3 +188,9 @@ def test_randomization_helps_the_risk_averse_model():
                        mode="expected_payment")
     assert sol.revenue > 0.25 / 0.9 + 0.005
     assert sol.active_bundles == 3
+
+
+@pytest.mark.parametrize("restarts", [0, -2])
+def test_restarts_below_one_rejected(restarts):
+    with pytest.raises(DomainError):
+        OptimizeOptions(restarts=restarts)
