@@ -244,6 +244,8 @@ def _cmd_validate_domain(ns) -> int:
               else list(_grid(domain, ns.param_count)))
     anchors = [Bundle(t, q)
                for t in _floats(ns.anchor_t) for q in _floats(ns.anchor_q)]
+    if not 0.0 <= ns.q_lo < 1.0:
+        raise SpecParseError(f"--q-lo must lie in [0, 1), got {ns.q_lo}")
     q_grid = _linspace(ns.q_lo, 1.0, ns.q_count)
     report = validate_single_crossing(domain, anchors, params, q_grid=q_grid)
     _emit(report.to_dict(), ns.out)

@@ -11,22 +11,26 @@ Each built-in family stores closed forms for
 * ``canonical(r, t, q)``   - the canonical payment of a bundle,
 * ``curve_payment(r, c, q)`` - the payment at quantity ``q`` on the
   indifference curve whose canonical payment is ``c`` (the inverse of
-  ``canonical`` in ``t``), and
+  ``canonical`` in ``t``),
 * ``special(a, b)``        - the unique order parameter making two diagonal
-  bundles indifferent, where a closed form exists.
+  bundles indifferent, where a closed form exists, and
+* ``best_on_line(r, slope, t_lo, t_hi)`` - the payment of the best bundle
+  on the segment ``q = slope * t``, ``t_lo <= t <= t_hi``, where a closed
+  form exists.
 
 Seven of the nine built-in families are instances of two separable forms
-and are built from their ingredients rather than written out:
+and are built from their exponents rather than written out:
 
 * classical, ``f_r(t, q) = phi^-1(phi(t) + a(r) * (1 - h(q)))`` with
-  ``phi`` in {t, t**2} and ``h`` in {q, sqrt(q)} (:func:`_classical`:
-  ``quasilinear``, ``sqrt_quasilinear``, ``income_effect``,
-  ``payment_param``, ``two_param``);
+  ``phi(t) = t**p``, ``h(q) = q**k``, ``p`` in {1, 2} and ``k`` in
+  {1, 1/2} (:func:`_classical`: ``quasilinear``, ``sqrt_quasilinear``,
+  ``income_effect``, ``payment_param``, ``two_param``);
 * restricted classical, ``f_r(t, q) = r * (1 - w(q)) + w(q) * t`` with
-  ``w`` in {q, q**2} (:func:`_restricted`: ``myerson``, ``risk_averse``).
+  ``w(q) = q**k``, ``k`` in {1, 2} (:func:`_restricted`: ``myerson``,
+  ``risk_averse``).
 
-``power_q`` and ``power_q_raw`` are written out and have no closed-form
-indifference parameter.
+``power_q`` and ``power_q_raw`` are written out and have neither closed
+form for the indifference parameter or the best bundle on a line.
 
 The order parameter is chosen per family so that ``f_r(z)`` is strictly
 increasing in ``r`` for every bundle with ``q < 1``; families whose natural
@@ -116,7 +120,9 @@ class Family:
     bound indifferent to ``(0, 0)``).  The built-in families other than
     ``power_q`` and ``power_q_raw`` are instances of the separable forms
     built by :func:`_classical` and :func:`_restricted`; any family can be
-    given directly.
+    given directly.  ``special`` and ``best_on_line`` are optional closed
+    forms; ``best_on_line`` comes last so that positional construction up
+    to ``blurb`` keeps its meaning.
     """
 
     name: str
@@ -128,6 +134,7 @@ class Family:
     curve_payment: Callable
     special: Optional[Callable] = None
     blurb: str = ""
+    best_on_line: Optional[Callable] = None
 
     @property
     def restricted(self) -> bool:
@@ -142,16 +149,26 @@ def _square(x):
     return x * x
 
 
-def _classical(name, utility, phi, h, a=_identity, a_inv=_identity,
+# Evaluated form of each exponent the factories take: x*x and np.sqrt are
+# correctly rounded, which a general x**p need not be.
+_POWERS = {1: _identity, 2: _square, 0.5: np.sqrt}
+
+
+def _clamp(t, lo, hi):
+    return min(max(t, lo), hi)
+
+
+def _classical(name, utility, p, k, a=_identity, a_inv=_identity,
                param_hi=math.inf, blurb=""):
     """Family with canonical payment ``phi^-1(phi(t) + a(r) * (1 - h(q)))``.
 
-    ``phi`` is the payment transform, ``_identity`` or ``_square``; ``h``
-    is an increasing quantity transform with ``h(1) = 1``; ``a`` is an
-    increasing positive coefficient with inverse ``a_inv``.  The form is
-    linear in ``phi(t)``, so the curve inverse and the indifference
-    parameter of two bundles follow in closed form.
+    ``phi(t) = t**p`` is the payment transform and ``h(q) = q**k`` the
+    quantity transform, with ``p >= k``; ``a`` is an increasing positive
+    coefficient with inverse ``a_inv``.  The form is linear in ``phi(t)``,
+    so the curve inverse, the indifference parameter of two bundles and
+    the best bundle on a line follow in closed form.
     """
+    phi, h = _POWERS[p], _POWERS[k]
     if phi is _identity:
         def canonical(r, t, q):
             return t + a(r) * (1.0 - h(q))
@@ -173,17 +190,29 @@ def _classical(name, utility, phi, h, a=_identity, a_inv=_identity,
     def special(za, zb):
         return a_inv((phi(zb[0]) - phi(za[0])) / (h(zb[1]) - h(za[1])))
 
+    # On q = slope*t the best bundle minimizes t**p - a(r) * (slope*t)**k,
+    # convex in t: stationary at t**(p-k) = a(r) k slope**k / p when p > k;
+    # when p = k it is t**p * (1 - a(r) slope**k), so an endpoint wins.
+    if p == k:
+        def best_on_line(r, slope, t_lo, t_hi):
+            return t_lo if a(r) * slope**k < 1.0 else t_hi
+    else:
+        def best_on_line(r, slope, t_lo, t_hi):
+            t = (a(r) * k * slope**k / p) ** (1.0 / (p - k))
+            return _clamp(t, t_lo, t_hi)
+
     return Family(name, "classical", 0.0, param_hi, utility, canonical,
-                  curve_payment, special, blurb)
+                  curve_payment, special, blurb, best_on_line)
 
 
-def _restricted(name, utility, w, blurb=""):
+def _restricted(name, utility, k, blurb=""):
     """Family with canonical payment ``r * (1 - w(q)) + w(q) * t``.
 
-    ``w`` is an increasing quantity weight with ``w(0) = 0`` and
+    ``w(q) = q**k`` is an increasing quantity weight with ``w(0) = 0`` and
     ``w(1) = 1``, so every bundle with payment ``r`` is indifferent to
     ``(0, 0)``.
     """
+    w = _POWERS[k]
 
     def canonical(r, t, q):
         wq = w(q)
@@ -201,8 +230,12 @@ def _restricted(name, utility, w, blurb=""):
         wa, wb = w(za[1]), w(zb[1])
         return (wb * zb[0] - wa * za[0]) / (wb - wa)
 
+    def best_on_line(r, slope, t_lo, t_hi):
+        # maximizes w(slope*t) * (r - t), unimodal in t >= 0
+        return _clamp(k * r / (k + 1.0), t_lo, t_hi)
+
     return Family(name, "restricted", 0.0, math.inf, utility, canonical,
-                  curve_payment, special, blurb)
+                  curve_payment, special, blurb, best_on_line)
 
 
 def _ql_utility(r, t, q):
@@ -285,8 +318,10 @@ def register_family(fam: Family) -> Family:
     The family supplies its utility, a canonical-payment map increasing in
     the order parameter, that map's inverse in the payment, and optionally
     a closed-form indifference parameter (without one, indifference
-    parameters are found by bisection).  Everything else (mechanism
-    construction, verification, optimization) is family-agnostic.
+    parameters are found by bisection) and a closed-form best bundle on a
+    line (without one, :func:`~scmech.mechanism.countable_geometric` finds
+    it by bounded search).  Everything else (mechanism construction,
+    verification, optimization) is family-agnostic.
     """
     if fam.name in FAMILIES:
         raise ValueError(f"family {fam.name!r} already registered")
@@ -295,23 +330,23 @@ def register_family(fam: Family) -> Family:
 
 
 register_family(_classical(
-    "quasilinear", _ql_utility, _identity, _identity,
+    "quasilinear", _ql_utility, 1, 1,
     blurb="r*q - t; linear indifference curves with slope 1/r",
 ))
 register_family(_classical(
-    "sqrt_quasilinear", _sq_utility, _identity, np.sqrt,
+    "sqrt_quasilinear", _sq_utility, 1, 0.5,
     blurb="r*sqrt(q) - t; strictly convex indifference curves",
 ))
 register_family(_classical(
-    "income_effect", _ie_utility, _square, np.sqrt,
+    "income_effect", _ie_utility, 2, 0.5,
     blurb="r*sqrt(q) - t**2; payment increments shrink at higher payments",
 ))
 register_family(_classical(
-    "payment_param", _pp_utility, _square, _identity,
+    "payment_param", _pp_utility, 2, 1,
     blurb="q - t**2/r; stored parameter is the reciprocal of the payment weight",
 ))
 register_family(_classical(
-    "two_param", _tp_utility, _square, np.sqrt,
+    "two_param", _tp_utility, 2, 0.5,
     _two_param_coeff, _two_param_coeff_inv, param_hi=3.0,
     blurb="two-branch chart: r*sqrt(q)-t**2 on (0,2], 2*sqrt(q)-(3-r)*t**2 on [2,3)",
 ))
@@ -326,11 +361,11 @@ register_family(Family(
     blurb="q**r - t on the full quantity range; not single-crossing",
 ))
 register_family(_restricted(
-    "myerson", _my_utility, _identity,
+    "myerson", _my_utility, 1,
     blurb="q*(r - t); win-probability model with expected payment q*t",
 ))
 register_family(_restricted(
-    "risk_averse", _ra_utility, _square,
+    "risk_averse", _ra_utility, 2,
     blurb="q*sqrt(r - t); payments above r are inadmissible",
 ))
 

@@ -234,15 +234,27 @@ def revenue_upper_bound(domain: PreferenceDomain, dist: TypeDistribution) -> flo
     return domain.canonical_payment(dist.hi, ZERO_BUNDLE)
 
 
+def _check_support(domain: PreferenceDomain, dist: TypeDistribution) -> None:
+    """Reject a type support reaching outside the domain's parameter
+    interval: mechanisms are defined only on the domain."""
+    if dist.lo < domain.lo - 1e-12 or dist.hi > domain.hi + 1e-12:
+        raise DomainError(
+            f"distribution support [{dist.lo}, {dist.hi}] not contained in "
+            f"the domain interval [{domain.lo}, {domain.hi}]"
+        )
+
+
 def expected_revenue(domain: PreferenceDomain, mech, dist: TypeDistribution,
                      mode: str = "payment") -> float:
-    """Expected seller revenue of a mechanism under ``dist``.
+    """Expected seller revenue of a mechanism under ``dist``, whose support
+    must lie in the domain interval.
 
     Step mechanisms (anything exposing ``revenue_segments``) are summed
     exactly; bare callables ``r -> Bundle`` are integrated by adaptive
     quadrature.
     """
     revenue_of(ZERO_BUNDLE, mode)  # validate the mode early
+    _check_support(domain, dist)
     if hasattr(mech, "revenue_segments"):
         total = 0.0
         for r_lo, r_hi, bundle in mech.revenue_segments(dist):

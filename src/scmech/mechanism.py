@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
-
-from scipy import optimize as _sciopt
 
 from .domain import (Bundle, Ordering, PreferenceDomain, check_bundle,
                      is_diagonal)
@@ -314,14 +313,30 @@ class CountableMechanism:
         yield (*_span(below, prev, end), self.limit_bundle)
 
 
+def _search_best_on_line(domain: PreferenceDomain, r: float, slope: float,
+                         t_lo: float, t_hi: float) -> float:
+    """Payment of the best bundle on ``q = slope * t`` by bounded search, for
+    families without the closed form ``best_on_line``."""
+    from scipy.optimize import minimize_scalar
+
+    def objective(t):
+        return float(domain.canonical_payment_many(r, t, min(slope * t, 1.0)))
+
+    res = minimize_scalar(objective, bounds=(t_lo, t_hi), method="bounded",
+                          options={"xatol": 1e-13})
+    # endpoints can beat the interior probe on flat objectives
+    return min((float(res.x), t_lo, t_hi), key=objective)
+
+
 def countable_geometric(domain: PreferenceDomain, line: AnchorLine,
                         seq: ParamSequence) -> CountableMechanism:
     """Best-bundle-on-a-line construction of a countable mechanism.
 
     For each parameter in the sequence the allocated bundle maximizes the
     preference along the anchor line (equivalently, minimizes the canonical
-    payment).  The bundles converge to the maximizer at the limit
-    parameter, which becomes the mechanism's limit bundle; switching
+    payment): the family's closed form ``best_on_line`` where it has one,
+    otherwise a bounded search.  The bundles converge to the maximizer at
+    the limit parameter, which becomes the mechanism's limit bundle; switching
     parameters between consecutive bundles are their indifference
     parameters, exactly as in the finite construction.
     """
@@ -340,30 +355,11 @@ def countable_geometric(domain: PreferenceDomain, line: AnchorLine,
     if not constant and gap5 >= gap0:
         raise DomainError("parameter sequence does not approach its limit")
 
-    def objective(r, t):
-        return float(domain.canonical_payment_many(
-            r, t, min(line.slope * t, 1.0)))
+    best_on_line = domain.family.best_on_line or partial(_search_best_on_line,
+                                                         domain)
 
     def argbest(r: float) -> Bundle:
-        res = _sciopt.minimize_scalar(
-            lambda t: objective(r, t),
-            bounds=(line.t_lo, line.t_hi), method="bounded",
-            options={"xatol": 1e-13},
-        )
-        best = float(res.x)
-        # parabolic refinement: flat objectives leave the bracketing search
-        # ~1e-8 off, which blurs deep-tail bundles into each other
-        h = 1e-5 * max(line.t_hi - line.t_lo, 1.0)
-        if line.t_lo + h < best < line.t_hi - h:
-            f_lo, f_mid, f_hi = (objective(r, best - h), objective(r, best),
-                                 objective(r, best + h))
-            curv = f_lo - 2.0 * f_mid + f_hi
-            if curv > 0.0:
-                best += 0.5 * h * (f_lo - f_hi) / curv
-        # endpoints can beat the interior probe on flat objectives
-        cands = [best, line.t_lo, line.t_hi]
-        best = min(cands, key=lambda t: objective(r, t))
-        return line.bundle(best)
+        return line.bundle(best_on_line(r, line.slope, line.t_lo, line.t_hi))
 
     limit_bundle = argbest(seq.limit)
     if constant:
@@ -399,11 +395,13 @@ def epsilon_truncate(cmech: CountableMechanism, eps: float,
     ``[bp(w, limit), limit_lo)``, where the countable staircase still
     charges less; that overcharge can outweigh the undercharge of the last
     kept bundle below it (see the README's epsilon-truncation section).
+    The support of ``dist`` must lie in the domain interval.
     """
-    from .measure import revenue_upper_bound
+    from .measure import _check_support, revenue_upper_bound
 
     if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps}")
+    _check_support(cmech.domain, dist)
 
     def kept(below: bool) -> list:
         """Bundles of one tail up to its cut, outermost first.  The residual

@@ -28,8 +28,8 @@ from scipy import optimize as _sciopt
 
 from .domain import Bundle, PreferenceDomain, ZERO_BUNDLE
 from .errors import DomainError, ScmechError
-from .measure import (TypeDistribution, expected_revenue, has_increasing_hazard,
-                      inverse_virtual, revenue_of)
+from .measure import (TypeDistribution, _check_support, expected_revenue,
+                      has_increasing_hazard, inverse_virtual, revenue_of)
 from .mechanism import FiniteMechanism, from_range
 from .verify import verify_mechanism
 
@@ -177,11 +177,7 @@ def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
                  mode: str = "payment") -> Solution:
     """Maximize expected revenue over mechanisms with at most
     ``opts.max_bundles`` range bundles."""
-    if dist.lo < domain.lo - 1e-12 or dist.hi > domain.hi + 1e-12:
-        raise DomainError(
-            f"distribution support [{dist.lo}, {dist.hi}] not contained in "
-            f"the domain interval [{domain.lo}, {domain.hi}]"
-        )
+    _check_support(domain, dist)
     m = opts.max_bundles - 1
     rng = np.random.default_rng(opts.seed)
 

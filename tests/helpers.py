@@ -8,6 +8,11 @@ from scmech.domain import Bundle, ZERO_BUNDLE
 from scmech.errors import DomainError, InfeasibleRangeError
 from scmech.mechanism import from_range
 
+# The families built by the separable-form factories; with power_q they are
+# the single-crossing built-ins.
+FACTORY_FAMILIES = ["quasilinear", "sqrt_quasilinear", "income_effect",
+                    "payment_param", "two_param", "myerson", "risk_averse"]
+
 
 def random_feasible_range(domain, rng, max_tries=400, t_hi=2.5):
     """Rejection-sample a strictly diagonal range supportable on ``domain``."""

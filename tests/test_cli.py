@@ -214,11 +214,14 @@ MECH = {"domain": QL_SPEC, "bundles": [[0, 0], [0.5, 1]], "breakpoints": [0.5]}
     ({}, ["validate-domain", "--domain", "quasilinear:0,1", "--param-count", "-1"]),
     ({}, ["validate-domain", "--domain", "quasilinear:0,1", "--q-count", "-1"]),
     ({}, ["validate-domain", "--domain", "quasilinear:0,1", "--q-count", "0"]),
+    ({}, ["validate-domain", "--domain", "quasilinear:0,1", "--q-lo", "2"]),
+    ({}, ["validate-domain", "--domain", "quasilinear:0,1", "--q-lo", "nan"]),
 ], ids=["config-str", "config-float", "config-switch", "config-choice",
         "dist-lo", "dist-table", "domain-lo", "domain-family", "params", "line-value",
         "line-count", "seq-value", "reserve", "seq-start-zero", "seq-start-negative",
         "seq-start-nan", "seq-start-fraction", "grid-negative", "grid-zero",
-        "param-count-negative", "q-count-negative", "q-count-zero"])
+        "param-count-negative", "q-count-negative", "q-count-zero",
+        "q-lo-above-one", "q-lo-nan"])
 def test_bad_numeric_input_is_spec_error(tmp_path, capsys, files, argv):
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
@@ -246,3 +249,22 @@ def test_restarts_below_one_is_domain_error(capsys, restarts):
     assert out == ""
     assert err.endswith("\n") and err.count("\n") == 1
     assert json.loads(err)["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("files, argv", [
+    ({}, ["truncate", "--domain", "sqrt_quasilinear:0.2,1", "--dist", "uniform:0,2",
+          "--line", LINE, "--seq", SEQ, "--eps", "0.05", "--out", "out.json"]),
+    ({"m.json": MECH}, ["revenue", "--mech", "m.json", "--dist", "uniform:0,2",
+                        "--out", "out.json"]),
+], ids=["truncate", "revenue"])
+def test_support_outside_domain_is_domain_error(tmp_path, capsys, files, argv):
+    # types outside the domain have no allocation, so no revenue is reported
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    argv = [str(tmp_path / a) if a in files or a == "out.json" else a
+            for a in argv]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "DomainError"
+    assert not (tmp_path / "out.json").exists()

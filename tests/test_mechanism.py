@@ -2,14 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import grid_around, random_feasible_range
+from helpers import FACTORY_FAMILIES, grid_around, random_feasible_range
 from scmech import measure, serialize
 from scmech.domain import Bundle, Ordering, ZERO_BUNDLE, make_domain
 from scmech.errors import DomainError, InfeasibleRangeError
 from scmech.mechanism import (AnchorLine, CountableMechanism, FiniteMechanism,
-                              TailRule, constant_sequence, countable_geometric,
-                              epsilon_truncate, from_range, harmonic_sequence)
+                              TailRule, _search_best_on_line, constant_sequence,
+                              countable_geometric, epsilon_truncate, from_range,
+                              harmonic_sequence)
 from scmech.verify import verify_mechanism
 
 QL = make_domain("quasilinear")
@@ -285,6 +287,63 @@ def test_decreasing_tail_geometric():
         assert abs(e_full - measure.expected_revenue(dom, finite, dist)) <= eps
         assert finite.is_well_formed()
         assert verify_mechanism(dom, finite, np.linspace(0.26, 1.0, 200)).ok
+
+
+# -- best bundle on a line ----------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(FACTORY_FAMILIES), u=st.floats(0.0, 1.0),
+       slope=st.floats(0.1, 10.0), a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0))
+def test_best_on_line_closed_form_is_optimal(name, u, slope, a, b):
+    dom = make_domain(name)
+    r = dom.lo + (0.02 + 0.96 * u) * (min(dom.hi, 3.0) - dom.lo)
+    t_lo, t_hi = min(a, b) / slope, max(a, b) / slope
+    if t_hi - t_lo < 1e-6:
+        return
+
+    def payment(t):
+        t = np.asarray(t, dtype=float)
+        return dom.canonical_payment_many(r, t, np.minimum(slope * t, 1.0))
+
+    t = dom.family.best_on_line(r, slope, t_lo, t_hi)
+    assert t_lo <= t <= t_hi
+    searched = _search_best_on_line(dom, r, slope, t_lo, t_hi)
+    assert payment(t) <= payment(searched) + 1e-12
+    assert payment(t) <= payment(np.linspace(t_lo, t_hi, 100001)).min() + 1e-12
+
+
+def test_closed_form_families_build_without_search(monkeypatch):
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bounded search called")
+
+    monkeypatch.setattr(scipy.optimize, "minimize_scalar", refuse)
+    line = AnchorLine(1.0, 0.01, 0.9)
+    for name in FACTORY_FAMILIES:
+        countable_geometric(make_domain(name), line, constant_sequence(0.5))
+    cm = countable_geometric(SQ, LINE, SEQ)
+    # breakpoints 2/3 - (1/n + 1/(n+1))/2 put this type on bundle 10000
+    assert cm.evaluate(2 / 3 - 1e-4) == cm.increasing.bundle(10000)
+    with pytest.raises(AssertionError, match="bounded search"):
+        countable_geometric(make_domain("power_q"), AnchorLine(3.0, 0.05, 0.33),
+                            constant_sequence(0.3))
+
+
+def test_power_q_truncation_by_search():
+    # power_q has no closed-form best bundle, so the bounded search builds
+    # every bundle of this range
+    dom = make_domain("power_q")
+    dist = measure.uniform(0.26, 0.33)
+    cm = countable_geometric(dom, AnchorLine(3.0, 0.05, 0.33),
+                             harmonic_sequence(0.3, 0.01, 3))
+    e_full = measure.expected_revenue(dom, cm, dist)
+    for eps, size in ((0.1, 3), (0.01, 8), (0.001, 82)):
+        finite = epsilon_truncate(cm, eps, dist)
+        assert len(finite.bundles) == size
+        assert abs(e_full - measure.expected_revenue(dom, finite, dist)) <= eps
+        assert finite.is_well_formed()
+        assert verify_mechanism(dom, finite, np.linspace(0.25, 1 / 3, 200)).ok
 
 
 def test_anchor_line_validation():

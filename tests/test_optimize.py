@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import FACTORY_FAMILIES
 from scmech import measure, optimize
 from scmech.domain import Bundle, ZERO_BUNDLE, make_domain
 from scmech.errors import DomainError
+from scmech.mechanism import from_range
 from scmech.optimize import (OptimizeOptions, closed_form_deterministic,
                              payments_from_breakpoints, solve_finite,
                              stationarity_residuals)
@@ -194,3 +197,19 @@ def test_randomization_helps_the_risk_averse_model():
 def test_restarts_below_one_rejected(restarts):
     with pytest.raises(DomainError):
         OptimizeOptions(restarts=restarts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from([*FACTORY_FAMILIES, "power_q"]),
+       dus=st.lists(st.floats(0.01, 0.24), min_size=1, max_size=4),
+       dqs=st.lists(st.floats(0.01, 0.25), min_size=4, max_size=4))
+def test_breakpoints_round_trip_through_payments(name, dus, dqs):
+    # payments pinned at strictly increasing entry types rebuild, through
+    # from_range, a mechanism whose breakpoints are those types
+    dom = make_domain(name)
+    lo, hi = dom.lo, min(dom.hi, 3.0)
+    thetas = [lo + (0.02 + u) * (hi - lo) for u in np.cumsum(dus)]
+    qs = [min(float(q), 1.0) for q in np.cumsum(dqs[:len(thetas)])]
+    pays = payments_from_breakpoints(dom, thetas, qs)
+    mech = from_range(dom, [ZERO_BUNDLE, *map(Bundle, pays, qs)])
+    assert mech.breakpoints == pytest.approx(thetas, rel=0, abs=1e-9)
