@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy import stats
 
 from .domain import Bundle, PreferenceDomain, ZERO_BUNDLE
 from .errors import DomainError, ScmechError, SpecParseError
@@ -97,10 +95,14 @@ class TypeDistribution:
         raise SpecParseError(f"unknown distribution {name!r}")
 
 
+def _finite(*params: float) -> bool:
+    return all(math.isfinite(p) for p in params)
+
+
 def uniform(lo: float, hi: float) -> TypeDistribution:
     lo, hi = float(lo), float(hi)
-    if not lo < hi:
-        raise DomainError(f"uniform needs lo < hi, got [{lo}, {hi}]")
+    if not (_finite(lo, hi) and lo < hi):
+        raise DomainError(f"uniform needs finite lo < hi, got [{lo}, {hi}]")
     width = hi - lo
     return TypeDistribution(
         "uniform", {"lo": lo, "hi": hi}, lo, hi,
@@ -112,8 +114,9 @@ def uniform(lo: float, hi: float) -> TypeDistribution:
 
 def truncated_exponential(rate: float, lo: float, hi: float) -> TypeDistribution:
     rate, lo, hi = float(rate), float(lo), float(hi)
-    if rate <= 0 or not lo < hi:
-        raise DomainError("truncated exponential needs rate > 0 and lo < hi")
+    if not (_finite(rate, lo, hi) and rate > 0 and lo < hi):
+        raise DomainError("truncated exponential needs finite rate > 0 and "
+                          f"finite lo < hi, got ({rate}, {lo}, {hi})")
     z = 1.0 - math.exp(-rate * (hi - lo))
     return TypeDistribution(
         "truncated_exponential", {"rate": rate, "lo": lo, "hi": hi}, lo, hi,
@@ -124,13 +127,19 @@ def truncated_exponential(rate: float, lo: float, hi: float) -> TypeDistribution
 
 
 def beta(a: float, b: float) -> TypeDistribution:
+    """Beta(a, b) on [0, 1] from the regularized incomplete beta function."""
     a, b = float(a), float(b)
-    if a <= 0 or b <= 0:
-        raise DomainError("beta needs positive shape parameters")
-    frozen = stats.beta(a, b)
+    if not (_finite(a, b) and a > 0 and b > 0):
+        raise DomainError(f"beta needs finite positive shapes, got ({a}, {b})")
+    from scipy import special
+
+    log_norm = special.betaln(a, b)
     return TypeDistribution(
         "beta", {"a": a, "b": b}, 0.0, 1.0,
-        frozen.cdf, frozen.pdf, frozen.ppf,
+        lambda x: special.betainc(a, b, x),
+        lambda x: np.exp(special.xlogy(a - 1.0, x)
+                         + special.xlog1py(b - 1.0, -x) - log_norm),
+        lambda u: special.betaincinv(a, b, u),
     )
 
 
@@ -143,6 +152,8 @@ def from_table(points: Sequence[Sequence[float]]) -> TypeDistribution:
     pts = sorted((float(t), float(c)) for t, c in points)
     xs = np.array([p[0] for p in pts])
     cs = np.array([p[1] for p in pts])
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(cs))):
+        raise SpecParseError("table entries must be finite")
     if len(xs) < 2 or cs[0] != 0.0 or cs[-1] != 1.0:
         raise SpecParseError("table must run from cdf 0 to cdf 1")
     if np.any(np.diff(xs) <= 0) or np.any(np.diff(cs) < 0):
@@ -265,5 +276,7 @@ def expected_revenue(domain: PreferenceDomain, mech, dist: TypeDistribution,
     def integrand(r):
         return revenue_of(fn(r), mode) * float(dist.pdf(r))
 
-    value, _ = integrate.quad(integrand, dist.lo, dist.hi, limit=400)
+    from scipy.integrate import quad
+
+    value, _ = quad(integrand, dist.lo, dist.hi, limit=400)
     return value

@@ -415,13 +415,18 @@ def epsilon_truncate(cmech: CountableMechanism, eps: float,
                   else revenue_upper_bound(cmech.domain, dist))
         w = tail.start
         while True:
+            if w > tail.start and tail.bundle(w) == tail.bundle(w - 1):
+                # the line clamped the tail onto its last bundle: it is finite
+                w -= 1
+                break
             entering = outer if w == tail.start else s * cmech._switch(below, w - 1)
             if weight * dist.mass(*_span(below, entering, end)) < eps / 2.0:
                 break
             w += 1
             if w - tail.start > TAIL_INDEX_CAP:
                 raise TractabilityError("eps too small: tail cut index beyond cap")
-        return [tail.bundle(n) for n in range(tail.start, w + 1)]
+        return [z for z in map(tail.bundle, range(tail.start, w + 1))
+                if z != cmech.limit_bundle]
 
     try:
         bundles = [*kept(True), cmech.limit_bundle, *reversed(kept(False))]

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from .domain import Bundle, PreferenceDomain, ZERO_BUNDLE
 from .errors import DomainError, ScmechError
@@ -137,6 +136,8 @@ def _sweep(domain, dist, mode, thetas, qs):
     coordinate is bounded by its neighbours in its own block, and at the
     block ends by the support (thetas) or by [0, 1] (quantities).
     """
+    from scipy.optimize import minimize_scalar
+
     m = len(thetas)
     x = [*thetas, *qs]
     ends = ((dist.lo, dist.hi), (0.0, 1.0))
@@ -155,7 +156,7 @@ def _sweep(domain, dist, mode, thetas, qs):
                 trial[i] = v
                 return _profile_revenue(domain, dist, mode, trial[:m], trial[m:])
 
-            res = _sciopt.minimize_scalar(
+            res = minimize_scalar(
                 lambda v: -revenue_at(v),
                 bounds=(lo, hi), method="bounded", options={"xatol": 1e-11},
             )

@@ -18,7 +18,7 @@ def _format_float(x: float) -> str:
         raise ValueError("NaN is not serializable")
     if math.isinf(x):
         return "null"
-    if x == int(x) and abs(x) < 1e16:
+    if x == int(x) and abs(x) < 1e17:  # below 1e17, "%.17g" drops the ".0"
         return f"{x:.1f}"
     return f"{x:.17g}"
 

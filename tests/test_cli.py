@@ -216,12 +216,17 @@ MECH = {"domain": QL_SPEC, "bundles": [[0, 0], [0.5, 1]], "breakpoints": [0.5]}
     ({}, ["validate-domain", "--domain", "quasilinear:0,1", "--q-count", "0"]),
     ({}, ["validate-domain", "--domain", "quasilinear:0,1", "--q-lo", "2"]),
     ({}, ["validate-domain", "--domain", "quasilinear:0,1", "--q-lo", "nan"]),
+    ({"m.json": MECH}, ["revenue", "--mech", "m.json", "--dist", "beta:nan,2"]),
+    ({"m.json": MECH}, ["revenue", "--mech", "m.json", "--dist", "beta:inf,2"]),
+    ({"m.json": MECH}, ["revenue", "--mech", "m.json", "--dist", "texp:inf,0,1"]),
+    ({"m.json": MECH}, ["revenue", "--mech", "m.json", "--dist", "uniform:0,inf"]),
 ], ids=["config-str", "config-float", "config-switch", "config-choice",
         "dist-lo", "dist-table", "domain-lo", "domain-family", "params", "line-value",
         "line-count", "seq-value", "reserve", "seq-start-zero", "seq-start-negative",
         "seq-start-nan", "seq-start-fraction", "grid-negative", "grid-zero",
         "param-count-negative", "q-count-negative", "q-count-zero",
-        "q-lo-above-one", "q-lo-nan"])
+        "q-lo-above-one", "q-lo-nan", "dist-beta-nan", "dist-beta-inf",
+        "dist-texp-inf", "dist-uniform-inf"])
 def test_bad_numeric_input_is_spec_error(tmp_path, capsys, files, argv):
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))

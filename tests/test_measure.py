@@ -155,3 +155,52 @@ def test_virtual_valuation_monotone_under_increasing_hazard():
         grid = np.linspace(dist.lo, dist.hi, 64, endpoint=False)[1:]
         vals = [virtual_valuation(dist, g) for g in grid]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
+
+
+# Shapes with a < 1 and b < 1 give densities unbounded at the ends.
+BETA_SHAPES = [(2.0, 3.0), (0.5, 0.5), (5.0, 1.2), (1.0, 1.0), (3.7, 9.1),
+               (0.3, 2.0)]
+
+
+@pytest.mark.parametrize("a, b", BETA_SHAPES)
+def test_beta_matches_scipy_stats(a, b):
+    from scipy import stats
+
+    ref = stats.beta(a, b)
+    dist = measure.beta(a, b)
+    ends = np.geomspace(1e-12, 0.5, 60)
+    x = np.concatenate([np.linspace(0.0, 1.0, 2001), ends, 1.0 - ends])
+    assert np.array_equal(dist.cdf(x), ref.cdf(x))
+    assert np.array_equal(dist.ppf(x), ref.ppf(x))
+    assert [dist.cdf(v) for v in x[::50]] == [float(ref.cdf(v)) for v in x[::50]]
+    assert [dist.ppf(v) for v in x[::50]] == [float(ref.ppf(v)) for v in x[::50]]
+    want = ref.pdf(x)
+    ok = np.isfinite(want) & (want > 0)
+    assert np.all(np.abs(dist.pdf(x)[ok] - want[ok]) <= 1e-12 * want[ok])
+
+
+@pytest.mark.parametrize("make, args", [
+    (measure.beta, (math.nan, 2.0)),
+    (measure.beta, (math.inf, 2.0)),
+    (measure.beta, (2.0, math.inf)),
+    (measure.truncated_exponential, (math.inf, 0.0, 1.0)),
+    (measure.truncated_exponential, (1.0, 0.0, math.inf)),
+    (measure.truncated_exponential, (math.nan, 0.0, 1.0)),
+    (measure.uniform, (0.0, math.inf)),
+    (measure.uniform, (-math.inf, 0.0)),
+], ids=["beta-nan", "beta-inf", "beta-b-inf", "texp-rate-inf", "texp-hi-inf",
+        "texp-rate-nan", "uniform-hi-inf", "uniform-lo-inf"])
+def test_non_finite_parameters_rejected(make, args):
+    with pytest.raises(DomainError):
+        make(*args)
+
+
+@pytest.mark.parametrize("points", [
+    [[0.0, 0.0], [math.inf, 1.0]],
+    [[-math.inf, 0.0], [1.0, 1.0]],
+    [[0.0, 0.0], [math.nan, 1.0]],
+    [[0.0, 0.0], [0.5, math.nan], [1.0, 1.0]],
+], ids=["theta-inf", "theta-minus-inf", "theta-nan", "cdf-nan"])
+def test_non_finite_table_rejected(points):
+    with pytest.raises(SpecParseError):
+        from_table(points)

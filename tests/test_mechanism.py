@@ -289,6 +289,21 @@ def test_decreasing_tail_geometric():
         assert verify_mechanism(dom, finite, np.linspace(0.26, 1.0, 200)).ok
 
 
+def test_truncation_of_tail_clamped_at_line_end():
+    # example 7 with the line ending at t = 0.3: the best bundles reach the
+    # line's end (0.3, 0.9) before the limit parameter, so the tail repeats
+    # the limit bundle and is finite
+    line = AnchorLine(3.0, 1 / 12, 0.3)
+    cm = countable_geometric(SQ, line, SEQ)
+    assert cm.limit_bundle == line.bundle(0.3)
+    e_full = measure.expected_revenue(SQ, cm, UNIF)
+    for eps in (0.1, 0.01, 0.001):
+        finite = epsilon_truncate(cm, eps, UNIF)
+        assert abs(e_full - measure.expected_revenue(SQ, finite, UNIF)) <= eps
+        assert finite.is_well_formed()
+        assert verify_mechanism(SQ, finite, np.linspace(0.2, 1.0, 200)).ok
+
+
 # -- best bundle on a line ----------------------------------------------------
 
 @settings(max_examples=300, deadline=None)

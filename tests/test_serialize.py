@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scmech import serialize
 from scmech.errors import SpecParseError
@@ -77,3 +78,29 @@ def test_spec_files_round_trip(tmp_path):
                                  "kind": "restricted"}))
     dom = serialize.parse_domain_spec(str(dpath))
     assert dom.family.name == "myerson" and dom.hi == 1.0
+
+
+JSON_TREES = st.recursive(
+    st.floats(allow_nan=False, allow_infinity=False) | st.integers()
+    | st.text() | st.booleans(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=40)
+
+
+def _bits(obj):
+    """``obj`` with every leaf tagged by its type and every float replaced
+    by its exact hex form, so -0.0 and 0.0, or 1 and 1.0, stay apart."""
+    if isinstance(obj, list):
+        return [_bits(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _bits(v) for k, v in obj.items()}
+    return type(obj).__name__, obj.hex() if isinstance(obj, float) else obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=JSON_TREES)
+def test_dumps_round_trips_bit_exactly(obj):
+    text = serialize.dumps(obj)
+    back = json.loads(text)
+    assert _bits(back) == _bits(obj)
+    assert serialize.dumps(back) == text
