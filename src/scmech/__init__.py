@@ -7,16 +7,15 @@ from .errors import (DomainError, InfeasibleRangeError, RichnessError,
                      ScmechError, SpecParseError, TractabilityError)
 from .measure import (TypeDistribution, beta, expected_revenue, from_table,
                       hazard, has_increasing_hazard, inverse_virtual,
-                      revenue_upper_bound, truncated_exponential, uniform,
-                      virtual_valuation)
+                      monopoly_price, revenue_upper_bound,
+                      truncated_exponential, uniform, virtual_valuation)
 from .mechanism import (AnchorLine, CountableMechanism, FiniteMechanism,
                         ParamSequence, constant_sequence, countable_geometric,
                         epsilon_truncate, from_range, harmonic_sequence)
 from .multibuyer import (MultiBuyerMechanism, allocate, allocate_profiles,
                          from_distribution, simulate_revenue)
-from .optimize import (OptimizeOptions, Solution, closed_form_deterministic,
-                       payments_from_breakpoints, solve_finite,
-                       stationarity_residuals)
+from .optimize import (OptimizeOptions, Solution, payments_from_breakpoints,
+                       solve_finite, stationarity_residuals)
 from .verify import (VerificationReport, Violation, brute_force_optimal,
                      check_individual_rationality, check_shape,
                      check_strategy_proof, verify_mechanism)

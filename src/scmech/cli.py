@@ -15,17 +15,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import measure, multibuyer, serialize
 from .domain import Bundle, PreferenceDomain, validate_single_crossing
-from .errors import ScmechError, SpecParseError
+from .errors import DomainError, ScmechError, SpecParseError
 from .mechanism import (AnchorLine, FiniteMechanism, ParamSequence,
                         constant_sequence, countable_geometric,
                         epsilon_truncate, harmonic_sequence)
-from .optimize import OptimizeOptions, closed_form_deterministic, solve_finite
+from .optimize import OptimizeOptions, solve_finite
 from .verify import CSV_COLUMNS, verify_mechanism
 
 
@@ -147,8 +148,6 @@ def _linspace(lo: float, hi: float, n: int):
 
 
 def _grid(domain: PreferenceDomain, n: int):
-    import math
-
     if not (math.isfinite(domain.lo) and math.isfinite(domain.hi)):
         raise SpecParseError(
             "domain interval is unbounded; give explicit bounds, e.g. "
@@ -168,10 +167,14 @@ def _cmd_optimize(ns) -> int:
         domain = PreferenceDomain(domain.family, dist.lo, dist.hi)
     opts = OptimizeOptions(max_bundles=ns.max_bundles, restarts=ns.restarts,
                            seed=ns.seed)
+    mode = ns.revenue_mode
     if ns.closed_form:
-        sol = closed_form_deterministic(domain, dist)
-    else:
-        sol = solve_finite(domain, dist, opts, mode=ns.revenue_mode)
+        mode = domain.family.separable_mode
+        if mode is None:
+            raise DomainError(
+                f"family {domain.family.name!r} has no posted-price optimum; "
+                "--closed-form needs quasilinear, sqrt_quasilinear or myerson")
+    sol = solve_finite(domain, dist, opts, mode=mode)
     if ns.out:
         serialize.dump_file(sol.mechanism.to_dict(), ns.out)
     _emit(sol.summary(), ns.summary)
@@ -199,6 +202,8 @@ def _cmd_revenue(ns) -> int:
 
 
 def _cmd_truncate(ns) -> int:
+    if not math.isfinite(ns.eps):
+        raise SpecParseError(f"--eps must be finite, got {ns.eps}")
     domain = serialize.parse_domain_spec(ns.domain)
     dist = serialize.parse_dist_spec(ns.dist)
     slope, t_lo, t_hi = _floats(ns.line, 3)
@@ -272,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--revenue-mode", type=_mode, choices=("payment", "expected_payment"),
                    default="payment")
     p.add_argument("--closed-form", action="store_true",
-                   help="posted-price closed form instead of the search")
+                   help="require the exact posted-price optimum (quasilinear "
+                        "and sqrt_quasilinear in payments, myerson in "
+                        "expected payments)")
     p.add_argument("--out", help="mechanism JSON path")
     p.add_argument("--summary", help="summary JSON path (default: stdout)")
     common(p)

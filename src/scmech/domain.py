@@ -32,6 +32,14 @@ and are built from their exponents rather than written out:
 ``power_q`` and ``power_q_raw`` are written out and have neither closed
 form for the indifference parameter or the best bundle on a line.
 
+Three of the factory families make the revenue program separate: with
+``phi`` and ``a`` the identity (``quasilinear``, ``sqrt_quasilinear``,
+revenue in payments) and with ``w(q) = q`` (``myerson``, revenue in
+expected payments), binding indifference at the breakpoints telescopes the
+revenue into ``sum_k theta_k (1 - F(theta_k)) * dh_k`` with
+``sum_k dh_k <= 1``.  The factories record the revenue mode in which this
+holds as ``Family.separable_mode``.
+
 The order parameter is chosen per family so that ``f_r(z)`` is strictly
 increasing in ``r`` for every bundle with ``q < 1``; families whose natural
 parameter runs the other way are stored under a reparametrization (see the
@@ -121,8 +129,11 @@ class Family:
     ``power_q`` and ``power_q_raw`` are instances of the separable forms
     built by :func:`_classical` and :func:`_restricted`; any family can be
     given directly.  ``special`` and ``best_on_line`` are optional closed
-    forms; ``best_on_line`` comes last so that positional construction up
-    to ``blurb`` keeps its meaning.
+    forms; ``best_on_line`` and ``separable_mode`` come last so that
+    positional construction up to ``blurb`` keeps its meaning.
+    ``separable_mode`` is the revenue mode in which the revenue program
+    separates into one posted price (see the module notes); the factories
+    derive it, and ``None`` means the program does not separate.
     """
 
     name: str
@@ -135,6 +146,7 @@ class Family:
     special: Optional[Callable] = None
     blurb: str = ""
     best_on_line: Optional[Callable] = None
+    separable_mode: Optional[str] = None
 
     @property
     def restricted(self) -> bool:
@@ -201,8 +213,10 @@ def _classical(name, utility, p, k, a=_identity, a_inv=_identity,
             t = (a(r) * k * slope**k / p) ** (1.0 / (p - k))
             return _clamp(t, t_lo, t_hi)
 
+    # with phi and a the identity, t_k - t_{k-1} = theta_k * dh_k
+    separable = "payment" if p == 1 and a is _identity else None
     return Family(name, "classical", 0.0, param_hi, utility, canonical,
-                  curve_payment, special, blurb, best_on_line)
+                  curve_payment, special, blurb, best_on_line, separable)
 
 
 def _restricted(name, utility, k, blurb=""):
@@ -234,8 +248,10 @@ def _restricted(name, utility, k, blurb=""):
         # maximizes w(slope*t) * (r - t), unimodal in t >= 0
         return _clamp(k * r / (k + 1.0), t_lo, t_hi)
 
+    # with w(q) = q, q_k t_k - q_{k-1} t_{k-1} = theta_k * dq_k
+    separable = "expected_payment" if k == 1 else None
     return Family(name, "restricted", 0.0, math.inf, utility, canonical,
-                  curve_payment, special, blurb, best_on_line)
+                  curve_payment, special, blurb, best_on_line, separable)
 
 
 def _ql_utility(r, t, q):

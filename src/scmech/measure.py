@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .domain import Bundle, PreferenceDomain, ZERO_BUNDLE
 from .errors import DomainError, ScmechError, SpecParseError
 
 REVENUE_MODES = ("payment", "expected_payment")
+PRICE_GRID = 1025  # points of the revenue curve searched before refining
 
 
 def revenue_of(bundle: Bundle, mode: str) -> float:
@@ -33,7 +34,12 @@ def revenue_of(bundle: Bundle, mode: str) -> float:
 
 @dataclass(frozen=True)
 class TypeDistribution:
-    """CDF/pdf pair on a closed support ``[lo, hi]``."""
+    """CDF/pdf pair on a closed support ``[lo, hi]``.
+
+    ``knots`` lists, in increasing order, the points between which the CDF
+    is linear, for the piecewise-linear distributions (``uniform``,
+    ``from_table``); ``None`` for a smooth CDF.
+    """
 
     name: str
     params: dict
@@ -42,6 +48,7 @@ class TypeDistribution:
     _cdf: Callable = field(repr=False)
     _pdf: Callable = field(repr=False)
     _ppf: Callable = field(repr=False)
+    knots: Optional[tuple] = field(default=None, repr=False)
 
     def cdf(self, theta):
         theta = np.clip(np.asarray(theta, dtype=float), self.lo, self.hi)
@@ -109,6 +116,7 @@ def uniform(lo: float, hi: float) -> TypeDistribution:
         lambda x: (x - lo) / width,
         lambda x: np.full_like(np.asarray(x, dtype=float), 1.0 / width),
         lambda u: lo + np.asarray(u, dtype=float) * width,
+        (lo, hi),
     )
 
 
@@ -172,6 +180,7 @@ def from_table(points: Sequence[Sequence[float]]) -> TypeDistribution:
         lambda x: np.interp(np.asarray(x, float), xs, cs),
         pdf,
         lambda u: np.interp(np.asarray(u, float), cs, xs),
+        tuple(float(x) for x in xs),
     )
 
 
@@ -209,10 +218,10 @@ def has_increasing_hazard(dist: TypeDistribution, n: int = 256) -> bool:
     return all(b >= a - 1e-9 for a, b in zip(rates, rates[1:]))
 
 
-def inverse_virtual(dist: TypeDistribution, check: bool = True) -> float:
+def inverse_virtual(dist: TypeDistribution) -> float:
     """Root of the virtual valuation, clamped to the bottom of the support
     when the virtual valuation is already nonnegative there."""
-    if check and not has_increasing_hazard(dist):
+    if not has_increasing_hazard(dist):
         warnings.warn(
             "hazard rate is not nondecreasing on the grid; the virtual "
             "valuation may have multiple roots", stacklevel=2)
@@ -233,6 +242,45 @@ def inverse_virtual(dist: TypeDistribution, check: bool = True) -> float:
         else:
             b = mid
     return 0.5 * (a + b)
+
+
+def monopoly_price(dist: TypeDistribution) -> float:
+    """A maximizer of the revenue curve ``theta * (1 - cdf(theta))`` on the
+    support.
+
+    It is the optimal posted price to one buyer with linear value, and the
+    optimal reserve of a second-price auction among i.i.d. buyers, for
+    every distribution: no hazard-rate condition is needed.  For a
+    piecewise-linear CDF the curve is a quadratic on each piece, concave
+    or linear, so the best of the knots and the in-piece vertices is
+    exact.  For a smooth CDF the best point of a ``PRICE_GRID``-point grid
+    (which holds both ends of the support) is refined by a bounded scalar
+    search over its two neighbouring cells; the refinement is kept only
+    when it earns more, so the result is never below the grid maximum.
+    """
+    def revenue(theta):
+        return theta * (1.0 - dist.cdf(theta))
+
+    if dist.knots is not None:
+        xs = np.asarray(dist.knots)
+        cs = dist.cdf(xs)
+        slope = np.diff(cs) / np.diff(xs)
+        # on [x_i, x_i+1] the curve is theta * (1 - c_i + s (x_i - theta))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vertex = (1.0 - cs[:-1] + slope * xs[:-1]) / (2.0 * slope)
+        inside = (slope > 0.0) & (vertex > xs[:-1]) & (vertex < xs[1:])
+        cands = np.sort(np.concatenate([xs, vertex[inside]]))
+    else:
+        from scipy.optimize import minimize_scalar
+
+        grid = np.linspace(dist.lo, dist.hi, PRICE_GRID)
+        i = int(np.argmax(revenue(grid)))
+        res = minimize_scalar(lambda v: -revenue(v), method="bounded",
+                              bounds=(grid[max(i - 1, 0)],
+                                      grid[min(i + 1, PRICE_GRID - 1)]),
+                              options={"xatol": 1e-12})
+        cands = np.array([grid[i], float(res.x)])
+    return float(cands[int(np.argmax(revenue(cands)))])
 
 
 # -- expected revenue ---------------------------------------------------------

@@ -399,8 +399,8 @@ def epsilon_truncate(cmech: CountableMechanism, eps: float,
     """
     from .measure import _check_support, revenue_upper_bound
 
-    if not eps > 0.0:
-        raise DomainError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise DomainError(f"eps must be finite and positive, got {eps}")
     _check_support(cmech.domain, dist)
 
     def kept(below: bool) -> list:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .domain import Bundle
 from .errors import DomainError
-from .measure import TypeDistribution, inverse_virtual
+from .measure import TypeDistribution, monopoly_price
 
 _CHUNK = 1 << 18  # fixed sampling granularity: an estimate depends only on
                   # the seed and the sample count
@@ -41,8 +41,11 @@ class MultiBuyerMechanism:
 
 
 def from_distribution(n: int, dist: TypeDistribution) -> MultiBuyerMechanism:
-    """Reserve set where the virtual valuation crosses zero."""
-    return MultiBuyerMechanism(n, inverse_virtual(dist), dist)
+    """Reserve at the monopoly price, the maximizer of
+    ``theta * (1 - cdf(theta))``.  The ironed virtual value crosses zero
+    there, so it is the optimal reserve for every i.i.d. distribution,
+    regular or not."""
+    return MultiBuyerMechanism(n, monopoly_price(dist), dist)
 
 
 def allocate(mech: MultiBuyerMechanism, profile: Sequence[float]) -> list[Bundle]:

@@ -7,19 +7,25 @@ binding indifference with its predecessor at its entry parameter (the same
 relation that defines breakpoints).  The bottom bundle is anchored at
 ``(0, 0)``, which also makes every candidate individually rational.
 
-The objective is piecewise smooth and low-dimensional, so the solver is a
-multi-start local search in two stages.  Each start is swept to convergence
-by coordinate-wise bounded scalar maximization with endpoint probing; the
-best sweep then goes through a ridge collapse that retries the profile with
-one bundle dropped and keeps the re-swept result when it loses no revenue
-(the optimum frequently uses fewer bundles than allowed, leaving flat
-directions the sweeps cannot tighten on their own).
+Where the family's revenue program separates (``Family.separable_mode``:
+quasilinear and sqrt_quasilinear in payments, myerson in expected
+payments), the binding indifferences telescope the revenue into
+``sum_k theta_k (1 - F(theta_k)) * dh_k`` with ``sum_k dh_k <= 1``, so one
+posted price at the maximizer of ``theta * (1 - F(theta))`` is optimal
+for every distribution, and the solver takes it directly.
+
+Elsewhere the objective is piecewise smooth and low-dimensional, so the
+solver is a multi-start local search in two stages.  Each start is swept
+to convergence by coordinate-wise bounded scalar maximization with
+endpoint probing; the best sweep then goes through a ridge collapse that
+retries the profile with one bundle dropped and keeps the re-swept result
+when it loses no revenue (the optimum frequently uses fewer bundles than
+allowed, leaving flat directions the sweeps cannot tighten on their own).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,7 +34,7 @@ import numpy as np
 from .domain import Bundle, PreferenceDomain, ZERO_BUNDLE
 from .errors import DomainError, ScmechError
 from .measure import (TypeDistribution, _check_support, expected_revenue,
-                      has_increasing_hazard, inverse_virtual, revenue_of)
+                      monopoly_price, revenue_of)
 from .mechanism import FiniteMechanism, from_range
 from .verify import verify_mechanism
 
@@ -173,12 +179,9 @@ def _sweep(domain, dist, mode, thetas, qs):
     return x[:m], x[m:], best
 
 
-def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
-                 opts: OptimizeOptions = OptimizeOptions(),
-                 mode: str = "payment") -> Solution:
-    """Maximize expected revenue over mechanisms with at most
-    ``opts.max_bundles`` range bundles."""
-    _check_support(domain, dist)
+def _search(domain, dist, opts, mode):
+    """Multi-start sweep and ridge collapse; returns the best profile and
+    its diagnostics."""
     m = opts.max_bundles - 1
     rng = np.random.default_rng(opts.seed)
 
@@ -218,6 +221,29 @@ def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
                 thetas, qs, rev = cth, cq, crev
                 reduced = True
                 break
+    return thetas, qs, {"method": "sweep", "restarts_used": len(starts),
+                        "restart_scores": restart_scores, "seed": opts.seed}
+
+
+def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
+                 opts: OptimizeOptions = OptimizeOptions(),
+                 mode: str = "payment") -> Solution:
+    """Maximize expected revenue over mechanisms with at most
+    ``opts.max_bundles`` range bundles.
+
+    In the family's separable mode the answer is the posted price
+    :func:`~scmech.measure.monopoly_price`, exact for every distribution;
+    otherwise the profile is searched.  ``diagnostics["method"]`` says
+    which (``"posted_price"`` or ``"sweep"``).
+    """
+    _check_support(domain, dist)
+    if mode == domain.family.separable_mode:
+        price = monopoly_price(dist)
+        thetas, qs = [price], [1.0]
+        diagnostics = {"method": "posted_price", "restarts_used": 0,
+                       "price": price}
+    else:
+        thetas, qs, diagnostics = _search(domain, dist, opts, mode)
 
     payments = payments_from_breakpoints(domain, thetas, qs)
     bundles = [ZERO_BUNDLE]
@@ -242,41 +268,9 @@ def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
         mechanism=mech,
         revenue=float(revenue),
         active_bundles=active,
-        diagnostics={
-            "restarts_used": len(starts),
-            "restart_scores": restart_scores,
-            "seed": opts.seed,
-            "mode": mode,
-            "max_bundles": opts.max_bundles,
-        },
+        diagnostics={**diagnostics, "mode": mode,
+                     "max_bundles": opts.max_bundles},
     )
-
-
-def closed_form_deterministic(domain: PreferenceDomain,
-                              dist: TypeDistribution) -> Solution:
-    """Posted-price optimum for the linear-payment and win-probability
-    models under a nondecreasing hazard rate.
-
-    The price solves ``theta = (1 - cdf)/pdf`` (clamped to the bottom of
-    the support) and the whole quantity is sold above it.
-    """
-    if domain.family.name not in ("quasilinear", "myerson"):
-        raise DomainError(
-            "closed form available for the quasilinear and myerson families "
-            f"only, not {domain.family.name!r}"
-        )
-    if not has_increasing_hazard(dist):
-        warnings.warn(
-            "hazard rate is not nondecreasing on the grid; the posted price "
-            "below is a stationary point but may not be the optimum",
-            stacklevel=2)
-    theta_star = inverse_virtual(dist, check=False)
-    mech = from_range(domain, [ZERO_BUNDLE, Bundle(theta_star, 1.0)])
-    mode = "payment" if domain.family.name == "quasilinear" else "expected_payment"
-    revenue = expected_revenue(domain, mech, dist, mode)
-    return Solution(mech, float(revenue), len(mech.bundles),
-                    {"method": "closed_form", "reserve": theta_star,
-                     "mode": mode})
 
 
 def stationarity_residuals(dist: TypeDistribution, mech: FiniteMechanism,

@@ -220,13 +220,15 @@ MECH = {"domain": QL_SPEC, "bundles": [[0, 0], [0.5, 1]], "breakpoints": [0.5]}
     ({"m.json": MECH}, ["revenue", "--mech", "m.json", "--dist", "beta:inf,2"]),
     ({"m.json": MECH}, ["revenue", "--mech", "m.json", "--dist", "texp:inf,0,1"]),
     ({"m.json": MECH}, ["revenue", "--mech", "m.json", "--dist", "uniform:0,inf"]),
+    ({}, [*TRUNCATE, "--line", LINE, "--seq", SEQ, "--eps", "inf"]),
+    ({}, [*TRUNCATE, "--line", LINE, "--seq", SEQ, "--eps", "nan"]),
 ], ids=["config-str", "config-float", "config-switch", "config-choice",
         "dist-lo", "dist-table", "domain-lo", "domain-family", "params", "line-value",
         "line-count", "seq-value", "reserve", "seq-start-zero", "seq-start-negative",
         "seq-start-nan", "seq-start-fraction", "grid-negative", "grid-zero",
         "param-count-negative", "q-count-negative", "q-count-zero",
         "q-lo-above-one", "q-lo-nan", "dist-beta-nan", "dist-beta-inf",
-        "dist-texp-inf", "dist-uniform-inf"])
+        "dist-texp-inf", "dist-uniform-inf", "eps-inf", "eps-nan"])
 def test_bad_numeric_input_is_spec_error(tmp_path, capsys, files, argv):
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
@@ -245,6 +247,29 @@ def test_config_values_parse_like_flags(tmp_path, capsys):
     assert rc == 0
     rc, by_flags, _ = run(capsys, *OPTIMIZE, "--max-bundles", "3", "--seed", "8")
     assert by_config == by_flags
+
+
+@pytest.mark.parametrize("family, revenue", [
+    ("quasilinear", 0.25), ("sqrt_quasilinear", 0.25), ("myerson", 0.25)])
+def test_closed_form_takes_the_posted_price(capsys, family, revenue):
+    # myerson is solved in expected payments whatever --revenue-mode says
+    rc, out, _ = run(capsys, "optimize", "--domain", family,
+                     "--dist", "uniform:0,1", "--closed-form")
+    assert rc == 0
+    assert json.loads(out) == {"revenue": revenue, "active_bundles": 2,
+                               "restarts_used": 0}
+
+
+def test_closed_form_on_non_separable_family_is_domain_error(tmp_path, capsys):
+    out_path = tmp_path / "mech.json"
+    rc, out, err = run(capsys, "optimize", "--domain", "income_effect",
+                       "--dist", "uniform:0,1", "--closed-form",
+                       "--out", str(out_path))
+    assert rc == 1
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err)["error"] == "DomainError"
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("restarts", ["0", "-2"])

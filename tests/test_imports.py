@@ -54,7 +54,9 @@ def test_import_loads_no_scipy(tmp_path):
     (["validate-domain", "--domain", "power_q_raw:0.05,0.95",
       "--params", "0.3333333333333333,0.6666666666666666",
       "--anchor-t", "1.0", "--anchor-q", "0.125,0.5"], 2),
-], ids=["verify", "truncate", "multibuyer", "validate-domain"])
+    (["optimize", "--domain", "quasilinear", "--dist", "uniform:0,1",
+      "--max-bundles", "4", "--out", "mech.json"], 0),
+], ids=["verify", "truncate", "multibuyer", "validate-domain", "optimize"])
 def test_subcommand_loads_no_scipy(tmp_path, argv, rc):
     (tmp_path / "mech.json").write_text(json.dumps(MECH))
     assert scipy_after(argv, tmp_path) == (rc, [])

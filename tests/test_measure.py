@@ -56,6 +56,20 @@ def test_inverse_virtual_warns_on_decreasing_hazard():
         inverse_virtual(lumpy)
 
 
+def test_monopoly_price_at_least_the_grid_maximum():
+    # exact on the piecewise-linear CDFs, never below the dense grid on
+    # the smooth ones; (1 - F) theta peaks at 1/3 for beta(2, 3)
+    for dist in ALL_DISTS:
+        grid = np.linspace(dist.lo, dist.hi, 100001)
+        best = float(np.max(grid * (1.0 - dist.cdf(grid))))
+        p = measure.monopoly_price(dist)
+        assert dist.lo <= p <= dist.hi
+        assert p * (1.0 - dist.cdf(p)) >= best - 1e-12, dist.name
+    assert measure.monopoly_price(ALL_DISTS[0]) == 0.5
+    assert measure.monopoly_price(ALL_DISTS[1]) == 1.0
+    assert measure.monopoly_price(ALL_DISTS[3]) == pytest.approx(1 / 3, abs=1e-7)
+
+
 def test_pdf_cdf_consistency_by_finite_differences():
     h = 1e-5
     for dist in ALL_DISTS:

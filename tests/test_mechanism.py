@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -199,6 +200,12 @@ def test_epsilon_truncate_huge_eps_gives_skeleton(example7):
 def test_epsilon_truncate_rejects_nonpositive_eps(example7):
     with pytest.raises(DomainError):
         epsilon_truncate(example7, 0.0, UNIF)
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan])
+def test_epsilon_truncate_rejects_non_finite_eps(example7, eps):
+    with pytest.raises(DomainError):
+        epsilon_truncate(example7, eps, UNIF)
 
 
 # -- two-sided countable mechanism ----------------------------------------------

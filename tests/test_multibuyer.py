@@ -17,6 +17,15 @@ def test_reserve_from_virtual_valuation():
     assert mech.reserve == pytest.approx(0.5, abs=1e-9)
 
 
+def test_reserve_is_the_monopoly_price():
+    # exact on piecewise-linear CDFs, and optimal without a regular F: on
+    # this bimodal table theta * (1 - F) peaks at the kink 0.8
+    assert from_distribution(2, U01).reserve == 0.5
+    bimodal = measure.from_table([[0, 0], [0.25, 0.05], [0.35, 0.6],
+                                  [0.8, 0.65], [1, 1]])
+    assert from_distribution(3, bimodal).reserve == 0.8
+
+
 def test_unique_winner_pays_second_highest_above_reserve():
     out = allocate(TWO, (0.8, 0.6))
     assert out[0] == Bundle(0.6, 1.0)

@@ -7,9 +7,8 @@ from scmech import measure, optimize
 from scmech.domain import Bundle, ZERO_BUNDLE, make_domain
 from scmech.errors import DomainError
 from scmech.mechanism import from_range
-from scmech.optimize import (OptimizeOptions, closed_form_deterministic,
-                             payments_from_breakpoints, solve_finite,
-                             stationarity_residuals)
+from scmech.optimize import (OptimizeOptions, payments_from_breakpoints,
+                             solve_finite, stationarity_residuals)
 from scmech.verify import verify_mechanism
 
 QL = make_domain("quasilinear", 0.0, 1.0)
@@ -125,7 +124,8 @@ def test_options_validation():
 
 
 def test_closed_form_quasilinear():
-    sol = closed_form_deterministic(QL, U01)
+    sol = solve_finite(QL, U01)
+    assert sol.diagnostics["method"] == "posted_price"
     assert sol.revenue == pytest.approx(0.25, abs=1e-9)
     assert sol.mechanism.bundles[1].t == pytest.approx(0.5, abs=1e-9)
     from scmech.verify import check_individual_rationality
@@ -136,25 +136,31 @@ def test_closed_form_quasilinear():
 
 
 def test_closed_form_myerson_matches():
-    sol = closed_form_deterministic(MY, U01)
+    sol = solve_finite(MY, U01, mode="expected_payment")
     assert sol.revenue == pytest.approx(0.25, abs=1e-9)
-    assert sol.diagnostics["reserve"] == pytest.approx(0.5, abs=1e-9)
+    assert sol.diagnostics["price"] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_closed_form_sell_always_when_virtual_positive():
     dom = make_domain("quasilinear", 0.0, 2.0)
-    sol = closed_form_deterministic(dom, measure.uniform(1.0, 2.0))
-    assert sol.diagnostics["reserve"] == pytest.approx(1.0)
+    sol = solve_finite(dom, measure.uniform(1.0, 2.0))
+    assert sol.diagnostics["price"] == pytest.approx(1.0)
     assert sol.revenue == pytest.approx(1.0)
 
 
 def test_closed_form_rejects_other_families():
-    with pytest.raises(DomainError):
-        closed_form_deterministic(make_domain("income_effect", 0, 1), U01)
+    # the posted-price path is taken only in a family's separable mode
+    dom = make_domain("income_effect", 0, 1)
+    assert dom.family.separable_mode is None
+    sol = solve_finite(dom, U01, OptimizeOptions(restarts=1))
+    assert sol.diagnostics["method"] == "sweep"
+    sol = solve_finite(QL, U01, OptimizeOptions(restarts=1),
+                       mode="expected_payment")
+    assert sol.diagnostics["method"] == "sweep"
 
 
 def test_stationarity_residuals_vanish_at_optimum():
-    sol = closed_form_deterministic(QL, U01)
+    sol = solve_finite(QL, U01)
     res = stationarity_residuals(U01, sol.mechanism)
     assert np.abs(res).max() <= 1e-9
     sol2 = solve_finite(QL, U01, OptimizeOptions(max_bundles=4, seed=2))
@@ -213,3 +219,80 @@ def test_breakpoints_round_trip_through_payments(name, dus, dqs):
     pays = payments_from_breakpoints(dom, thetas, qs)
     mech = from_range(dom, [ZERO_BUNDLE, *map(Bundle, pays, qs)])
     assert mech.breakpoints == pytest.approx(thetas, rel=0, abs=1e-9)
+
+
+SEPARABLE = [("quasilinear", "payment"), ("sqrt_quasilinear", "payment"),
+             ("myerson", "expected_payment")]
+
+
+def _profile_mechanism_revenue(dom, dist, mode, thetas, qs):
+    pays = payments_from_breakpoints(dom, thetas, qs)
+    bundles = [ZERO_BUNDLE]
+    for t, q in zip(pays, qs):
+        if t > bundles[-1].t + 1e-12 and q > bundles[-1].q + 1e-12:
+            bundles.append(Bundle(float(t), float(q)))
+    return measure.expected_revenue(dom, from_range(dom, bundles), dist, mode)
+
+
+@st.composite
+def piecewise_linear_tables(draw):
+    # flat pieces make bimodal, non-MHR CDFs; a zero increment is common
+    n = draw(st.integers(1, 6))
+    lo = draw(st.floats(0.0, 0.5))
+    widths = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n,
+                                    max_size=n)))
+    steps = np.array(draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0),
+                                   min_size=n, max_size=n)))
+    if steps.sum() <= 0.0:
+        steps[-1] = 1.0
+    xs = lo + (1.0 - lo) * np.concatenate([[0.0], np.cumsum(widths)]) / widths.sum()
+    cs = np.concatenate([[0.0], np.cumsum(steps)]) / steps.sum()
+    xs[-1], cs[-1] = 1.0, 1.0
+    keep = np.concatenate([[True], np.diff(xs) > 0.0])
+    return measure.from_table(np.column_stack([xs[keep], cs[keep]]).tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(dist=piecewise_linear_tables(), seed=st.integers(0, 2**32 - 1))
+def test_separable_solve_is_the_best_posted_price(dist, seed):
+    # binding indifference telescopes revenue into
+    # sum_k theta_k (1 - F(theta_k)) dh_k with sum_k dh_k <= 1, so no
+    # profile beats the best posted price, on any F
+    grid = np.linspace(dist.lo, dist.hi, 100001)
+    best = float(np.max(grid * (1.0 - dist.cdf(grid))))
+    rng = np.random.default_rng(seed)
+    for name, mode in SEPARABLE:
+        dom = make_domain(name, 0.0, 1.0)
+        calls = 0
+        inner = optimize.payments_from_breakpoints
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return inner(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimize, "payments_from_breakpoints", counted)
+            sol = solve_finite(dom, dist, OptimizeOptions(max_bundles=4),
+                               mode=mode)
+        assert calls <= 1
+        assert sol.revenue >= best - 1e-12
+        for _ in range(10):
+            thetas = np.sort(rng.uniform(dist.lo, dist.hi, 3))
+            qs = np.sort(rng.uniform(0.0, 1.0, 3))
+            if rng.uniform() < 0.5:
+                qs[-1] = 1.0
+            rev = _profile_mechanism_revenue(dom, dist, mode, thetas, qs)
+            assert rev <= sol.revenue + 1e-12
+
+
+@pytest.mark.parametrize("name, mode", SEPARABLE)
+def test_separable_optimum_at_a_kink(name, mode):
+    # theta (1 - F) peaks at the kink 0.8 with 0.28; a sweep stops short
+    dist = measure.from_table([[0, 0], [0.25, 0.05], [0.35, 0.6],
+                               [0.8, 0.65], [1, 1]])
+    sol = solve_finite(make_domain(name, 0.0, 1.0), dist,
+                       OptimizeOptions(max_bundles=4), mode=mode)
+    assert abs(sol.revenue - 0.28) <= 1e-15
+    assert sol.mechanism.breakpoints == (0.8,)
+    assert sol.mechanism.bundles[-1] == Bundle(0.8, 1.0)
