@@ -33,8 +33,8 @@ import numpy as np
 
 from .domain import Bundle, PreferenceDomain, ZERO_BUNDLE
 from .errors import DomainError, ScmechError
-from .measure import (TypeDistribution, _check_support, expected_revenue,
-                      monopoly_price, revenue_of)
+from .measure import (REVENUE_MODES, TypeDistribution, _check_support,
+                      expected_revenue, monopoly_price, revenue_of)
 from .mechanism import FiniteMechanism, from_range
 from .verify import verify_mechanism
 
@@ -89,32 +89,34 @@ def payments_from_breakpoints(domain: PreferenceDomain,
         raise DomainError("thetas must be nondecreasing")
     if any(b < a - 1e-12 for a, b in zip(qs, qs[1:])):
         raise DomainError("qs must be nondecreasing")
+    family, restricted = domain.family, domain.restricted
     payments = []
-    prev = ZERO_BUNDLE
+    prev_t = prev_q = 0.0  # the anchor (0, 0)
     for r, q in zip(thetas, qs):
         domain.check_param(r)
         if not 0.0 <= q <= 1.0:
             raise DomainError(f"quantity {q} outside [0, 1]")
-        if q <= prev.q + 1e-15:
-            t = prev.t  # no quantity step: the bundle repeats
+        if q <= prev_q + 1e-15:
+            t = prev_t  # no quantity step: the bundle repeats
         else:
-            c = float(domain.canonical_payment_many(r, prev.t, prev.q))
-            t = float(domain.curve_payment(r, c, q))
-            if not math.isfinite(t) or t < prev.t - 1e-9:
+            c = float(family.canonical(r, prev_t, prev_q))
+            t = float(family.curve_payment(r, c, q))
+            if not math.isfinite(t) or t < prev_t - 1e-9:
                 raise DomainError(
-                    f"no admissible payment at theta={r}, q={q} from {prev}"
+                    f"no admissible payment at theta={r}, q={q} from "
+                    f"{Bundle(prev_t, prev_q)}"
                 )
-            t = max(t, prev.t)
-            bound = domain.payment_bound(r)
-            if bound is not None and t > bound:
-                if t > bound + 1e-7 * max(1.0, bound):
+            t = max(t, prev_t)
+            # the payment bound of a restricted preference r is r itself
+            if restricted and t > r:
+                if t > r + 1e-7 * max(1.0, r):
                     raise DomainError(
                         f"binding payment {t:.6g} exceeds the payment bound "
-                        f"{bound:.6g} at theta={r}"
+                        f"{r:.6g} at theta={r}"
                     )
-                t = bound  # round-off above the bound at tiny quantity steps
+                t = r  # round-off above the bound at tiny quantity steps
         payments.append(t)
-        prev = Bundle(t, q)
+        prev_t, prev_q = t, q
     return np.asarray(payments)
 
 
@@ -126,12 +128,16 @@ def _profile_revenue(domain, dist, mode, thetas, qs) -> float:
         payments = payments_from_breakpoints(domain, thetas, qs)
     except DomainError:
         return _INFEASIBLE
-    total = 0.0
+    # one CDF call for all edges; each mass as dist.mass takes it, summed
+    # left to right
     edges = [*thetas, dist.hi]
+    cdf = dist.cdf(edges)
+    total = 0.0
     for k, t in enumerate(payments):
-        mass = dist.mass(edges[k], edges[k + 1])
-        if mass > 0.0:
-            total += revenue_of(Bundle(t, qs[k]), mode) * mass
+        if edges[k + 1] > edges[k]:
+            mass = float(cdf[k + 1] - cdf[k])
+            if mass > 0.0:
+                total += revenue_of(Bundle(t, qs[k]), mode) * mass
     return total
 
 
@@ -166,9 +172,10 @@ def _sweep(domain, dist, mode, thetas, qs):
                 lambda v: -revenue_at(v),
                 bounds=(lo, hi), method="bounded", options={"xatol": 1e-11},
             )
-            # probe the exact endpoints: optima frequently sit on them
+            # probe the exact endpoints: optima frequently sit on them.
+            # The revenue at Brent's final point and at x[i] is known.
             cands = [float(res.x), lo, hi, x[i]]
-            vals = [revenue_at(v) for v in cands]
+            vals = [-res.fun, revenue_at(lo), revenue_at(hi), best]
             j = int(np.argmax(vals))
             if vals[j] > best + 1e-15:
                 improved += vals[j] - best
@@ -236,6 +243,9 @@ def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
     otherwise the profile is searched.  ``diagnostics["method"]`` says
     which (``"posted_price"`` or ``"sweep"``).
     """
+    if mode not in REVENUE_MODES:
+        raise DomainError(
+            f"revenue mode must be one of {REVENUE_MODES}, got {mode!r}")
     _check_support(domain, dist)
     if mode == domain.family.separable_mode:
         price = monopoly_price(dist)

@@ -14,6 +14,9 @@ from scmech.verify import verify_mechanism
 QL = make_domain("quasilinear", 0.0, 1.0)
 MY = make_domain("myerson", 0.0, 1.0)
 U01 = measure.uniform(0.0, 1.0)
+# bimodal and not MHR; theta (1 - F) peaks at the kink 0.8
+KINKED = measure.from_table([[0, 0], [0.25, 0.05], [0.35, 0.6], [0.8, 0.65],
+                             [1, 1]])
 
 
 def test_payments_quasilinear_recursion():
@@ -97,20 +100,40 @@ def test_solver_is_seed_deterministic():
     assert a.revenue == b.revenue
 
 
-def test_solve_evaluation_budget(monkeypatch):
+@pytest.fixture
+def payment_calls(monkeypatch):
     # the objective reaches payments through the module global, so this
-    # counts every profile evaluation of the solve
-    calls = 0
+    # counts every profile evaluation of a solve
+    calls = []
     inner = optimize.payments_from_breakpoints
 
     def counted(*args):
-        nonlocal calls
-        calls += 1
+        calls.append(args)
         return inner(*args)
 
     monkeypatch.setattr(optimize, "payments_from_breakpoints", counted)
+    return calls
+
+
+def test_solve_evaluation_budget(payment_calls):
     solve_finite(QL, U01, OptimizeOptions(max_bundles=4, seed=11))
-    assert calls <= 8000
+    assert len(payment_calls) <= 8000
+
+
+def test_sweep_evaluation_budget(payment_calls):
+    # a non-separable family takes the sweep; each coordinate search
+    # evaluates only the interval ends beyond Brent's own points
+    dom = make_domain("income_effect", 0.0, 1.0)
+    solve_finite(dom, measure.uniform(0.1, 1.0),
+                 OptimizeOptions(max_bundles=3, seed=11))
+    assert len(payment_calls) <= 16385
+
+
+@pytest.mark.parametrize("name", ["quasilinear", "income_effect"])
+def test_unknown_revenue_mode_is_domain_error(name, payment_calls):
+    with pytest.raises(DomainError, match="revenue mode"):
+        solve_finite(make_domain(name, 0.0, 1.0), U01, mode="bid")
+    assert payment_calls == []
 
 
 def test_solver_rejects_mismatched_support():
@@ -289,10 +312,87 @@ def test_separable_solve_is_the_best_posted_price(dist, seed):
 @pytest.mark.parametrize("name, mode", SEPARABLE)
 def test_separable_optimum_at_a_kink(name, mode):
     # theta (1 - F) peaks at the kink 0.8 with 0.28; a sweep stops short
-    dist = measure.from_table([[0, 0], [0.25, 0.05], [0.35, 0.6],
-                               [0.8, 0.65], [1, 1]])
-    sol = solve_finite(make_domain(name, 0.0, 1.0), dist,
+    sol = solve_finite(make_domain(name, 0.0, 1.0), KINKED,
                        OptimizeOptions(max_bundles=4), mode=mode)
     assert abs(sol.revenue - 0.28) <= 1e-15
     assert sol.mechanism.breakpoints == (0.8,)
     assert sol.mechanism.bundles[-1] == Bundle(0.8, 1.0)
+
+
+@pytest.mark.parametrize("name, lo", [("myerson", 0.0), ("risk_averse", 0.1)])
+def test_restricted_payment_mode_reaches_the_supremum(name, lo):
+    # binding indifference makes each payment a weighted mean of the
+    # breakpoints below it, so revenue stays below
+    # sum_k theta_k (F(theta_k+1) - F(theta_k)), maximal at 1/(3(1 - lo))
+    # (1/3 and 10/27) with breakpoints (1/3, 2/3), and reaches it only as
+    # q_1/q_2 -> 0 (README, restricted families in payment mode)
+    sup = 1.0 / (3.0 * (1.0 - lo))
+    dom = make_domain(name, 0.0, 1.0)
+    sol = solve_finite(dom, measure.uniform(lo, 1.0),
+                       OptimizeOptions(max_bundles=3, seed=11))
+    assert sup - 1e-9 <= sol.revenue <= sup
+    assert verify_mechanism(dom, sol.mechanism,
+                            np.linspace(lo, 1.0, 200)).ok
+
+
+PROFILE_DISTS = {"uniform": U01, "beta": measure.beta(2.0, 3.0),
+                 "table": KINKED}
+
+
+def _reference_payments(dom, thetas, qs):
+    # the binding indifferences through the domain's checked wrappers
+    prev, pays = ZERO_BUNDLE, []
+    for r, q in zip(thetas, qs):
+        t = prev.t
+        if q > prev.q + 1e-15:
+            c = float(dom.canonical_payment_many(r, prev.t, prev.q))
+            t = max(float(dom.curve_payment(r, c, q)), prev.t)
+            bound = dom.payment_bound(r)
+            t = t if bound is None else min(t, bound)
+        prev = Bundle(t, float(q))
+        pays.append(t)
+    return pays
+
+
+def _reference_revenue(dom, dist, mode, pays, thetas, qs):
+    total = 0.0
+    edges = [*thetas, dist.hi]
+    for k, t in enumerate(pays):
+        mass = dist.mass(edges[k], edges[k + 1])
+        if mass > 0.0:
+            total += measure.revenue_of(Bundle(t, qs[k]), mode) * mass
+    return total
+
+
+@st.composite
+def profiles(draw):
+    # ties and support ends are common; a few profiles are left unsorted
+    m = draw(st.integers(1, 4))
+    value = st.sampled_from([0.0, 0.35, 1.0]) | st.floats(0.0, 1.0)
+    thetas = draw(st.lists(value, min_size=m, max_size=m))
+    qs = draw(st.lists(value, min_size=m, max_size=m))
+    if draw(st.integers(0, 4)):
+        thetas, qs = sorted(thetas), sorted(qs)
+    return thetas, qs
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(FACTORY_FAMILIES),
+       dist=st.sampled_from(sorted(PROFILE_DISTS)),
+       mode=st.sampled_from(measure.REVENUE_MODES), profile=profiles())
+def test_profile_revenue_is_exact(name, dist, mode, profile):
+    # the objective (one CDF call, payments from the family's closed forms)
+    # agrees bit for bit with payments through the domain's checked
+    # wrappers, summed segment by segment with dist.mass
+    dom, dist = make_domain(name, 0.0, 1.0), PROFILE_DISTS[dist]
+    thetas, qs = profile
+    rev = optimize._profile_revenue(dom, dist, mode, thetas, qs)
+    try:
+        pays = payments_from_breakpoints(dom, thetas, qs)
+    except DomainError:
+        assert rev == optimize._INFEASIBLE
+        return
+    assert [float(t).hex() for t in pays] == \
+        [t.hex() for t in _reference_payments(dom, thetas, qs)]
+    ref = _reference_revenue(dom, dist, mode, pays, thetas, qs)
+    assert float(rev).hex() == float(ref).hex()
