@@ -6,9 +6,8 @@ from .domain import (Bundle, Family, FAMILIES, Ordering, PreferenceDomain,
 from .errors import (DomainError, InfeasibleRangeError, RichnessError,
                      ScmechError, SpecParseError, TractabilityError)
 from .measure import (TypeDistribution, beta, expected_revenue, from_table,
-                      hazard, has_increasing_hazard, inverse_virtual,
                       monopoly_price, revenue_upper_bound,
-                      truncated_exponential, uniform, virtual_valuation)
+                      truncated_exponential, uniform)
 from .mechanism import (AnchorLine, CountableMechanism, FiniteMechanism,
                         ParamSequence, constant_sequence, countable_geometric,
                         epsilon_truncate, from_range, harmonic_sequence)

@@ -36,15 +36,14 @@ def _mode(text: str) -> str:
 
 
 def _floats(text: str, count: int | None = None) -> list[float]:
-    """Comma-separated numbers; ``count`` fixes how many there must be."""
+    """One or more comma-separated numbers; ``count`` fixes how many."""
     try:
         vals = [float(x) for x in text.split(",") if x != ""]
     except ValueError:
+        vals = []
+    if not vals or count not in (None, len(vals)):
         raise SpecParseError(
-            f"expected comma-separated numbers, got {text!r}") from None
-    if count is not None and len(vals) != count:
-        raise SpecParseError(
-            f"expected {count} comma-separated numbers, got {text!r}")
+            f"expected {count or 'some'} comma-separated numbers, got {text!r}")
     return vals
 
 

@@ -1,4 +1,4 @@
-"""Type distributions on the order parameter, hazard rates, and revenue.
+"""Type distributions on the order parameter, posted prices, and revenue.
 
 The probability measure over preferences is specified directly on the
 order-parameter chart: the mass of a preference interval ``[r', r'']`` is
@@ -9,7 +9,6 @@ positive density on their support.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -22,14 +21,20 @@ REVENUE_MODES = ("payment", "expected_payment")
 PRICE_GRID = 1025  # points of the revenue curve searched before refining
 
 
+def check_revenue_mode(mode: str) -> None:
+    """Reject a revenue mode outside ``REVENUE_MODES``."""
+    if mode not in REVENUE_MODES:
+        raise DomainError(
+            f"revenue mode must be one of {REVENUE_MODES}, got {mode!r}")
+
+
 def revenue_of(bundle: Bundle, mode: str) -> float:
     """Seller revenue of a bundle: the payment, or the expected payment
     ``q*t`` when ``q`` is a win probability."""
     if mode == "payment":
         return bundle[0]
-    if mode == "expected_payment":
-        return bundle[0] * bundle[1]
-    raise ValueError(f"revenue mode must be one of {REVENUE_MODES}, got {mode!r}")
+    check_revenue_mode(mode)
+    return bundle[0] * bundle[1]
 
 
 @dataclass(frozen=True)
@@ -184,66 +189,6 @@ def from_table(points: Sequence[Sequence[float]]) -> TypeDistribution:
     )
 
 
-# -- hazard rates and virtual valuations --------------------------------------
-
-
-def hazard(dist: TypeDistribution, theta: float) -> float:
-    """Failure rate ``pdf / (1 - cdf)``; unbounded at the top of the support."""
-    theta = float(theta)
-    if not dist.lo <= theta <= dist.hi:
-        raise DomainError(f"{theta} outside support [{dist.lo}, {dist.hi}]")
-    surv = 1.0 - dist.cdf(theta)
-    if surv <= 0.0:
-        return math.inf
-    return float(dist.pdf(theta)) / surv
-
-
-def virtual_valuation(dist: TypeDistribution, theta: float) -> float:
-    """``theta - (1 - cdf)/pdf``; approaches ``theta`` at the top."""
-    theta = float(theta)
-    if not dist.lo <= theta <= dist.hi:
-        raise DomainError(f"{theta} outside support [{dist.lo}, {dist.hi}]")
-    surv = 1.0 - dist.cdf(theta)
-    if surv <= 0.0:
-        return theta
-    dens = float(dist.pdf(theta))
-    if dens <= 0.0:
-        return -math.inf
-    return theta - surv / dens
-
-
-def has_increasing_hazard(dist: TypeDistribution, n: int = 256) -> bool:
-    grid = np.linspace(dist.lo, dist.hi, n + 1)[:-1]
-    rates = [hazard(dist, g) for g in grid]
-    return all(b >= a - 1e-9 for a, b in zip(rates, rates[1:]))
-
-
-def inverse_virtual(dist: TypeDistribution) -> float:
-    """Root of the virtual valuation, clamped to the bottom of the support
-    when the virtual valuation is already nonnegative there."""
-    if not has_increasing_hazard(dist):
-        warnings.warn(
-            "hazard rate is not nondecreasing on the grid; the virtual "
-            "valuation may have multiple roots", stacklevel=2)
-    lo, hi = dist.lo, dist.hi
-    if virtual_valuation(dist, lo) >= 0.0:
-        return lo
-    f_lo = virtual_valuation(dist, lo)
-    f_hi = virtual_valuation(dist, hi)
-    if f_hi < 0.0 or f_lo * f_hi > 0.0:
-        raise DomainError("virtual valuation has no sign change on the support")
-    a, b = lo, hi
-    for _ in range(200):
-        if b - a <= 1e-13 * max(1.0, abs(b)):
-            break
-        mid = 0.5 * (a + b)
-        if virtual_valuation(dist, mid) < 0.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
 def monopoly_price(dist: TypeDistribution) -> float:
     """A maximizer of the revenue curve ``theta * (1 - cdf(theta))`` on the
     support.
@@ -264,9 +209,10 @@ def monopoly_price(dist: TypeDistribution) -> float:
     if dist.knots is not None:
         xs = np.asarray(dist.knots)
         cs = dist.cdf(xs)
-        slope = np.diff(cs) / np.diff(xs)
-        # on [x_i, x_i+1] the curve is theta * (1 - c_i + s (x_i - theta))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # on [x_i, x_i+1] the curve is theta * (1 - c_i + s (x_i - theta));
+        # an infinite or NaN vertex (s zero, subnormal or huge) is dropped
+        with np.errstate(all="ignore"):
+            slope = np.diff(cs) / np.diff(xs)
             vertex = (1.0 - cs[:-1] + slope * xs[:-1]) / (2.0 * slope)
         inside = (slope > 0.0) & (vertex > xs[:-1]) & (vertex < xs[1:])
         cands = np.sort(np.concatenate([xs, vertex[inside]]))
@@ -312,7 +258,7 @@ def expected_revenue(domain: PreferenceDomain, mech, dist: TypeDistribution,
     exactly; bare callables ``r -> Bundle`` are integrated by adaptive
     quadrature.
     """
-    revenue_of(ZERO_BUNDLE, mode)  # validate the mode early
+    check_revenue_mode(mode)
     _check_support(domain, dist)
     if hasattr(mech, "revenue_segments"):
         total = 0.0

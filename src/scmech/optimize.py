@@ -33,7 +33,7 @@ import numpy as np
 
 from .domain import Bundle, PreferenceDomain, ZERO_BUNDLE
 from .errors import DomainError, ScmechError
-from .measure import (REVENUE_MODES, TypeDistribution, _check_support,
+from .measure import (TypeDistribution, _check_support, check_revenue_mode,
                       expected_revenue, monopoly_price, revenue_of)
 from .mechanism import FiniteMechanism, from_range
 from .verify import verify_mechanism
@@ -115,6 +115,12 @@ def payments_from_breakpoints(domain: PreferenceDomain,
                         f"{r:.6g} at theta={r}"
                     )
                 t = r  # round-off above the bound at tiny quantity steps
+            # r*(1 - w) + w*t keeps w*(r - t) only to an ulp of r, so at a
+            # tiny w(q) the round trip can miss the indifference at r
+            if restricted and abs(family.special((prev_t, prev_q), (t, q))
+                                  - r) > 1e-9:
+                raise DomainError(f"payment {t:.6g} at q={q:.6g} is not "
+                                  f"pinned by indifference at theta={r}")
         payments.append(t)
         prev_t, prev_q = t, q
     return np.asarray(payments)
@@ -243,9 +249,7 @@ def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
     otherwise the profile is searched.  ``diagnostics["method"]`` says
     which (``"posted_price"`` or ``"sweep"``).
     """
-    if mode not in REVENUE_MODES:
-        raise DomainError(
-            f"revenue mode must be one of {REVENUE_MODES}, got {mode!r}")
+    check_revenue_mode(mode)
     _check_support(domain, dist)
     if mode == domain.family.separable_mode:
         price = monopoly_price(dist)

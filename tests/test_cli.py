@@ -222,13 +222,19 @@ MECH = {"domain": QL_SPEC, "bundles": [[0, 0], [0.5, 1]], "breakpoints": [0.5]}
     ({"m.json": MECH}, ["revenue", "--mech", "m.json", "--dist", "uniform:0,inf"]),
     ({}, [*TRUNCATE, "--line", LINE, "--seq", SEQ, "--eps", "inf"]),
     ({}, [*TRUNCATE, "--line", LINE, "--seq", SEQ, "--eps", "nan"]),
+    ({}, ["validate-domain", "--domain", "quasilinear:0,1", "--params", ","]),
+    ({}, ["validate-domain", "--domain", "quasilinear:0,1", "--anchor-t", ","]),
+    ({}, ["validate-domain", "--domain", "quasilinear:0,1", "--anchor-q", ","]),
+    ({"m.json": MECH}, ["revenue", "--mech", "m.json", "--dist", "uniform:1,0"]),
 ], ids=["config-str", "config-float", "config-switch", "config-choice",
         "dist-lo", "dist-table", "domain-lo", "domain-family", "params", "line-value",
         "line-count", "seq-value", "reserve", "seq-start-zero", "seq-start-negative",
         "seq-start-nan", "seq-start-fraction", "grid-negative", "grid-zero",
         "param-count-negative", "q-count-negative", "q-count-zero",
         "q-lo-above-one", "q-lo-nan", "dist-beta-nan", "dist-beta-inf",
-        "dist-texp-inf", "dist-uniform-inf", "eps-inf", "eps-nan"])
+        "dist-texp-inf", "dist-uniform-inf", "eps-inf", "eps-nan",
+        "params-empty", "anchor-t-empty", "anchor-q-empty",
+        "dist-uniform-reversed"])
 def test_bad_numeric_input_is_spec_error(tmp_path, capsys, files, argv):
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))

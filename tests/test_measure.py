@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,7 @@ import pytest
 from scmech import measure
 from scmech.domain import Bundle, ZERO_BUNDLE, make_domain
 from scmech.errors import DomainError, SpecParseError
-from scmech.measure import (expected_revenue, from_table, hazard,
-                            has_increasing_hazard, inverse_virtual,
-                            revenue_upper_bound, virtual_valuation)
+from scmech.measure import expected_revenue, from_table, revenue_upper_bound
 from scmech.mechanism import from_range
 
 QL = make_domain("quasilinear")
@@ -23,39 +22,6 @@ ALL_DISTS = [
 ]
 
 
-def test_hazard_and_virtual_uniform01():
-    u = measure.uniform(0, 1)
-    assert hazard(u, 0.5) == pytest.approx(2.0)
-    assert virtual_valuation(u, 0.5) == pytest.approx(0.0)
-    assert virtual_valuation(u, 1.0) == pytest.approx(1.0)  # correction vanishes
-
-
-def test_virtual_uniform12():
-    u = measure.uniform(1, 2)
-    assert hazard(u, 1.5) == pytest.approx(2.0)
-    assert virtual_valuation(u, 1.5) == pytest.approx(1.0)  # 2*1.5 - 2
-
-
-def test_hazard_unbounded_at_top():
-    u = measure.uniform(0, 1)
-    assert hazard(u, 1.0) == math.inf
-
-
-def test_inverse_virtual():
-    assert inverse_virtual(measure.uniform(0, 1)) == pytest.approx(0.5, abs=1e-9)
-    assert inverse_virtual(measure.uniform(1, 2)) == pytest.approx(1.0, abs=1e-9)
-    # virtual valuation already positive at the bottom: clamp
-    assert inverse_virtual(measure.uniform(2, 3)) == 2.0
-
-
-def test_inverse_virtual_warns_on_decreasing_hazard():
-    # two well-separated uniform lumps give a dipping hazard rate
-    lumpy = from_table([[0.0, 0.0], [0.1, 0.45], [0.9, 0.55], [1.0, 1.0]])
-    assert not has_increasing_hazard(lumpy)
-    with pytest.warns(UserWarning):
-        inverse_virtual(lumpy)
-
-
 def test_monopoly_price_at_least_the_grid_maximum():
     # exact on the piecewise-linear CDFs, never below the dense grid on
     # the smooth ones; (1 - F) theta peaks at 1/3 for beta(2, 3)
@@ -68,6 +34,15 @@ def test_monopoly_price_at_least_the_grid_maximum():
     assert measure.monopoly_price(ALL_DISTS[0]) == 0.5
     assert measure.monopoly_price(ALL_DISTS[1]) == 1.0
     assert measure.monopoly_price(ALL_DISTS[3]) == pytest.approx(1 / 3, abs=1e-7)
+
+
+def test_monopoly_price_tiny_slope_does_not_warn():
+    # the in-piece vertex of the subnormal slope overflows; it lies in no
+    # piece, so the price is the knot 0.5 and nothing is reported
+    table = from_table([[0.0, 0.0], [0.5, 5e-324], [1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert measure.monopoly_price(table) == 0.5
 
 
 def test_pdf_cdf_consistency_by_finite_differences():
@@ -120,6 +95,14 @@ def test_bad_revenue_mode_rejected():
         expected_revenue(QL, mech, measure.uniform(0, 1), "profit")
 
 
+def test_bad_revenue_mode_is_domain_error():
+    mech = from_range(QL, [ZERO_BUNDLE, Bundle(0.5, 1.0)])
+    with pytest.raises(DomainError, match="revenue mode"):
+        expected_revenue(QL, mech, measure.uniform(0, 1), "profit")
+    with pytest.raises(DomainError, match="revenue mode"):
+        measure.revenue_of(Bundle(0.5, 1.0), "profit")
+
+
 def test_exact_sum_matches_quadrature():
     mech = from_range(QL, [ZERO_BUNDLE, Bundle(0.3, 0.4), Bundle(0.9, 0.8),
                            Bundle(1.4, 1.0)])
@@ -158,17 +141,6 @@ def test_table_spec_validation():
 def test_support_validation():
     with pytest.raises(DomainError):
         measure.uniform(1.0, 1.0)
-    with pytest.raises(DomainError):
-        hazard(measure.uniform(0, 1), 1.5)
-
-
-def test_virtual_valuation_monotone_under_increasing_hazard():
-    for dist in ALL_DISTS:
-        if not has_increasing_hazard(dist):
-            continue
-        grid = np.linspace(dist.lo, dist.hi, 64, endpoint=False)[1:]
-        vals = [virtual_valuation(dist, g) for g in grid]
-        assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
 
 # Shapes with a < 1 and b < 1 give densities unbounded at the ends.

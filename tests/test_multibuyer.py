@@ -12,11 +12,6 @@ U01 = measure.uniform(0.0, 1.0)
 TWO = MultiBuyerMechanism(2, 0.5, U01)
 
 
-def test_reserve_from_virtual_valuation():
-    mech = from_distribution(2, U01)
-    assert mech.reserve == pytest.approx(0.5, abs=1e-9)
-
-
 def test_reserve_is_the_monopoly_price():
     # exact on piecewise-linear CDFs, and optimal without a regular F: on
     # this bimodal table theta * (1 - F) peaks at the kink 0.8

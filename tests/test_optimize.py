@@ -335,6 +335,28 @@ def test_restricted_payment_mode_reaches_the_supremum(name, lo):
                             np.linspace(lo, 1.0, 200)).ok
 
 
+def test_restricted_payment_at_a_tiny_weight_is_infeasible():
+    # with w(q) = q**2 near 1e-16, r*(1 - w) + w*t loses w*(r - t) to the
+    # ulp of r, and the round trip returns t = 0.6, indifferent to the
+    # bundle below at theta 0.857 rather than 0.6
+    with pytest.raises(DomainError, match="not pinned"):
+        payments_from_breakpoints(make_domain("risk_averse", 0.0, 1.0),
+                                  [0.4, 0.6], [1.2e-8, 1.6e-8])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 10])
+def test_restricted_payment_mode_five_bundles(seed):
+    # these seeds once ended in a range from_range rejects, built from
+    # payments pinned at a tiny weight; the supremum with m breakpoints on
+    # U[0.1, 1] is m / (2 (m + 1) 0.9): 0.4167 at m = 3, 0.4444 at m = 4
+    dom = make_domain("risk_averse", 0.0, 1.0)
+    sol = solve_finite(dom, measure.uniform(0.1, 1.0),
+                       OptimizeOptions(max_bundles=5, seed=seed))
+    assert 3.0 / 8.0 / 0.9 < sol.revenue <= 0.4 / 0.9
+    assert verify_mechanism(dom, sol.mechanism,
+                            np.linspace(0.1, 1.0, 200)).ok
+
+
 PROFILE_DISTS = {"uniform": U01, "beta": measure.beta(2.0, 3.0),
                  "table": KINKED}
 
