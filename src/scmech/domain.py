@@ -40,6 +40,12 @@ revenue into ``sum_k theta_k (1 - F(theta_k)) * dh_k`` with
 ``sum_k dh_k <= 1``.  The factories record the revenue mode in which this
 holds as ``Family.separable_mode``.
 
+For the classical families with ``p = 2`` (``income_effect``,
+``payment_param``, ``two_param``) the payment-mode program has an exact
+inner solution: at fixed breakpoints the optimal quantities follow in
+closed form from ``a`` and the inverse of ``h``, which the factory
+records as ``Family.exact_quantities``.
+
 The order parameter is chosen per family so that ``f_r(z)`` is strictly
 increasing in ``r`` for every bundle with ``q < 1``; families whose natural
 parameter runs the other way are stored under a reparametrization (see the
@@ -109,14 +115,26 @@ def _power_q_slope_label(delta):
 def _two_param_coeff(r):
     # Single chart across the two branches: coefficient of (1 - sqrt(q)) in
     # the squared-payment canonical form.  Continuous and increasing on
-    # (0, 3), equal to 2 at the branch junction.
+    # (0, 3), equal to 2 at the branch junction, and infinite at 3.
+    if np.ndim(r) == 0:
+        r = float(r)
+        return r if r <= 2.0 else 2.0 / (3.0 - r) if r < 3.0 else math.inf
     r = np.asarray(r, dtype=float)
-    coeff = np.where(r <= 2.0, r, 2.0 / (3.0 - r))
-    return coeff if coeff.ndim else float(coeff)
+    with np.errstate(divide="ignore"):
+        return np.where(r <= 2.0, r, 2.0 / (3.0 - r))
 
 
 def _two_param_coeff_inv(c):
     return c if c <= 2.0 else 3.0 - 2.0 / c
+
+
+class ExactQuantities(NamedTuple):
+    """Ingredients of a classical form with ``phi(t) = t**2``: the
+    coefficient ``a`` and the inverse of the quantity transform ``h``,
+    both vectorized."""
+
+    a: Callable
+    h_inv: Callable
 
 
 @dataclass(frozen=True)
@@ -129,11 +147,15 @@ class Family:
     ``power_q`` and ``power_q_raw`` are instances of the separable forms
     built by :func:`_classical` and :func:`_restricted`; any family can be
     given directly.  ``special`` and ``best_on_line`` are optional closed
-    forms; ``best_on_line`` and ``separable_mode`` come last so that
-    positional construction up to ``blurb`` keeps its meaning.
-    ``separable_mode`` is the revenue mode in which the revenue program
-    separates into one posted price (see the module notes); the factories
-    derive it, and ``None`` means the program does not separate.
+    forms; ``best_on_line``, ``separable_mode`` and ``exact_quantities``
+    come last so that positional construction up to ``blurb`` keeps its
+    meaning.  ``separable_mode`` is the revenue mode in which the revenue
+    program separates into one posted price (see the module notes); the
+    factories derive it, and ``None`` means the program does not separate.
+    ``exact_quantities`` holds ``a`` and the inverse of ``h`` for a
+    classical form with ``phi(t) = t**2``, whose payment-mode quantities
+    the solver computes in closed form; :func:`_classical` derives it, and
+    it is ``None`` for every other family.
     """
 
     name: str
@@ -147,6 +169,7 @@ class Family:
     blurb: str = ""
     best_on_line: Optional[Callable] = None
     separable_mode: Optional[str] = None
+    exact_quantities: Optional[ExactQuantities] = None
 
     @property
     def restricted(self) -> bool:
@@ -188,14 +211,25 @@ def _classical(name, utility, p, k, a=_identity, a_inv=_identity,
         def curve_payment(r, c, q):
             return c - a(r) * (1.0 - h(q))
     else:
+        def gap(r, q):
+            # a(r) * (1 - h(q)).  Where a(r) is infinite (two_param at
+            # r = 3) payments weigh nothing: a bundle below q = 1 is worth
+            # no payment at q = 1, and one at q = 1 is its own canonical
+            # payment.
+            ar, dh = a(r), 1.0 - h(q)
+            if isinstance(ar, float) and ar < math.inf:
+                return ar * dh
+            with np.errstate(invalid="ignore"):
+                return np.where(dh == 0.0, 0.0, ar * dh)
+
         def canonical(r, t, q):
-            return np.sqrt(phi(t) + a(r) * (1.0 - h(q)))
+            return np.sqrt(phi(t) + gap(r, q))
 
         def curve_payment(r, c, q):
             # A difference of squares, so that the round trip through
             # canonical is exact at t = 0; NaN where the curve leaves the
             # bundle space.
-            s = np.sqrt(a(r) * (1.0 - h(q)))
+            s = np.sqrt(gap(r, q))
             with np.errstate(invalid="ignore"):
                 return np.sqrt((c - s) * (c + s))
 
@@ -215,8 +249,11 @@ def _classical(name, utility, p, k, a=_identity, a_inv=_identity,
 
     # with phi and a the identity, t_k - t_{k-1} = theta_k * dh_k
     separable = "payment" if p == 1 and a is _identity else None
+    # with phi(t) = t**2, t_k**2 - t_{k-1}**2 = a(theta_k) * dh_k
+    exact = ExactQuantities(a, _POWERS[1 / k]) if p == 2 else None
     return Family(name, "classical", 0.0, param_hi, utility, canonical,
-                  curve_payment, special, blurb, best_on_line, separable)
+                  curve_payment, special, blurb, best_on_line, separable,
+                  exact)
 
 
 def _restricted(name, utility, k, blurb=""):

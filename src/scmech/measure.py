@@ -172,7 +172,11 @@ def from_table(points: Sequence[Sequence[float]]) -> TypeDistribution:
     if np.any(np.diff(xs) <= 0) or np.any(np.diff(cs) < 0):
         raise SpecParseError("table must be strictly increasing in theta and "
                              "nondecreasing in cdf")
-    dens = np.diff(cs) / np.diff(xs)
+    with np.errstate(over="ignore"):
+        dens = np.diff(cs) / np.diff(xs)
+    if not np.all(np.isfinite(dens)):
+        raise SpecParseError("table knots are too close: a piece has an "
+                             "infinite density")
 
     def pdf(x):
         idx = np.clip(np.searchsorted(xs, np.asarray(x, float), side="right") - 1,

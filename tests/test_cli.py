@@ -45,6 +45,22 @@ def test_optimize_is_byte_deterministic(tmp_path, capsys):
     assert paths[0] == paths[1]
 
 
+def test_exact_path_output_ignores_the_seed(tmp_path, capsys):
+    # income_effect in payments takes the exact path, which draws no
+    # random start, so the seed cannot change a byte of the output
+    outputs = []
+    for seed in ("1", "2"):
+        mech, summary = tmp_path / f"mech{seed}.json", tmp_path / f"sum{seed}.json"
+        rc, _, _ = run(capsys, "optimize", "--domain", "income_effect",
+                       "--dist", "uniform:0.1,1", "--max-bundles", "3",
+                       "--seed", seed, "--out", str(mech),
+                       "--summary", str(summary))
+        assert rc == 0
+        outputs.append((mech.read_bytes(), summary.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert abs(json.loads(outputs[0][1])["revenue"] - 4 / 9) <= 1e-12
+
+
 def test_verify_flags_linear_continuum_rule(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -45,6 +45,14 @@ def test_monopoly_price_tiny_slope_does_not_warn():
         assert measure.monopoly_price(table) == 0.5
 
 
+def test_table_with_an_infinite_density_is_spec_error():
+    # mass 0.5 on a piece 1e-310 wide has a density beyond the floats
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpecParseError, match="infinite density"):
+            from_table([[0, 0], [1e-310, 0.5], [1, 1]])
+
+
 def test_pdf_cdf_consistency_by_finite_differences():
     h = 1e-5
     for dist in ALL_DISTS:

@@ -121,12 +121,13 @@ def test_solve_evaluation_budget(payment_calls):
 
 
 def test_sweep_evaluation_budget(payment_calls):
-    # a non-separable family takes the sweep; each coordinate search
-    # evaluates only the interval ends beyond Brent's own points
-    dom = make_domain("income_effect", 0.0, 1.0)
+    # risk_averse in expected payments takes the sweep; each coordinate
+    # search evaluates only the interval ends beyond Brent's own points
+    dom = make_domain("risk_averse", 0.0, 1.0)
     solve_finite(dom, measure.uniform(0.1, 1.0),
-                 OptimizeOptions(max_bundles=3, seed=11))
-    assert len(payment_calls) <= 16385
+                 OptimizeOptions(max_bundles=3, seed=11),
+                 mode="expected_payment")
+    assert len(payment_calls) <= 13800
 
 
 @pytest.mark.parametrize("name", ["quasilinear", "income_effect"])
@@ -172,10 +173,14 @@ def test_closed_form_sell_always_when_virtual_positive():
 
 
 def test_closed_form_rejects_other_families():
-    # the posted-price path is taken only in a family's separable mode
+    # the posted-price path is taken only in a family's separable mode;
+    # income_effect takes the exact path in payments, the sweep otherwise
     dom = make_domain("income_effect", 0, 1)
     assert dom.family.separable_mode is None
     sol = solve_finite(dom, U01, OptimizeOptions(restarts=1))
+    assert sol.diagnostics["method"] == "exact_quantities"
+    sol = solve_finite(dom, U01, OptimizeOptions(restarts=1),
+                       mode="expected_payment")
     assert sol.diagnostics["method"] == "sweep"
     sol = solve_finite(QL, U01, OptimizeOptions(restarts=1),
                        mode="expected_payment")
@@ -366,7 +371,7 @@ def _reference_payments(dom, thetas, qs):
     prev, pays = ZERO_BUNDLE, []
     for r, q in zip(thetas, qs):
         t = prev.t
-        if q > prev.q + 1e-15:
+        if q > prev.q + (1e-15 if dom.restricted else 0.0):
             c = float(dom.canonical_payment_many(r, prev.t, prev.q))
             t = max(float(dom.curve_payment(r, c, q)), prev.t)
             bound = dom.payment_bound(r)
@@ -418,3 +423,99 @@ def test_profile_revenue_is_exact(name, dist, mode, profile):
         [t.hex() for t in _reference_payments(dom, thetas, qs)]
     ref = _reference_revenue(dom, dist, mode, pays, thetas, qs)
     assert float(rev).hex() == float(ref).hex()
+
+
+EXACT_FAMILIES = ["income_effect", "payment_param", "two_param"]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("lo", [0.0, 0.1])
+def test_exact_path_pins_income_effect_on_uniform(m, lo):
+    # with a(r) = r and F uniform on [lo, 1], R(theta)**2 is
+    # sum_k (theta_k+1 - theta_k) theta_k theta_k+1 / (1 - lo)**2, with
+    # theta_m+1 = 1 in the last factor and 1 - theta_m in the first; it is
+    # stationary at theta_k = k/(2m+1), where it equals
+    # 2m(m+1) / (3 (2m+1)**2 (1 - lo)**2), when lo <= 1/(2m+1)
+    dom = make_domain("income_effect", 0.0, 1.0)
+    dist = measure.uniform(lo, 1.0)
+    exact = np.sqrt(2 * m * (m + 1) / 3) / ((2 * m + 1) * (1 - lo))
+    thetas = np.arange(1, m + 1) / (2 * m + 1)
+    assert abs(optimize._exact_profile(dom.family.exact_quantities, dist,
+                                       thetas)[0] - exact) <= 1e-15
+    sol = solve_finite(dom, dist, OptimizeOptions(max_bundles=m + 1))
+    assert sol.diagnostics["method"] == "exact_quantities"
+    assert abs(sol.revenue - exact) <= 1e-12
+    assert sol.active_bundles == m + 1
+    assert sol.mechanism.breakpoints == pytest.approx(thetas, abs=1e-7)
+
+
+@pytest.mark.parametrize("dist", sorted(PROFILE_DISTS))
+def test_exact_path_revenue_depends_only_on_a(dist):
+    # R(theta) is built from a and F alone, and a(r) = r on [0, 1] for all
+    # three families, so they earn the same
+    dist = PROFILE_DISTS[dist]
+    revs = [solve_finite(make_domain(name, 0.0, 1.0), dist,
+                         OptimizeOptions(max_bundles=4)).revenue
+            for name in EXACT_FAMILIES]
+    assert max(revs) - min(revs) <= 1e-12
+
+
+def test_exact_path_ignores_the_seed():
+    dom = make_domain("two_param", 0.0, 1.0)
+    a, b = (solve_finite(dom, KINKED, OptimizeOptions(max_bundles=4, seed=s))
+            for s in (1, 2))
+    assert a.mechanism.to_dict() == b.mechanism.to_dict()
+    assert a.revenue == b.revenue
+    assert a.diagnostics == b.diagnostics
+    assert "seed" not in a.diagnostics
+    assert a.diagnostics["restarts_used"] == 0
+    assert a.diagnostics["dp_revenue"] <= a.revenue + 1e-12
+    assert a.diagnostics["dp_grid"] >= optimize.DP_GRID
+
+
+def test_exact_path_puts_a_breakpoint_on_a_kink():
+    sol = solve_finite(make_domain("income_effect", 0.0, 1.0), KINKED,
+                       OptimizeOptions(max_bundles=4))
+    assert sol.revenue >= 0.47860771
+    assert min(abs(b - 0.8) for b in sol.mechanism.breakpoints) <= 1e-12
+
+
+def test_exact_path_at_the_top_of_two_param():
+    # a(3) is infinite: a breakpoint at 3 repeats the bundle below and no
+    # step warns; a(r) = r below 2, so R = sqrt(3) * 2/5 at 0.6 and 1.2
+    dom, dist = make_domain("two_param"), measure.uniform(0.0, 3.0)
+    form = dom.family.exact_quantities
+    rev, qs = optimize._exact_profile(form, dist, [0.6, 1.2, 3.0])
+    below, qs_below = optimize._exact_profile(form, dist, [0.6, 1.2])
+    assert rev == below and list(qs) == [*qs_below, 1.0]
+    sol = solve_finite(dom, dist, OptimizeOptions(max_bundles=3))
+    assert sol.diagnostics["method"] == "exact_quantities"
+    assert abs(sol.revenue - 0.4 * np.sqrt(3.0)) <= 1e-12
+    assert sol.mechanism.bundles[-1].q == 1.0
+
+
+@st.composite
+def breakpoints(draw):
+    # ties, support ends and the point where a(theta) = 0 are common
+    m = draw(st.integers(1, 4))
+    value = st.sampled_from([0.0, 0.35, 1.0]) | st.floats(0.0, 1.0)
+    return sorted(draw(st.lists(value, min_size=m, max_size=m)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(EXACT_FAMILIES),
+       dist=st.sampled_from(sorted(PROFILE_DISTS)), thetas=breakpoints(),
+       qs=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                   min_size=4, max_size=4))
+def test_exact_quantities_are_optimal_at_fixed_breakpoints(name, dist, thetas,
+                                                           qs):
+    dom, dist = make_domain(name, 0.0, 1.0), PROFILE_DISTS[dist]
+    bound, exact_qs = optimize._exact_profile(dom.family.exact_quantities,
+                                              dist, thetas)
+    qs = sorted(qs[:len(thetas)])
+    assert optimize._profile_revenue(dom, dist, "payment", thetas,
+                                     qs) <= bound + 1e-12
+    # built as solve_finite builds its mechanism
+    mech = optimize._mechanism(dom, thetas, exact_qs)
+    assert abs(measure.expected_revenue(dom, mech, dist) - bound) <= 1e-12
+    assert verify_mechanism(dom, mech, np.linspace(0.0, 1.0, 200)).ok
