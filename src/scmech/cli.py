@@ -164,8 +164,7 @@ def _cmd_optimize(ns) -> int:
     if ":" not in ns.domain and not ns.domain.endswith(".json"):
         # bare family name: align the parameter interval with the support
         domain = PreferenceDomain(domain.family, dist.lo, dist.hi)
-    opts = OptimizeOptions(max_bundles=ns.max_bundles, restarts=ns.restarts,
-                           seed=ns.seed)
+    opts = OptimizeOptions(max_bundles=ns.max_bundles, seed=ns.seed)
     mode = ns.revenue_mode
     if ns.closed_form:
         mode = domain.family.separable_mode
@@ -271,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--dist", required=True)
     p.add_argument("--max-bundles", type=int, default=2)
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted and unused: the solver draws no random start")
     p.add_argument("--revenue-mode", type=_mode, choices=("payment", "expected_payment"),
                    default="payment")
     p.add_argument("--closed-form", action="store_true",

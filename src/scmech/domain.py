@@ -125,7 +125,12 @@ def _two_param_coeff(r):
 
 
 def _two_param_coeff_inv(c):
-    return c if c <= 2.0 else 3.0 - 2.0 / c
+    if np.ndim(c) == 0:
+        c = float(c)
+        return c if c <= 2.0 else 3.0 - 2.0 / c
+    c = np.asarray(c, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(c <= 2.0, c, 3.0 - 2.0 / c)
 
 
 class ExactQuantities(NamedTuple):
@@ -229,7 +234,14 @@ def _classical(name, utility, p, k, a=_identity, a_inv=_identity,
             # A difference of squares, so that the round trip through
             # canonical is exact at t = 0; NaN where the curve leaves the
             # bundle space.
-            s = np.sqrt(gap(r, q))
+            g = gap(r, q)
+            if isinstance(g, float) and isinstance(c, float):
+                # the same arithmetic without np.errstate, which costs as
+                # much as the rest on a scalar
+                s = math.sqrt(g) if g >= 0.0 else math.nan
+                v = (c - s) * (c + s)
+                return math.sqrt(v) if v >= 0.0 else math.nan
+            s = np.sqrt(g)
             with np.errstate(invalid="ignore"):
                 return np.sqrt((c - s) * (c + s))
 

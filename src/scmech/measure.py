@@ -56,7 +56,10 @@ class TypeDistribution:
     knots: Optional[tuple] = field(default=None, repr=False)
 
     def cdf(self, theta):
-        theta = np.clip(np.asarray(theta, dtype=float), self.lo, self.hi)
+        # np.clip's result at half its cost on short inputs; on a tie each
+        # keeps theta, so -0.0 stays -0.0
+        theta = np.asarray(theta, dtype=float)
+        theta = np.minimum(self.hi, np.maximum(self.lo, theta))
         out = self._cdf(theta)
         return float(out) if np.ndim(out) == 0 else out
 

@@ -24,15 +24,21 @@ relation that defines breakpoints).  The bottom bundle is anchored at
   pool-adjacent-violators makes of the segments (:func:`_exact_profile`).
   The breakpoints come from a DP over consecutive pairs on a grid that
   holds the CDF's knots, exact on the grid (:func:`_grid_dp`), polished by
-  Nelder-Mead on ``R``.  No random start is drawn, so the seed is unused.
+  Nelder-Mead on ``R``.
 * ``"sweep"``.  Elsewhere the objective is piecewise smooth and
-  low-dimensional, so the solver is a multi-start local search in two
-  stages.  Each start is swept to convergence by coordinate-wise bounded
-  scalar maximization with endpoint probing; the best sweep then goes
-  through a ridge collapse that retries the profile with one bundle
-  dropped and keeps the re-swept result when it loses no revenue (the
-  optimum frequently uses fewer bundles than allowed, leaving flat
-  directions the sweeps cannot tighten on their own).
+  low-dimensional.  The revenue of a range is a chain over consecutive
+  bundles, so a DP over pairs finds the best range on a grid of
+  ``CHAIN_GRID**2`` bundles exactly (:func:`_chain_dp`).  One sweep
+  (coordinate-wise bounded scalar maximization with endpoint probing)
+  starts from it.  A ridge collapse then retries the profile with one
+  bundle dropped and keeps the re-swept result when it loses no revenue:
+  the optimum often uses fewer bundles than allowed, leaving flat
+  directions a sweep cannot tighten.  Bundle insertion, its inverse, tries
+  a new bundle in each gap while fewer than allowed are used, and one
+  Nelder-Mead polish of the whole profile moves along ridges the
+  coordinates do not follow.
+
+No path draws a random start, so ``OptimizeOptions.seed`` is unused.
 """
 
 from __future__ import annotations
@@ -43,33 +49,39 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import Bundle, PreferenceDomain, ZERO_BUNDLE
-from .errors import DomainError, ScmechError
+from .domain import BISECT_TOL, Bundle, PreferenceDomain, ZERO_BUNDLE
+from .errors import DomainError, RichnessError, ScmechError
 from .measure import (TypeDistribution, _check_support, check_revenue_mode,
                       expected_revenue, monopoly_price, revenue_of)
 from .mechanism import FiniteMechanism, from_range
 from .verify import verify_mechanism
 
 COLLAPSE_TOL = 1e-6  # componentwise duplicate-bundle threshold for reporting
+STEP_FLOOR = 1e-12  # steps a restricted family's range counts as round-off
 SWEEP_ROUNDS = 12  # coordinate sweeps per local search, at most
 SWEEP_TOL = 1e-12  # a sweep stops once a whole round gains less revenue
+RIDGE_TOL = 1e-10  # revenue a collapse may lose and an insertion must gain
 DP_GRID = 160  # breakpoint grid of the exact path, before the CDF's knots
+CHAIN_GRID = 14  # payment and quantity steps of the sweep path's bundle grid
+POLISH_STEP = 1e-3  # first simplex of the sweep path's polish, per unit range
 POLISH_XATOL = 1e-10  # Nelder-Mead stops once its simplex is this small in theta
 POLISH_FATOL = 1e-15  # and its revenues spread this little
 POLISH_MAXFEV = 4000  # revenue evaluations of the polish, at most
+PLACE_TOL = 1e-12  # how far inside the domain a breakpoint is moved to be placed
 
 
 @dataclass(frozen=True)
 class OptimizeOptions:
+    """``max_bundles`` bounds the range, the anchor included.  ``seed`` is
+    accepted for compatibility and unused: no solver path draws a random
+    start."""
+
     max_bundles: int = 2
-    restarts: int = 16
     seed: int = 0
 
     def __post_init__(self):
         if self.max_bundles < 2:
             raise DomainError("max_bundles must be at least 2")
-        if self.restarts < 1:
-            raise DomainError("restarts must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -80,11 +92,7 @@ class Solution:
     diagnostics: dict = field(default_factory=dict)
 
     def summary(self) -> dict:
-        return {
-            "revenue": self.revenue,
-            "active_bundles": self.active_bundles,
-            "restarts_used": self.diagnostics.get("restarts_used", 0),
-        }
+        return {"revenue": self.revenue, "active_bundles": self.active_bundles}
 
 
 def payments_from_breakpoints(domain: PreferenceDomain,
@@ -107,8 +115,9 @@ def payments_from_breakpoints(domain: PreferenceDomain,
         raise DomainError("qs must be nondecreasing")
     family, restricted = domain.family, domain.restricted
     # a restricted payment divides by the weight step, so a quantity step
-    # up to 1e-15 repeats the bundle; a classical one divides by nothing
-    floor = 1e-15 if restricted else 0.0
+    # up to STEP_FLOOR repeats the bundle, as in the solver's range; a
+    # classical one divides by nothing
+    floor = STEP_FLOOR if restricted else 0.0
     payments = []
     prev_t = prev_q = 0.0  # the anchor (0, 0)
     for r, q in zip(thetas, qs):
@@ -211,65 +220,205 @@ def _sweep(domain, dist, mode, thetas, qs):
     return x[:m], x[m:], best
 
 
-def _search(domain, dist, opts, mode):
-    """Multi-start sweep and ridge collapse; returns the best profile and
-    its diagnostics."""
-    m = opts.max_bundles - 1
-    rng = np.random.default_rng(opts.seed)
+def _best_below(keys, values, limits, empty):
+    """For each limit, the largest value whose key is at most the limit,
+    or ``empty`` where no key is: the values sorted by key, a running
+    maximum and a binary search.  Both DPs find a state's best predecessor
+    this way."""
+    order = np.argsort(keys)
+    best = np.maximum.accumulate(values[order])
+    count = np.searchsorted(keys[order], limits, side="right")
+    return np.where(count > 0, best[count - 1], empty)
 
-    starts = []
-    ladder = [dist.ppf((k + 1) / (m + 1)) for k in range(m)]
-    starts.append((list(ladder), [(k + 1) / m for k in range(m)]))
-    starts.append((list(ladder), [1.0] * m))
-    starts.append(([dist.ppf(0.5)] * m, [1.0] * m))
-    while len(starts) < opts.restarts:
-        th = sorted(dist.ppf(rng.uniform(size=m)))
-        qq = sorted(rng.uniform(size=m))
-        qq[-1] = 1.0 if rng.uniform() < 0.5 else qq[-1]
-        starts.append((list(th), list(qq)))
-    starts = starts[:opts.restarts]
 
-    results = []
-    for th, qq in starts:
-        th, qq, rev = _sweep(domain, dist, mode, th, qq)
-        results.append((rev, tuple(th), tuple(qq)))
-    # deterministic merge: best revenue, ties broken lexicographically
-    results.sort(key=lambda r: (-r[0], r[1], r[2]))
-    rev, thetas, qs = results[0]
-    thetas, qs = list(thetas), list(qs)
-    restart_scores = sorted((r[0] for r in results), reverse=True)
+def _pair_specials(family, dist, za, zb):
+    """Indifference parameters of the diagonal pairs ``za < zb``, each a
+    pair of arrays ``(t, q)``, clipped to the support.
 
-    # ridge collapse: the optimum often uses fewer bundles than allowed,
-    # leaving flat directions; drop one bundle at a time whenever doing so
-    # costs no revenue after re-sweeping
+    A family without a closed form is bisected on its canonical payments,
+    whose difference ``f_r(za) - f_r(zb)`` rises through 0 once in ``r``; a
+    root outside the support converges to the nearer end.
+    """
+    lo, hi = dist.lo, dist.hi
+    if family.special is not None:
+        return np.clip(family.special(za, zb), lo, hi)
+    a, b = np.full(len(za[0]), lo), np.full(len(za[0]), hi)
+    for _ in range(math.ceil(math.log2((hi - lo) / BISECT_TOL))):
+        mid = 0.5 * (a + b)
+        below = family.canonical(mid, *za) < family.canonical(mid, *zb)
+        a, b = np.where(below, mid, a), np.where(below, b, mid)
+    return 0.5 * (a + b)
+
+
+def _bundle_grid(family, dist):
+    """Payments and quantities of the chain DP's grid: ``CHAIN_GRID`` steps
+    each, up to the payment that makes the full bundle indifferent to
+    ``(0, 0)`` at the top of the support, or, where that is infinite
+    (two_param at r = 3), at the quantile ``1 - 1/CHAIN_GRID``."""
+    top = float(family.canonical(dist.hi, 0.0, 0.0))
+    if not math.isfinite(top):
+        top = float(family.canonical(dist.ppf(1.0 - 1.0 / CHAIN_GRID), 0.0, 0.0))
+    steps = np.linspace(0.0, 1.0, CHAIN_GRID + 1)[1:]
+    return top * steps, steps
+
+
+def _chain_dp(domain, dist, mode, m, t_grid, q_grid):
+    """Best range of at most ``m`` bundles from a grid, exactly, by a DP
+    over consecutive pairs.
+
+    The grid bundles are the products of the positive entries of
+    ``t_grid`` and ``q_grid``.  A range ``(0, 0) = z_0 < z_1 < ... < z_n``
+    earns ``sum_k (rev(z_k) - rev(z_{k-1})) (1 - F(theta_k))`` with
+    ``theta_k = special(z_{k-1}, z_k)``, and it is supportable when the
+    ``theta_k`` are nondecreasing.  Clipped to the support they may also
+    tie where they decrease beyond one of its ends; such a chain earns what
+    a supportable one with those bundles dropped earns.  So, as in
+    :func:`_grid_dp`, the best range is the best chain of pairs with
+    nondecreasing keys: a state is a pair ``(i, j)`` of bundles (node 0 is
+    the anchor) and its predecessors are the pairs ``(h, i)`` whose key is
+    at most its own.  Each of the ``m`` stages costs O(N**2 log N) time
+    and is kept for the backtrack, O(m N**2) memory.  Returns the profile
+    ``(thetas, qs)`` of the best chain, its revenue and the grid size.
+    """
+    t_grid, q_grid = np.asarray(t_grid, float), np.asarray(q_grid, float)
+    ts, qs = np.meshgrid(t_grid[t_grid > 0.0], q_grid[q_grid > 0.0],
+                         indexing="ij")
+    t, q = np.append(0.0, ts.ravel()), np.append(0.0, qs.ravel())
+    n = len(t)
+    i, j = np.nonzero((t[:, None] < t) & (q[:, None] < q))
+    key = np.full((n, n), np.nan)
+    key[i, j] = _pair_specials(domain.family, dist, (t[i], q[i]), (t[j], q[j]))
+    rev = t if mode == "payment" else t * q
+    gain = np.full((n, n), -np.inf)
+    gain[i, j] = (rev[j] - rev[i]) * (1.0 - dist.cdf(key[i, j]))
+    valid = gain > -np.inf
+    preds = [np.flatnonzero(col) for col in valid.T]
+    succs = [np.flatnonzero(row) for row in valid]
+
+    first = np.full((n, n), -np.inf)
+    first[0] = gain[0]  # a chain starts at the anchor
+    stages = [first]
+    for _ in range(m - 1):
+        prev, stage = stages[-1], first.copy()
+        for v in range(1, n):
+            h, w = preds[v], succs[v]
+            stage[v, w] = gain[v, w] + _best_below(key[h, v], prev[h, v],
+                                                   key[v, w], -np.inf)
+        stages.append(stage)
+    s = len(stages) - 1
+    v, w = divmod(int(np.argmax(stages[s])), n)
+    total, chain = float(stages[s][v, w]), [w]
+    while v != 0:
+        h = preds[v]
+        cand = np.where(key[h, v] <= key[v, w], stages[s - 1][h, v], -np.inf)
+        v, w, s = int(h[np.argmax(cand)]), v, s - 1
+        chain.append(w)
+    chain = chain[::-1]
+    thetas = [float(key[a, b]) for a, b in zip([0, *chain], chain)]
+    return (thetas, [float(q[b]) for b in chain]), total, n - 1
+
+
+def _nelder_mead(loss, start, steps):
+    """Nelder-Mead on ``loss`` from ``start``, with a first simplex
+    ``steps`` wide along each coordinate."""
+    from scipy.optimize import minimize
+
+    start = np.asarray(start, dtype=float)
+    simplex = np.vstack([start, start + np.diag(steps)])
+    return minimize(loss, start, method="Nelder-Mead",
+                    options={"initial_simplex": simplex, "xatol": POLISH_XATOL,
+                             "fatol": POLISH_FATOL, "maxfev": POLISH_MAXFEV})
+
+
+def _collapse(domain, dist, mode, thetas, qs, rev):
+    """Ridge collapse: drop one bundle at a time while re-sweeping without
+    it loses at most ``RIDGE_TOL``."""
     reduced = True
     while reduced and len(thetas) > 1:
         reduced = False
         for k in range(len(thetas)):
-            cth = thetas[:k] + thetas[k + 1:]
-            cq = qs[:k] + qs[k + 1:]
-            cth, cq, crev = _sweep(domain, dist, mode, cth, cq)
-            if crev >= rev - 1e-10:
+            cth, cq, crev = _sweep(domain, dist, mode, thetas[:k] + thetas[k + 1:],
+                                   qs[:k] + qs[k + 1:])
+            if crev >= rev - RIDGE_TOL:
                 thetas, qs, rev = cth, cq, crev
                 reduced = True
                 break
-    return thetas, qs, {"method": "sweep", "restarts_used": len(starts),
-                        "restart_scores": restart_scores, "seed": opts.seed}
+    return thetas, qs, rev
 
 
-def _mechanism(domain, thetas, qs) -> FiniteMechanism:
-    """The mechanism of a profile: its range is the anchor and each bundle
-    that steps up in both coordinates from the one below.  A restricted
-    family counts a step of up to 1e-12 as round-off, because its payment
-    divides by the weight step; a classical family counts every positive
-    step, as :func:`payments_from_breakpoints` does."""
-    floor = 1e-12 if domain.restricted else 0.0
+def _insert(domain, dist, mode, m, thetas, qs, rev):
+    """Bundle insertion, the inverse of the collapse: while fewer than
+    ``m`` bundles are used, try a new one in each gap, its breakpoint at
+    the gap's midpoint and its quantity 1% of the way up the gap, and keep
+    the best re-swept one that earns more than ``RIDGE_TOL``."""
+    while len(thetas) < m:
+        th, q = [dist.lo, *thetas, dist.hi], [0.0, *qs, 1.0]
+        trials = [_sweep(domain, dist, mode,
+                         [*thetas[:k], 0.5 * (th[k] + th[k + 1]), *thetas[k:]],
+                         [*qs[:k], q[k] + 0.01 * (q[k + 1] - q[k]), *qs[k:]])
+                  for k in range(len(thetas) + 1)]
+        best = max(trials, key=lambda trial: trial[2])
+        if best[2] <= rev + RIDGE_TOL:
+            break
+        thetas, qs, rev = best
+    return thetas, qs, rev
+
+
+def _search(domain, dist, m, mode):
+    """The sweep path: the chain DP's best grid range, one sweep from it,
+    the ridge collapse, bundle insertion, and a Nelder-Mead polish of the
+    whole profile, re-swept when it gains.  Returns the profile and its
+    diagnostics."""
+    grid = _bundle_grid(domain.family, dist)
+    (thetas, qs), dp_revenue, size = _chain_dp(domain, dist, mode, m, *grid)
+    thetas, qs, rev = _sweep(domain, dist, mode, thetas, qs)
+    thetas, qs, rev = _collapse(domain, dist, mode, thetas, qs, rev)
+    thetas, qs, rev = _insert(domain, dist, mode, m, thetas, qs, rev)
+
+    n = len(thetas)
+
+    def profile(x):
+        return (list(np.sort(np.clip(x[:n], dist.lo, dist.hi))),
+                list(np.sort(np.clip(x[n:], 0.0, 1.0))))
+
+    def loss(x):
+        return -_profile_revenue(domain, dist, mode, *profile(x))
+
+    steps = [POLISH_STEP * (dist.hi - dist.lo)] * n + [POLISH_STEP] * n
+    res = _nelder_mead(loss, [*thetas, *qs], steps)
+    if -res.fun > rev:
+        thetas, qs, rev = _sweep(domain, dist, mode, *profile(res.x))
+    return thetas, qs, {"method": "sweep", "dp_grid": size,
+                        "dp_revenue": dp_revenue, "polish_evals": int(res.nfev)}
+
+
+def _range(domain, thetas, qs):
+    floor = STEP_FLOOR if domain.restricted else 0.0
     bundles = [ZERO_BUNDLE]
     for t, q in zip(payments_from_breakpoints(domain, thetas, qs), qs):
         z = Bundle(float(t), float(q))
         if z.t > bundles[-1].t + floor and z.q > bundles[-1].q + floor:
             bundles.append(z)
-    return from_range(domain, bundles)
+    return bundles
+
+
+def _mechanism(domain, thetas, qs) -> FiniteMechanism:
+    """The mechanism of a profile: its range is the anchor and each bundle
+    that steps up in both coordinates from the one below.  A restricted
+    family counts a step of up to ``STEP_FLOOR`` as round-off, because its
+    payment divides by the weight step; a classical family counts every
+    positive step, as :func:`payments_from_breakpoints` does.
+
+    A breakpoint on an end of the domain interval can come back from its
+    pinned payment an ulp outside it, where a bisected indifference
+    parameter has no bracket (power_q on its whole interval).  Then the
+    breakpoints are moved ``PLACE_TOL`` inside the interval and the
+    payments pinned again, so that :func:`from_range` places every one."""
+    try:
+        return from_range(domain, _range(domain, thetas, qs))
+    except RichnessError:
+        inside = np.clip(thetas, domain.lo + PLACE_TOL, domain.hi - PLACE_TOL)
+        return from_range(domain, _range(domain, inside, qs))
 
 
 def _inverse_a(form, thetas):
@@ -340,10 +489,10 @@ def _grid_dp(form, dist, m):
     nondecreasing.  A state is a segment ``(i, j)`` between grid points
     (``j = N`` is the top of the support); its predecessors ``(h, i)`` are
     those with ``ratio(h, i) <= ratio(i, j)``, found by a binary search in
-    the predecessor ratios sorted by value.  Each of the ``m`` stages
-    costs O(N**2 log N) time.  Segment values are computed as needed, and
-    only the stages between the first and the last are stored: memory is
-    O((m - 2) N**2), and O(N) for ``m <= 2``.
+    the predecessor ratios sorted by value (:func:`_best_below`).  Each of
+    the ``m`` stages costs O(N**2 log N) time.  Segment values are computed
+    as needed, and only the stages between the first and the last are
+    stored: memory is O((m - 2) N**2), and O(N) for ``m <= 2``.
     """
     grid = np.sort(np.append(np.linspace(dist.lo, dist.hi, DP_GRID),
                              dist.knots or ()))
@@ -374,11 +523,7 @@ def _grid_dp(form, dist, m):
         ratio, gain = segments(i, js)
         if i == 0:
             return gain
-        r_in, v_in = into(stage, i)
-        order = np.argsort(r_in)
-        best = np.maximum.accumulate(v_in[order])
-        count = np.searchsorted(r_in[order], ratio, side="right")
-        return gain + np.where(count > 0, best[count - 1], 0.0)
+        return gain + _best_below(*into(stage, i), ratio, 0.0)
 
     stages = [None]  # stage 1, the segments alone, is computed as needed
     for _ in range(m - 2):
@@ -408,8 +553,6 @@ def _grid_dp(form, dist, m):
 def _exact_search(form, dist, m):
     """Grid DP over the breakpoints, then a Nelder-Mead polish of the
     revenue ``R(theta)`` from the DP optimum."""
-    from scipy.optimize import minimize
-
     start, dp_revenue, size = _grid_dp(form, dist, m)
 
     def breakpoints(x):
@@ -419,10 +562,7 @@ def _exact_search(form, dist, m):
         return -_exact_profile(form, dist, breakpoints(x))[0]
 
     step = (dist.hi - dist.lo) / (DP_GRID - 1)
-    simplex = np.vstack([start, start + step * np.eye(len(start))])
-    res = minimize(loss, start, method="Nelder-Mead",
-                   options={"initial_simplex": simplex, "xatol": POLISH_XATOL,
-                            "fatol": POLISH_FATOL, "maxfev": POLISH_MAXFEV})
+    res = _nelder_mead(loss, start, np.full(len(start), step))
     thetas, revenue, evals = breakpoints(res.x), -res.fun, res.nfev
     # an optimal breakpoint may sit on a kink of a piecewise-linear CDF,
     # which the simplex approaches but need not reach
@@ -437,7 +577,7 @@ def _exact_search(form, dist, m):
                 thetas, revenue = trial, trial_revenue
     _, qs = _exact_profile(form, dist, thetas)
     return list(thetas), list(qs), {
-        "method": "exact_quantities", "restarts_used": 0, "dp_grid": size,
+        "method": "exact_quantities", "dp_grid": size,
         "dp_revenue": dp_revenue, "polish_evals": int(evals)}
 
 
@@ -451,11 +591,12 @@ def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
     :func:`~scmech.measure.monopoly_price`, exact for every distribution.
     A classical family with ``phi(t) = t**2`` in payments has exact
     quantities for given breakpoints, and only the breakpoints are
-    searched.  Otherwise the profile is swept from random starts.
-    ``diagnostics["method"]`` says which (``"posted_price"``,
-    ``"exact_quantities"`` or ``"sweep"``); the exact path also reports
-    its grid size ``"dp_grid"``, the grid optimum ``"dp_revenue"`` and the
-    revenue evaluations of its polish, ``"polish_evals"``.
+    searched.  Otherwise the profile is swept from the best range of a
+    bundle grid.  ``diagnostics["method"]`` says which
+    (``"posted_price"``, ``"exact_quantities"`` or ``"sweep"``); the last
+    two also report their DP's grid size ``"dp_grid"`` (breakpoints, or
+    bundles), the grid optimum ``"dp_revenue"`` and the revenue
+    evaluations of their polish, ``"polish_evals"``.
     """
     check_revenue_mode(mode)
     _check_support(domain, dist)
@@ -463,13 +604,13 @@ def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
     if mode == family.separable_mode:
         price = monopoly_price(dist)
         thetas, qs = [price], [1.0]
-        diagnostics = {"method": "posted_price", "restarts_used": 0,
-                       "price": price}
+        diagnostics = {"method": "posted_price", "price": price}
     elif mode == "payment" and family.exact_quantities is not None:
         thetas, qs, diagnostics = _exact_search(
             family.exact_quantities, dist, opts.max_bundles - 1)
     else:
-        thetas, qs, diagnostics = _search(domain, dist, opts, mode)
+        thetas, qs, diagnostics = _search(domain, dist, opts.max_bundles - 1,
+                                          mode)
 
     mech = _mechanism(domain, thetas, qs)
     revenue = expected_revenue(domain, mech, dist, mode)

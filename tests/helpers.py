@@ -32,6 +32,15 @@ def random_feasible_range(domain, rng, max_tries=400, t_hi=2.5):
     raise RuntimeError(f"no feasible range found for {domain.family.name}")
 
 
+def same_bits(a, b):
+    """Float arrays equal bit for bit, with NaNs (whose payload carries no
+    meaning) matched by position."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
 def grid_around(mech, n=200):
     """Parameter grid spanning the mechanism's breakpoints."""
     domain = mech.domain

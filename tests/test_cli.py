@@ -45,20 +45,51 @@ def test_optimize_is_byte_deterministic(tmp_path, capsys):
     assert paths[0] == paths[1]
 
 
-def test_exact_path_output_ignores_the_seed(tmp_path, capsys):
-    # income_effect in payments takes the exact path, which draws no
-    # random start, so the seed cannot change a byte of the output
+def optimize_at_seeds(tmp_path, capsys, *argv):
+    """Mechanism and summary bytes of one optimize call at seeds 1 and 2."""
     outputs = []
     for seed in ("1", "2"):
         mech, summary = tmp_path / f"mech{seed}.json", tmp_path / f"sum{seed}.json"
-        rc, _, _ = run(capsys, "optimize", "--domain", "income_effect",
-                       "--dist", "uniform:0.1,1", "--max-bundles", "3",
-                       "--seed", seed, "--out", str(mech),
-                       "--summary", str(summary))
+        rc, _, _ = run(capsys, "optimize", *argv, "--seed", seed,
+                       "--out", str(mech), "--summary", str(summary))
         assert rc == 0
         outputs.append((mech.read_bytes(), summary.read_bytes()))
+    return outputs
+
+
+def test_exact_path_output_ignores_the_seed(tmp_path, capsys):
+    # income_effect in payments takes the exact path, which draws no
+    # random start, so the seed cannot change a byte of the output
+    outputs = optimize_at_seeds(tmp_path, capsys, "--domain", "income_effect",
+                                "--dist", "uniform:0.1,1", "--max-bundles", "3")
     assert outputs[0] == outputs[1]
     assert abs(json.loads(outputs[0][1])["revenue"] - 4 / 9) <= 1e-12
+
+
+def test_sweep_path_output_ignores_the_seed(tmp_path, capsys):
+    # risk_averse in expected payments takes the sweep path, which starts
+    # from the chain DP's range and draws no random start either
+    outputs = optimize_at_seeds(tmp_path, capsys, "--domain", "risk_averse:0,1",
+                                "--dist", "uniform:0.1,1", "--max-bundles", "3",
+                                "--revenue-mode", "expected_payment")
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["active_bundles"] == 3
+
+
+def test_power_q_on_its_whole_interval_solves(tmp_path, capsys):
+    # the best range posts one price to every type: its breakpoint sits on
+    # the bottom of the domain interval, where round-off in the pinned
+    # payment once left the bisection no bracket (RichnessError)
+    mech = tmp_path / "mech.json"
+    rc, out, _ = run(capsys, "optimize", "--domain", "power_q",
+                     "--dist", "uniform:0.25,0.3333333333333333",
+                     "--max-bundles", "3", "--seed", "11", "--out", str(mech))
+    assert rc == 0
+    # the payment that makes (t, 1) indifferent to (0, 0) at 0.25
+    assert abs(json.loads(out)["revenue"] - 0.5129898720969177) <= 1e-11
+    rc, out, _ = run(capsys, "verify", "--mech", str(mech))
+    assert rc == 0
+    assert json.loads(out)["ok"] is True
 
 
 def test_verify_flags_linear_continuum_rule(tmp_path, capsys):
@@ -278,8 +309,7 @@ def test_closed_form_takes_the_posted_price(capsys, family, revenue):
     rc, out, _ = run(capsys, "optimize", "--domain", family,
                      "--dist", "uniform:0,1", "--closed-form")
     assert rc == 0
-    assert json.loads(out) == {"revenue": revenue, "active_bundles": 2,
-                               "restarts_used": 0}
+    assert json.loads(out) == {"revenue": revenue, "active_bundles": 2}
 
 
 def test_closed_form_on_non_separable_family_is_domain_error(tmp_path, capsys):
@@ -292,15 +322,6 @@ def test_closed_form_on_non_separable_family_is_domain_error(tmp_path, capsys):
     assert err.endswith("\n") and err.count("\n") == 1
     assert json.loads(err)["error"] == "DomainError"
     assert not out_path.exists()
-
-
-@pytest.mark.parametrize("restarts", ["0", "-2"])
-def test_restarts_below_one_is_domain_error(capsys, restarts):
-    rc, out, err = run(capsys, *OPTIMIZE, "--restarts", restarts)
-    assert rc == 1
-    assert out == ""
-    assert err.endswith("\n") and err.count("\n") == 1
-    assert json.loads(err)["error"] == "DomainError"
 
 
 @pytest.mark.parametrize("files, argv", [

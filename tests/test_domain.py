@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
+from helpers import same_bits
 from scmech.domain import (Bundle, FAMILIES, Ordering, ZERO_BUNDLE,
                            is_diagonal, make_domain, validate_single_crossing)
 from scmech.errors import DomainError, RichnessError
@@ -252,6 +253,44 @@ def test_closed_forms_agree_with_utility_oracle(name, u, t, q, dt, dq):
         return
     rs = dom.special_preference(a, b)
     assert util(rs, *a) == pytest.approx(util(rs, *b), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", DOMAIN_NAMES)
+def test_special_on_arrays_is_special_elementwise(name):
+    # the solver's chain DP takes the indifference parameters of all its
+    # grid pairs in one call; pairs from the anchor and to q = 1 included
+    fam = make_domain(name).family
+    rng = np.random.default_rng(4)
+    ta, qa = rng.uniform(0.0, 2.0, 500), rng.uniform(0.0, 0.95, 500)
+    ta[:50] = qa[:50] = 0.0
+    tb = ta + rng.uniform(1e-3, 1.0, 500)
+    qb = qa + (1.0 - qa) * rng.uniform(1e-3, 1.0, 500)
+    qb[-50:] = 1.0
+    many = fam.special((ta, qa), (tb, qb))
+    one = [fam.special((a, b), (c, d)) for a, b, c, d in zip(ta, qa, tb, qb)]
+    assert same_bits(many, one)
+    if name == "two_param":  # both branches of the coefficient's inverse
+        assert many.min() < 2.0 < many.max()
+
+
+@pytest.mark.parametrize("name", ["income_effect", "payment_param",
+                                  "two_param"])
+def test_scalar_curve_payment_is_the_array_one(name):
+    # the p = 2 curve payment takes a float path on scalars, around
+    # np.errstate; it keeps the bits of the array path on 10k points with
+    # the ends of r, c and q, a NaN and curves that leave the bundle space
+    fam = make_domain(name).family
+    rng = np.random.default_rng(6)
+    r = rng.uniform(0.0, 3.0, 10_000)
+    c = rng.uniform(-0.5, 2.5, 10_000)
+    q = rng.uniform(0.0, 1.0, 10_000)
+    r[:4], c[4:8], q[8:12] = (0.0, 3.0, 2.0, np.nan), (0.0, -0.0, 3.0, np.nan), \
+        (0.0, 1.0, 1e-300, np.nan)
+    many = fam.curve_payment(r, c, q)
+    one = [fam.curve_payment(float(a), float(b), float(d))
+           for a, b, d in zip(r, c, q)]
+    assert np.isnan(many).any() and not np.isnan(many).all()
+    assert same_bits(many, one)
 
 
 # -- single-crossing validation ------------------------------------------------

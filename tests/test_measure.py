@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import same_bits
 from scmech import measure
 from scmech.domain import Bundle, ZERO_BUNDLE, make_domain
 from scmech.errors import DomainError, SpecParseError
@@ -60,6 +61,21 @@ def test_pdf_cdf_consistency_by_finite_differences():
         for x in grid:
             diff = (dist.cdf(x + h) - dist.cdf(x - h)) / (2 * h)
             assert diff == pytest.approx(float(dist.pdf(x)), abs=1e-4)
+
+
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.name)
+def test_cdf_clamps_as_np_clip(dist):
+    # cdf clamps its input with np.minimum and np.maximum, half the cost of
+    # np.clip on short inputs, and keeps np.clip's bits: 10k points with
+    # the support ends, +-0, infinities and a NaN, as arrays and scalars
+    rng = np.random.default_rng(8)
+    width = dist.hi - dist.lo
+    x = rng.uniform(dist.lo - 0.5 * width, dist.hi + 0.5 * width, 10_000)
+    x[:8] = (dist.lo, dist.hi, np.nextafter(dist.hi, np.inf), -0.0, 0.0,
+             -np.inf, np.inf, np.nan)
+    ref = dist._cdf(np.clip(x, dist.lo, dist.hi))
+    assert same_bits(dist.cdf(x), ref)
+    assert same_bits([dist.cdf(v) for v in x[:500]], ref[:500])
 
 
 def test_cdf_endpoints():

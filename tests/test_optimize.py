@@ -9,7 +9,7 @@ from scmech.errors import DomainError
 from scmech.mechanism import from_range
 from scmech.optimize import (OptimizeOptions, payments_from_breakpoints,
                              solve_finite, stationarity_residuals)
-from scmech.verify import verify_mechanism
+from scmech.verify import brute_force_optimal, verify_mechanism
 
 QL = make_domain("quasilinear", 0.0, 1.0)
 MY = make_domain("myerson", 0.0, 1.0)
@@ -121,13 +121,13 @@ def test_solve_evaluation_budget(payment_calls):
 
 
 def test_sweep_evaluation_budget(payment_calls):
-    # risk_averse in expected payments takes the sweep; each coordinate
-    # search evaluates only the interval ends beyond Brent's own points
+    # risk_averse in expected payments takes the sweep path: one sweep from
+    # the chain DP's range, the collapse, the insertion and the polish
     dom = make_domain("risk_averse", 0.0, 1.0)
     solve_finite(dom, measure.uniform(0.1, 1.0),
                  OptimizeOptions(max_bundles=3, seed=11),
                  mode="expected_payment")
-    assert len(payment_calls) <= 13800
+    assert len(payment_calls) <= 1253
 
 
 @pytest.mark.parametrize("name", ["quasilinear", "income_effect"])
@@ -177,13 +177,11 @@ def test_closed_form_rejects_other_families():
     # income_effect takes the exact path in payments, the sweep otherwise
     dom = make_domain("income_effect", 0, 1)
     assert dom.family.separable_mode is None
-    sol = solve_finite(dom, U01, OptimizeOptions(restarts=1))
+    sol = solve_finite(dom, U01)
     assert sol.diagnostics["method"] == "exact_quantities"
-    sol = solve_finite(dom, U01, OptimizeOptions(restarts=1),
-                       mode="expected_payment")
+    sol = solve_finite(dom, U01, mode="expected_payment")
     assert sol.diagnostics["method"] == "sweep"
-    sol = solve_finite(QL, U01, OptimizeOptions(restarts=1),
-                       mode="expected_payment")
+    sol = solve_finite(QL, U01, mode="expected_payment")
     assert sol.diagnostics["method"] == "sweep"
 
 
@@ -227,10 +225,65 @@ def test_randomization_helps_the_risk_averse_model():
     assert sol.active_bundles == 3
 
 
-@pytest.mark.parametrize("restarts", [0, -2])
-def test_restarts_below_one_rejected(restarts):
-    with pytest.raises(DomainError):
-        OptimizeOptions(restarts=restarts)
+@pytest.mark.parametrize("name, mode", [("quasilinear", "payment"),
+                                        ("myerson", "expected_payment"),
+                                        ("risk_averse", "expected_payment")])
+def test_chain_dp_matches_the_brute_force_oracle(name, mode):
+    # criterion 3's grid and domain: the DP is exact over the grid's ranges
+    t_grid = np.round(np.arange(0.0, 1.0001, 0.05), 10)
+    q_grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+    dom = make_domain(name, 0.0, 5.0)
+    _, oracle = brute_force_optimal(dom, U01, t_grid, q_grid, max_bundles=3,
+                                    mode=mode)
+    (thetas, qs), revenue, size = optimize._chain_dp(dom, U01, mode, 2,
+                                                     t_grid, q_grid)
+    assert size == 80
+    assert abs(revenue - oracle) <= 1e-12
+    # its profile pins the same payments, or higher ones at breakpoints
+    # clipped up to the support, so the sweep starts no lower
+    assert optimize._profile_revenue(dom, U01, mode, thetas,
+                                     qs) >= revenue - 1e-12
+
+
+def test_sweep_path_posts_the_price_at_a_kink():
+    # income_effect sells q = 1 at 0.5 to the types above the knot 0.25,
+    # 0.5 * 0.95; the chain DP's grid holds that range, and no later step
+    # may lose any of it
+    sol = solve_finite(make_domain("income_effect", 0.0, 1.0), KINKED,
+                       OptimizeOptions(max_bundles=4), mode="expected_payment")
+    assert sol.diagnostics["method"] == "sweep"
+    assert abs(sol.revenue - 0.475) <= 1e-12
+
+
+def test_sweep_path_inserts_a_small_first_bundle():
+    # risk_averse's best range on KINKED starts with a bundle at q < 0.01,
+    # below the grid's first quantity 1/14; the collapse leaves two
+    # bundles at 0.3092208, and the insertion adds it for 1.2e-5 more
+    sol = solve_finite(make_domain("risk_averse", 0.0, 1.0), KINKED,
+                       OptimizeOptions(max_bundles=4), mode="expected_payment")
+    assert sol.active_bundles == 4
+    assert sol.mechanism.bundles[1].q < 0.01
+    assert sol.revenue > 0.309233027
+
+
+def test_sweep_path_at_the_top_of_two_param():
+    # the payment that makes (t, 1) indifferent to (0, 0) is infinite at
+    # r = 3, so the bundle grid stops at the quantile 1 - 1/CHAIN_GRID; the
+    # best posted price sells q = 1 at 1 to the types above 1, for 2/3
+    sol = solve_finite(make_domain("two_param"), measure.uniform(0.0, 3.0),
+                       OptimizeOptions(max_bundles=3), mode="expected_payment")
+    assert sol.diagnostics["method"] == "sweep"
+    assert sol.revenue >= 2.0 / 3.0 - 1e-12
+
+
+def test_sweep_path_ignores_the_seed():
+    dom = make_domain("risk_averse", 0.0, 1.0)
+    a, b = (solve_finite(dom, KINKED, OptimizeOptions(max_bundles=4, seed=s),
+                         mode="expected_payment") for s in (1, 2))
+    assert a.mechanism.to_dict() == b.mechanism.to_dict()
+    assert a.revenue == b.revenue and a.diagnostics == b.diagnostics
+    assert a.diagnostics["dp_revenue"] <= a.revenue
+    assert a.diagnostics["dp_grid"] == optimize.CHAIN_GRID ** 2
 
 
 @settings(max_examples=300, deadline=None)
@@ -371,7 +424,7 @@ def _reference_payments(dom, thetas, qs):
     prev, pays = ZERO_BUNDLE, []
     for r, q in zip(thetas, qs):
         t = prev.t
-        if q > prev.q + (1e-15 if dom.restricted else 0.0):
+        if q > prev.q + (1e-12 if dom.restricted else 0.0):
             c = float(dom.canonical_payment_many(r, prev.t, prev.q))
             t = max(float(dom.curve_payment(r, c, q)), prev.t)
             bound = dom.payment_bound(r)
@@ -468,7 +521,6 @@ def test_exact_path_ignores_the_seed():
     assert a.revenue == b.revenue
     assert a.diagnostics == b.diagnostics
     assert "seed" not in a.diagnostics
-    assert a.diagnostics["restarts_used"] == 0
     assert a.diagnostics["dp_revenue"] <= a.revenue + 1e-12
     assert a.diagnostics["dp_grid"] >= optimize.DP_GRID
 
