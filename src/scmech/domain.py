@@ -106,6 +106,21 @@ def is_diagonal(a: Bundle, b: Bundle) -> bool:
     return a[0] < b[0] and a[1] < b[1]
 
 
+def _bisect_special(family, za, zb, lo, hi):
+    """Indifference parameters in ``[lo, hi]`` of the diagonal pairs
+    ``za < zb``, each a pair ``(t, q)`` of floats or of arrays, by
+    bisection on the canonical payments: their difference
+    ``f_r(za) - f_r(zb)`` rises through 0 once in ``r``, and a root outside
+    ``[lo, hi]`` converges to the nearer end."""
+    a = np.full(np.shape(za[0]), float(lo))
+    b = np.full(np.shape(za[0]), float(hi))
+    for _ in range(math.ceil(math.log2((hi - lo) / BISECT_TOL))):
+        mid = 0.5 * (a + b)
+        below = family.canonical(mid, *za) < family.canonical(mid, *zb)
+        a, b = np.where(below, mid, a), np.where(below, b, mid)
+    return 0.5 * (a + b)
+
+
 def _power_q_slope_label(delta):
     # Linear bijection [1/4, 1/3] -> [1/8, 1/2] labelling the linear pieces
     # below the splice quantity.
@@ -561,28 +576,13 @@ class PreferenceDomain:
                 hi *= 2.0
             else:
                 raise RichnessError(f"no indifference parameter found for {a}, {b}")
-        glo, ghi = gap(lo), gap(hi)
-        if glo == 0.0:
-            return lo
-        if ghi == 0.0:
-            return hi
-        if glo * ghi > 0.0:
+        # a root within round-off of an end is that end, as in the closed form
+        if gap(lo) > 1e-12 or gap(hi) < -1e-12:
             raise RichnessError(
                 f"no parameter in [{self.lo}, {self.hi}] makes {a} and {b} "
                 f"indifferent"
             )
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= BISECT_TOL:
-                return mid
-            gm = gap(mid)
-            if gm == 0.0:
-                return mid
-            if glo * gm < 0.0:
-                hi = mid
-            else:
-                lo, glo = mid, gm
-        return 0.5 * (lo + hi)
+        return float(_bisect_special(self.family, a, b, lo, hi))
 
     # -- serialization -----------------------------------------------------
 

@@ -22,13 +22,13 @@ relation that defines breakpoints).  The bottom bundle is anchored at
   in payments, the quantities are exact for given breakpoints: the
   revenue is ``R(theta) = sqrt(sum_B c_B**2 / d_B)`` over the blocks that
   pool-adjacent-violators makes of the segments (:func:`_exact_profile`).
-  The breakpoints come from a DP over consecutive pairs on a grid that
+  The breakpoints come from the best chain of segments on a grid that
   holds the CDF's knots, exact on the grid (:func:`_grid_dp`), polished by
   Nelder-Mead on ``R``.
 * ``"sweep"``.  Elsewhere the objective is piecewise smooth and
   low-dimensional.  The revenue of a range is a chain over consecutive
-  bundles, so a DP over pairs finds the best range on a grid of
-  ``CHAIN_GRID**2`` bundles exactly (:func:`_chain_dp`).  One sweep
+  bundles, so the best range on a grid of ``CHAIN_GRID**2`` bundles is the
+  best chain of bundle pairs, exactly (:func:`_chain_dp`).  One sweep
   (coordinate-wise bounded scalar maximization with endpoint probing)
   starts from it.  A ridge collapse then retries the profile with one
   bundle dropped and keeps the re-swept result when it loses no revenue:
@@ -38,7 +38,10 @@ relation that defines breakpoints).  The bottom bundle is anchored at
   Nelder-Mead polish of the whole profile moves along ridges the
   coordinates do not follow.
 
-No path draws a random start, so ``OptimizeOptions.seed`` is unused.
+Both DPs are one, :func:`_best_chain`: the revenue of a range is a sum over
+consecutive pairs whose keys do not decrease, the pooled ratio ``c/d`` of
+a breakpoint segment or the indifference parameter of a bundle pair.  No
+path draws a random start, so ``OptimizeOptions.seed`` is unused.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import BISECT_TOL, Bundle, PreferenceDomain, ZERO_BUNDLE
-from .errors import DomainError, RichnessError, ScmechError
+from .domain import Bundle, PreferenceDomain, ZERO_BUNDLE, _bisect_special
+from .errors import DomainError, ScmechError
 from .measure import (TypeDistribution, _check_support, check_revenue_mode,
                       expected_revenue, monopoly_price, revenue_of)
 from .mechanism import FiniteMechanism, from_range
@@ -67,7 +70,6 @@ POLISH_STEP = 1e-3  # first simplex of the sweep path's polish, per unit range
 POLISH_XATOL = 1e-10  # Nelder-Mead stops once its simplex is this small in theta
 POLISH_FATOL = 1e-15  # and its revenues spread this little
 POLISH_MAXFEV = 4000  # revenue evaluations of the polish, at most
-PLACE_TOL = 1e-12  # how far inside the domain a breakpoint is moved to be placed
 
 
 @dataclass(frozen=True)
@@ -220,34 +222,54 @@ def _sweep(domain, dist, mode, thetas, qs):
     return x[:m], x[m:], best
 
 
-def _best_below(keys, values, limits, empty):
-    """For each limit, the largest value whose key is at most the limit,
-    or ``empty`` where no key is: the values sorted by key, a running
-    maximum and a binary search.  Both DPs find a state's best predecessor
-    this way."""
-    order = np.argsort(keys)
-    best = np.maximum.accumulate(values[order])
-    count = np.searchsorted(keys[order], limits, side="right")
-    return np.where(count > 0, best[count - 1], empty)
+def _best_chain(key, gain, m):
+    """Best chain ``0 -> v_1 -> ... -> v_n`` of at most ``m`` edges whose
+    keys do not decrease, exactly, by a DP over consecutive edges.
+
+    An edge ``(u, v)`` exists where ``gain[u, v] > -inf``; its key is
+    ``key[u, v]``.  A state is an edge ``(v, w)``, and its predecessors are
+    the edges ``(h, v)`` whose key is at most its own: the best of them is
+    found by sorting their keys, a running maximum and a binary search.
+    Stage ``s`` holds the best chain of at most ``s + 1`` edges ending in
+    each edge, so a chain ends anywhere.  Each of the ``m`` stages costs
+    O(N**2 log N) time and is kept for the backtrack, O(m N**2) memory.
+    Returns the nodes ``v_1..v_n`` and the chain's total gain.
+    """
+    n = len(gain)
+    valid = gain > -np.inf
+    preds = [np.flatnonzero(col) for col in valid.T]
+    succs = [np.flatnonzero(row) for row in valid]
+    first = np.full((n, n), -np.inf)
+    first[0] = gain[0]  # a chain starts at node 0
+    stages = [first]
+    for _ in range(m - 1):
+        prev, stage = stages[-1], first.copy()
+        for v in range(1, n):
+            h, w = preds[v], succs[v]
+            order = np.argsort(key[h, v])
+            best = np.append(-np.inf, np.maximum.accumulate(prev[h[order], v]))
+            count = np.searchsorted(key[h[order], v], key[v, w], side="right")
+            stage[v, w] = gain[v, w] + best[count]
+        stages.append(stage)
+    s = len(stages) - 1
+    v, w = divmod(int(np.argmax(stages[s])), n)
+    total, chain = float(stages[s][v, w]), [w]
+    while v != 0:
+        h = preds[v]
+        cand = np.where(key[h, v] <= key[v, w], stages[s - 1][h, v], -np.inf)
+        v, w, s = int(h[np.argmax(cand)]), v, s - 1
+        chain.append(w)
+    return chain[::-1], total
 
 
 def _pair_specials(family, dist, za, zb):
     """Indifference parameters of the diagonal pairs ``za < zb``, each a
-    pair of arrays ``(t, q)``, clipped to the support.
-
-    A family without a closed form is bisected on its canonical payments,
-    whose difference ``f_r(za) - f_r(zb)`` rises through 0 once in ``r``; a
-    root outside the support converges to the nearer end.
-    """
-    lo, hi = dist.lo, dist.hi
+    pair of arrays ``(t, q)``, clipped to the support: a family without a
+    closed form is bisected on the support, where a root outside it
+    converges to the nearer end."""
     if family.special is not None:
-        return np.clip(family.special(za, zb), lo, hi)
-    a, b = np.full(len(za[0]), lo), np.full(len(za[0]), hi)
-    for _ in range(math.ceil(math.log2((hi - lo) / BISECT_TOL))):
-        mid = 0.5 * (a + b)
-        below = family.canonical(mid, *za) < family.canonical(mid, *zb)
-        a, b = np.where(below, mid, a), np.where(below, b, mid)
-    return 0.5 * (a + b)
+        return np.clip(family.special(za, zb), dist.lo, dist.hi)
+    return _bisect_special(family, za, zb, dist.lo, dist.hi)
 
 
 def _bundle_grid(family, dist):
@@ -274,11 +296,9 @@ def _chain_dp(domain, dist, mode, m, t_grid, q_grid):
     tie where they decrease beyond one of its ends; such a chain earns what
     a supportable one with those bundles dropped earns.  So, as in
     :func:`_grid_dp`, the best range is the best chain of pairs with
-    nondecreasing keys: a state is a pair ``(i, j)`` of bundles (node 0 is
-    the anchor) and its predecessors are the pairs ``(h, i)`` whose key is
-    at most its own.  Each of the ``m`` stages costs O(N**2 log N) time
-    and is kept for the backtrack, O(m N**2) memory.  Returns the profile
-    ``(thetas, qs)`` of the best chain, its revenue and the grid size.
+    nondecreasing keys from the anchor, node 0 (:func:`_best_chain`).
+    Returns the profile ``(thetas, qs)`` of the best chain, its revenue and
+    the grid size.
     """
     t_grid, q_grid = np.asarray(t_grid, float), np.asarray(q_grid, float)
     ts, qs = np.meshgrid(t_grid[t_grid > 0.0], q_grid[q_grid > 0.0],
@@ -291,29 +311,7 @@ def _chain_dp(domain, dist, mode, m, t_grid, q_grid):
     rev = t if mode == "payment" else t * q
     gain = np.full((n, n), -np.inf)
     gain[i, j] = (rev[j] - rev[i]) * (1.0 - dist.cdf(key[i, j]))
-    valid = gain > -np.inf
-    preds = [np.flatnonzero(col) for col in valid.T]
-    succs = [np.flatnonzero(row) for row in valid]
-
-    first = np.full((n, n), -np.inf)
-    first[0] = gain[0]  # a chain starts at the anchor
-    stages = [first]
-    for _ in range(m - 1):
-        prev, stage = stages[-1], first.copy()
-        for v in range(1, n):
-            h, w = preds[v], succs[v]
-            stage[v, w] = gain[v, w] + _best_below(key[h, v], prev[h, v],
-                                                   key[v, w], -np.inf)
-        stages.append(stage)
-    s = len(stages) - 1
-    v, w = divmod(int(np.argmax(stages[s])), n)
-    total, chain = float(stages[s][v, w]), [w]
-    while v != 0:
-        h = preds[v]
-        cand = np.where(key[h, v] <= key[v, w], stages[s - 1][h, v], -np.inf)
-        v, w, s = int(h[np.argmax(cand)]), v, s - 1
-        chain.append(w)
-    chain = chain[::-1]
+    chain, total = _best_chain(key, gain, m)
     thetas = [float(key[a, b]) for a, b in zip([0, *chain], chain)]
     return (thetas, [float(q[b]) for b in chain]), total, n - 1
 
@@ -392,33 +390,19 @@ def _search(domain, dist, m, mode):
                         "dp_revenue": dp_revenue, "polish_evals": int(res.nfev)}
 
 
-def _range(domain, thetas, qs):
+def _mechanism(domain, thetas, qs) -> FiniteMechanism:
+    """The mechanism of a profile: its range is the anchor and each bundle
+    that steps up in both coordinates from the one below.  A restricted
+    family counts a step of up to ``STEP_FLOOR`` as round-off, because its
+    payment divides by the weight step; a classical family counts every
+    positive step, as :func:`payments_from_breakpoints` does."""
     floor = STEP_FLOOR if domain.restricted else 0.0
     bundles = [ZERO_BUNDLE]
     for t, q in zip(payments_from_breakpoints(domain, thetas, qs), qs):
         z = Bundle(float(t), float(q))
         if z.t > bundles[-1].t + floor and z.q > bundles[-1].q + floor:
             bundles.append(z)
-    return bundles
-
-
-def _mechanism(domain, thetas, qs) -> FiniteMechanism:
-    """The mechanism of a profile: its range is the anchor and each bundle
-    that steps up in both coordinates from the one below.  A restricted
-    family counts a step of up to ``STEP_FLOOR`` as round-off, because its
-    payment divides by the weight step; a classical family counts every
-    positive step, as :func:`payments_from_breakpoints` does.
-
-    A breakpoint on an end of the domain interval can come back from its
-    pinned payment an ulp outside it, where a bisected indifference
-    parameter has no bracket (power_q on its whole interval).  Then the
-    breakpoints are moved ``PLACE_TOL`` inside the interval and the
-    payments pinned again, so that :func:`from_range` places every one."""
-    try:
-        return from_range(domain, _range(domain, thetas, qs))
-    except RichnessError:
-        inside = np.clip(thetas, domain.lo + PLACE_TOL, domain.hi - PLACE_TOL)
-        return from_range(domain, _range(domain, inside, qs))
+    return from_range(domain, bundles)
 
 
 def _inverse_a(form, thetas):
@@ -479,81 +463,45 @@ def _exact_profile(form, dist, thetas):
     return math.sqrt(total), np.asarray(form.h_inv(h), dtype=float)
 
 
-def _grid_dp(form, dist, m):
-    """Best breakpoints on a grid, exactly, by a DP over consecutive pairs.
+def _grid_dp(form, dist, m, grid):
+    """Best breakpoints among the points of the sorted ``grid``, exactly,
+    by a DP over consecutive pairs.
 
     ``R(theta)**2`` is a sum of ``c**2/d`` over consecutive breakpoint
     pairs once pooling is done, and pooling two blocks is the same as
     dropping a breakpoint.  So the maximum over at most ``m`` grid
     breakpoints is the maximum over chains whose ratios ``c/d`` are
-    nondecreasing.  A state is a segment ``(i, j)`` between grid points
-    (``j = N`` is the top of the support); its predecessors ``(h, i)`` are
-    those with ``ratio(h, i) <= ratio(i, j)``, found by a binary search in
-    the predecessor ratios sorted by value (:func:`_best_below`).  Each of
-    the ``m`` stages costs O(N**2 log N) time.  Segment values are computed
-    as needed, and only the stages between the first and the last are
-    stored: memory is O((m - 2) N**2), and O(N) for ``m <= 2``.
+    nondecreasing.  The chain runs down from the top of the support, node
+    0, through the breakpoints from the highest, keyed by the negated
+    ratios, so that it ends at any lowest breakpoint (:func:`_best_chain`).
     """
-    grid = np.sort(np.append(np.linspace(dist.lo, dist.hi, DP_GRID),
-                             dist.knots or ()))
     inv = _inverse_a(form, grid)
     sells = np.isfinite(inv) & (inv > 0.0)  # see _exact_profile
     grid, inv = grid[sells], inv[sells]
     # 1/a falls along the grid; keeping it strictly falling drops repeated
     # points and makes every d > 0
     keep = np.append(True, np.diff(inv) < 0.0)
-    grid, inv = grid[keep], np.append(inv[keep], 0.0)
-    n = len(grid)
-    cdf = np.append(dist.cdf(grid), 1.0)
-    top = np.array([n])
-
-    def segments(h, j):
-        # ratio c/d and gain c**2/d of the segments (h, j), h < j
-        ratio = (cdf[j] - cdf[h]) / (inv[h] - inv[j])
-        return ratio, (cdf[j] - cdf[h]) * ratio
-
-    def into(stage, i):
-        # ratios of the segments into i, and the best chains ending in them
-        ratio, gain = segments(np.arange(i), i)
-        return ratio, gain if stage is None else stage[:i, i]
-
-    def extend(stage, i, js):
-        # best chains ending in the segments (i, js): each extends the best
-        # chain into i whose last ratio is at most its own, or starts at i
-        ratio, gain = segments(i, js)
-        if i == 0:
-            return gain
-        return gain + _best_below(*into(stage, i), ratio, 0.0)
-
-    stages = [None]  # stage 1, the segments alone, is computed as needed
-    for _ in range(m - 2):
-        stage = np.full((n, n + 1), -np.inf)
-        for i in range(n):
-            stage[i, i + 1:] = extend(stages[-1], i, np.arange(i + 1, n + 1))
-        stages.append(stage)
-    if m == 1:
-        ends = segments(np.arange(n), n)[1]
-    else:
-        ends = np.array([extend(stages[-1], i, top)[0] for i in range(n)])
-    i, j = int(np.argmax(ends)), n
-    total, chain = float(ends[i]), [i]
-    for stage in reversed(stages[:m - 1]):
-        if i == 0:
-            break
-        r_in, v_in = into(stage, i)
-        limit = segments(i, np.array([j]))[0][0]
-        cand = np.where(r_in <= limit, v_in, -np.inf)
-        if cand.max() <= 0.0:
-            break
-        i, j = int(np.argmax(cand)), i
-        chain.append(i)
-    return grid[chain[::-1]], math.sqrt(total), len(grid)
+    grid = grid[keep]
+    # node k >= 1 is grid[-k], and the segment (u, v) runs from node v up
+    # to node u
+    cdf = np.append(1.0, dist.cdf(grid[::-1]))
+    inv = np.append(0.0, inv[keep][::-1])
+    n = len(cdf)
+    u, v = np.triu_indices(n, 1)
+    key, gain = np.full((n, n), np.nan), np.full((n, n), -np.inf)
+    ratio = (cdf[u] - cdf[v]) / (inv[v] - inv[u])
+    key[u, v], gain[u, v] = -ratio, (cdf[u] - cdf[v]) * ratio
+    chain, total = _best_chain(key, gain, m)
+    return grid[-np.array(chain[::-1])], math.sqrt(total), len(grid)
 
 
 def _exact_search(form, dist, m):
     """Grid DP over the breakpoints, then a Nelder-Mead polish of the
-    revenue ``R(theta)`` from the DP optimum."""
-    start, dp_revenue, size = _grid_dp(form, dist, m)
+    revenue ``R(theta)`` from the DP optimum.  The grid is ``DP_GRID``
+    evenly spaced points and the CDF's knots."""
+    grid = np.sort(np.append(np.linspace(dist.lo, dist.hi, DP_GRID),
+                             dist.knots or ()))
+    start, dp_revenue, size = _grid_dp(form, dist, m, grid)
 
     def breakpoints(x):
         return np.sort(np.clip(x, dist.lo, dist.hi))
@@ -592,11 +540,13 @@ def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
     A classical family with ``phi(t) = t**2`` in payments has exact
     quantities for given breakpoints, and only the breakpoints are
     searched.  Otherwise the profile is swept from the best range of a
-    bundle grid.  ``diagnostics["method"]`` says which
-    (``"posted_price"``, ``"exact_quantities"`` or ``"sweep"``); the last
-    two also report their DP's grid size ``"dp_grid"`` (breakpoints, or
-    bundles), the grid optimum ``"dp_revenue"`` and the revenue
-    evaluations of their polish, ``"polish_evals"``.
+    bundle grid.  Both searches start from the same DP, the best chain of
+    consecutive pairs on a grid of breakpoints or of bundles.
+    ``diagnostics["method"]`` says which path ran (``"posted_price"``,
+    ``"exact_quantities"`` or ``"sweep"``); the last two also report their
+    DP's grid size ``"dp_grid"`` (breakpoints, or bundles), the grid
+    optimum ``"dp_revenue"`` and the revenue evaluations of their polish,
+    ``"polish_evals"``.
     """
     check_revenue_mode(mode)
     _check_support(domain, dist)

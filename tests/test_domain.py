@@ -9,6 +9,7 @@ from helpers import same_bits
 from scmech.domain import (Bundle, FAMILIES, Ordering, ZERO_BUNDLE,
                            is_diagonal, make_domain, validate_single_crossing)
 from scmech.errors import DomainError, RichnessError
+from scmech.mechanism import from_range
 
 QL = make_domain("quasilinear")
 IE = make_domain("income_effect")
@@ -106,6 +107,10 @@ def test_special_outside_interval_rejected():
     narrow = make_domain("quasilinear", 0.5, 1.5)
     with pytest.raises(RichnessError):
         narrow.special_preference(Bundle(1, 0.2), Bundle(3, 0.6))  # slope 5
+    # every power_q preference strictly prefers (0.3, 1) to (0, 0), whose
+    # canonical payment is above 0.51 on [1/4, 1/3]: the root is far below
+    with pytest.raises(RichnessError):
+        PQ.special_preference(ZERO_BUNDLE, Bundle(0.3, 1.0))
 
 
 def test_special_by_bisection_power_q():
@@ -115,6 +120,16 @@ def test_special_by_bisection_power_q():
     r = PQ.special_preference(a, b)
     assert 0.25 < r < 1 / 3
     assert PQ.prefers(r, a, b, tol=1e-8) is Ordering.INDIFFERENT
+
+
+def test_bisected_breakpoint_at_the_bottom_of_the_interval():
+    # the posted price that makes (t, 1) indifferent to (0, 0) at 1/4, with
+    # t computed by the family: t + 1 - 1**r does not give t back, so the
+    # root lies an ulp outside the interval and is placed on its end
+    t = PQ.canonical_payment(0.25, ZERO_BUNDLE)
+    assert t == 0.5129898720969176
+    mech = from_range(PQ, [ZERO_BUNDLE, Bundle(t, 1.0)])
+    assert abs(mech.breakpoints[0] - 0.25) <= 1e-12
 
 
 def test_special_two_param_spans_both_branches():
@@ -344,7 +359,6 @@ def test_validator_empty_grid_rejected():
 
 def test_registering_a_new_family_plugs_into_everything():
     from scmech.domain import Family, register_family
-    from scmech.mechanism import from_range
     from scmech.verify import check_strategy_proof
 
     name = "cubic_quantity_test"

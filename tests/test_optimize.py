@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -243,6 +245,44 @@ def test_chain_dp_matches_the_brute_force_oracle(name, mode):
     # clipped up to the support, so the sweep starts no lower
     assert optimize._profile_revenue(dom, U01, mode, thetas,
                                      qs) >= revenue - 1e-12
+
+
+def _chains(key, gain, m, path=(0,)):
+    # every chain from node 0 of at most m edges whose keys do not decrease
+    u = path[-1]
+    for v in np.flatnonzero(gain[u] > -np.inf) if len(path) <= m else ():
+        if len(path) == 1 or key[path[-2], u] <= key[u, v]:
+            yield (*path, int(v))
+            yield from _chains(key, gain, m, (*path, int(v)))
+
+
+@st.composite
+def chain_graphs(draw):
+    # DAGs with edges u -> v for u < v: node 0 reaches every node, about
+    # 40% of the other edges are missing, and keys tie often
+    n, m = draw(st.integers(2, 7)), draw(st.integers(1, 4))
+    key, gain = np.full((n, n), np.nan), np.full((n, n), -np.inf)
+    for u, v in itertools.combinations(range(n), 2):
+        if u == 0 or draw(st.integers(0, 9)) >= 4:
+            key[u, v] = draw(st.sampled_from([0.0, 1.0, 2.0]))
+            gain[u, v] = draw(st.floats(-1.0, 1.0))
+    return key, gain, m
+
+
+@settings(max_examples=500, deadline=None)
+@given(graph=chain_graphs())
+def test_best_chain_matches_enumeration(graph):
+    key, gain, m = graph
+    chain, total = optimize._best_chain(key, gain, m)
+    best = max(sum(gain[u, v] for u, v in zip(path, path[1:]))
+               for path in _chains(key, gain, m))
+    assert abs(total - best) <= 1e-12
+    path = [0, *chain]
+    assert 1 <= len(chain) <= m
+    assert all(gain[u, v] > -np.inf for u, v in zip(path, path[1:]))
+    keys = [key[u, v] for u, v in zip(path, path[1:])]
+    assert keys == sorted(keys)
+    assert abs(sum(gain[u, v] for u, v in zip(path, path[1:])) - total) <= 1e-12
 
 
 def test_sweep_path_posts_the_price_at_a_kink():
@@ -511,6 +551,29 @@ def test_exact_path_revenue_depends_only_on_a(dist):
                          OptimizeOptions(max_bundles=4)).revenue
             for name in EXACT_FAMILIES]
     assert max(revs) - min(revs) <= 1e-12
+
+
+GRID_DISTS = {**PROFILE_DISTS, "uniform_0.1": measure.uniform(0.1, 1.0)}
+
+
+@pytest.mark.parametrize("dist", sorted(GRID_DISTS))
+@pytest.mark.parametrize("name", EXACT_FAMILIES)
+def test_grid_dp_matches_the_best_subset(name, dist):
+    # on 9 points and the knots, no set of at most m grid breakpoints earns
+    # more than the DP's, and its own breakpoints earn what it reports
+    form = make_domain(name, 0.0, 1.0).family.exact_quantities
+    dist = GRID_DISTS[dist]
+    grid = np.sort(np.append(np.linspace(dist.lo, dist.hi, 9),
+                             dist.knots or ()))
+    best = [max(optimize._exact_profile(form, dist, list(thetas))[0]
+                for thetas in itertools.combinations(grid, k))
+            for k in range(1, 5)]
+    for m in range(1, 5):
+        thetas, revenue, _ = optimize._grid_dp(form, dist, m, grid)
+        assert 1 <= len(thetas) <= m
+        assert abs(revenue - max(best[:m])) <= 1e-12
+        assert abs(optimize._exact_profile(form, dist, thetas)[0]
+                   - revenue) <= 1e-12
 
 
 def test_exact_path_ignores_the_seed():
