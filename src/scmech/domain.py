@@ -9,6 +9,8 @@ means a better bundle, and ``f_r(t, 1) = t`` for every ``r``.
 Each built-in family stores closed forms for
 
 * ``canonical(r, t, q)``   - the canonical payment of a bundle,
+* ``bind(r, t, q, q2)``  - the payment at quantity ``q2`` indifferent to
+  ``(t, q)``, one binding step (the factory families below),
 * ``curve_payment(r, c, q)`` - the payment at quantity ``q`` on the
   indifference curve whose canonical payment is ``c`` (the inverse of
   ``canonical`` in ``t``),
@@ -166,10 +168,12 @@ class Family:
     bound indifferent to ``(0, 0)``).  The built-in families other than
     ``power_q`` and ``power_q_raw`` are instances of the separable forms
     built by :func:`_classical` and :func:`_restricted`; any family can be
-    given directly.  ``special`` and ``best_on_line`` are optional closed
-    forms; ``best_on_line``, ``separable_mode`` and ``exact_quantities``
-    come last so that positional construction up to ``blurb`` keeps its
-    meaning.  ``separable_mode`` is the revenue mode in which the revenue
+    given directly.  ``special``, ``best_on_line`` and ``bind`` are
+    optional closed forms (see the module notes); the fields from
+    ``best_on_line`` on come last so that positional construction up to
+    ``blurb`` keeps its meaning.  Without ``bind`` a binding step is the
+    round trip through ``canonical`` and ``curve_payment``.
+    ``separable_mode`` is the revenue mode in which the revenue
     program separates into one posted price (see the module notes); the
     factories derive it, and ``None`` means the program does not separate.
     ``exact_quantities`` holds ``a`` and the inverse of ``h`` for a
@@ -190,6 +194,7 @@ class Family:
     best_on_line: Optional[Callable] = None
     separable_mode: Optional[str] = None
     exact_quantities: Optional[ExactQuantities] = None
+    bind: Optional[Callable] = None
 
     @property
     def restricted(self) -> bool:
@@ -220,43 +225,38 @@ def _classical(name, utility, p, k, a=_identity, a_inv=_identity,
     ``phi(t) = t**p`` is the payment transform and ``h(q) = q**k`` the
     quantity transform, with ``p >= k``; ``a`` is an increasing positive
     coefficient with inverse ``a_inv``.  The form is linear in ``phi(t)``,
-    so the curve inverse, the indifference parameter of two bundles and
-    the best bundle on a line follow in closed form.
+    so the binding step ``phi^-1(phi(t) + a(r) * (h(q2) - h(q)))`` (to
+    ``q2 = 1`` it is ``f_r``), the curve inverse, the indifference
+    parameter of two bundles and the best bundle on a line follow in
+    closed form.
     """
-    phi, h = _POWERS[p], _POWERS[k]
+    phi, phi_inv, h = _POWERS[p], _POWERS[1 / p], _POWERS[k]
+
+    def gap(r, q, q2):
+        # a(r) * (h(q2) - h(q)).  Where a(r) is infinite (two_param at
+        # r = 3) payments weigh nothing: a quantity step is worth an
+        # infinite payment, and no step is worth none.
+        ar, dh = a(r), h(q2) - h(q)
+        if isinstance(ar, float) and ar < math.inf:
+            return ar * dh
+        with np.errstate(invalid="ignore"):
+            return np.where(dh == 0.0, 0.0, ar * dh)
+
+    def bind(r, t, q, q2):
+        return phi_inv(phi(t) + gap(r, q, q2))
+
+    def canonical(r, t, q):
+        return bind(r, t, q, 1.0)
+
     if phi is _identity:
-        def canonical(r, t, q):
-            return t + a(r) * (1.0 - h(q))
-
         def curve_payment(r, c, q):
-            return c - a(r) * (1.0 - h(q))
+            return bind(r, c, 1.0, q)
     else:
-        def gap(r, q):
-            # a(r) * (1 - h(q)).  Where a(r) is infinite (two_param at
-            # r = 3) payments weigh nothing: a bundle below q = 1 is worth
-            # no payment at q = 1, and one at q = 1 is its own canonical
-            # payment.
-            ar, dh = a(r), 1.0 - h(q)
-            if isinstance(ar, float) and ar < math.inf:
-                return ar * dh
-            with np.errstate(invalid="ignore"):
-                return np.where(dh == 0.0, 0.0, ar * dh)
-
-        def canonical(r, t, q):
-            return np.sqrt(phi(t) + gap(r, q))
-
         def curve_payment(r, c, q):
             # A difference of squares, so that the round trip through
             # canonical is exact at t = 0; NaN where the curve leaves the
             # bundle space.
-            g = gap(r, q)
-            if isinstance(g, float) and isinstance(c, float):
-                # the same arithmetic without np.errstate, which costs as
-                # much as the rest on a scalar
-                s = math.sqrt(g) if g >= 0.0 else math.nan
-                v = (c - s) * (c + s)
-                return math.sqrt(v) if v >= 0.0 else math.nan
-            s = np.sqrt(g)
+            s = np.sqrt(gap(r, q, 1.0))
             with np.errstate(invalid="ignore"):
                 return np.sqrt((c - s) * (c + s))
 
@@ -280,7 +280,7 @@ def _classical(name, utility, p, k, a=_identity, a_inv=_identity,
     exact = ExactQuantities(a, _POWERS[1 / k]) if p == 2 else None
     return Family(name, "classical", 0.0, param_hi, utility, canonical,
                   curve_payment, special, blurb, best_on_line, separable,
-                  exact)
+                  exact, bind)
 
 
 def _restricted(name, utility, k, blurb=""):
@@ -288,13 +288,17 @@ def _restricted(name, utility, k, blurb=""):
 
     ``w(q) = q**k`` is an increasing quantity weight with ``w(0) = 0`` and
     ``w(1) = 1``, so every bundle with payment ``r`` is indifferent to
-    ``(0, 0)``.
+    ``(0, 0)``.  The binding step ``(w(q) t + r (w(q2) - w(q))) / w(q2)``
+    (to ``q2 = 1`` it is ``f_r``) sums nonnegative terms for ``q2 >= q``.
     """
     w = _POWERS[k]
 
-    def canonical(r, t, q):
+    def bind(r, t, q, q2):
         wq = w(q)
-        return r * (1.0 - wq) + wq * t
+        return (wq * t + r * (w(q2) - wq)) / w(q2)
+
+    def canonical(r, t, q):
+        return bind(r, t, q, 1.0)
 
     def curve_payment(r, c, q):
         # NaN at w(q) = 0, where every payment up to r is on the curve
@@ -315,7 +319,8 @@ def _restricted(name, utility, k, blurb=""):
     # with w(q) = q, q_k t_k - q_{k-1} t_{k-1} = theta_k * dq_k
     separable = "expected_payment" if k == 1 else None
     return Family(name, "restricted", 0.0, math.inf, utility, canonical,
-                  curve_payment, special, blurb, best_on_line, separable)
+                  curve_payment, special, blurb, best_on_line, separable,
+                  None, bind)
 
 
 def _ql_utility(r, t, q):

@@ -1,11 +1,15 @@
 """Revenue maximization over strategy-proof mechanisms with bounded range.
 
-The search space is the breakpoint/quantity profile
+A mechanism is the breakpoint/quantity profile
 ``(theta_1..theta_m, q_1..q_m)`` with ``m = max_bundles - 1``: payments are
 eliminated exactly, because at the optimum each bundle is pinned by the
 binding indifference with its predecessor at its entry parameter (the same
-relation that defines breakpoints).  The bottom bundle is anchored at
-``(0, 0)``, which also makes every candidate individually rational.
+relation that defines breakpoints), one ``Family.bind`` step each.  The
+bottom bundle is anchored at ``(0, 0)``, which also makes every candidate
+individually rational.  Raising ``q_m`` raises only the top payment, so
+revenue never falls as ``q_m`` rises (no distortion at the top), and every
+path sells ``q_m = 1``: the searched profile is
+``(theta_1..theta_m, q_1..q_{m-1})``.
 
 :func:`solve_finite` takes one of three paths, named by
 ``diagnostics["method"]``:
@@ -105,7 +109,9 @@ def payments_from_breakpoints(domain: PreferenceDomain,
     Starting from the anchor ``(0, 0)``, bundle ``k`` must be indifferent
     to bundle ``k-1`` under the preference ``thetas[k]``; with quantities
     given, that equation has a unique payment solution by money
-    monotonicity, in closed form via the family's curve inverse.
+    monotonicity, one binding step ``Family.bind`` in closed form, or,
+    for a family without it, the round trip through the canonical payment
+    and the curve inverse.
     """
     thetas = [float(r) for r in thetas]
     qs = [float(q) for q in qs]
@@ -115,11 +121,10 @@ def payments_from_breakpoints(domain: PreferenceDomain,
         raise DomainError("thetas must be nondecreasing")
     if any(b < a - 1e-12 for a, b in zip(qs, qs[1:])):
         raise DomainError("qs must be nondecreasing")
-    family, restricted = domain.family, domain.restricted
-    # a restricted payment divides by the weight step, so a quantity step
-    # up to STEP_FLOOR repeats the bundle, as in the solver's range; a
-    # classical one divides by nothing
-    floor = STEP_FLOOR if restricted else 0.0
+    family = domain.family
+    # a quantity step up to STEP_FLOOR repeats a restricted bundle, as in
+    # the solver's range (see _mechanism)
+    floor = STEP_FLOOR if domain.restricted else 0.0
     payments = []
     prev_t = prev_q = 0.0  # the anchor (0, 0)
     for r, q in zip(thetas, qs):
@@ -129,28 +134,17 @@ def payments_from_breakpoints(domain: PreferenceDomain,
         if q <= prev_q + floor:
             t = prev_t  # no quantity step: the bundle repeats
         else:
-            c = float(family.canonical(r, prev_t, prev_q))
-            t = float(family.curve_payment(r, c, q))
+            if family.bind is not None:
+                t = float(family.bind(r, prev_t, prev_q, q))
+            else:
+                c = float(family.canonical(r, prev_t, prev_q))
+                t = float(family.curve_payment(r, c, q))
             if not math.isfinite(t) or t < prev_t - 1e-9:
                 raise DomainError(
                     f"no admissible payment at theta={r}, q={q} from "
                     f"{Bundle(prev_t, prev_q)}"
                 )
             t = max(t, prev_t)
-            # the payment bound of a restricted preference r is r itself
-            if restricted and t > r:
-                if t > r + 1e-7 * max(1.0, r):
-                    raise DomainError(
-                        f"binding payment {t:.6g} exceeds the payment bound "
-                        f"{r:.6g} at theta={r}"
-                    )
-                t = r  # round-off above the bound at tiny quantity steps
-            # r*(1 - w) + w*t keeps w*(r - t) only to an ulp of r, so at a
-            # tiny w(q) the round trip can miss the indifference at r
-            if restricted and abs(family.special((prev_t, prev_q), (t, q))
-                                  - r) > 1e-9:
-                raise DomainError(f"payment {t:.6g} at q={q:.6g} is not "
-                                  f"pinned by indifference at theta={r}")
         payments.append(t)
         prev_t, prev_q = t, q
     return np.asarray(payments)
@@ -180,29 +174,29 @@ def _profile_revenue(domain, dist, mode, thetas, qs) -> float:
 def _sweep(domain, dist, mode, thetas, qs):
     """Coordinate-wise bounded maximization with endpoint probing.
 
-    The profile is one vector ``x = (theta_1..theta_m, q_1..q_m)``.  Each
-    coordinate is bounded by its neighbours in its own block, and at the
-    block ends by the support (thetas) or by [0, 1] (quantities).
+    The profile is one vector ``x = (theta_1..theta_m, q_1..q_{m-1})``, and
+    the top quantity is 1.  Each coordinate is bounded by its neighbours in
+    its own block, and at the block ends by the support (thetas) or by
+    [0, 1] (quantities).
     """
     from scipy.optimize import minimize_scalar
 
     m = len(thetas)
-    x = [*thetas, *qs]
-    ends = ((dist.lo, dist.hi), (0.0, 1.0))
-    best = _profile_revenue(domain, dist, mode, thetas, qs)
+    x = [*thetas, *qs[:-1]]
+    best = _profile_revenue(domain, dist, mode, x[:m], [*x[m:], 1.0])
     for _ in range(SWEEP_ROUNDS):
         improved = 0.0
-        for i in range(2 * m):
-            floor, ceil = ends[i // m]
-            lo = floor if i % m == 0 else x[i - 1]
-            hi = ceil if i % m == m - 1 else x[i + 1]
+        for i in range(2 * m - 1):
+            ends = [dist.lo, *x[:m], dist.hi] if i < m else [0.0, *x[m:], 1.0]
+            lo, hi = ends[i % m], ends[i % m + 2]
             if hi - lo < 1e-13:
                 continue
 
             def revenue_at(v):
                 trial = list(x)
                 trial[i] = v
-                return _profile_revenue(domain, dist, mode, trial[:m], trial[m:])
+                return _profile_revenue(domain, dist, mode, trial[:m],
+                                        [*trial[m:], 1.0])
 
             res = minimize_scalar(
                 lambda v: -revenue_at(v),
@@ -219,7 +213,7 @@ def _sweep(domain, dist, mode, thetas, qs):
                 x[i] = cands[j]
         if improved < SWEEP_TOL:
             break
-    return x[:m], x[m:], best
+    return x[:m], [*x[m:], 1.0], best
 
 
 def _best_chain(key, gain, m):
@@ -227,37 +221,37 @@ def _best_chain(key, gain, m):
     keys do not decrease, exactly, by a DP over consecutive edges.
 
     An edge ``(u, v)`` exists where ``gain[u, v] > -inf``; its key is
-    ``key[u, v]``.  A state is an edge ``(v, w)``, and its predecessors are
-    the edges ``(h, v)`` whose key is at most its own: the best of them is
-    found by sorting their keys, a running maximum and a binary search.
-    Stage ``s`` holds the best chain of at most ``s + 1`` edges ending in
-    each edge, so a chain ends anywhere.  Each of the ``m`` stages costs
-    O(N**2 log N) time and is kept for the backtrack, O(m N**2) memory.
-    Returns the nodes ``v_1..v_n`` and the chain's total gain.
+    ``key[u, v]``, NaN for a missing edge.  A state is an edge ``(v, w)``,
+    and its predecessors are the edges ``(h, v)`` whose key is at most its
+    own: the best of them is a running maximum down column ``v`` sorted by
+    key, where a NaN key sorts last and is never at most another.  Stage
+    ``s`` holds the best chain of at most ``s + 1`` edges ending in each
+    edge, so a chain ends anywhere.  Each of the ``m`` stages costs
+    O(N**2) time and is kept for the backtrack, O(m N**2) memory.  Returns
+    the nodes ``v_1..v_n`` and the chain's total gain.
     """
     n = len(gain)
-    valid = gain > -np.inf
-    preds = [np.flatnonzero(col) for col in valid.T]
-    succs = [np.flatnonzero(row) for row in valid]
+    gain = np.where(gain > -np.inf, gain, -np.inf)  # a NaN gain is no edge
+    order, cols = np.argsort(key, axis=0), np.arange(n)
+    # count[v, w]: how many edges (h, v) have a key at most key[v, w]
+    count = np.array([np.searchsorted(key[order[:, v], v], key[v],
+                                      side="right") for v in cols])
     first = np.full((n, n), -np.inf)
     first[0] = gain[0]  # a chain starts at node 0
     stages = [first]
     for _ in range(m - 1):
-        prev, stage = stages[-1], first.copy()
-        for v in range(1, n):
-            h, w = preds[v], succs[v]
-            order = np.argsort(key[h, v])
-            best = np.append(-np.inf, np.maximum.accumulate(prev[h[order], v]))
-            count = np.searchsorted(key[h[order], v], key[v, w], side="right")
-            stage[v, w] = gain[v, w] + best[count]
+        best = np.maximum.accumulate(
+            np.take_along_axis(stages[-1], order, axis=0), axis=0)
+        best = np.vstack([np.full(n, -np.inf), best])
+        stage = gain + best[count, cols[:, None]]
+        stage[0] = gain[0]
         stages.append(stage)
     s = len(stages) - 1
     v, w = divmod(int(np.argmax(stages[s])), n)
     total, chain = float(stages[s][v, w]), [w]
     while v != 0:
-        h = preds[v]
-        cand = np.where(key[h, v] <= key[v, w], stages[s - 1][h, v], -np.inf)
-        v, w, s = int(h[np.argmax(cand)]), v, s - 1
+        cand = np.where(key[:, v] <= key[v, w], stages[s - 1][:, v], -np.inf)
+        v, w, s = int(np.argmax(cand)), v, s - 1
         chain.append(w)
     return chain[::-1], total
 
@@ -377,13 +371,13 @@ def _search(domain, dist, m, mode):
 
     def profile(x):
         return (list(np.sort(np.clip(x[:n], dist.lo, dist.hi))),
-                list(np.sort(np.clip(x[n:], 0.0, 1.0))))
+                [*np.sort(np.clip(x[n:], 0.0, 1.0)), 1.0])
 
     def loss(x):
         return -_profile_revenue(domain, dist, mode, *profile(x))
 
-    steps = [POLISH_STEP * (dist.hi - dist.lo)] * n + [POLISH_STEP] * n
-    res = _nelder_mead(loss, [*thetas, *qs], steps)
+    steps = [POLISH_STEP * (dist.hi - dist.lo)] * n + [POLISH_STEP] * (n - 1)
+    res = _nelder_mead(loss, [*thetas, *qs[:-1]], steps)
     if -res.fun > rev:
         thetas, qs, rev = _sweep(domain, dist, mode, *profile(res.x))
     return thetas, qs, {"method": "sweep", "dp_grid": size,
@@ -394,7 +388,7 @@ def _mechanism(domain, thetas, qs) -> FiniteMechanism:
     """The mechanism of a profile: its range is the anchor and each bundle
     that steps up in both coordinates from the one below.  A restricted
     family counts a step of up to ``STEP_FLOOR`` as round-off, because its
-    payment divides by the weight step; a classical family counts every
+    breakpoint divides by the weight step; a classical family counts every
     positive step, as :func:`payments_from_breakpoints` does."""
     floor = STEP_FLOOR if domain.restricted else 0.0
     bundles = [ZERO_BUNDLE]
