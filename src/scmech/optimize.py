@@ -27,8 +27,8 @@ path sells ``q_m = 1``: the searched profile is
   revenue is ``R(theta) = sqrt(sum_B c_B**2 / d_B)`` over the blocks that
   pool-adjacent-violators makes of the segments (:func:`_exact_profile`).
   The breakpoints come from the best chain of segments on a grid that
-  holds the CDF's knots, exact on the grid (:func:`_grid_dp`), polished by
-  Nelder-Mead on ``R``.
+  holds the CDF's knots, exact on the grid (:func:`_grid_dp`), and from
+  the same DP on grids zoomed in around them, which keep the knots.
 * ``"sweep"``.  Elsewhere the objective is piecewise smooth and
   low-dimensional.  The revenue of a range is a chain over consecutive
   bundles, so the best range on a grid of ``CHAIN_GRID**2`` bundles is the
@@ -69,6 +69,8 @@ SWEEP_ROUNDS = 12  # coordinate sweeps per local search, at most
 SWEEP_TOL = 1e-12  # a sweep stops once a whole round gains less revenue
 RIDGE_TOL = 1e-10  # revenue a collapse may lose and an insertion must gain
 DP_GRID = 160  # breakpoint grid of the exact path, before the CDF's knots
+ZOOM = 4  # points either side of a breakpoint on a zoomed grid, and its shrink
+ZOOM_TOL = 1e-11  # the zoom stops at a step this small, per unit support
 CHAIN_GRID = 14  # payment and quantity steps of the sweep path's bundle grid
 POLISH_STEP = 1e-3  # first simplex of the sweep path's polish, per unit range
 POLISH_XATOL = 1e-10  # Nelder-Mead stops once its simplex is this small in theta
@@ -310,18 +312,6 @@ def _chain_dp(domain, dist, mode, m, t_grid, q_grid):
     return (thetas, [float(q[b]) for b in chain]), total, n - 1
 
 
-def _nelder_mead(loss, start, steps):
-    """Nelder-Mead on ``loss`` from ``start``, with a first simplex
-    ``steps`` wide along each coordinate."""
-    from scipy.optimize import minimize
-
-    start = np.asarray(start, dtype=float)
-    simplex = np.vstack([start, start + np.diag(steps)])
-    return minimize(loss, start, method="Nelder-Mead",
-                    options={"initial_simplex": simplex, "xatol": POLISH_XATOL,
-                             "fatol": POLISH_FATOL, "maxfev": POLISH_MAXFEV})
-
-
 def _collapse(domain, dist, mode, thetas, qs, rev):
     """Ridge collapse: drop one bundle at a time while re-sweeping without
     it loses at most ``RIDGE_TOL``."""
@@ -361,6 +351,8 @@ def _search(domain, dist, m, mode):
     the ridge collapse, bundle insertion, and a Nelder-Mead polish of the
     whole profile, re-swept when it gains.  Returns the profile and its
     diagnostics."""
+    from scipy.optimize import minimize
+
     grid = _bundle_grid(domain.family, dist)
     (thetas, qs), dp_revenue, size = _chain_dp(domain, dist, mode, m, *grid)
     thetas, qs, rev = _sweep(domain, dist, mode, thetas, qs)
@@ -376,8 +368,12 @@ def _search(domain, dist, m, mode):
     def loss(x):
         return -_profile_revenue(domain, dist, mode, *profile(x))
 
+    start = np.array([*thetas, *qs[:-1]])
     steps = [POLISH_STEP * (dist.hi - dist.lo)] * n + [POLISH_STEP] * (n - 1)
-    res = _nelder_mead(loss, [*thetas, *qs[:-1]], steps)
+    simplex = np.vstack([start, start + np.diag(steps)])
+    res = minimize(loss, start, method="Nelder-Mead",
+                   options={"initial_simplex": simplex, "xatol": POLISH_XATOL,
+                            "fatol": POLISH_FATOL, "maxfev": POLISH_MAXFEV})
     if -res.fun > rev:
         thetas, qs, rev = _sweep(domain, dist, mode, *profile(res.x))
     return thetas, qs, {"method": "sweep", "dp_grid": size,
@@ -490,37 +486,38 @@ def _grid_dp(form, dist, m, grid):
 
 
 def _exact_search(form, dist, m):
-    """Grid DP over the breakpoints, then a Nelder-Mead polish of the
-    revenue ``R(theta)`` from the DP optimum.  The grid is ``DP_GRID``
-    evenly spaced points and the CDF's knots."""
-    grid = np.sort(np.append(np.linspace(dist.lo, dist.hi, DP_GRID),
-                             dist.knots or ()))
-    start, dp_revenue, size = _grid_dp(form, dist, m, grid)
+    """Grid DP over the breakpoints, then the same DP on grids zoomed in
+    around its breakpoints.
 
-    def breakpoints(x):
-        return np.sort(np.clip(x, dist.lo, dist.hi))
-
-    def loss(x):
-        return -_exact_profile(form, dist, breakpoints(x))[0]
-
-    step = (dist.hi - dist.lo) / (DP_GRID - 1)
-    res = _nelder_mead(loss, start, np.full(len(start), step))
-    thetas, revenue, evals = breakpoints(res.x), -res.fun, res.nfev
-    # an optimal breakpoint may sit on a kink of a piecewise-linear CDF,
-    # which the simplex approaches but need not reach
-    for k in range(len(thetas) if dist.knots is not None else 0):
-        trial = thetas.copy()
-        trial[k] = min(dist.knots, key=lambda x: abs(x - trial[k]))
-        if 0.0 < abs(trial[k] - thetas[k]) <= step:
-            trial = np.sort(trial)
-            trial_revenue = _exact_profile(form, dist, trial)[0]
-            evals += 1
-            if trial_revenue > revenue:
-                thetas, revenue = trial, trial_revenue
+    The first grid is ``DP_GRID`` evenly spaced points and the CDF's knots.
+    A zoomed grid holds the breakpoints, ``ZOOM`` points one step apart on
+    either side of each, and the knots, so revenue never falls and a
+    breakpoint at a kink lands on it exactly.  The step shrinks by ``ZOOM``
+    unless a breakpoint gained revenue at the edge of its window, where the
+    window recentres at the same step, until it is ``ZOOM_TOL`` of the
+    support."""
+    width, knots = dist.hi - dist.lo, dist.knots or ()
+    grid = np.sort(np.append(np.linspace(dist.lo, dist.hi, DP_GRID), knots))
+    thetas, dp_revenue, size = _grid_dp(form, dist, m, grid)
+    revenue, step, rounds = dp_revenue, width / (DP_GRID - 1), 0
+    while step > ZOOM_TOL * width:
+        window = step * np.arange(-ZOOM, ZOOM + 1)
+        grid = np.unique(np.clip(np.append(np.add.outer(thetas, window), knots),
+                                 dist.lo, dist.hi))
+        trial, trial_revenue, _ = _grid_dp(form, dist, m, grid)
+        rounds += 1
+        # a breakpoint past the inner points of every window sits on an
+        # edge (or a knot), and may gain more beyond it
+        moved = np.abs(np.subtract.outer(trial, thetas)).min(axis=1)
+        gained = trial_revenue > revenue
+        if gained:
+            thetas, revenue = trial, trial_revenue
+        if not (gained and np.any(moved > (ZOOM - 0.5) * step)):
+            step /= ZOOM
     _, qs = _exact_profile(form, dist, thetas)
     return list(thetas), list(qs), {
         "method": "exact_quantities", "dp_grid": size,
-        "dp_revenue": dp_revenue, "polish_evals": int(evals)}
+        "dp_revenue": dp_revenue, "zoom_rounds": rounds}
 
 
 def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
@@ -538,9 +535,10 @@ def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
     consecutive pairs on a grid of breakpoints or of bundles.
     ``diagnostics["method"]`` says which path ran (``"posted_price"``,
     ``"exact_quantities"`` or ``"sweep"``); the last two also report their
-    DP's grid size ``"dp_grid"`` (breakpoints, or bundles), the grid
-    optimum ``"dp_revenue"`` and the revenue evaluations of their polish,
-    ``"polish_evals"``.
+    first DP's grid size ``"dp_grid"`` (breakpoints, or bundles) and grid
+    optimum ``"dp_revenue"``.  The exact path reports its zoomed DPs,
+    ``"zoom_rounds"``, and the sweep path the revenue evaluations of its
+    polish, ``"polish_evals"``.
     """
     check_revenue_mode(mode)
     _check_support(domain, dist)

@@ -630,18 +630,22 @@ def test_exact_path_pins_income_effect_on_uniform(m, lo):
     # sum_k (theta_k+1 - theta_k) theta_k theta_k+1 / (1 - lo)**2, with
     # theta_m+1 = 1 in the last factor and 1 - theta_m in the first; it is
     # stationary at theta_k = k/(2m+1), where it equals
-    # 2m(m+1) / (3 (2m+1)**2 (1 - lo)**2), when lo <= 1/(2m+1)
+    # 2m(m+1) / (3 (2m+1)**2 (1 - lo)**2), when lo <= 1/(2m+1).  On
+    # [lo w, w] the breakpoints scale by w and the revenue by sqrt(w): the
+    # search must stop relative to the support, not at an absolute step
     dom = make_domain("income_effect", 0.0, 1.0)
-    dist = measure.uniform(lo, 1.0)
-    exact = np.sqrt(2 * m * (m + 1) / 3) / ((2 * m + 1) * (1 - lo))
-    thetas = np.arange(1, m + 1) / (2 * m + 1)
-    assert abs(optimize._exact_profile(dom.family.exact_quantities, dist,
-                                       thetas)[0] - exact) <= 1e-15
-    sol = solve_finite(dom, dist, OptimizeOptions(max_bundles=m + 1))
-    assert sol.diagnostics["method"] == "exact_quantities"
-    assert abs(sol.revenue - exact) <= 1e-12
-    assert sol.active_bundles == m + 1
-    assert sol.mechanism.breakpoints == pytest.approx(thetas, abs=1e-7)
+    for w in (1.0, 1e-9):
+        dist = measure.uniform(lo * w, w)
+        exact = np.sqrt(2 * m * (m + 1) / 3 * w) / ((2 * m + 1) * (1 - lo))
+        thetas = np.arange(1, m + 1) * w / (2 * m + 1)
+        assert abs(optimize._exact_profile(dom.family.exact_quantities, dist,
+                                           thetas)[0] - exact) <= 1e-15 * exact
+        sol = solve_finite(dom, dist, OptimizeOptions(max_bundles=m + 1))
+        assert sol.diagnostics["method"] == "exact_quantities"
+        assert abs(sol.revenue - exact) <= 1e-14 * exact
+        assert sol.active_bundles == m + 1
+        assert sol.mechanism.breakpoints == pytest.approx(thetas, rel=0,
+                                                          abs=1e-7 * w)
 
 
 @pytest.mark.parametrize("dist", sorted(PROFILE_DISTS))
@@ -688,6 +692,8 @@ def test_exact_path_ignores_the_seed():
     assert "seed" not in a.diagnostics
     assert a.diagnostics["dp_revenue"] <= a.revenue + 1e-12
     assert a.diagnostics["dp_grid"] >= optimize.DP_GRID
+    assert a.diagnostics["zoom_rounds"] >= 1
+    assert "polish_evals" not in a.diagnostics
 
 
 def test_exact_path_puts_a_breakpoint_on_a_kink():
@@ -695,6 +701,39 @@ def test_exact_path_puts_a_breakpoint_on_a_kink():
                        OptimizeOptions(max_bundles=4))
     assert sol.revenue >= 0.47860771
     assert min(abs(b - 0.8) for b in sol.mechanism.breakpoints) <= 1e-12
+
+
+def test_exact_path_beats_a_fine_grid_and_keeps_a_kink():
+    # on 800 even points and the knots the DP earns 0.50605632; a local
+    # polish of the 160-point optimum stopped below it, and 1 ulp short of
+    # the knot 0.6
+    dist = measure.from_table([[0, 0], [0.1, 0.3], [0.12, 0.31], [0.6, 0.35],
+                               [0.61, 0.9], [1, 1]])
+    dom = make_domain("income_effect", 0.0, 1.0)
+    form = dom.family.exact_quantities
+    grid = np.sort(np.append(np.linspace(0.0, 1.0, 800), dist.knots))
+    fine = optimize._grid_dp(form, dist, 5, grid)[1]
+    assert fine >= 0.50605631
+    sol = solve_finite(dom, dist, OptimizeOptions(max_bundles=6))
+    assert sol.revenue >= fine
+    thetas, _, _ = optimize._exact_search(form, dist, 5)
+    assert 0.6 in thetas
+    assert min(abs(b - 0.6) for b in sol.mechanism.breakpoints) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(dist=piecewise_linear_tables(), name=st.sampled_from(EXACT_FAMILIES),
+       m=st.integers(1, 5))
+def test_exact_path_beats_a_finer_grid(dist, name, m):
+    # the zoom starts from the 160-point DP and keeps its breakpoints, so
+    # it earns at least that; it also earns at least the DP on 400 points
+    dom = make_domain(name, 0.0, 1.0)
+    form = dom.family.exact_quantities
+    grid = np.sort(np.append(np.linspace(dist.lo, dist.hi, 400), dist.knots))
+    fine = optimize._grid_dp(form, dist, m, grid)[1]
+    sol = solve_finite(dom, dist, OptimizeOptions(max_bundles=m + 1))
+    assert sol.revenue >= fine - 1e-12
+    assert sol.revenue >= sol.diagnostics["dp_revenue"] - 1e-12
 
 
 def test_exact_path_at_the_top_of_two_param():
