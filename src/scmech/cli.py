@@ -167,11 +167,12 @@ def _cmd_optimize(ns) -> int:
     opts = OptimizeOptions(max_bundles=ns.max_bundles, seed=ns.seed)
     mode = ns.revenue_mode
     if ns.closed_form:
-        mode = domain.family.separable_mode
-        if mode is None:
+        modes = domain.family.posted_price_modes
+        if not modes:
             raise DomainError(
                 f"family {domain.family.name!r} has no posted-price optimum; "
                 "--closed-form needs quasilinear, sqrt_quasilinear or myerson")
+        mode = mode if mode in modes else modes[0]
     sol = solve_finite(domain, dist, opts, mode=mode)
     if ns.out:
         serialize.dump_file(sol.mechanism.to_dict(), ns.out)
@@ -276,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="payment")
     p.add_argument("--closed-form", action="store_true",
                    help="require the exact posted-price optimum (quasilinear "
-                        "and sqrt_quasilinear in payments, myerson in "
+                        "and sqrt_quasilinear in either mode, myerson in "
                         "expected payments)")
     p.add_argument("--out", help="mechanism JSON path")
     p.add_argument("--summary", help="summary JSON path (default: stdout)")

@@ -39,8 +39,9 @@ Three of the factory families make the revenue program separate: with
 revenue in payments) and with ``w(q) = q`` (``myerson``, revenue in
 expected payments), binding indifference at the breakpoints telescopes the
 revenue into ``sum_k theta_k (1 - F(theta_k)) * dh_k`` with
-``sum_k dh_k <= 1``.  The factories record the revenue mode in which this
-holds as ``Family.separable_mode``.
+``sum_k dh_k <= 1``; expected payments are at most payments, so the first
+two post one price in both modes.  The factories record the modes in which
+a posted price is optimal as ``Family.posted_price_modes``.
 
 For the classical families with ``p = 2`` (``income_effect``,
 ``payment_param``, ``two_param``) the payment-mode program has an exact
@@ -173,9 +174,9 @@ class Family:
     ``best_on_line`` on come last so that positional construction up to
     ``blurb`` keeps its meaning.  Without ``bind`` a binding step is the
     round trip through ``canonical`` and ``curve_payment``.
-    ``separable_mode`` is the revenue mode in which the revenue
-    program separates into one posted price (see the module notes); the
-    factories derive it, and ``None`` means the program does not separate.
+    ``posted_price_modes`` are the revenue modes in which one posted price
+    is optimal (see the module notes); the factories derive them, and an
+    empty tuple means a posted price is optimal in neither.
     ``exact_quantities`` holds ``a`` and the inverse of ``h`` for a
     classical form with ``phi(t) = t**2``, whose payment-mode quantities
     the solver computes in closed form; :func:`_classical` derives it, and
@@ -192,7 +193,7 @@ class Family:
     special: Optional[Callable] = None
     blurb: str = ""
     best_on_line: Optional[Callable] = None
-    separable_mode: Optional[str] = None
+    posted_price_modes: tuple[str, ...] = ()
     exact_quantities: Optional[ExactQuantities] = None
     bind: Optional[Callable] = None
 
@@ -275,11 +276,12 @@ def _classical(name, utility, p, k, a=_identity, a_inv=_identity,
             return _clamp(t, t_lo, t_hi)
 
     # with phi and a the identity, t_k - t_{k-1} = theta_k * dh_k
-    separable = "payment" if p == 1 and a is _identity else None
+    posted = (("payment", "expected_payment") if p == 1 and a is _identity
+              else ())
     # with phi(t) = t**2, t_k**2 - t_{k-1}**2 = a(theta_k) * dh_k
     exact = ExactQuantities(a, _POWERS[1 / k]) if p == 2 else None
     return Family(name, "classical", 0.0, param_hi, utility, canonical,
-                  curve_payment, special, blurb, best_on_line, separable,
+                  curve_payment, special, blurb, best_on_line, posted,
                   exact, bind)
 
 
@@ -317,9 +319,9 @@ def _restricted(name, utility, k, blurb=""):
         return _clamp(k * r / (k + 1.0), t_lo, t_hi)
 
     # with w(q) = q, q_k t_k - q_{k-1} t_{k-1} = theta_k * dq_k
-    separable = "expected_payment" if k == 1 else None
+    posted = ("expected_payment",) if k == 1 else ()
     return Family(name, "restricted", 0.0, math.inf, utility, canonical,
-                  curve_payment, special, blurb, best_on_line, separable,
+                  curve_payment, special, blurb, best_on_line, posted,
                   None, bind)
 
 

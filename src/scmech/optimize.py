@@ -15,29 +15,31 @@ path sells ``q_m = 1``: the searched profile is
 ``diagnostics["method"]``:
 
 * ``"posted_price"``.  Where the family's revenue program separates
-  (``Family.separable_mode``: quasilinear and sqrt_quasilinear in
-  payments, myerson in expected payments), the binding indifferences
-  telescope the revenue into ``sum_k theta_k (1 - F(theta_k)) * dh_k``
-  with ``sum_k dh_k <= 1``, so one posted price at the maximizer of
-  ``theta * (1 - F(theta))`` is optimal for every distribution, and the
-  solver takes it directly.
+  (quasilinear and sqrt_quasilinear in payments, myerson in expected
+  payments), the binding indifferences telescope the revenue into
+  ``sum_k theta_k (1 - F(theta_k)) * dh_k`` with ``sum_k dh_k <= 1``, so
+  one posted price at the maximizer of ``theta * (1 - F(theta))`` is
+  optimal for every distribution; expected payments are at most payments,
+  and equal at its ``q = 1``, so quasilinear and sqrt_quasilinear post it
+  in both modes (``Family.posted_price_modes``).
 * ``"exact_quantities"``.  For a classical family with ``phi(t) = t**2``
   (``Family.exact_quantities``: income_effect, payment_param, two_param)
   in payments, the quantities are exact for given breakpoints: the
   revenue is ``R(theta) = sqrt(sum_B c_B**2 / d_B)`` over the blocks that
   pool-adjacent-violators makes of the segments (:func:`_exact_profile`).
-  The breakpoints come from the best chain of segments on a grid that
-  holds the CDF's knots, exact on the grid (:func:`_grid_dp`), and from
+  The breakpoints come from the best chain of segments on a grid of
+  quantiles and knots, exact on the grid (:func:`_grid_dp`), and from
   the same DP on grids zoomed in around them, which keep the knots.
 * ``"sweep"``.  Elsewhere the objective is piecewise smooth and
   low-dimensional.  The revenue of a range is a chain over consecutive
-  bundles, so the best range on a grid of ``CHAIN_GRID**2`` bundles is the
-  best chain of bundle pairs, exactly (:func:`_chain_dp`).  One sweep
+  bundles, so the best range of at most ``n`` bundles on a grid of
+  ``CHAIN_GRID**2`` bundles is the best chain of bundle pairs, exactly,
+  for every ``n`` at once (:func:`_chain_dp`).  One sweep
   (coordinate-wise bounded scalar maximization with endpoint probing)
-  starts from it.  A ridge collapse then retries the profile with one
-  bundle dropped and keeps the re-swept result when it loses no revenue:
-  the optimum often uses fewer bundles than allowed, leaving flat
-  directions a sweep cannot tighten.  Bundle insertion, its inverse, tries
+  starts from each of these ranges and from the posted price, which the
+  grid can miss, and the fewest-bundle result within ``RIDGE_TOL`` of the
+  best goes on: the optimum often uses fewer bundles than allowed,
+  leaving flat directions a sweep cannot tighten.  Bundle insertion tries
   a new bundle in each gap while fewer than allowed are used, and one
   Nelder-Mead polish of the whole profile moves along ridges the
   coordinates do not follow.
@@ -67,8 +69,8 @@ COLLAPSE_TOL = 1e-6  # componentwise duplicate-bundle threshold for reporting
 STEP_FLOOR = 1e-12  # steps a restricted family's range counts as round-off
 SWEEP_ROUNDS = 12  # coordinate sweeps per local search, at most
 SWEEP_TOL = 1e-12  # a sweep stops once a whole round gains less revenue
-RIDGE_TOL = 1e-10  # revenue a collapse may lose and an insertion must gain
-DP_GRID = 160  # breakpoint grid of the exact path, before the CDF's knots
+RIDGE_TOL = 1e-10  # revenue fewer bundles may lose and an insertion must gain
+DP_GRID = 160  # quantiles of the exact path's grid, before the CDF's knots
 ZOOM = 4  # points either side of a breakpoint on a zoomed grid, and its shrink
 ZOOM_TOL = 1e-11  # the zoom stops at a step this small, per unit support
 CHAIN_GRID = 14  # payment and quantity steps of the sweep path's bundle grid
@@ -219,8 +221,8 @@ def _sweep(domain, dist, mode, thetas, qs):
 
 
 def _best_chain(key, gain, m):
-    """Best chain ``0 -> v_1 -> ... -> v_n`` of at most ``m`` edges whose
-    keys do not decrease, exactly, by a DP over consecutive edges.
+    """Best chains ``0 -> v_1 -> ... -> v_n`` of at most ``1..m`` edges
+    whose keys do not decrease, exactly, by a DP over consecutive edges.
 
     An edge ``(u, v)`` exists where ``gain[u, v] > -inf``; its key is
     ``key[u, v]``, NaN for a missing edge.  A state is an edge ``(v, w)``,
@@ -230,7 +232,7 @@ def _best_chain(key, gain, m):
     ``s`` holds the best chain of at most ``s + 1`` edges ending in each
     edge, so a chain ends anywhere.  Each of the ``m`` stages costs
     O(N**2) time and is kept for the backtrack, O(m N**2) memory.  Returns
-    the nodes ``v_1..v_n`` and the chain's total gain.
+    each best chain's nodes ``v_1..v_n`` and total gain.
     """
     n = len(gain)
     gain = np.where(gain > -np.inf, gain, -np.inf)  # a NaN gain is no edge
@@ -248,14 +250,17 @@ def _best_chain(key, gain, m):
         stage = gain + best[count, cols[:, None]]
         stage[0] = gain[0]
         stages.append(stage)
-    s = len(stages) - 1
-    v, w = divmod(int(np.argmax(stages[s])), n)
-    total, chain = float(stages[s][v, w]), [w]
-    while v != 0:
-        cand = np.where(key[:, v] <= key[v, w], stages[s - 1][:, v], -np.inf)
-        v, w, s = int(np.argmax(cand)), v, s - 1
-        chain.append(w)
-    return chain[::-1], total
+    chains = []
+    for s, stage in enumerate(stages):
+        v, w = divmod(int(np.argmax(stage)), n)
+        total, chain = float(stage[v, w]), [w]
+        while v != 0:
+            s -= 1
+            cand = np.where(key[:, v] <= key[v, w], stages[s][:, v], -np.inf)
+            v, w = int(np.argmax(cand)), v
+            chain.append(w)
+        chains.append((chain[::-1], total))
+    return chains
 
 
 def _pair_specials(family, dist, za, zb):
@@ -293,8 +298,8 @@ def _chain_dp(domain, dist, mode, m, t_grid, q_grid):
     a supportable one with those bundles dropped earns.  So, as in
     :func:`_grid_dp`, the best range is the best chain of pairs with
     nondecreasing keys from the anchor, node 0 (:func:`_best_chain`).
-    Returns the profile ``(thetas, qs)`` of the best chain, its revenue and
-    the grid size.
+    Returns the profile ``(thetas, qs)`` and revenue of the best chain of
+    at most ``n`` bundles for each ``n = 1..m``, and the grid size.
     """
     t_grid, q_grid = np.asarray(t_grid, float), np.asarray(q_grid, float)
     ts, qs = np.meshgrid(t_grid[t_grid > 0.0], q_grid[q_grid > 0.0],
@@ -307,32 +312,17 @@ def _chain_dp(domain, dist, mode, m, t_grid, q_grid):
     rev = t if mode == "payment" else t * q
     gain = np.full((n, n), -np.inf)
     gain[i, j] = (rev[j] - rev[i]) * (1.0 - dist.cdf(key[i, j]))
-    chain, total = _best_chain(key, gain, m)
-    thetas = [float(key[a, b]) for a, b in zip([0, *chain], chain)]
-    return (thetas, [float(q[b]) for b in chain]), total, n - 1
-
-
-def _collapse(domain, dist, mode, thetas, qs, rev):
-    """Ridge collapse: drop one bundle at a time while re-sweeping without
-    it loses at most ``RIDGE_TOL``."""
-    reduced = True
-    while reduced and len(thetas) > 1:
-        reduced = False
-        for k in range(len(thetas)):
-            cth, cq, crev = _sweep(domain, dist, mode, thetas[:k] + thetas[k + 1:],
-                                   qs[:k] + qs[k + 1:])
-            if crev >= rev - RIDGE_TOL:
-                thetas, qs, rev = cth, cq, crev
-                reduced = True
-                break
-    return thetas, qs, rev
+    starts = [(([float(key[a, b]) for a, b in zip([0, *chain], chain)],
+                [float(q[b]) for b in chain]), total)
+              for chain, total in _best_chain(key, gain, m)]
+    return starts, n - 1
 
 
 def _insert(domain, dist, mode, m, thetas, qs, rev):
-    """Bundle insertion, the inverse of the collapse: while fewer than
-    ``m`` bundles are used, try a new one in each gap, its breakpoint at
-    the gap's midpoint and its quantity 1% of the way up the gap, and keep
-    the best re-swept one that earns more than ``RIDGE_TOL``."""
+    """Bundle insertion: while fewer than ``m`` bundles are used, try a
+    new one in each gap, its breakpoint at the gap's midpoint and its
+    quantity 1% of the way up the gap, and keep the best re-swept one that
+    earns more than ``RIDGE_TOL``."""
     while len(thetas) < m:
         th, q = [dist.lo, *thetas, dist.hi], [0.0, *qs, 1.0]
         trials = [_sweep(domain, dist, mode,
@@ -347,16 +337,20 @@ def _insert(domain, dist, mode, m, thetas, qs, rev):
 
 
 def _search(domain, dist, m, mode):
-    """The sweep path: the chain DP's best grid range, one sweep from it,
-    the ridge collapse, bundle insertion, and a Nelder-Mead polish of the
-    whole profile, re-swept when it gains.  Returns the profile and its
-    diagnostics."""
+    """The sweep path: a sweep from each distinct range of the chain DP and
+    from the posted price, bundle insertion from the fewest-bundle result
+    within ``RIDGE_TOL`` of the best, and a Nelder-Mead polish, re-swept
+    when it gains.  Returns the profile and its diagnostics."""
     from scipy.optimize import minimize
 
     grid = _bundle_grid(domain.family, dist)
-    (thetas, qs), dp_revenue, size = _chain_dp(domain, dist, mode, m, *grid)
-    thetas, qs, rev = _sweep(domain, dist, mode, thetas, qs)
-    thetas, qs, rev = _collapse(domain, dist, mode, thetas, qs, rev)
+    starts, size = _chain_dp(domain, dist, mode, m, *grid)
+    profiles = [p for p, _ in starts] + [([monopoly_price(dist)], [1.0])]
+    results = [_sweep(domain, dist, mode, *p)
+               for k, p in enumerate(profiles) if p not in profiles[:k]]
+    best = max(rev for _, _, rev in results)
+    thetas, qs, rev = min((r for r in results if r[2] >= best - RIDGE_TOL),
+                          key=lambda r: (len(r[0]), -r[2]))
     thetas, qs, rev = _insert(domain, dist, mode, m, thetas, qs, rev)
 
     n = len(thetas)
@@ -377,7 +371,8 @@ def _search(domain, dist, m, mode):
     if -res.fun > rev:
         thetas, qs, rev = _sweep(domain, dist, mode, *profile(res.x))
     return thetas, qs, {"method": "sweep", "dp_grid": size,
-                        "dp_revenue": dp_revenue, "polish_evals": int(res.nfev)}
+                        "dp_revenue": starts[-1][1],
+                        "polish_evals": int(res.nfev)}
 
 
 def _mechanism(domain, thetas, qs) -> FiniteMechanism:
@@ -481,7 +476,7 @@ def _grid_dp(form, dist, m, grid):
     key, gain = np.full((n, n), np.nan), np.full((n, n), -np.inf)
     ratio = (cdf[u] - cdf[v]) / (inv[v] - inv[u])
     key[u, v], gain[u, v] = -ratio, (cdf[u] - cdf[v]) * ratio
-    chain, total = _best_chain(key, gain, m)
+    chain, total = _best_chain(key, gain, m)[-1]
     return grid[-np.array(chain[::-1])], math.sqrt(total), len(grid)
 
 
@@ -489,7 +484,8 @@ def _exact_search(form, dist, m):
     """Grid DP over the breakpoints, then the same DP on grids zoomed in
     around its breakpoints.
 
-    The first grid is ``DP_GRID`` evenly spaced points and the CDF's knots.
+    The first grid is ``DP_GRID`` quantiles, evenly spaced in level, and
+    the CDF's knots.
     A zoomed grid holds the breakpoints, ``ZOOM`` points one step apart on
     either side of each, and the knots, so revenue never falls and a
     breakpoint at a kink lands on it exactly.  The step shrinks by ``ZOOM``
@@ -497,7 +493,7 @@ def _exact_search(form, dist, m):
     window recentres at the same step, until it is ``ZOOM_TOL`` of the
     support."""
     width, knots = dist.hi - dist.lo, dist.knots or ()
-    grid = np.sort(np.append(np.linspace(dist.lo, dist.hi, DP_GRID), knots))
+    grid = np.sort(np.append(dist.ppf(np.linspace(0.0, 1.0, DP_GRID)), knots))
     thetas, dp_revenue, size = _grid_dp(form, dist, m, grid)
     revenue, step, rounds = dp_revenue, width / (DP_GRID - 1), 0
     while step > ZOOM_TOL * width:
@@ -526,7 +522,7 @@ def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
     """Maximize expected revenue over mechanisms with at most
     ``opts.max_bundles`` range bundles.
 
-    In the family's separable mode the answer is the posted price
+    In the family's posted-price modes the answer is the posted price
     :func:`~scmech.measure.monopoly_price`, exact for every distribution.
     A classical family with ``phi(t) = t**2`` in payments has exact
     quantities for given breakpoints, and only the breakpoints are
@@ -543,7 +539,7 @@ def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
     check_revenue_mode(mode)
     _check_support(domain, dist)
     family = domain.family
-    if mode == family.separable_mode:
+    if mode in family.posted_price_modes:
         price = monopoly_price(dist)
         thetas, qs = [price], [1.0]
         diagnostics = {"method": "posted_price", "price": price}

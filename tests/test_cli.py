@@ -312,6 +312,18 @@ def test_closed_form_takes_the_posted_price(capsys, family, revenue):
     assert json.loads(out) == {"revenue": revenue, "active_bundles": 2}
 
 
+@pytest.mark.parametrize("family, mode", [
+    ("quasilinear", "expected-payment"), ("myerson", "payment")])
+def test_closed_form_keeps_a_posted_price_mode(capsys, family, mode):
+    # quasilinear posts its price in either mode; myerson only in expected
+    # payments, whatever --revenue-mode says
+    rc, out, _ = run(capsys, "optimize", "--domain", family,
+                     "--dist", "uniform:0,1", "--revenue-mode", mode,
+                     "--closed-form")
+    assert rc == 0
+    assert json.loads(out) == {"revenue": 0.25, "active_bundles": 2}
+
+
 def test_closed_form_on_non_separable_family_is_domain_error(tmp_path, capsys):
     out_path = tmp_path / "mech.json"
     rc, out, err = run(capsys, "optimize", "--domain", "income_effect",

@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import FACTORY_FAMILIES
 from scmech import measure, optimize
@@ -21,6 +21,9 @@ U01 = measure.uniform(0.0, 1.0)
 # bimodal and not MHR; theta (1 - F) peaks at the kink 0.8
 KINKED = measure.from_table([[0, 0], [0.25, 0.05], [0.35, 0.6], [0.8, 0.65],
                              [1, 1]])
+# all the mass in [0, 0.0058]: a grid even on [0, 1] sells nothing
+SLIVER = measure.from_table([[0, 0], [0.005825242718446602, 1],
+                             [0.5029126213592233, 1], [1, 1]])
 
 
 def test_payments_quasilinear_recursion():
@@ -126,12 +129,13 @@ def test_solve_evaluation_budget(payment_calls):
 
 def test_sweep_evaluation_budget(payment_calls):
     # risk_averse in expected payments takes the sweep path: one sweep from
-    # the chain DP's range, the collapse, the insertion and the polish
+    # each of the chain DP's ranges and from the posted price, the
+    # insertion and the polish
     dom = make_domain("risk_averse", 0.0, 1.0)
     solve_finite(dom, measure.uniform(0.1, 1.0),
                  OptimizeOptions(max_bundles=3, seed=11),
                  mode="expected_payment")
-    assert len(payment_calls) <= 614
+    assert len(payment_calls) <= 589
 
 
 @pytest.mark.parametrize("name", ["quasilinear", "income_effect"])
@@ -177,15 +181,18 @@ def test_closed_form_sell_always_when_virtual_positive():
 
 
 def test_closed_form_rejects_other_families():
-    # the posted-price path is taken only in a family's separable mode;
-    # income_effect takes the exact path in payments, the sweep otherwise
+    # the posted-price path is taken only in a family's posted-price modes;
+    # income_effect has none: it takes the exact path in payments, the
+    # sweep otherwise.  quasilinear has both, and myerson only one
     dom = make_domain("income_effect", 0, 1)
-    assert dom.family.separable_mode is None
+    assert dom.family.posted_price_modes == ()
     sol = solve_finite(dom, U01)
     assert sol.diagnostics["method"] == "exact_quantities"
     sol = solve_finite(dom, U01, mode="expected_payment")
     assert sol.diagnostics["method"] == "sweep"
     sol = solve_finite(QL, U01, mode="expected_payment")
+    assert sol.diagnostics["method"] == "posted_price"
+    sol = solve_finite(MY, U01)
     assert sol.diagnostics["method"] == "sweep"
 
 
@@ -234,19 +241,22 @@ def test_randomization_helps_the_risk_averse_model():
                                         ("risk_averse", "expected_payment")])
 def test_chain_dp_matches_the_brute_force_oracle(name, mode):
     # criterion 3's grid and domain: the DP is exact over the grid's ranges
+    # of at most n bundles, for each n
     t_grid = np.round(np.arange(0.0, 1.0001, 0.05), 10)
     q_grid = (0.0, 0.25, 0.5, 0.75, 1.0)
     dom = make_domain(name, 0.0, 5.0)
-    _, oracle = brute_force_optimal(dom, U01, t_grid, q_grid, max_bundles=3,
-                                    mode=mode)
-    (thetas, qs), revenue, size = optimize._chain_dp(dom, U01, mode, 2,
-                                                     t_grid, q_grid)
+    starts, size = optimize._chain_dp(dom, U01, mode, 2, t_grid, q_grid)
     assert size == 80
-    assert abs(revenue - oracle) <= 1e-12
-    # its profile pins the same payments, or higher ones at breakpoints
-    # clipped up to the support, so the sweep starts no lower
-    assert optimize._profile_revenue(dom, U01, mode, thetas,
-                                     qs) >= revenue - 1e-12
+    assert len(starts) == 2
+    for n, ((thetas, qs), revenue) in enumerate(starts, 1):
+        _, oracle = brute_force_optimal(dom, U01, t_grid, q_grid,
+                                        max_bundles=n + 1, mode=mode)
+        assert abs(revenue - oracle) <= 1e-12
+        assert len(thetas) <= n
+        # its profile pins the same payments, or higher ones at breakpoints
+        # clipped up to the support, so the sweep starts no lower
+        assert optimize._profile_revenue(dom, U01, mode, thetas,
+                                         qs) >= revenue - 1e-12
 
 
 def _chains(key, gain, m, path=(0,)):
@@ -277,17 +287,22 @@ def chain_graphs(draw):
 @settings(max_examples=500, deadline=None)
 @given(graph=chain_graphs())
 def test_best_chain_matches_enumeration(graph):
+    # the chain for each bound n = 1..m on the edges is the best of at
+    # most n edges
     key, gain, m = graph
-    chain, total = optimize._best_chain(key, gain, m)
-    best = max(sum(gain[u, v] for u, v in zip(path, path[1:]))
-               for path in _chains(key, gain, m))
-    assert abs(total - best) <= 1e-12
-    path = [0, *chain]
-    assert 1 <= len(chain) <= m
-    assert all(gain[u, v] > -np.inf for u, v in zip(path, path[1:]))
-    keys = [key[u, v] for u, v in zip(path, path[1:])]
-    assert keys == sorted(keys)
-    assert abs(sum(gain[u, v] for u, v in zip(path, path[1:])) - total) <= 1e-12
+    chains = optimize._best_chain(key, gain, m)
+    assert len(chains) == m
+    for n, (chain, total) in enumerate(chains, 1):
+        best = max(sum(gain[u, v] for u, v in zip(path, path[1:]))
+                   for path in _chains(key, gain, n))
+        assert abs(total - best) <= 1e-12
+        path = [0, *chain]
+        assert 1 <= len(chain) <= n
+        assert all(gain[u, v] > -np.inf for u, v in zip(path, path[1:]))
+        keys = [key[u, v] for u, v in zip(path, path[1:])]
+        assert keys == sorted(keys)
+        assert abs(sum(gain[u, v] for u, v in zip(path, path[1:]))
+                   - total) <= 1e-12
 
 
 def test_sweep_path_posts_the_price_at_a_kink():
@@ -302,8 +317,8 @@ def test_sweep_path_posts_the_price_at_a_kink():
 
 def test_sweep_path_inserts_a_small_first_bundle():
     # risk_averse's best range on KINKED starts with a bundle at q < 0.01,
-    # below the grid's first quantity 1/14; the collapse leaves two
-    # bundles at 0.3092208, and the insertion adds it for 1.2e-5 more
+    # below the grid's first quantity 1/14; the sweeps keep two bundles at
+    # 0.3092208, and the insertion adds it for 1.2e-5 more
     sol = solve_finite(make_domain("risk_averse", 0.0, 1.0), KINKED,
                        OptimizeOptions(max_bundles=4), mode="expected_payment")
     assert sol.active_bundles == 4
@@ -331,6 +346,26 @@ def test_sweep_path_ignores_the_seed():
     assert a.diagnostics["dp_grid"] == optimize.CHAIN_GRID ** 2
 
 
+def test_sweep_path_beats_the_posted_price_on_a_heavy_tail():
+    # on the equal-revenue table, 1 - F = 0.1/sqrt(theta) on [0.01, 100],
+    # a p = 2 family's posted price earns sqrt(theta) (1 - F(theta)), at
+    # most 0.1002286; in expected payments no posted-price rule holds for
+    # it, and a menu earns 16% (payment_param) or 9% (income_effect) more
+    thetas = np.geomspace(0.01, 100.0, 60)
+    er = measure.from_table([*([t, 1.0 - 0.1 / np.sqrt(t)] for t in thetas),
+                             [100.1, 1.0]])
+    grid = np.linspace(er.lo, er.hi, 1000001)
+    posted = float(np.max(np.sqrt(grid) * (1.0 - er.cdf(grid))))
+    assert abs(posted - 0.1002286) <= 1e-7
+    for name, gain in (("payment_param", 1.15), ("income_effect", 1.08)):
+        dom = make_domain(name, 0.0, 100.1)
+        assert dom.family.posted_price_modes == ()
+        sol = solve_finite(dom, er, OptimizeOptions(max_bundles=3),
+                           mode="expected_payment")
+        assert sol.diagnostics["method"] == "sweep"
+        assert sol.revenue >= gain * posted
+
+
 @settings(max_examples=300, deadline=None)
 @given(name=st.sampled_from([*FACTORY_FAMILIES, "power_q"]),
        dus=st.lists(st.floats(0.01, 0.24), min_size=1, max_size=4),
@@ -348,6 +383,8 @@ def test_breakpoints_round_trip_through_payments(name, dus, dqs):
 
 
 SEPARABLE = [("quasilinear", "payment"), ("sqrt_quasilinear", "payment"),
+             ("quasilinear", "expected_payment"),
+             ("sqrt_quasilinear", "expected_payment"),
              ("myerson", "expected_payment")]
 
 
@@ -383,7 +420,8 @@ def piecewise_linear_tables(draw):
 def test_separable_solve_is_the_best_posted_price(dist, seed):
     # binding indifference telescopes revenue into
     # sum_k theta_k (1 - F(theta_k)) dh_k with sum_k dh_k <= 1, so no
-    # profile beats the best posted price, on any F
+    # profile beats the best posted price, on any F; in expected payments
+    # t q <= t bounds the classical families' revenue by that in payments
     grid = np.linspace(dist.lo, dist.hi, 100001)
     best = float(np.max(grid * (1.0 - dist.cdf(grid))))
     rng = np.random.default_rng(seed)
@@ -420,6 +458,22 @@ def test_separable_optimum_at_a_kink(name, mode):
     assert abs(sol.revenue - 0.28) <= 1e-15
     assert sol.mechanism.breakpoints == (0.8,)
     assert sol.mechanism.bundles[-1] == Bundle(0.8, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dist=piecewise_linear_tables(),
+       name=st.sampled_from(["quasilinear", "sqrt_quasilinear", "myerson",
+                             "risk_averse"]),
+       mode=st.sampled_from(measure.REVENUE_MODES), l=st.integers(2, 4))
+@example(dist=SLIVER, name="myerson", mode="payment", l=3)
+@example(dist=SLIVER, name="risk_averse", mode="expected_payment", l=3)
+def test_no_solve_ends_below_the_best_posted_price(dist, name, mode, l):
+    # in these families the full bundle is worth exactly theta to type
+    # theta, so the posted price p sells q = 1 at p to the types above it
+    price = measure.monopoly_price(dist)
+    sol = solve_finite(make_domain(name, 0.0, 1.0), dist,
+                       OptimizeOptions(max_bundles=l), mode=mode)
+    assert sol.revenue >= price * (1.0 - dist.cdf(price)) - 1e-12
 
 
 @pytest.mark.parametrize("name, lo", [("myerson", 0.0), ("risk_averse", 0.1)])
@@ -724,9 +778,16 @@ def test_exact_path_beats_a_fine_grid_and_keeps_a_kink():
 @settings(max_examples=40, deadline=None)
 @given(dist=piecewise_linear_tables(), name=st.sampled_from(EXACT_FAMILIES),
        m=st.integers(1, 5))
+# all the mass below 0.0052: 160 even points sold nothing, 0.0 against
+# the 400-point DP's 0.0258
+@example(dist=measure.from_table([[0, 0], [0.0051813471502590676, 1],
+                                  [0.33678756476683935, 1],
+                                  [0.6683937823834197, 1], [1, 1]]),
+         name="income_effect", m=2)
 def test_exact_path_beats_a_finer_grid(dist, name, m):
-    # the zoom starts from the 160-point DP and keeps its breakpoints, so
-    # it earns at least that; it also earns at least the DP on 400 points
+    # the zoom starts from the DP on 160 quantiles and keeps its
+    # breakpoints, so it earns at least that; it also earns at least the
+    # DP on 400 even points
     dom = make_domain(name, 0.0, 1.0)
     form = dom.family.exact_quantities
     grid = np.sort(np.append(np.linspace(dist.lo, dist.hi, 400), dist.knots))
