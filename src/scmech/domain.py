@@ -114,10 +114,21 @@ def _bisect_special(family, za, zb, lo, hi):
     ``za < zb``, each a pair ``(t, q)`` of floats or of arrays, by
     bisection on the canonical payments: their difference
     ``f_r(za) - f_r(zb)`` rises through 0 once in ``r``, and a root outside
-    ``[lo, hi]`` converges to the nearer end."""
+    ``[lo, hi]`` converges to the nearer end.  One pair of floats takes
+    the same steps on floats, without the array overhead."""
+    steps = math.ceil(math.log2((hi - lo) / BISECT_TOL))
+    if np.ndim(za[0]) == 0:
+        a, b = float(lo), float(hi)
+        for _ in range(steps):
+            mid = 0.5 * (a + b)
+            if family.canonical(mid, *za) < family.canonical(mid, *zb):
+                a = mid
+            else:
+                b = mid
+        return 0.5 * (a + b)
     a = np.full(np.shape(za[0]), float(lo))
     b = np.full(np.shape(za[0]), float(hi))
-    for _ in range(math.ceil(math.log2((hi - lo) / BISECT_TOL))):
+    for _ in range(steps):
         mid = 0.5 * (a + b)
         below = family.canonical(mid, *za) < family.canonical(mid, *zb)
         a, b = np.where(below, mid, a), np.where(below, b, mid)
@@ -297,6 +308,10 @@ def _restricted(name, utility, k, blurb=""):
 
     def bind(r, t, q, q2):
         wq = w(q)
+        if isinstance(wq, float) and wq == 0.0:
+            # from a zero weight the step is r itself, which r * w(q2) /
+            # w(q2) can miss by an ulp, and by more below the normal floats
+            return r
         return (wq * t + r * (w(q2) - wq)) / w(q2)
 
     def canonical(r, t, q):

@@ -28,8 +28,9 @@ path sells ``q_m = 1``: the searched profile is
   revenue is ``R(theta) = sqrt(sum_B c_B**2 / d_B)`` over the blocks that
   pool-adjacent-violators makes of the segments (:func:`_exact_profile`).
   The breakpoints come from the best chain of segments on a grid of
-  quantiles and knots, exact on the grid (:func:`_grid_dp`), and from
-  the same DP on grids zoomed in around them, which keep the knots.
+  quantiles, even points and knots, exact on the grid (:func:`_grid_dp`),
+  and from the same DP on grids zoomed in around them, which keep the
+  knots.
 * ``"sweep"``.  Elsewhere the objective is piecewise smooth and
   low-dimensional.  The revenue of a range is a chain over consecutive
   bundles, so the best range of at most ``n`` bundles on a grid of
@@ -63,14 +64,14 @@ from .errors import DomainError, ScmechError
 from .measure import (TypeDistribution, _check_support, check_revenue_mode,
                       expected_revenue, monopoly_price, revenue_of)
 from .mechanism import FiniteMechanism, from_range
-from .verify import verify_mechanism
+from .verify import certify_step
 
 COLLAPSE_TOL = 1e-6  # componentwise duplicate-bundle threshold for reporting
 STEP_FLOOR = 1e-12  # steps a restricted family's range counts as round-off
 SWEEP_ROUNDS = 12  # coordinate sweeps per local search, at most
 SWEEP_TOL = 1e-12  # a sweep stops once a whole round gains less revenue
 RIDGE_TOL = 1e-10  # revenue fewer bundles may lose and an insertion must gain
-DP_GRID = 160  # quantiles of the exact path's grid, before the CDF's knots
+DP_GRID = 160  # quantiles, and even points, of the exact path's first grid
 ZOOM = 4  # points either side of a breakpoint on a zoomed grid, and its shrink
 ZOOM_TOL = 1e-11  # the zoom stops at a step this small, per unit support
 CHAIN_GRID = 14  # payment and quantity steps of the sweep path's bundle grid
@@ -484,8 +485,9 @@ def _exact_search(form, dist, m):
     """Grid DP over the breakpoints, then the same DP on grids zoomed in
     around its breakpoints.
 
-    The first grid is ``DP_GRID`` quantiles, evenly spaced in level, and
-    the CDF's knots.
+    The first grid is ``DP_GRID`` quantiles, evenly spaced in level,
+    ``DP_GRID`` even points of the support, which cover the pieces with
+    less mass than a quantile step, and the CDF's knots.
     A zoomed grid holds the breakpoints, ``ZOOM`` points one step apart on
     either side of each, and the knots, so revenue never falls and a
     breakpoint at a kink lands on it exactly.  The step shrinks by ``ZOOM``
@@ -493,7 +495,9 @@ def _exact_search(form, dist, m):
     window recentres at the same step, until it is ``ZOOM_TOL`` of the
     support."""
     width, knots = dist.hi - dist.lo, dist.knots or ()
-    grid = np.sort(np.append(dist.ppf(np.linspace(0.0, 1.0, DP_GRID)), knots))
+    levels = np.linspace(0.0, 1.0, DP_GRID)
+    grid = np.unique(np.concatenate([dist.ppf(levels),
+                                     dist.lo + width * levels, knots]))
     thetas, dp_revenue, size = _grid_dp(form, dist, m, grid)
     revenue, step, rounds = dp_revenue, width / (DP_GRID - 1), 0
     while step > ZOOM_TOL * width:
@@ -534,7 +538,9 @@ def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
     first DP's grid size ``"dp_grid"`` (breakpoints, or bundles) and grid
     optimum ``"dp_revenue"``.  The exact path reports its zoomed DPs,
     ``"zoom_rounds"``, and the sweep path the revenue evaluations of its
-    polish, ``"polish_evals"``.
+    polish, ``"polish_evals"``.  The mechanism is certified for every type
+    of the support by :func:`~scmech.verify.certify_step`, and a failure
+    raises :class:`ScmechError`.
     """
     check_revenue_mode(mode)
     _check_support(domain, dist)
@@ -553,8 +559,7 @@ def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
     mech = _mechanism(domain, thetas, qs)
     revenue = expected_revenue(domain, mech, dist, mode)
 
-    grid = np.linspace(dist.lo, dist.hi, 200)
-    report = verify_mechanism(domain, mech, grid)
+    report = certify_step(domain, mech, dist.lo, dist.hi)
     if not report.ok:
         raise ScmechError(
             "internal error: optimizer produced a mechanism failing "

@@ -1,16 +1,27 @@
-"""Grid certification of mechanism properties and a brute-force optimum.
+"""Certification of mechanism properties and a brute-force optimum.
 
 Verification is report-based: each check returns a
 :class:`VerificationReport` whose ``violations`` list is empty exactly when
-the property holds on the grid.  Checks never raise on a bad mechanism;
-they describe it.
+the property holds on the types it covers.  Checks describe a bad
+mechanism rather than raise; a restricted-family mechanism that allocates
+a bundle its type cannot afford raises :class:`DomainError`.
 
-The incentive check tests direct-revelation misreports only: for every
-ordered pair of grid parameters, the allocation at the truthful report must
-be weakly better (lower canonical payment) than the allocation at the
-misreport.  For restricted-kind domains, misreports whose allocation is
-unaffordable under the truthful preference are outside the definition and
-are skipped.
+:func:`certify_step` certifies a step mechanism for every type of an
+interval.  On a single-crossing domain a deviation that pays off for some
+type of a bundle's interval pays off at one of its two ends, so the
+incentive and participation checks run at the ends of each interval only,
+against every bundle of the range; monotonicity and indifference at the
+breakpoints are checked as well.  :func:`~scmech.optimize.solve_finite`
+gates its result on it.
+
+The grid checks (:func:`verify_mechanism` and its parts) serve any rule,
+callables included, at the points of a grid.  The incentive check tests
+direct-revelation misreports only: for every ordered pair of grid
+parameters, the allocation at the truthful report must be weakly better
+(lower canonical payment) than the allocation at the misreport.  For
+restricted-kind domains, misreports whose allocation is unaffordable under
+the truthful preference are outside the definition and are skipped, in
+both kinds of check.
 """
 
 from __future__ import annotations
@@ -151,6 +162,15 @@ def check_shape(domain: PreferenceDomain, mech: FiniteMechanism,
             if drop > 1e-12:
                 violations.append(Violation("MONO", r, None, float(drop)))
         prev = z
+    violations += _indifference_violations(domain, mech, indiff_tol)
+    return VerificationReport(_sorted(violations), len(grid), indiff_tol)
+
+
+def _indifference_violations(domain, mech, indiff_tol) -> list:
+    """CONT: each breakpoint is indifferent between the two bundles it
+    separates, within ``indiff_tol`` in canonical payment; a bundle the
+    breakpoint cannot afford counts as an infinite gap."""
+    violations = []
     for k, bp in enumerate(mech.breakpoints):
         lo_z, hi_z = mech.bundles[k], mech.bundles[k + 1]
         try:
@@ -162,7 +182,82 @@ def check_shape(domain: PreferenceDomain, mech: FiniteMechanism,
         gap = abs(f_lo - f_hi)
         if gap > indiff_tol:
             violations.append(Violation("CONT", float(bp), None, float(gap)))
-    return VerificationReport(_sorted(violations), len(grid), indiff_tol)
+    return violations
+
+
+def certify_step(domain: PreferenceDomain, mech: FiniteMechanism,
+                 lo: float, hi: float,
+                 tol: float = TAU_IC) -> VerificationReport:
+    """Certify a step mechanism for every type in ``[lo, hi]``, exactly.
+
+    * MONO: no coordinate falls from a bundle to the next (within
+      ``1e-12``, as on the grid), and no breakpoint falls below the one
+      before it (within ``1e-12``, as in :func:`from_range`).
+    * CONT: each breakpoint is indifferent between its two bundles
+      (within ``1e-9``, as :func:`check_shape` checks it).
+    * IC and IR at the ends of each bundle's allocation interval, clipped
+      to ``[lo, hi]``: deviations to the bundles at or above it in both
+      coordinates at the right end, and to every other bundle and to
+      ``(0, 0)`` at the left end.  On a single-crossing domain
+      ``f_r(z_k) - f_r(z_j)`` rises through 0 at most once in ``r`` when
+      ``z_j`` is the larger bundle and falls when it is the smaller, and
+      one of two bundles that are not ordered is better for every type.
+      So a type inside the interval that gains by a deviation has an end
+      that gains too (README, "Certifying a step mechanism at its ends").
+      Deviations go to every bundle of the range; an IC record's
+      ``deviant_r`` is the parameter where the deviation's bundle starts.
+      For a restricted family a deviation the truthful type cannot afford
+      is skipped, and a bundle its lowest type cannot afford raises
+      :class:`DomainError`, as in :func:`check_strategy_proof`.
+
+    The report's ``grid_size`` is the number of distinct types checked.
+    """
+    lo, hi = domain.check_param(lo), domain.check_param(hi)
+    if lo > hi:
+        raise DomainError(f"empty type interval [{lo}, {hi}]")
+    zs, bps = mech.bundles, np.asarray(mech.breakpoints, dtype=float)
+    violations = []
+    for a, b, r in zip(zs, zs[1:], bps):
+        drop = max(a.t - b.t, a.q - b.q)
+        if drop > 1e-12:
+            violations.append(Violation("MONO", float(r), None, float(drop)))
+    for r1, r2 in zip(bps, bps[1:]):
+        if r2 < r1 - 1e-12:
+            violations.append(Violation("MONO", float(r2), None,
+                                        float(r1 - r2)))
+    violations += _indifference_violations(domain, mech, 1e-9)
+
+    # bundle k goes to the types with exactly its first k breakpoints at or
+    # below them, as FiniteMechanism.evaluate allocates: from the largest
+    # of those breakpoints up to breakpoint k
+    starts = np.maximum.accumulate(np.append(domain.lo, bps))
+    ends = np.append(bps, math.inf)
+    left, right = np.maximum(starts, lo), np.minimum(ends, hi)
+    held = np.nonzero((left < ends) & (left <= hi))[0]
+    ts = np.array([z.t for z in zs] + [0.0])  # the range, then (0, 0)
+    qs = np.array([z.q for z in zs] + [0.0])
+    # each held bundle at its left end, then at its right end
+    types, own = np.append(left[held], right[held]), np.tile(held, 2)
+    if domain.restricted and np.any(ts[held] > left[held] + 1e-12):
+        k = held[np.argmax(ts[held] - left[held])]
+        raise DomainError(f"mechanism allocates payment {ts[k]} above the "
+                          f"bound of preference {left[k]}")
+    with np.errstate(invalid="ignore"):  # inf - inf where a(r) is infinite
+        f = np.asarray(domain.canonical_payment_many(types[:, None], ts, qs),
+                       dtype=float)
+        gains = f[np.arange(len(own)), own][:, None] - f  # truth over each
+        bad = gains > tol
+    above = (ts >= ts[own, None]) & (qs >= qs[own, None])
+    bad &= np.vstack([~above[:len(held)], above[len(held):]])
+    if domain.restricted:
+        bad &= ts <= types[:, None] + 1e-12  # unaffordable deviations skipped
+    for row, j in zip(*np.nonzero(bad)):
+        r, gain = float(types[row]), float(gains[row, j])
+        violations.append(Violation("IR", r, None, gain) if j == len(zs)
+                          else Violation("IC", r, float(starts[j]), gain))
+    # a type where two bundles meet can report the same deviation from both
+    violations = list(dict.fromkeys(violations))
+    return VerificationReport(_sorted(violations), len(np.unique(types)), tol)
 
 
 def verify_mechanism(domain: PreferenceDomain, mech, param_grid,

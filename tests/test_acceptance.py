@@ -10,8 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import (grid_around, random_feasible_range, truncation_cut_index,
-                     truncation_gap)
+from helpers import grid_around, truncation_cut_index, truncation_gap
 from scmech import measure
 from scmech.domain import (Bundle, POWER_Q_SPLICE, ZERO_BUNDLE, make_domain,
                            validate_single_crossing)
@@ -57,20 +56,6 @@ def myerson_solutions():
         sol = solve_finite(MY, U01, OptimizeOptions(max_bundles=l, seed=11),
                            mode="expected_payment")
         out[l] = sol
-    return out
-
-
-RANDOM_RANGE_FAMILIES = ("quasilinear", "income_effect", "payment_param",
-                         "two_param", "risk_averse")
-
-
-@pytest.fixture(scope="module")
-def random_mechanisms():
-    out = {}
-    for i, name in enumerate(RANDOM_RANGE_FAMILIES):
-        rng = np.random.default_rng(1000 + i)
-        dom = make_domain(name)
-        out[name] = [random_feasible_range(dom, rng) for _ in range(100)]
     return out
 
 

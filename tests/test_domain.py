@@ -7,7 +7,8 @@ from scipy.optimize import brentq
 
 from helpers import same_bits
 from scmech.domain import (Bundle, FAMILIES, Ordering, ZERO_BUNDLE,
-                           is_diagonal, make_domain, validate_single_crossing)
+                           _bisect_special, is_diagonal, make_domain,
+                           validate_single_crossing)
 from scmech.errors import DomainError, RichnessError
 from scmech.mechanism import from_range
 
@@ -120,6 +121,19 @@ def test_special_by_bisection_power_q():
     r = PQ.special_preference(a, b)
     assert 0.25 < r < 1 / 3
     assert PQ.prefers(r, a, b, tol=1e-8) is Ordering.INDIFFERENT
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.lists(st.floats(0.0, 2.0), min_size=2, max_size=2),
+       q=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+def test_scalar_bisection_takes_the_array_steps(t, q):
+    # one pair of floats bisects on floats, bit for bit as in an array
+    za, zb = (min(t), min(q)), (max(t), max(q))
+    scalar = _bisect_special(PQ.family, za, zb, PQ.lo, PQ.hi)
+    array = _bisect_special(PQ.family, tuple(np.array([x]) for x in za),
+                            tuple(np.array([x]) for x in zb), PQ.lo, PQ.hi)
+    assert isinstance(scalar, float)
+    assert same_bits([scalar], array)
 
 
 def test_bisected_breakpoint_at_the_bottom_of_the_interval():

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import FACTORY_FAMILIES
 from scmech import measure, optimize
 from scmech.domain import Bundle, ZERO_BUNDLE, make_domain
-from scmech.errors import DomainError
-from scmech.mechanism import from_range
+from scmech.errors import DomainError, ScmechError
+from scmech.mechanism import FiniteMechanism, from_range
 from scmech.optimize import (OptimizeOptions, payments_from_breakpoints,
                              solve_finite, stationarity_residuals)
 from scmech.verify import brute_force_optimal, verify_mechanism
@@ -98,6 +98,17 @@ def test_solution_passes_full_verification():
     sol = solve_finite(QL, U01, OptimizeOptions(max_bundles=4, seed=9))
     grid = np.linspace(0.0, 1.0, 200)
     assert verify_mechanism(QL, sol.mechanism, grid).ok
+
+
+def test_solve_rejects_a_mechanism_that_fails_certification(monkeypatch):
+    # posted price 0.5 switching at 0.3: not indifferent there, and the
+    # types in [0.3, 0.5) would rather walk away
+    def bad(domain, thetas, qs):
+        return FiniteMechanism(domain, (ZERO_BUNDLE, Bundle(0.5, 1.0)), (0.3,))
+
+    monkeypatch.setattr(optimize, "_mechanism", bad)
+    with pytest.raises(ScmechError, match="failing verification"):
+        solve_finite(QL, U01, OptimizeOptions(max_bundles=2))
 
 
 def test_solver_is_seed_deterministic():
@@ -632,6 +643,12 @@ def test_payments_match_the_telescoped_sums(name, profile):
 @given(name=st.sampled_from([*FACTORY_FAMILIES, "power_q"]),
        dist=st.sampled_from(sorted(PROFILE_DISTS)),
        mode=st.sampled_from(measure.REVENUE_MODES), profile=profiles())
+# from a zero weight the anchor step once landed off its breakpoint: an ulp
+# above it here, and 30 ulps above a subnormal one
+@example(name="myerson", dist="uniform", mode="payment",
+         profile=([0.7953465966926774], [0.3671875]))
+@example(name="risk_averse", dist="beta", mode="payment",
+         profile=([2.225073858507203e-309], [0.25]))
 def test_revenue_never_falls_with_the_top_quantity(name, dist, mode, profile):
     # raising q_m raises only the top payment (README, no distortion at the
     # top), up to round-off: a restricted payment that equals its
@@ -672,6 +689,20 @@ def test_every_path_sells_the_whole_good_at_the_top(name, dist, mode, l,
                        mode=mode)
     assert sol.diagnostics["method"] == method
     assert sol.mechanism.bundles[-1].q == 1.0
+    # solve_finite certified it exactly; the grid check agrees
+    support = dists[dist]
+    assert verify_mechanism(dom, sol.mechanism,
+                            np.linspace(support.lo, support.hi, 200)).ok
+
+
+@pytest.mark.parametrize("name", ["myerson", "risk_averse"])
+def test_restricted_anchor_step_lands_on_its_breakpoint(name):
+    # a bundle bound to (0, 0) pays its breakpoint exactly, so it is
+    # affordable there, subnormal breakpoints included
+    dom = make_domain(name)
+    for theta, q in ((0.7953465966926774, 0.3671875),
+                     (2.225073858507203e-309, 0.25)):
+        assert payments_from_breakpoints(dom, [theta], [q])[0] == theta
 
 
 EXACT_FAMILIES = ["income_effect", "payment_param", "two_param"]
@@ -784,10 +815,18 @@ def test_exact_path_beats_a_fine_grid_and_keeps_a_kink():
                                   [0.33678756476683935, 1],
                                   [0.6683937823834197, 1], [1, 1]]),
          name="income_effect", m=2)
+# a piece with less mass than one quantile step got no point: the
+# quantiles alone found only the breakpoint 0.8, 2.8e-7 short of the DP on
+# 400 even points, which adds one near 0.07
+@example(dist=measure.from_table([[0, 0], [0.2, 0.0038910505836575876],
+                                  [0.4, 0.0038910505836575876],
+                                  [0.6, 0.0038910505836575876],
+                                  [0.8, 0.0038910505836575876], [1, 1]]),
+         name="income_effect", m=2)
 def test_exact_path_beats_a_finer_grid(dist, name, m):
-    # the zoom starts from the DP on 160 quantiles and keeps its
-    # breakpoints, so it earns at least that; it also earns at least the
-    # DP on 400 even points
+    # the zoom starts from the DP on 160 quantiles and 160 even points and
+    # keeps its breakpoints, so it earns at least that; it also earns at
+    # least the DP on 400 even points
     dom = make_domain(name, 0.0, 1.0)
     form = dom.family.exact_quantities
     grid = np.sort(np.append(np.linspace(dist.lo, dist.hi, 400), dist.knots))

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import grid_around, random_feasible_range
+from helpers import FACTORY_FAMILIES, grid_around, random_feasible_range
 from scmech import measure
 from scmech.domain import Bundle, ZERO_BUNDLE, make_domain
-from scmech.errors import TractabilityError
-from scmech.mechanism import FiniteMechanism, from_range
-from scmech.verify import (brute_force_optimal, check_individual_rationality,
-                           check_shape, check_strategy_proof, verify_mechanism)
+from scmech.errors import DomainError, ScmechError, TractabilityError
+from scmech.mechanism import (AnchorLine, FiniteMechanism, countable_geometric,
+                              epsilon_truncate, from_range, harmonic_sequence)
+from scmech.verify import (brute_force_optimal, certify_step,
+                           check_individual_rationality, check_shape,
+                           check_strategy_proof, verify_mechanism)
 
 QL = make_domain("quasilinear")
 QL12 = make_domain("quasilinear", 1.0, 2.0)
@@ -123,6 +126,187 @@ def test_report_serialization_round_trip():
     assert len(data["violations"]) == len(report.violations)
     rows = report.to_csv_rows()
     assert rows[0].keys() == {"kind", "truthful_r", "deviant_r", "gain"}
+
+
+# -- exact certification of step mechanisms ------------------------------------
+
+
+def _outcome(check):
+    """A report's verdict and violation kinds, or the error it raised."""
+    try:
+        report = check()
+    except DomainError as exc:
+        return type(exc).__name__
+    return report.ok, {v.kind for v in report.violations}
+
+
+def assert_certify_agrees(mech, grid):
+    """``certify_step`` on the grid's span and ``verify_mechanism`` on the
+    grid give the same verdict and the same violation kinds."""
+    dom, grid = mech.domain, np.asarray(grid, dtype=float)
+    exact = _outcome(lambda: certify_step(dom, mech, grid[0], grid[-1]))
+    on_grid = _outcome(lambda: verify_mechanism(dom, mech, grid))
+    assert exact == on_grid, (mech, exact, on_grid)
+    return exact
+
+
+# single-crossing families: the factory ones and power_q, which bisects
+CERTIFY_FAMILIES = [*FACTORY_FAMILIES, "power_q"]
+
+
+@st.composite
+def candidate_ranges(draw):
+    """Ranges as a benchmark draws them: built to switch at drawn types
+    (each bundle binds with the one below at its type), or random sorted
+    bundles.  Restricted families start at (0, 0)."""
+    dom = make_domain(draw(st.sampled_from(CERTIFY_FAMILIES)))
+    fam = dom.family
+    k = draw(st.integers(1, 4))
+    qs = sorted(draw(st.lists(st.floats(0.05, 1.0), min_size=k + 1,
+                              max_size=k + 1, unique=True)))
+    if draw(st.booleans()):
+        lo, hi = max(dom.lo, 0.2), min(dom.hi, 4.0)
+        lo, hi = lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo)
+        rs = sorted(draw(st.lists(st.floats(lo, hi), min_size=k, max_size=k,
+                                  unique=True)))
+        zs = [ZERO_BUNDLE if dom.restricted
+              else Bundle(draw(st.floats(0.05, 0.5)), qs[0])]
+        for r, q in zip(rs, qs[1:]):
+            c = fam.canonical(r, *zs[-1])
+            zs.append(Bundle(float(fam.curve_payment(r, c, q)), q))
+    else:
+        ts = sorted(draw(st.lists(st.floats(0.05, 2.5), min_size=k + 1,
+                                  max_size=k + 1, unique=True)))
+        zs = [*([ZERO_BUNDLE] if dom.restricted else []), *map(Bundle, ts, qs)]
+    return dom, zs
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate=candidate_ranges())
+def test_certify_step_agrees_with_the_grid(candidate):
+    dom, zs = candidate
+    try:
+        mech = from_range(dom, zs)
+    except ScmechError:
+        return  # unsupportable, or not diagonal: nothing to certify
+    assert_certify_agrees(mech, grid_around(mech, 200))
+
+
+def test_certify_step_agrees_on_the_random_ranges(random_mechanisms):
+    # the ranges of criteria 4 and 5, and a few for the other families.
+    # Those criteria check incentives and shape: a classical range that
+    # does not start at (0, 0) can fail only individual rationality
+    rng = np.random.default_rng(7)
+    mechs = [*(m for ms in random_mechanisms.values() for m in ms),
+             *(random_feasible_range(make_domain(name), rng, t_hi=0.9)
+               for name in ("sqrt_quasilinear", "myerson", "power_q")
+               for _ in range(5))]
+    for mech in mechs:
+        _, kinds = assert_certify_agrees(mech, grid_around(mech, 200))
+        assert kinds <= {"IR"}
+
+
+def test_certify_step_agrees_on_the_mechanisms_the_tests_build():
+    dom = make_domain("quasilinear", 0.5, 3.0)
+    teaser = FiniteMechanism(
+        dom, (Bundle(1.0, 1.0), ZERO_BUNDLE, Bundle(2.0, 1.0)), (1.0, 2.0))
+    jumpy = FiniteMechanism(QL, (Bundle(0.2, 0.3), Bundle(1.2, 0.8)), (1.5,))
+    built = from_range(QL, [ZERO_BUNDLE, Bundle(1, 0.5), Bundle(3, 1)])
+    ra = make_domain("risk_averse")
+    restricted = from_range(ra, [ZERO_BUNDLE, Bundle(1.0, 0.5),
+                                 Bundle(2.5, 1.0)])
+    sq = make_domain("sqrt_quasilinear", 0.2, 1.0)
+    cmech = countable_geometric(sq, AnchorLine(3.0, 1 / 12, 1 / 3),
+                                harmonic_sequence(2 / 3, 1.0, start=3))
+    # criterion 6's rule as a step mechanism switching at each grid point
+    affine_grid = np.linspace(1.0, 2.0, 101)
+    affine = FiniteMechanism(QL12, tuple(map(linear_continuum_mech,
+                                             affine_grid)),
+                             tuple(affine_grid[1:]))
+    cases = [
+        (teaser, np.linspace(0.5, 3.0, 200), {"MONO", "IC", "IR"}),
+        (jumpy, np.linspace(0.5, 3.0, 200), {"CONT", "IC", "IR"}),
+        (built, grid_around(built, 200), set()),
+        (from_range(QL, [Bundle(0.2, 0.6)]), np.linspace(0.1, 3.0, 100),
+         {"IR"}),
+        (from_range(QL, [Bundle(1.0, 0.0)]), np.linspace(0.1, 3.0, 100),
+         {"IR"}),
+        (restricted, np.linspace(0.2, 5.0, 150), set()),
+        (affine, affine_grid, {"CONT", "IC"}),
+        *[(epsilon_truncate(cmech, eps, measure.uniform(0.2, 1.0)),
+           np.linspace(0.2, 1.0, 200), set()) for eps in (0.1, 0.05, 0.01)],
+    ]
+    for mech, grid, kinds in cases:
+        assert assert_certify_agrees(mech, grid) == (not kinds, kinds)
+
+
+def test_certify_step_flags_an_unsorted_range():
+    # the teaser of criterion 5: the range falls from (1, 1) to (0, 0)
+    dom = make_domain("quasilinear", 0.5, 3.0)
+    mech = FiniteMechanism(
+        dom, (Bundle(1.0, 1.0), ZERO_BUNDLE, Bundle(2.0, 1.0)), (1.0, 2.0))
+    report = certify_step(dom, mech, 0.5, 3.0)
+    mono = [v for v in report.violations if v.kind == "MONO"]
+    assert [(v.truthful_r, v.gain) for v in mono] == [(1.0, 1.0)]
+
+
+def test_certify_step_flags_decreasing_breakpoints():
+    # a sorted diagonal range indifferent at each breakpoint, whose
+    # breakpoints fall: from_range rejects it, and certify_step says why
+    zs = (Bundle(0.2, 0.2), Bundle(1.0, 0.6), Bundle(1.2, 1.0))
+    bps = tuple(QL.special_preference(a, b) for a, b in zip(zs, zs[1:]))
+    assert bps[1] < bps[0]  # 2.0, then 0.5
+    report = certify_step(QL, FiniteMechanism(QL, zs, bps), 0.1, 3.0)
+    mono = [v for v in report.violations if v.kind == "MONO"]
+    assert [(v.truthful_r, v.gain) for v in mono] == [
+        (bps[1], pytest.approx(bps[0] - bps[1]))]
+    assert not any(v.kind == "CONT" for v in report.violations)
+
+
+def test_certify_step_flags_a_missing_indifference():
+    lo, hi = Bundle(0.2, 0.3), Bundle(1.2, 0.8)  # indifferent at 2.0
+    report = certify_step(QL, FiniteMechanism(QL, (lo, hi), (1.5,)), 1.0, 3.0)
+    cont = [v for v in report.violations if v.kind == "CONT"]
+    assert [(v.truthful_r, v.gain) for v in cont] == [
+        (1.5, pytest.approx(0.25))]
+    # the types in [1.5, 2) would rather report below 1.5
+    ic = [v for v in report.violations if v.kind == "IC"]
+    assert [(v.truthful_r, v.deviant_r) for v in ic] == [(1.5, 0.0)]
+    assert ic[0].gain == pytest.approx(0.25)
+
+
+def test_certify_step_flags_a_bottom_bundle_that_fails_ir():
+    # f_r(0.5, 0.5) - f_r(0, 0) = 0.5 - r/2: every type below 1 would
+    # rather walk away, the lowest one most
+    mech = from_range(QL, [Bundle(0.5, 0.5), Bundle(1.5, 1.0)])
+    report = certify_step(QL, mech, 0.5, 3.0)
+    assert [(v.kind, v.truthful_r, v.deviant_r) for v in report.violations] \
+        == [("IR", 0.5, None)]
+    assert report.violations[0].gain == pytest.approx(0.25)
+    assert certify_step(QL, mech, 1.0, 3.0).ok
+
+
+def test_certify_step_checks_the_ends_not_a_grid():
+    # indifferent at both breakpoints, but the range falls from (0.5, 0.5)
+    # to (0.2, 0.25): the types above 1.2 would rather report into
+    # [1, 1.2), and those in (0.8, 1) would rather report above 1.2.  A
+    # grid that steps over both intervals sees nothing
+    zs = (ZERO_BUNDLE, Bundle(0.5, 0.5), Bundle(0.2, 0.25))
+    bad = FiniteMechanism(QL, zs, (1.0, 1.2))
+    assert verify_mechanism(QL, bad, [0.5, 1.5, 2.0]).ok
+    report = certify_step(QL, bad, 0.5, 2.0)
+    assert [(v.kind, v.truthful_r, v.deviant_r) for v in report.violations] \
+        == [("IC", 1.0, 1.2), ("MONO", 1.2, None), ("IC", 2.0, 1.0)]
+    assert [v.gain for v in report.violations] == pytest.approx(
+        [0.05, 0.3, 0.2])
+    assert report.grid_size == 4  # 0.5, 1.0, 1.2 and 2.0
+
+
+def test_certify_step_rejects_an_unaffordable_bundle():
+    ra = make_domain("risk_averse")
+    mech = FiniteMechanism(ra, (ZERO_BUNDLE, Bundle(1.0, 0.5)), (0.5,))
+    with pytest.raises(DomainError):
+        certify_step(ra, mech, 0.2, 2.0)
 
 
 # -- brute force ----------------------------------------------------------------
