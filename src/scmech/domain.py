@@ -191,7 +191,9 @@ class Family:
     ``exact_quantities`` holds ``a`` and the inverse of ``h`` for a
     classical form with ``phi(t) = t**2``, whose payment-mode quantities
     the solver computes in closed form; :func:`_classical` derives it, and
-    it is ``None`` for every other family.
+    it is ``None`` for every other family.  ``canonical`` broadcasts an
+    array ``r`` against arrays ``t`` and ``q`` (see
+    :func:`register_family`).
     """
 
     name: str
@@ -424,6 +426,16 @@ def register_family(fam: Family) -> Family:
     line (without one, :func:`~scmech.mechanism.countable_geometric` finds
     it by bounded search).  Everything else (mechanism construction,
     verification, optimization) is family-agnostic.
+
+    ``canonical`` must broadcast: an array ``r`` of shape ``(n, 1)`` against
+    arrays ``t`` and ``q`` of shape ``(m,)`` gives the ``(n, m)`` canonical
+    payments, and an array ``r`` against arrays ``t``, ``q`` of its own
+    shape gives them pointwise.  The grid checks and
+    :func:`~scmech.verify.certify_step` evaluate it that way, many types
+    at once.  Their reports match scalar evaluation bit for bit when
+    ``canonical`` rounds an array parameter as it rounds a float one;
+    a power (``**``) need not, since numpy's array loops and the C
+    library's ``pow`` may differ in the last bit.
     """
     if fam.name in FAMILIES:
         raise ValueError(f"family {fam.name!r} already registered")

@@ -14,10 +14,14 @@ mechanism whose expected revenue differs by at most ``eps``.
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .domain import (Bundle, Ordering, PreferenceDomain, check_bundle,
                      is_diagonal)
@@ -28,8 +32,9 @@ TAIL_INDEX_CAP = 10**6
 
 @dataclass(frozen=True)
 class FiniteMechanism:
-    """Step mechanism: ``bundles[k]`` is allocated where exactly ``k``
-    breakpoints lie at or below the reported parameter.
+    """Step mechanism: ``bundles[k]`` is allocated where the first ``k``
+    breakpoints, and not the next one, lie at or below the reported
+    parameter.
 
     At a breakpoint both neighbors are indifferent; the tie goes to the
     higher bundle (a measure-zero event under an atomless distribution).
@@ -41,6 +46,9 @@ class FiniteMechanism:
     domain: PreferenceDomain
     bundles: tuple
     breakpoints: tuple
+    # running maximum of the breakpoints: the types at or above its entry k
+    # are exactly those with the first k + 1 breakpoints at or below them
+    _steps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.breakpoints) != len(self.bundles) - 1:
@@ -51,16 +59,27 @@ class FiniteMechanism:
         if not all(math.isfinite(r) for r in breakpoints):
             raise DomainError(f"breakpoints must be finite, got {breakpoints}")
         object.__setattr__(self, "breakpoints", breakpoints)
+        object.__setattr__(self, "_steps", tuple(itertools.accumulate(
+            breakpoints, max)))
 
     def evaluate(self, r: float) -> Bundle:
         r = self.domain.check_param(r)
-        k = 0
-        for bp in self.breakpoints:
-            if bp <= r:
-                k += 1
-            else:
-                break
-        return self.bundles[k]
+        return self.bundles[bisect_right(self._steps, r)]
+
+    def evaluate_many(self, rs) -> tuple:
+        """Payments and quantities allocated to the types ``rs``, as two
+        arrays; :meth:`evaluate` at each type, bit for bit.  The first type
+        outside the domain interval, or not finite, raises its
+        :class:`DomainError`."""
+        rs = np.asarray(rs, dtype=float)
+        dom = self.domain
+        admissible = np.isfinite(rs) & (dom.lo <= rs) & (rs <= dom.hi)
+        if not admissible.all():
+            dom.check_param(rs.flat[np.argmin(admissible)])
+        k = np.searchsorted(np.array(self._steps, dtype=float), rs,
+                            side="right")
+        ts, qs = np.array(self.bundles, dtype=float).T
+        return ts[k], qs[k]
 
     def revenue_segments(self, dist) -> Iterator[tuple]:
         """Clamped parameter intervals on which each bundle is allocated."""

@@ -22,6 +22,16 @@ parameters, the allocation at the truthful report must be weakly better
 restricted-kind domains, misreports whose allocation is unaffordable under
 the truthful preference are outside the definition and are skipped, in
 both kinds of check.
+
+The grid checks are array code.  A step mechanism is evaluated on the
+whole grid at once (:meth:`FiniteMechanism.evaluate_many`), a callable
+once per point, and :func:`verify_mechanism` evaluates the rule once for
+all three checks.  The incentive check hands the family's canonical
+payment a block of grid rows against all grid points at a time, at most
+``PAIR_BLOCK`` pairs or one row, so its memory grows with the grid, not
+with its square.  Records are listed by truthful parameter, then by
+deviant parameter, and an inadmissible point raises the error that a loop
+over the sorted grid would meet first.
 """
 
 from __future__ import annotations
@@ -41,6 +51,9 @@ from .mechanism import FiniteMechanism, from_range
 # Incentive/IR gains below this are attributed to floating-point round-off.
 TAU_IC = 1e-7
 BRUTE_FORCE_GUARD = 10**7
+# The incentive check sends at most this many grid pairs, or one grid row,
+# to the canonical payment at once.
+PAIR_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -107,41 +120,20 @@ def check_strategy_proof(domain: PreferenceDomain, mech_fn: Callable,
                          param_grid: Sequence[float],
                          tol: float = TAU_IC) -> VerificationReport:
     """Flag every grid pair where misreporting beats truth-telling."""
-    grid = np.asarray(sorted(float(r) for r in param_grid))
-    allocs = [mech_fn(r) for r in grid]
-    ts = np.array([z[0] for z in allocs])
-    qs = np.array([z[1] for z in allocs])
-    violations = []
-    for i, r in enumerate(grid):
-        if domain.restricted and ts[i] > r + 1e-12:
-            raise DomainError(
-                f"mechanism allocates payment {ts[i]} above the bound of "
-                f"preference {r}"
-            )
-        f_all = np.asarray(domain.canonical_payment_many(r, ts, qs), dtype=float)
-        gains = f_all[i] - f_all  # positive where the deviation is better
-        gains[i] = 0.0
-        if domain.restricted:
-            gains[ts > r + 1e-12] = 0.0  # unaffordable deviations skipped
-        bad = np.nonzero(gains > tol)[0]
-        for j in bad:
-            violations.append(Violation("IC", float(r), float(grid[j]),
-                                        float(gains[j])))
-    return VerificationReport(_sorted(violations), len(grid), tol)
+    grid = _sorted_grid(param_grid)
+    _, ts, qs = _allocate(mech_fn, grid)
+    return VerificationReport(
+        tuple(_incentive_violations(domain, grid, ts, qs, tol)), len(grid), tol)
 
 
 def check_individual_rationality(domain: PreferenceDomain, mech_fn: Callable,
                                  param_grid: Sequence[float],
                                  tol: float = TAU_IC) -> VerificationReport:
     """Flag grid points where the buyer would rather walk away."""
-    violations = []
-    for r in sorted(float(r) for r in param_grid):
-        f_alloc = domain.canonical_payment(r, mech_fn(r))
-        f_zero = domain.canonical_payment(r, ZERO_BUNDLE)
-        gain = f_alloc - f_zero
-        if gain > tol:
-            violations.append(Violation("IR", r, None, float(gain)))
-    return VerificationReport(_sorted(violations), len(param_grid), tol)
+    grid = _sorted_grid(param_grid)
+    violations = _participation_violations(domain, grid,
+                                           *_allocate(mech_fn, grid), tol)
+    return VerificationReport(tuple(violations), len(grid), tol)
 
 
 def check_shape(domain: PreferenceDomain, mech: FiniteMechanism,
@@ -152,18 +144,95 @@ def check_shape(domain: PreferenceDomain, mech: FiniteMechanism,
     Both properties hold for every strategy-proof mechanism; a mechanism
     passing the incentive grid check passes this one.
     """
-    grid = sorted(float(r) for r in param_grid)
-    violations = []
-    prev = None
-    for r in grid:
-        z = mech.evaluate(r)
-        if prev is not None:
-            drop = max(prev[0] - z[0], prev[1] - z[1])
-            if drop > 1e-12:
-                violations.append(Violation("MONO", r, None, float(drop)))
-        prev = z
+    grid = _sorted_grid(param_grid)
+    violations = _monotonicity_violations(grid, *mech.evaluate_many(grid))
     violations += _indifference_violations(domain, mech, indiff_tol)
     return VerificationReport(_sorted(violations), len(grid), indiff_tol)
+
+
+def _sorted_grid(param_grid) -> np.ndarray:
+    return np.asarray(sorted(float(r) for r in param_grid), dtype=float)
+
+
+def _allocate(rule, grid) -> tuple:
+    """``(allocations, ts, qs)``: the rule's bundles on the grid, and their
+    payments and quantities as arrays.  A step mechanism is evaluated on the
+    whole grid at once and gives no bundle list; any other rule, callables
+    included, is called point by point."""
+    if isinstance(rule, FiniteMechanism):
+        return (None, *rule.evaluate_many(grid))
+    fn = rule.evaluate if hasattr(rule, "evaluate") else rule
+    allocs = [fn(r) for r in grid]
+    return (allocs, np.array([z[0] for z in allocs]),
+            np.array([z[1] for z in allocs]))
+
+
+def _incentive_violations(domain, grid, ts, qs, tol) -> list:
+    """IC records of every grid pair, in :func:`_sorted` order.  Rows of
+    the pair matrix go to the canonical payment in blocks of at most
+    ``PAIR_BLOCK`` pairs, or one row."""
+    over = ts > grid + 1e-12
+    if domain.restricted and over.any():
+        i = int(np.argmax(over))
+        raise DomainError(
+            f"mechanism allocates payment {ts[i]} above the bound of "
+            f"preference {grid[i]}"
+        )
+    n = len(grid)
+    step = max(1, PAIR_BLOCK // max(n, 1))
+    truth, dev, gains = [], [], []
+    with np.errstate(invalid="ignore"):  # inf - inf where a(r) is infinite
+        for lo in range(0, n, step):
+            rows = np.arange(lo, min(lo + step, n))
+            f = np.asarray(domain.canonical_payment_many(grid[rows, None],
+                                                         ts, qs), dtype=float)
+            own = f[np.arange(len(rows)), rows]
+            g = own[:, None] - f  # positive where the deviation is better
+            if domain.restricted:  # unaffordable deviations skipped
+                g[ts > grid[rows, None] + 1e-12] = 0.0
+            i, j = np.nonzero(g > tol)
+            truth.append(rows[i])
+            dev.append(j)
+            gains.append(g[i, j])
+    if not truth:
+        return []
+    i, j, gain = map(np.concatenate, (truth, dev, gains))
+    # _sorted's order: by truthful then deviant parameter, and on repeated
+    # grid points by row then column, as the stable sort leaves them
+    order = np.lexsort((j, i, grid[j], grid[i]))
+    return list(map(Violation, itertools.repeat("IC"), grid[i[order]].tolist(),
+                    grid[j[order]].tolist(), gain[order].tolist()))
+
+
+def _participation_violations(domain, grid, allocs, ts, qs, tol) -> list:
+    """IR records in grid order.  The first point whose parameter, bundle,
+    or (restricted) payment bound is inadmissible raises the error that
+    :meth:`PreferenceDomain.canonical_payment` raises for it."""
+    with np.errstate(invalid="ignore"):
+        admissible = (np.isfinite(grid) & (domain.lo <= grid)
+                      & (grid <= domain.hi) & np.isfinite(ts)
+                      & np.isfinite(qs) & (ts >= 0.0) & (0.0 <= qs)
+                      & (qs <= 1.0))
+        if domain.restricted:
+            admissible &= ts <= grid + 1e-12
+        if not admissible.all():
+            k = int(np.argmin(admissible))
+            z = Bundle(ts[k], qs[k]) if allocs is None else allocs[k]
+            domain.check_admissible(domain.check_param(grid[k]), z)
+        gains = (domain.canonical_payment_many(grid, ts, qs)
+                 - domain.canonical_payment_many(grid, 0.0, 0.0))
+    k = np.nonzero(gains > tol)[0]
+    return list(map(Violation, itertools.repeat("IR"), grid[k].tolist(),
+                    itertools.repeat(None), gains[k].tolist()))
+
+
+def _monotonicity_violations(grid, ts, qs) -> list:
+    """MONO records where a coordinate falls between neighboring points."""
+    drop = np.maximum(ts[:-1] - ts[1:], qs[:-1] - qs[1:])
+    k = np.nonzero(drop > 1e-12)[0]
+    return list(map(Violation, itertools.repeat("MONO"),
+                    grid[k + 1].tolist(), itertools.repeat(None),
+                    drop[k].tolist()))
 
 
 def _indifference_violations(domain, mech, indiff_tol) -> list:
@@ -262,14 +331,19 @@ def certify_step(domain: PreferenceDomain, mech: FiniteMechanism,
 
 def verify_mechanism(domain: PreferenceDomain, mech, param_grid,
                      tol: float = TAU_IC) -> VerificationReport:
-    """Incentives, individual rationality, and (for step mechanisms) shape."""
-    fn = mech.evaluate if hasattr(mech, "evaluate") else mech
-    report = check_strategy_proof(domain, fn, param_grid, tol)
-    report = report.merged_with(
-        check_individual_rationality(domain, fn, param_grid, tol))
+    """Incentives, individual rationality, and (for step mechanisms) shape.
+
+    The rule is evaluated once; the three checks share its allocations.
+    """
+    grid = _sorted_grid(param_grid)
+    allocs, ts, qs = _allocate(mech, grid)
+    violations = _incentive_violations(domain, grid, ts, qs, tol)
+    violations += _participation_violations(domain, grid, allocs, ts, qs, tol)
     if isinstance(mech, FiniteMechanism):
-        report = report.merged_with(check_shape(domain, mech, param_grid))
-    return report
+        violations += _monotonicity_violations(grid, ts, qs)
+        violations += _indifference_violations(domain, mech, 1e-9)
+        tol = max(tol, 1e-9)  # a report names the largest of its tolerances
+    return VerificationReport(_sorted(violations), len(grid), tol)
 
 
 # -- brute-force optimal oracle ------------------------------------------------

@@ -1,12 +1,18 @@
-"""Shared test utilities: random feasible ranges, verification grids and the
-closed-form oracle for the epsilon-truncation instance."""
+"""Shared test utilities: random feasible ranges, verification grids, the
+closed-form oracle for the epsilon-truncation instance, a registered
+cubic family and a point-by-point reference for the grid checks."""
+
+import math
+from functools import partial
 
 import numpy as np
 from scipy.special import polygamma
 
-from scmech.domain import Bundle, ZERO_BUNDLE
+from scmech.domain import (FAMILIES, Bundle, Family, ZERO_BUNDLE, make_domain,
+                           register_family)
 from scmech.errors import DomainError, InfeasibleRangeError
 from scmech.mechanism import from_range
+from scmech.verify import Violation, VerificationReport, _sorted
 
 # The families built by the separable-form factories; with power_q they are
 # the single-crossing built-ins.
@@ -85,3 +91,107 @@ def truncation_gap(w):
     staircase = ((13 / 24) * (1 / w + 1 / (w + 1)) - 1 / (2 * w * (w + 1))
                  - 0.75 * float(polygamma(1, w + 1)))
     return 1.25 * (staircase - t_w / (2 * (w + 1)) - 1 / (6 * w))
+
+
+def cubic_domain():
+    """A classical family registered through the extension point, with
+    ``f_r(t, q) = t + r (1 - q**3)``."""
+    name = "cubic_quantity_test"
+    if name not in FAMILIES:
+        register_family(Family(
+            name, "classical", 0.0, math.inf,
+            utility=lambda r, t, q: r * q**3 - t,
+            canonical=lambda r, t, q: t + r * (1.0 - q**3),
+            curve_payment=lambda r, c, q: c - r * (1.0 - q**3),
+            special=lambda a, b: (b[0] - a[0]) / (b[1] ** 3 - a[1] ** 3),
+        ))
+    return make_domain(name)
+
+
+# -- the grid checks point by point ------------------------------------------
+# A reference for scmech.verify: the grid checks as loops over grid points
+# and rows, one canonical payment call per row, and the step mechanism's
+# allocation as a scan of its breakpoints.
+
+
+def reference_evaluate(mech, r):
+    """The bundle after the leading breakpoints at or below ``r``."""
+    r = mech.domain.check_param(r)
+    k = 0
+    for bp in mech.breakpoints:
+        if bp <= r:
+            k += 1
+        else:
+            break
+    return mech.bundles[k]
+
+
+def reference_strategy_proof(domain, mech_fn, param_grid, tol=1e-7):
+    grid = np.asarray(sorted(float(r) for r in param_grid))
+    allocs = [mech_fn(r) for r in grid]
+    ts = np.array([z[0] for z in allocs])
+    qs = np.array([z[1] for z in allocs])
+    violations = []
+    for i, r in enumerate(grid):
+        if domain.restricted and ts[i] > r + 1e-12:
+            raise DomainError(
+                f"mechanism allocates payment {ts[i]} above the bound of "
+                f"preference {r}"
+            )
+        f_all = np.asarray(domain.canonical_payment_many(r, ts, qs), dtype=float)
+        gains = f_all[i] - f_all
+        gains[i] = 0.0
+        if domain.restricted:
+            gains[ts > r + 1e-12] = 0.0
+        for j in np.nonzero(gains > tol)[0]:
+            violations.append(Violation("IC", float(r), float(grid[j]),
+                                        float(gains[j])))
+    return VerificationReport(_sorted(violations), len(grid), tol)
+
+
+def reference_individual_rationality(domain, mech_fn, param_grid, tol=1e-7):
+    violations = []
+    for r in sorted(float(r) for r in param_grid):
+        f_alloc = domain.canonical_payment(r, mech_fn(r))
+        f_zero = domain.canonical_payment(r, ZERO_BUNDLE)
+        gain = f_alloc - f_zero
+        if gain > tol:
+            violations.append(Violation("IR", r, None, float(gain)))
+    return VerificationReport(_sorted(violations), len(param_grid), tol)
+
+
+def reference_shape(domain, mech, param_grid, indiff_tol=1e-9):
+    grid = sorted(float(r) for r in param_grid)
+    violations = []
+    prev = None
+    for r in grid:
+        z = reference_evaluate(mech, r)
+        if prev is not None:
+            drop = max(prev[0] - z[0], prev[1] - z[1])
+            if drop > 1e-12:
+                violations.append(Violation("MONO", r, None, float(drop)))
+        prev = z
+    for k, bp in enumerate(mech.breakpoints):
+        lo_z, hi_z = mech.bundles[k], mech.bundles[k + 1]
+        try:
+            gap = abs(domain.canonical_payment(bp, lo_z)
+                      - domain.canonical_payment(bp, hi_z))
+        except DomainError:
+            violations.append(Violation("CONT", float(bp), None, math.inf))
+            continue
+        if gap > indiff_tol:
+            violations.append(Violation("CONT", float(bp), None, float(gap)))
+    return VerificationReport(_sorted(violations), len(grid), indiff_tol)
+
+
+def reference_verify(domain, mech, param_grid, tol=1e-7):
+    """Incentives, participation and, for a step mechanism, shape, each
+    check on its own, merged as reports."""
+    step = hasattr(mech, "breakpoints")
+    fn = partial(reference_evaluate, mech) if step else mech
+    report = reference_strategy_proof(domain, fn, param_grid, tol)
+    report = report.merged_with(
+        reference_individual_rationality(domain, fn, param_grid, tol))
+    if step:
+        report = report.merged_with(reference_shape(domain, mech, param_grid))
+    return report

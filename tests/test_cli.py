@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -109,6 +110,36 @@ def test_verify_flags_linear_continuum_rule(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "kind,truthful_r,deviant_r,gain"
     assert len(lines) == len(report["violations"]) + 1
+
+
+# SHA-256 of report.json and report.csv as the point-by-point grid checks
+# wrote them, before the checks became array code
+README_MECH = {"domain": {"family": "quasilinear",
+                          "params": {"lo": 0.0, "hi": 1.0},
+                          "kind": "classical"},
+               "bundles": [[0.0, 0.0], [0.5, 1.0]], "breakpoints": [0.5]}
+AFFINE_RULE = {"domain": {"family": "quasilinear", "params": {"lo": 1, "hi": 2}},
+               "affine": {"t": [-1 / 3, 1 / 3], "q": [-1, 1]}}
+
+
+@pytest.mark.parametrize("mech, grid, rc, digests", [
+    (README_MECH, "500", 0,
+     ("6d3e7aff55f41d0e27fb1afa6ef0c7d7627eb2990a807a0acbc315cd637e11f4",
+      "f7f0ed4e65f1b35061f4bf965cdf00f532bcf1a8014d7cf610da6198ff346c84")),
+    # 60 * 59 / 2 = 1770 incentive violations, one per upward pair
+    (AFFINE_RULE, "60", 2,
+     ("a5d8d9f169bf62037e43b591adcf5c16ff17bcee6e40745425873eae1b4e02f2",
+      "68aa63e055eae14c611ff3538a38514aedd86b73413d88ba8f3f2dab61340a46")),
+])
+def test_verify_reports_are_byte_identical(tmp_path, capsys, mech, grid, rc,
+                                           digests):
+    path = tmp_path / "mech.json"
+    path.write_text(json.dumps(mech))
+    report, csv = tmp_path / "report.json", tmp_path / "report.csv"
+    assert run(capsys, "verify", "--mech", str(path), "--grid", grid,
+               "--out", str(report), "--csv", str(csv))[0] == rc
+    assert tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in (report, csv)) == digests
 
 
 def test_revenue_subcommand(tmp_path, capsys):

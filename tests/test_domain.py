@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
-from helpers import same_bits
+from helpers import cubic_domain, same_bits
 from scmech.domain import (Bundle, FAMILIES, Ordering, ZERO_BUNDLE,
                            _bisect_special, is_diagonal, make_domain,
                            validate_single_crossing)
@@ -372,19 +372,10 @@ def test_validator_empty_grid_rejected():
 # -- registry extension point ----------------------------------------------------
 
 def test_registering_a_new_family_plugs_into_everything():
-    from scmech.domain import Family, register_family
+    from scmech.domain import register_family
     from scmech.verify import check_strategy_proof
 
-    name = "cubic_quantity_test"
-    if name not in FAMILIES:
-        register_family(Family(
-            name, "classical", 0.0, math.inf,
-            utility=lambda r, t, q: r * q**3 - t,
-            canonical=lambda r, t, q: t + r * (1.0 - q**3),
-            curve_payment=lambda r, c, q: c - r * (1.0 - q**3),
-            special=lambda a, b: (b[0] - a[0]) / (b[1] ** 3 - a[1] ** 3),
-        ))
-    dom = make_domain(name)
+    dom = cubic_domain()
     assert dom.canonical_payment(2.0, Bundle(0.5, 1.0)) == pytest.approx(0.5)
     mech = from_range(dom, [ZERO_BUNDLE, Bundle(0.1, 0.6), Bundle(1.0, 1.0)])
     grid = np.linspace(0.2, 3.0, 150)
@@ -393,4 +384,4 @@ def test_registering_a_new_family_plugs_into_everything():
         dom, [Bundle(0.4, 0.5)], [0.7, 1.3, 2.1])
     assert report.ok
     with pytest.raises(ValueError):
-        register_family(FAMILIES[name])  # duplicate names are rejected
+        register_family(FAMILIES[dom.family.name])  # duplicate names are rejected

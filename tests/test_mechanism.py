@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import FACTORY_FAMILIES, grid_around, random_feasible_range
+from helpers import (FACTORY_FAMILIES, grid_around, random_feasible_range,
+                     reference_evaluate, same_bits)
 from scmech import measure, serialize
 from scmech.domain import Bundle, Ordering, ZERO_BUNDLE, make_domain
 from scmech.errors import DomainError, InfeasibleRangeError
@@ -65,6 +66,61 @@ def test_evaluate_outside_interval_rejected():
     mech = from_range(dom, [ZERO_BUNDLE, Bundle(1, 0.5)])
     with pytest.raises(DomainError):
         mech.evaluate(0.2)
+
+
+def assert_evaluate_many_matches(mech, rs):
+    """evaluate_many equals evaluate at each type, and the breakpoint scan
+    of the reference, bit for bit."""
+    ts, qs = mech.evaluate_many(rs)
+    one_by_one = [mech.evaluate(r) for r in rs]
+    assert same_bits(ts, [z.t for z in one_by_one])
+    assert same_bits(qs, [z.q for z in one_by_one])
+    assert one_by_one == [reference_evaluate(mech, r) for r in rs]
+
+
+def test_evaluate_many_on_decreasing_breakpoints():
+    # the teaser mechanism, and breakpoints that fall: a type gets the
+    # bundle after the leading breakpoints at or below it, so the types
+    # between 0.5 and 2.0 get the first bundle
+    dom = make_domain("quasilinear", 0.5, 3.0)
+    teaser = FiniteMechanism(
+        dom, (Bundle(1.0, 1.0), ZERO_BUNDLE, Bundle(2.0, 1.0)), (1.0, 2.0))
+    falling = FiniteMechanism(
+        dom, (Bundle(0.2, 0.2), Bundle(1.0, 0.6), Bundle(1.2, 1.0)), (2.0, 0.5))
+    rs = np.linspace(0.5, 3.0, 51)
+    for mech in (teaser, falling):
+        assert_evaluate_many_matches(mech, rs)
+    assert falling.evaluate(1.0) == Bundle(0.2, 0.2)
+    assert falling.evaluate(2.0) == Bundle(1.2, 1.0)
+
+
+def test_evaluate_many_at_breakpoints_and_domain_ends():
+    dom = make_domain("quasilinear", 0.5, 6.0)
+    mech = from_range(dom, [ZERO_BUNDLE, Bundle(1, 0.5), Bundle(3, 1)])
+    rs = [0.5, *mech.breakpoints, 3.0, 6.0, 2.0, 0.5]
+    assert_evaluate_many_matches(mech, rs)
+    ts, _ = mech.evaluate_many(mech.breakpoints)
+    assert ts.tolist() == [1.0, 3.0]  # the tie goes to the higher bundle
+    # a repeated breakpoint skips the bundle between its two copies
+    twice = FiniteMechanism(
+        dom, (ZERO_BUNDLE, Bundle(1, 0.5), Bundle(3, 1)), (2.0, 2.0))
+    assert_evaluate_many_matches(twice, [0.5, 1.9, 2.0, 2.1, 6.0])
+    assert twice.evaluate_many([1.9, 2.0])[0].tolist() == [0.0, 3.0]
+    # and a mechanism with one bundle has no breakpoint
+    single = from_range(dom, [Bundle(0.4, 0.3)])
+    assert_evaluate_many_matches(single, [0.5, 6.0])
+    assert [a.shape for a in mech.evaluate_many([])] == [(0,), (0,)]
+
+
+@pytest.mark.parametrize("bad", [0.2, 6.5, math.nan, math.inf])
+def test_evaluate_many_rejects_what_evaluate_rejects(bad):
+    dom = make_domain("quasilinear", 0.5, 6.0)
+    mech = from_range(dom, [ZERO_BUNDLE, Bundle(1, 0.5)])
+    with pytest.raises(DomainError) as one:
+        mech.evaluate(bad)
+    with pytest.raises(DomainError) as many:
+        mech.evaluate_many([1.0, bad, 0.1])  # the first bad type is named
+    assert str(many.value) == str(one.value)
 
 
 def test_non_diagonal_range_rejected():

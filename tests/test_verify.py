@@ -1,10 +1,17 @@
+import itertools
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import FACTORY_FAMILIES, grid_around, random_feasible_range
-from scmech import measure
-from scmech.domain import Bundle, ZERO_BUNDLE, make_domain
+from helpers import (FACTORY_FAMILIES, cubic_domain, grid_around,
+                     random_feasible_range, reference_individual_rationality,
+                     reference_shape, reference_strategy_proof,
+                     reference_verify)
+from scmech import measure, verify
+from scmech.domain import Bundle, PreferenceDomain, ZERO_BUNDLE, make_domain
 from scmech.errors import DomainError, ScmechError, TractabilityError
 from scmech.mechanism import (AnchorLine, FiniteMechanism, countable_geometric,
                               epsilon_truncate, from_range, harmonic_sequence)
@@ -111,6 +118,29 @@ def test_restricted_ic_skips_unaffordable_deviations():
     assert check_strategy_proof(ra, mech.evaluate, grid).ok
 
 
+def test_incentive_check_runs_in_blocks_of_pairs():
+    # 300 points make 90000 pairs: no call of the canonical payment sees
+    # more than PAIR_BLOCK of them, and with a block below one row of the
+    # grid the check goes a row at a time
+    real = PreferenceDomain.canonical_payment_many
+    for block, sizes in ((verify.PAIR_BLOCK, [218 * 300, 82 * 300]),
+                         (100, [300] * 300)):
+        seen = []
+
+        def spy(self, r, t, q):
+            out = real(self, r, t, q)
+            seen.append(np.size(out))
+            return out
+
+        with mock.patch.object(verify, "PAIR_BLOCK", block), \
+                mock.patch.object(PreferenceDomain, "canonical_payment_many",
+                                  spy):
+            report = check_strategy_proof(QL12, linear_continuum_mech,
+                                          np.linspace(1.0, 2.0, 300))
+        assert seen == sizes
+        assert len(report.violations) == 300 * 299 // 2
+
+
 def test_report_ordering_is_deterministic():
     report = check_strategy_proof(QL12, linear_continuum_mech,
                                   np.linspace(1.0, 2.0, 41))
@@ -154,12 +184,15 @@ def assert_certify_agrees(mech, grid):
 CERTIFY_FAMILIES = [*FACTORY_FAMILIES, "power_q"]
 
 
+CUBIC = cubic_domain()
+
+
 @st.composite
-def candidate_ranges(draw):
+def candidate_ranges(draw, names=st.sampled_from(CERTIFY_FAMILIES)):
     """Ranges as a benchmark draws them: built to switch at drawn types
     (each bundle binds with the one below at its type), or random sorted
     bundles.  Restricted families start at (0, 0)."""
-    dom = make_domain(draw(st.sampled_from(CERTIFY_FAMILIES)))
+    dom = make_domain(draw(names))
     fam = dom.family
     k = draw(st.integers(1, 4))
     qs = sorted(draw(st.lists(st.floats(0.05, 1.0), min_size=k + 1,
@@ -307,6 +340,118 @@ def test_certify_step_rejects_an_unaffordable_bundle():
     mech = FiniteMechanism(ra, (ZERO_BUNDLE, Bundle(1.0, 0.5)), (0.5,))
     with pytest.raises(DomainError):
         certify_step(ra, mech, 0.2, 2.0)
+
+
+# -- the grid checks against the point-by-point reference ----------------------
+
+
+def _report_or_error(check):
+    """A report's dictionary, or the type and message of the error the
+    check raised."""
+    try:
+        return check().to_dict()
+    except ScmechError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# Families whose canonical payment takes only +, -, *, / and sqrt, each
+# rounded correctly by IEEE arithmetic: a float parameter and an array of
+# them give the same bits.  power_q and the cubic family take a power, which
+# numpy's array loops and the C library's pow may round an ulp apart, so an
+# array of parameters can move a gain by an ulp from the float one.
+SAME_BITS_ON_ARRAYS = FACTORY_FAMILIES
+
+
+def assert_same_outcome(got, expected, exact):
+    """The same error, or the same report: every record in the same order
+    and spelled the same by ``repr``, which spells each float exactly.
+    Unless ``exact``, a gain may be 1e-14 off, a few ulps of the canonical
+    payments drawn here."""
+    if isinstance(got, str) or isinstance(expected, str):
+        assert got == expected
+        return
+    records = itertools.zip_longest(got.pop("violations"),
+                                    expected.pop("violations"), fillvalue={})
+    for a, b in [(got, expected), *records]:
+        if (not exact and "gain" in a and "gain" in b
+                and abs(a["gain"] - b["gain"]) <= 1e-14):
+            a["gain"] = b["gain"]
+        # record by record: pytest's diff of two long reports is slow
+        assert repr(a) == repr(b)
+
+
+def _wavy(a, b, c, d, e):
+    """A rule that is not monotone in either coordinate."""
+    def fn(r):
+        return Bundle(a + b * math.sin(c * r), min(1.0, d + e * math.cos(c * r)))
+    return fn
+
+
+def _affine(t0, t1, q0, q1):
+    def fn(r):
+        return Bundle(t0 + t1 * r, q0 + q1 * r)
+    return fn
+
+
+@st.composite
+def grid_cases(draw):
+    """A domain, a rule and a grid.  Rules: a step mechanism on a drawn
+    range (supportable or not), a step mechanism with free bundles and
+    unsorted breakpoints, a wavy callable and an affine one.  Grids are
+    unsorted, repeat points, and may be empty, hold one point, or leave the
+    domain interval."""
+    name = draw(st.sampled_from([*CERTIFY_FAMILIES, CUBIC.family.name]))
+    dom, zs = draw(candidate_ranges(st.just(name)))
+    lo, hi = max(dom.lo, 0.05), min(dom.hi, 4.0)
+    kind = draw(st.sampled_from(["range", "steps", "wavy", "affine"]))
+    if kind == "range":
+        try:
+            rule = from_range(dom, zs)
+        except ScmechError:
+            kind = "steps"
+    if kind == "steps":
+        m = draw(st.integers(1, 5))
+        zs = draw(st.lists(st.builds(Bundle, st.floats(0.0, 2.5),
+                                     st.floats(0.0, 1.0)),
+                           min_size=m, max_size=m))
+        bps = draw(st.lists(st.floats(lo, hi), min_size=m - 1,
+                            max_size=m - 1))
+        rule = FiniteMechanism(dom, tuple(zs), tuple(bps))
+    elif kind == "wavy":
+        b = draw(st.floats(0.0, 1.0))
+        rule = _wavy(draw(st.floats(b, 2.5)), b, draw(st.floats(0.5, 20.0)),
+                     draw(st.floats(0.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    elif kind == "affine":
+        rule = _affine(*(draw(st.floats(-1.0, 1.0)) for _ in range(4)))
+    pool = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=12))
+    if draw(st.integers(0, 9)) == 0:  # now and then a point outside
+        pool.append(dom.lo - 0.5 if dom.lo > 0.5 else
+                    dom.hi + 0.5 if math.isfinite(dom.hi) else -0.5)
+    size = draw(st.integers(0, 40))
+    grid = draw(st.lists(st.sampled_from(pool), min_size=size,
+                         max_size=size))
+    return dom, rule, grid
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=grid_cases(), block=st.sampled_from([1, 5, 64, verify.PAIR_BLOCK]))
+def test_grid_checks_match_the_reference(case, block):
+    dom, rule, grid = case
+    fn = rule.evaluate if isinstance(rule, FiniteMechanism) else rule
+    checks = [(check_strategy_proof, reference_strategy_proof, fn),
+              (check_individual_rationality, reference_individual_rationality,
+               fn),
+              (verify_mechanism, reference_verify, rule)]
+    if isinstance(rule, FiniteMechanism):
+        checks += [(check_shape, reference_shape, rule),
+                   (verify_mechanism, reference_verify, fn)]
+    exact = dom.family.name in SAME_BITS_ON_ARRAYS
+    with mock.patch.object(verify, "PAIR_BLOCK", block):
+        for check, reference, arg in checks:
+            with np.errstate(invalid="ignore"):  # inf - inf in the reference
+                expected = _report_or_error(lambda: reference(dom, arg, grid))
+            assert_same_outcome(_report_or_error(lambda: check(dom, arg, grid)),
+                                expected, exact)
 
 
 # -- brute force ----------------------------------------------------------------
