@@ -47,7 +47,10 @@ For the classical families with ``p = 2`` (``income_effect``,
 ``payment_param``, ``two_param``) the payment-mode program has an exact
 inner solution: at fixed breakpoints the optimal quantities follow in
 closed form from ``a`` and the inverse of ``h``, which the factory
-records as ``Family.exact_quantities``.
+records as ``Family.exact_quantities``.  So has ``risk_averse``
+(``w(q) = q**2``) in expected payments, where the revenue at fixed
+breakpoints is concave in the quantities.  The factories record these
+modes as ``Family.exact_quantity_modes``.
 
 The order parameter is chosen per family so that ``f_r(z)`` is strictly
 increasing in ``r`` for every bundle with ``q < 1``; families whose natural
@@ -191,8 +194,12 @@ class Family:
     ``exact_quantities`` holds ``a`` and the inverse of ``h`` for a
     classical form with ``phi(t) = t**2``, whose payment-mode quantities
     the solver computes in closed form; :func:`_classical` derives it, and
-    it is ``None`` for every other family.  ``canonical`` broadcasts an
-    array ``r`` against arrays ``t`` and ``q`` (see
+    it is ``None`` for every other family.  ``exact_quantity_modes`` are
+    the revenue modes in which the solver computes the quantities at fixed
+    breakpoints exactly and searches only the breakpoints: payments for
+    such a classical form, expected payments for a restricted form with
+    ``w(q) = q**2``; the factories derive them.  ``canonical`` broadcasts
+    an array ``r`` against arrays ``t`` and ``q`` (see
     :func:`register_family`).
     """
 
@@ -209,6 +216,7 @@ class Family:
     posted_price_modes: tuple[str, ...] = ()
     exact_quantities: Optional[ExactQuantities] = None
     bind: Optional[Callable] = None
+    exact_quantity_modes: tuple[str, ...] = ()
 
     @property
     def restricted(self) -> bool:
@@ -295,7 +303,7 @@ def _classical(name, utility, p, k, a=_identity, a_inv=_identity,
     exact = ExactQuantities(a, _POWERS[1 / k]) if p == 2 else None
     return Family(name, "classical", 0.0, param_hi, utility, canonical,
                   curve_payment, special, blurb, best_on_line, posted,
-                  exact, bind)
+                  exact, bind, ("payment",) if p == 2 else ())
 
 
 def _restricted(name, utility, k, blurb=""):
@@ -335,11 +343,12 @@ def _restricted(name, utility, k, blurb=""):
         # maximizes w(slope*t) * (r - t), unimodal in t >= 0
         return _clamp(k * r / (k + 1.0), t_lo, t_hi)
 
-    # with w(q) = q, q_k t_k - q_{k-1} t_{k-1} = theta_k * dq_k
+    # with w(q) = q, q_k t_k - q_{k-1} t_{k-1} = theta_k * dq_k; with
+    # w(q) = q**2, t_k q_k = theta_k q_k - sum_{j<k} dtheta_j q_j**2 / q_k
     posted = ("expected_payment",) if k == 1 else ()
     return Family(name, "restricted", 0.0, math.inf, utility, canonical,
                   curve_payment, special, blurb, best_on_line, posted,
-                  None, bind)
+                  None, bind, ("expected_payment",) if k == 2 else ())
 
 
 def _ql_utility(r, t, q):
@@ -366,11 +375,14 @@ def _tp_utility(r, t, q):
     return 2.0 * np.sqrt(q) - (3.0 - r) * t * t
 
 
+# power_q takes its powers through numpy's array loop, also for a float
+# parameter: the C library's pow rounds some of them an ulp apart from it,
+# so a grid of parameters would see other canonical payments than each one.
 def _pq_utility(r, t, q):
     q = np.asarray(q, dtype=float)
     qs = POWER_Q_SPLICE
-    hi = q**r - t
-    lo = qs**r - _power_q_slope_label(r) * (qs - q) - t
+    hi = np.power(q, r) - t
+    lo = np.power(qs, r) - _power_q_slope_label(r) * (qs - q) - t
     out = np.where(q >= qs, hi, lo)
     return out if out.ndim else float(out)
 
@@ -378,8 +390,8 @@ def _pq_utility(r, t, q):
 def _pq_canonical(r, t, q):
     q = np.asarray(q, dtype=float)
     qs = POWER_Q_SPLICE
-    hi = t + 1.0 - q**r
-    lo = t + _power_q_slope_label(r) * (qs - q) + 1.0 - qs**r
+    hi = t + 1.0 - np.power(q, r)
+    lo = t + _power_q_slope_label(r) * (qs - q) + 1.0 - np.power(qs, r)
     out = np.where(q >= qs, hi, lo)
     return out if out.ndim else float(out)
 
@@ -387,8 +399,8 @@ def _pq_canonical(r, t, q):
 def _pq_curve(r, c, q):
     q = np.asarray(q, dtype=float)
     qs = POWER_Q_SPLICE
-    hi = c - 1.0 + q**r
-    lo = c - 1.0 + qs**r - _power_q_slope_label(r) * (qs - q)
+    hi = c - 1.0 + np.power(q, r)
+    lo = c - 1.0 + np.power(qs, r) - _power_q_slope_label(r) * (qs - q)
     out = np.where(q >= qs, hi, lo)
     return out if out.ndim else float(out)
 

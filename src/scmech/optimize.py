@@ -42,8 +42,13 @@ path sells ``q_m = 1``: the searched profile is
   best goes on: the optimum often uses fewer bundles than allowed,
   leaving flat directions a sweep cannot tighten.  Bundle insertion tries
   a new bundle in each gap while fewer than allowed are used, and one
-  Nelder-Mead polish of the whole profile moves along ridges the
-  coordinates do not follow.
+  Nelder-Mead polish moves along ridges the coordinates do not follow.
+  The searched vector is the whole profile, except in a family's
+  ``Family.exact_quantity_modes`` on this path: for a restricted family
+  with ``w(q) = q**2`` (risk_averse) in expected payments the revenue at
+  fixed breakpoints is concave in the quantities, which an active-set
+  Newton method gives exactly (:func:`_square_weight_profile`), and only
+  the breakpoints are searched (``diagnostics["searched"]``).
 
 Both DPs are one, :func:`_best_chain`: the revenue of a range is a sum over
 consecutive pairs whose keys do not decrease, the pooled ratio ``c/d`` of
@@ -53,9 +58,10 @@ path draws a random start, so ``OptimizeOptions.seed`` is unused.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,6 +85,11 @@ POLISH_STEP = 1e-3  # first simplex of the sweep path's polish, per unit range
 POLISH_XATOL = 1e-10  # Nelder-Mead stops once its simplex is this small in theta
 POLISH_FATOL = 1e-15  # and its revenues spread this little
 POLISH_MAXFEV = 4000  # revenue evaluations of the polish, at most
+NEWTON_TOL = 1e-7  # a quantity step of Newton's method this small is its last
+KKT_TOL = 1e-13  # a tie splits once its gradient is this far below 0, per
+#                  unit of the top breakpoint
+SELL_TOL = 1e-18  # a segment worth less, per unit of the top breakpoint,
+#                   sells what the one below it sells
 
 
 @dataclass(frozen=True)
@@ -176,49 +187,227 @@ def _profile_revenue(domain, dist, mode, thetas, qs) -> float:
     return total
 
 
-def _sweep(domain, dist, mode, thetas, qs):
+def _newton_blocks(P, M, D, top, v):
+    """Newton's method for the free blocks of the square-weight program
+    (:func:`_square_weight_profile`), from ``v``, until a step is at most
+    ``NEWTON_TOL`` or a block would pass the one above it, or 1.
+
+    Block ``b`` starts at the breakpoint ``P[b]``, holds the mass ``M[b]``
+    and reaches ``D[b]`` up to the next block; ``top`` is the mass sold the
+    whole good.  Above its diagonal the Hessian is ``x_a y_b``, with
+    ``x_a = 2 D_a v_a`` and ``y_b = M_b / v_b**2``, so one pass solves each
+    Newton system, every unknown affine in ``T = sum_b y_b w_b``.  A step
+    that would pass a neighbour stops on it; one that would reach 0 goes
+    half way.  Returns the quantities and the block that met the one above
+    it, or None.  One block is the lowest, so ``S = 0`` and the revenue is
+    a parabola in its quantity: one step lands on its vertex
+    ``M P / (2 D top)``, or on the top.
+    """
+    p = len(v)
+    if p == 1:
+        vertex = M[0] * P[0] / (2.0 * D[0] * top)
+        return ([1.0], 0) if vertex >= 1.0 else ([vertex], None)
+    al, be = [0.0] * p, [0.0] * p
+    for _ in range(100):  # a cap no solve has reached
+        u = top
+        for mb, vb in zip(M, v):
+            u += mb / vb
+        la = lb = ya = yb = s2 = 0.0
+        for b, (pb, mb, db, vb) in enumerate(zip(P, M, D, v)):
+            y = mb / (vb * vb)
+            u -= y * vb  # U_b: the mass above block b, each over its quantity
+            x = 2.0 * db * vb
+            den = -(y * s2 + x * u) / vb - x * y
+            al[b] = a = (x * (u - top + ya) - mb * pb
+                         - y * (0.5 * s2 + la)) / den
+            be[b] = e = (x * (yb - 1.0) - y * lb) / den
+            la, lb, ya, yb = la + x * a, lb + x * e, ya + y * a, yb + y * e
+            s2 += x * vb  # 2 S_{b+1}
+        if yb >= 1.0:  # (nearly) no mass above: the highest block would
+            return v, p - 1  # rise without bound
+        t = ya / (1.0 - yb)
+        w = [a + e * t for a, e in zip(al, be)]
+        alpha, hit, step, hv, hw = 1.0, None, 0.0, 1.0, 1.0
+        for b in range(p - 1, -1, -1):
+            wb, vb = w[b], v[b]
+            if wb > hw and hv - vb < alpha * ((hv - vb) - (hw - wb)):
+                alpha, hit = (hv - vb) / ((hv - vb) - (hw - wb)), b
+            step = max(step, abs(wb - vb))
+            hv, hw = vb, wb
+        if hw <= 0.0 and hv < 2.0 * alpha * (hv - hw):
+            alpha, hit = 0.5 * hv / (hv - hw), None
+        if alpha < 1.0:
+            v = [a + alpha * (b - a) for a, b in zip(v, w)]
+            if hit is not None:
+                return v, hit
+        elif step <= NEWTON_TOL:
+            return w, None
+        else:
+            v = w
+    return v, None
+
+
+def _square_weight_profile(dist, thetas):
+    """Revenue-maximizing quantities at fixed breakpoints for a restricted
+    form with ``w(q) = q**2`` in expected payments.
+
+    Binding indifference gives ``t_k q_k = theta_k q_k - S_k / q_k`` with
+    ``S_k = sum_{j<k} dtheta_j q_j**2``, so the revenue
+    ``sum_k c_k (theta_k q_k - S_k / q_k)``, ``c_k = F(theta_{k+1}) -
+    F(theta_k)``, is concave on ``0 <= q_1 <= ... <= q_m = 1`` (README).
+    A segment worth ``c_k theta_k <= SELL_TOL * theta_m`` pools with the
+    one below it or, among the lowest, sells nothing.  The others form
+    blocks of equal quantity, each a segment of a pooled profile, and an
+    active set settles them: Newton's method on the free blocks
+    (:func:`_newton_blocks`) merges a block into the one it meets, and a
+    tie splits where the segments below it would sell less.  With one
+    free block the revenue is a parabola, and the first step lands on its
+    vertex: two breakpoints sell
+    ``q_1 = min(1, c_1 theta_1 / (2 c_2 dtheta_1))``.
+    ``thetas`` must be sorted and nonnegative.  Plain float arithmetic
+    after one CDF call.  Returns the revenue and the quantities.
+    """
+    m = len(thetas)
+    cdf = dist.cdf([*thetas, dist.hi]).tolist()
+    floor = SELL_TOL * thetas[-1]
+    seg = [k for k in range(m - 1)
+           if (cdf[k + 1] - cdf[k]) * thetas[k] > floor]
+    # free block b runs from the breakpoint starts[b] to the next start, or
+    # to top, where the block sold the whole good begins
+    starts, top, v = seg[:], m - 1, None
+    if seg and cdf[-1] == cdf[-2]:
+        top = starts.pop()  # no mass above pays for a step below the top
+    for rounds in range(4 * m, -1, -1):  # a cap no solve has reached
+        P, M, D = [], [], []
+        for k, e in zip(starts, [*starts[1:], top]):
+            P.append(thetas[k])
+            M.append(cdf[e] - cdf[k])
+            D.append(thetas[e] - thetas[k])
+        mt = cdf[-1] - cdf[top]
+        if v is None:
+            # each block's best quantity with nothing sold below it and the
+            # blocks above at these, kept strictly increasing; the first
+            # step from it solves one free block exactly
+            v, u, up = P[:], mt, 1.0
+            for b in range(len(v) - 1, -1, -1):
+                v[b] = up = min(M[b] * P[b] / (2.0 * D[b] * u),
+                                up * (1.0 - 1e-3))
+                u += M[b] / up
+        if not rounds:
+            break
+        v, hit = _newton_blocks(P, M, D, mt, v) if starts else (v, None)
+        if hit is not None:  # block hit meets the next one, or the top
+            if hit + 1 < len(starts):
+                del starts[hit + 1], v[hit + 1]
+            else:
+                top = starts.pop()
+                v.pop()
+            continue
+        if len(starts) == len(seg):
+            break  # no tie
+        # a tie holds while the segments below it, in its block, would not
+        # sell less: the gradient summed over them is not negative
+        q = [1.0 if k >= top else v[sum(1 for i in starts if i <= k) - 1]
+             for k in seg]
+        ends = [*seg[1:], m - 1]
+        g, s2, u = [0.0] * len(seg), 0.0, cdf[-1] - cdf[-2]
+        for j, (k, e) in enumerate(zip(seg, ends)):
+            g[j] = (cdf[e] - cdf[k]) * (thetas[k] + s2 / (q[j] * q[j]))
+            s2 += (thetas[e] - thetas[k]) * q[j] * q[j]
+        for j in range(len(seg) - 1, -1, -1):
+            k, e = seg[j], ends[j]
+            g[j] -= 2.0 * (thetas[e] - thetas[k]) * q[j] * u
+            u += (cdf[e] - cdf[k]) / q[j]
+        worst, at, below = -KKT_TOL * thetas[-1], None, 0.0
+        for j, (k, e) in enumerate(zip(seg, ends)):
+            below = g[j] + (0.0 if k in starts or k == top else below)
+            tied = k >= top or e not in (top, *starts)
+            if tied and below < worst:
+                worst, at = below, e
+        if at is None:
+            break
+        if at > top:  # the lowest segments of the top block go free
+            starts.append(top)
+            v.append(1.0)
+            top = at
+        else:
+            b = sum(1 for i in starts if i < at)
+            starts.insert(b, at)
+            v.insert(b, v[b - 1])
+    qs, revenue, s2 = [0.0] * m, 0.0, 0.0
+    for k, e, u, mb, d in zip(starts, [*starts[1:], top], v, M, D):
+        qs[k:e] = [u] * (e - k)
+        revenue += mb * (thetas[k] * u - s2 / u)
+        s2 += d * u * u
+    qs[top:] = [1.0] * (m - top)
+    return revenue + mt * (thetas[top] - s2), qs
+
+
+class _Space(NamedTuple):
+    """The searched vector: ``n`` breakpoints in ``[lo, hi]``, then, where
+    ``quantities`` is set, ``q_1..q_{n-1}`` in [0, 1] (the top quantity
+    is 1).  ``kinks`` are the points where the sweeps probe each
+    breakpoint: the CDF's knots inside the support for the search over
+    breakpoints alone (see :func:`_search`), none for the profile."""
+
+    lo: float
+    hi: float
+    quantities: bool
+    kinks: tuple
+
+    def count(self, x):
+        return (len(x) + 1) // 2 if self.quantities else len(x)
+
+
+def _sweep(revenue, x, space):
     """Coordinate-wise bounded maximization with endpoint probing.
 
-    The profile is one vector ``x = (theta_1..theta_m, q_1..q_{m-1})``, and
-    the top quantity is 1.  Each coordinate is bounded by its neighbours in
-    its own block, and at the block ends by the support (thetas) or by
-    [0, 1] (quantities).
+    Each coordinate of the searched vector ``x`` is bounded by its
+    neighbours in its own block, and at the block ends by the support
+    (breakpoints) or by [0, 1] (quantities).  A breakpoint also probes the
+    kinks on either side of Brent's point, where its optimum often sits.
     """
     from scipy.optimize import minimize_scalar
 
-    m = len(thetas)
-    x = [*thetas, *qs[:-1]]
-    best = _profile_revenue(domain, dist, mode, x[:m], [*x[m:], 1.0])
+    n = space.count(x)
+    x = list(x)
+    best = revenue(x)
     for _ in range(SWEEP_ROUNDS):
         improved = 0.0
-        for i in range(2 * m - 1):
-            ends = [dist.lo, *x[:m], dist.hi] if i < m else [0.0, *x[m:], 1.0]
-            lo, hi = ends[i % m], ends[i % m + 2]
-            if hi - lo < 1e-13:
+        for i in range(len(x)):
+            ends = ([space.lo, *x[:n], space.hi] if i < n
+                    else [0.0, *x[n:], 1.0])
+            a, b = ends[i % n], ends[i % n + 2]
+            if b - a < 1e-13:
                 continue
 
             def revenue_at(v):
                 trial = list(x)
-                trial[i] = v
-                return _profile_revenue(domain, dist, mode, trial[:m],
-                                        [*trial[m:], 1.0])
+                trial[i] = float(v)
+                return revenue(trial)
 
             res = minimize_scalar(
                 lambda v: -revenue_at(v),
-                bounds=(lo, hi), method="bounded", options={"xatol": 1e-11},
+                bounds=(a, b), method="bounded", options={"xatol": 1e-11},
             )
             # probe the exact endpoints: optima frequently sit on them.
             # The revenue at Brent's final point and at x[i] is known.
-            cands = [float(res.x), lo, hi, x[i]]
-            vals = [-res.fun, revenue_at(lo), revenue_at(hi), best]
-            j = int(np.argmax(vals))
+            cands = [float(res.x), a, b, x[i]]
+            vals = [-res.fun, revenue_at(a), revenue_at(b), best]
+            if i < n:
+                k = bisect.bisect(space.kinks, cands[0])
+                for kink in space.kinks[max(k - 1, 0):k + 1]:
+                    if a < kink < b:
+                        cands.append(kink)
+                        vals.append(revenue_at(kink))
+            j = max(range(len(vals)), key=vals.__getitem__)  # the first
             if vals[j] > best + 1e-15:
                 improved += vals[j] - best
                 best = vals[j]
                 x[i] = cands[j]
         if improved < SWEEP_TOL:
             break
-    return x[:m], [*x[m:], 1.0], best
+    return x, best
 
 
 def _best_chain(key, gain, m):
@@ -319,60 +508,100 @@ def _chain_dp(domain, dist, mode, m, t_grid, q_grid):
     return starts, n - 1
 
 
-def _insert(domain, dist, mode, m, thetas, qs, rev):
-    """Bundle insertion: while fewer than ``m`` bundles are used, try a
-    new one in each gap, its breakpoint at the gap's midpoint and its
-    quantity 1% of the way up the gap, and keep the best re-swept one that
-    earns more than ``RIDGE_TOL``."""
-    while len(thetas) < m:
-        th, q = [dist.lo, *thetas, dist.hi], [0.0, *qs, 1.0]
-        trials = [_sweep(domain, dist, mode,
-                         [*thetas[:k], 0.5 * (th[k] + th[k + 1]), *thetas[k:]],
-                         [*qs[:k], q[k] + 0.01 * (q[k + 1] - q[k]), *qs[k:]])
-                  for k in range(len(thetas) + 1)]
-        best = max(trials, key=lambda trial: trial[2])
-        if best[2] <= rev + RIDGE_TOL:
+def _insert(revenue, x, rev, m, space):
+    """Bundle insertion: while fewer than ``m`` breakpoints are used, try a
+    new one in each gap of the searched vector ``x``, at the gap's midpoint
+    and, where quantities are searched, with its quantity 1% of the way up
+    the gap, and keep the best re-swept one that earns more than
+    ``RIDGE_TOL``."""
+    while (n := space.count(x)) < m:
+        th, qs = [space.lo, *x[:n], space.hi], [*x[n:], 1.0]
+        q = [0.0, *qs, 1.0]
+        trials = []
+        for k in range(n + 1):
+            trial = [*x[:k], 0.5 * (th[k] + th[k + 1]), *x[k:n]]
+            if space.quantities:
+                trial += [*qs[:k], q[k] + 0.01 * (q[k + 1] - q[k]),
+                          *qs[k:]][:-1]
+            trials.append(_sweep(revenue, trial, space))
+        best = max(trials, key=lambda trial: trial[1])
+        if best[1] <= rev + RIDGE_TOL:
             break
-        thetas, qs, rev = best
-    return thetas, qs, rev
+        x, rev = best
+    return x, rev
 
 
-def _search(domain, dist, m, mode):
+def _search(domain, dist, m, mode, exact):
     """The sweep path: a sweep from each distinct range of the chain DP and
     from the posted price, bundle insertion from the fewest-bundle result
     within ``RIDGE_TOL`` of the best, and a Nelder-Mead polish, re-swept
-    when it gains.  Returns the profile and its diagnostics."""
+    when it gains.
+
+    Where the quantities are ``exact`` at fixed breakpoints
+    (:func:`_square_weight_profile`), the searched vector is the
+    breakpoints; otherwise it is the whole profile.  With exact
+    quantities the revenue is smooth in each breakpoint between the CDF's
+    knots, with a local maximum between two knots where the density drops
+    at both, so a sweep can stop below a better one.  Where the support
+    holds knots, the sweeps probe them, and the best result with one
+    breakpoint fewer than allowed is extended by insertion as well.
+    Returns the profile and its diagnostics."""
     from scipy.optimize import minimize
+
+    lo, hi = dist.lo, dist.hi
+    kinks = tuple(k for k in dist.knots or () if lo < k < hi) if exact else ()
+    space = _Space(lo, hi, not exact, kinks)
+    if exact:
+        def revenue(x):
+            return _square_weight_profile(dist, x)[0]
+    else:
+        def revenue(x):
+            n = space.count(x)
+            return _profile_revenue(domain, dist, mode, x[:n],
+                                    [*x[n:], 1.0])
 
     grid = _bundle_grid(domain.family, dist)
     starts, size = _chain_dp(domain, dist, mode, m, *grid)
     profiles = [p for p, _ in starts] + [([monopoly_price(dist)], [1.0])]
-    results = [_sweep(domain, dist, mode, *p)
-               for k, p in enumerate(profiles) if p not in profiles[:k]]
-    best = max(rev for _, _, rev in results)
-    thetas, qs, rev = min((r for r in results if r[2] >= best - RIDGE_TOL),
-                          key=lambda r: (len(r[0]), -r[2]))
-    thetas, qs, rev = _insert(domain, dist, mode, m, thetas, qs, rev)
+    vectors = [[*th, *qs[:-1]] if space.quantities else list(th)
+               for th, qs in profiles]
+    results = [_sweep(revenue, x, space)
+               for k, x in enumerate(vectors) if x not in vectors[:k]]
+    best = max(rev for _, rev in results)
+    base = min((r for r in results if r[1] >= best - RIDGE_TOL),
+               key=lambda r: (len(r[0]), -r[1]))
+    x, rev = _insert(revenue, *base, m, space)
+    fewer = [r for r in results if space.count(r[0]) == m - 1]
+    if kinks and fewer and base not in fewer:
+        y, y_rev = _insert(revenue, *max(fewer, key=lambda r: r[1]), m,
+                           space)
+        if y_rev > rev:
+            x, rev = y, y_rev
 
-    n = len(thetas)
+    n = space.count(x)
 
-    def profile(x):
-        return (list(np.sort(np.clip(x[:n], dist.lo, dist.hi))),
-                [*np.sort(np.clip(x[n:], 0.0, 1.0)), 1.0])
+    def clip(x):
+        x = x.tolist()
+        return [*sorted([min(max(t, lo), hi) for t in x[:n]]),
+                *sorted([min(max(t, 0.0), 1.0) for t in x[n:]])]
 
     def loss(x):
-        return -_profile_revenue(domain, dist, mode, *profile(x))
+        return -revenue(clip(x))
 
-    start = np.array([*thetas, *qs[:-1]])
-    steps = [POLISH_STEP * (dist.hi - dist.lo)] * n + [POLISH_STEP] * (n - 1)
+    start = np.array(x)
+    steps = [POLISH_STEP * (hi - lo)] * n + [POLISH_STEP] * (len(x) - n)
     simplex = np.vstack([start, start + np.diag(steps)])
     res = minimize(loss, start, method="Nelder-Mead",
                    options={"initial_simplex": simplex, "xatol": POLISH_XATOL,
                             "fatol": POLISH_FATOL, "maxfev": POLISH_MAXFEV})
     if -res.fun > rev:
-        thetas, qs, rev = _sweep(domain, dist, mode, *profile(res.x))
+        x, rev = _sweep(revenue, clip(res.x), space)
+    thetas = [float(t) for t in x[:n]]
+    qs = (_square_weight_profile(dist, thetas)[1] if exact
+          else [*x[n:], 1.0])
     return thetas, qs, {"method": "sweep", "dp_grid": size,
                         "dp_revenue": starts[-1][1],
+                        "searched": "breakpoints" if exact else "profile",
                         "polish_evals": int(res.nfev)}
 
 
@@ -528,33 +757,37 @@ def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
 
     In the family's posted-price modes the answer is the posted price
     :func:`~scmech.measure.monopoly_price`, exact for every distribution.
-    A classical family with ``phi(t) = t**2`` in payments has exact
-    quantities for given breakpoints, and only the breakpoints are
-    searched.  Otherwise the profile is swept from the best range of a
-    bundle grid.  Both searches start from the same DP, the best chain of
-    consecutive pairs on a grid of breakpoints or of bundles.
+    In its ``exact_quantity_modes`` a family has exact quantities for
+    given breakpoints, and only the breakpoints are searched: by a zoomed
+    grid DP for a classical family with ``phi(t) = t**2`` in payments, and
+    by the sweep for risk_averse in expected payments.  Otherwise the
+    profile is swept.  Both searches start from the same DP, the best
+    chain of consecutive pairs on a grid of breakpoints or of bundles.
     ``diagnostics["method"]`` says which path ran (``"posted_price"``,
     ``"exact_quantities"`` or ``"sweep"``); the last two also report their
     first DP's grid size ``"dp_grid"`` (breakpoints, or bundles) and grid
     optimum ``"dp_revenue"``.  The exact path reports its zoomed DPs,
-    ``"zoom_rounds"``, and the sweep path the revenue evaluations of its
-    polish, ``"polish_evals"``.  The mechanism is certified for every type
-    of the support by :func:`~scmech.verify.certify_step`, and a failure
-    raises :class:`ScmechError`.
+    ``"zoom_rounds"``, and the sweep path the vector it searched,
+    ``"searched"`` (``"breakpoints"`` or ``"profile"``), and the revenue
+    evaluations of its polish, ``"polish_evals"``.  The mechanism is
+    certified for every type of the support by
+    :func:`~scmech.verify.certify_step`, and a failure raises
+    :class:`ScmechError`.
     """
     check_revenue_mode(mode)
     _check_support(domain, dist)
     family = domain.family
+    exact = mode in family.exact_quantity_modes
     if mode in family.posted_price_modes:
         price = monopoly_price(dist)
         thetas, qs = [price], [1.0]
         diagnostics = {"method": "posted_price", "price": price}
-    elif mode == "payment" and family.exact_quantities is not None:
+    elif exact and family.exact_quantities is not None:
         thetas, qs, diagnostics = _exact_search(
             family.exact_quantities, dist, opts.max_bundles - 1)
     else:
         thetas, qs, diagnostics = _search(domain, dist, opts.max_bundles - 1,
-                                          mode)
+                                          mode, exact)
 
     mech = _mechanism(domain, thetas, qs)
     revenue = expected_revenue(domain, mech, dist, mode)

@@ -186,6 +186,24 @@ def test_power_q_canonical_continuous_at_splice():
         assert lo == pytest.approx(hi, abs=1e-8)
 
 
+def test_power_q_rounds_a_float_parameter_as_an_array():
+    # below the splice quantity the term POWER_Q_SPLICE**r takes the same
+    # bits for a float r and for an array of them, so the grid checks see
+    # the canonical payments canonical_payment sees.  With the C library's
+    # pow for a float r, 1,568 of these canonical payments differed in the
+    # last bit (numpy 2.4.6 on an AVX-512 CPU)
+    fam = PQ.family
+    rs = np.linspace(0.25, 1 / 3, 100001)
+    floats = [PQ.canonical_payment(r, Bundle(0.5, 0.03)) for r in rs.tolist()]
+    assert same_bits(fam.canonical(rs, 0.5, 0.03), floats)
+    # the curve inverse, the utility and the power piece above the splice
+    rs = rs[::50]
+    for f in (fam.canonical, fam.curve_payment, fam.utility):
+        for q in (0.03, 0.5):
+            floats = [f(r, 0.5, q) for r in rs.tolist()]
+            assert same_bits(f(rs, 0.5, q), floats)
+
+
 def test_income_effect_payment_increments_shrink():
     # two chords of one preference: the increment needed to move to the
     # higher quantity falls as the starting payment rises

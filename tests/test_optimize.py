@@ -119,41 +119,46 @@ def test_solver_is_seed_deterministic():
 
 
 @pytest.fixture
-def payment_calls(monkeypatch):
-    # the objective reaches payments through the module global, so this
-    # counts every profile evaluation of a solve
+def objective_calls(monkeypatch):
+    # both objectives are reached through their module globals, the profile
+    # one through payments_from_breakpoints, so this counts every revenue
+    # evaluation of a solve, each as (function name, arguments)
     calls = []
-    inner = optimize.payments_from_breakpoints
+    for name in ("payments_from_breakpoints", "_square_weight_profile"):
+        def counted(*args, _name=name, _inner=getattr(optimize, name)):
+            calls.append((_name, args))
+            return _inner(*args)
 
-    def counted(*args):
-        calls.append(args)
-        return inner(*args)
-
-    monkeypatch.setattr(optimize, "payments_from_breakpoints", counted)
+        monkeypatch.setattr(optimize, name, counted)
     return calls
 
 
-def test_solve_evaluation_budget(payment_calls):
+def test_solve_evaluation_budget(objective_calls):
     solve_finite(QL, U01, OptimizeOptions(max_bundles=4, seed=11))
-    assert len(payment_calls) <= 8000
+    assert len(objective_calls) <= 8000
 
 
-def test_sweep_evaluation_budget(payment_calls):
-    # risk_averse in expected payments takes the sweep path: one sweep from
-    # each of the chain DP's ranges and from the posted price, the
-    # insertion and the polish
+def test_sweep_evaluation_budget(objective_calls):
+    # risk_averse in expected payments takes the sweep path over the
+    # breakpoints alone: one sweep from each of the chain DP's ranges and
+    # from the posted price, the insertion and the polish.  No quantity is
+    # searched: payments are taken once, for the mechanism
     dom = make_domain("risk_averse", 0.0, 1.0)
-    solve_finite(dom, measure.uniform(0.1, 1.0),
-                 OptimizeOptions(max_bundles=3, seed=11),
-                 mode="expected_payment")
-    assert len(payment_calls) <= 589
+    sol = solve_finite(dom, measure.uniform(0.1, 1.0),
+                       OptimizeOptions(max_bundles=3, seed=11),
+                       mode="expected_payment")
+    assert sol.diagnostics["searched"] == "breakpoints"
+    assert len(objective_calls) <= 396
+    assert [name for name, _ in objective_calls].count(
+        "payments_from_breakpoints") == 1
+    assert objective_calls[-1][0] == "payments_from_breakpoints"
 
 
 @pytest.mark.parametrize("name", ["quasilinear", "income_effect"])
-def test_unknown_revenue_mode_is_domain_error(name, payment_calls):
+def test_unknown_revenue_mode_is_domain_error(name, objective_calls):
     with pytest.raises(DomainError, match="revenue mode"):
         solve_finite(make_domain(name, 0.0, 1.0), U01, mode="bid")
-    assert payment_calls == []
+    assert objective_calls == []
 
 
 def test_solver_rejects_mismatched_support():
@@ -236,6 +241,55 @@ def test_screening_menu_beats_posted_price_with_income_effects():
     assert sol.active_bundles == 3
 
 
+def test_risk_averse_pins_the_three_bundle_optimum():
+    # on U[0.1, 1], dR/dtheta_1 = 0 gives theta_1 = 2 theta_2 / 3, and
+    # dR/dtheta_2 = 0 the cubic 27 s**2 (1 - 2 theta_2) + 3 theta_2**2 s +
+    # theta_2**3 = 0 with s = 1 - theta_2, whose root is
+    # (3 sqrt 2 - 3) / (3 sqrt 2 - 2); q_1 = theta_2 / (3 s) = sqrt 2 - 1
+    mpmath.mp.dps = 30
+    root2 = mpmath.sqrt(2)
+    theta2 = (3 * root2 - 3) / (3 * root2 - 2)
+    theta1, s = 2 * theta2 / 3, 1 - theta2
+    assert abs(27 * s**2 * (1 - 2 * theta2) + 3 * theta2**2 * s
+               + theta2**3) < 1e-28
+    q1 = theta2 / (3 * s)
+    revenue = ((theta2 - theta1) * theta1 * q1
+               + s * (theta2 - (theta2 - theta1) * q1**2)) / mpmath.mpf("0.9")
+    assert abs(q1 - (root2 - 1)) < 1e-28
+    for value, pinned in ((theta2, 0.5540970937771939),
+                          (theta1, 0.3693980625181293),
+                          (revenue, 0.2902265277374905)):
+        assert abs(value - pinned) < 2e-16
+    sol = solve_finite(make_domain("risk_averse", 0.0, 1.0),
+                       measure.uniform(0.1, 1.0),
+                       OptimizeOptions(max_bundles=3),
+                       mode="expected_payment")
+    assert abs(sol.revenue - float(revenue)) <= 1e-15 * float(revenue)
+    assert np.allclose(sol.mechanism.breakpoints,
+                       [float(theta1), float(theta2)], rtol=0, atol=1e-8)
+    assert abs(sol.mechanism.bundles[1].q - float(q1)) <= 1e-8
+    assert sol.mechanism.bundles[2].q == 1.0
+
+
+def test_risk_averse_on_the_equal_revenue_table():
+    # the revenue is smooth in each breakpoint between the table's knots,
+    # with a local maximum between two of them: from the chain DP's four
+    # breakpoints the sweep stops at 1.0325912 at l = 5, and the insertion
+    # from the best three reaches 1.0326038.  These are the revenues of
+    # the sweep over breakpoints and quantities, which the sweep over
+    # breakpoints alone may not lose
+    thetas = np.geomspace(0.01, 100.0, 60)
+    er = measure.from_table([*([t, 1.0 - 0.1 / np.sqrt(t)] for t in thetas),
+                             [100.1, 1.0]])
+    dom = make_domain("risk_averse", 0.0, 100.1)
+    for l, before in ((3, 1.0227155667487928), (4, 1.0296015177874271),
+                      (5, 1.032603770269002)):
+        sol = solve_finite(dom, er, OptimizeOptions(max_bundles=l),
+                           mode="expected_payment")
+        assert sol.revenue >= before - 1e-12
+        assert sol.active_bundles == l
+
+
 def test_randomization_helps_the_risk_averse_model():
     # deterministic benchmark: expected payment p*(1 - (p-0.1)/0.9)
     # maximized at p = 0.5 gives 0.2778
@@ -245,6 +299,83 @@ def test_randomization_helps_the_risk_averse_model():
                        mode="expected_payment")
     assert sol.revenue > 0.25 / 0.9 + 0.005
     assert sol.active_bundles == 3
+
+
+def test_exact_quantity_modes():
+    # the modes whose quantities are exact at fixed breakpoints: the exact
+    # path's, and risk_averse's sweep over breakpoints alone
+    modes = {name: make_domain(name).family.exact_quantity_modes
+             for name in FACTORY_FAMILIES}
+    assert modes == {"quasilinear": (), "sqrt_quasilinear": (),
+                     "income_effect": ("payment",),
+                     "payment_param": ("payment",),
+                     "two_param": ("payment",), "myerson": (),
+                     "risk_averse": ("expected_payment",)}
+    dom = make_domain("risk_averse", 0.0, 1.0)
+    assert solve_finite(dom, U01, mode="payment").diagnostics[
+        "searched"] == "profile"
+
+
+# segments without mass (a flat middle, and everything above 0.0058 in
+# SLIVER), masses that round to 0 near the top (beta), kinks (KINKED)
+SQUARE_WEIGHT_DISTS = {"uniform": U01, "beta": measure.beta(2.0, 3.0),
+                       "kinked": KINKED, "sliver": SLIVER,
+                       "flat": measure.from_table([[0, 0], [0.3, 0.4],
+                                                   [0.6, 0.4], [1, 1]])}
+
+
+def _square_weight_revenue(thetas, c, qs):
+    """sum_k c_k (theta_k q_k - S_k / q_k), term by term."""
+    total = s = 0.0
+    for k, (theta, q) in enumerate(zip(thetas, qs)):
+        if q > 0.0:
+            total += c[k] * (theta * q - s / q)
+        if k + 1 < len(thetas):
+            s += (thetas[k + 1] - theta) * q * q
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(dist=st.sampled_from(sorted(SQUARE_WEIGHT_DISTS)),
+       thetas=st.lists(st.sampled_from([0.0, 0.25, 0.3, 0.35, 0.8, 1.0])
+                       | st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_square_weight_quantities_are_optimal(dist, thetas):
+    # the inner solve of risk_averse in expected payments beats SLSQP from
+    # three starts at the same breakpoints, tied ones and ones without mass
+    # included; its quantities are a nondecreasing profile that sells the
+    # whole good at the top, and its revenue is that of the payments bound
+    # step by step, each at most its breakpoint
+    from scipy.optimize import minimize
+
+    dist, thetas = SQUARE_WEIGHT_DISTS[dist], sorted(thetas)
+    dom, m = make_domain("risk_averse", 0.0, 1.0), len(thetas)
+    revenue, qs = optimize._square_weight_profile(dist, thetas)
+    assert len(qs) == m and qs[-1] == 1.0
+    assert all(0.0 <= a <= b for a, b in zip(qs, qs[1:]))
+    c = np.diff(dist.cdf([*thetas, 1.0])).tolist()
+    assert abs(_square_weight_revenue(thetas, c, qs) - revenue) <= 1e-14
+    assert abs(optimize._profile_revenue(dom, dist, "expected_payment",
+                                         thetas, qs) - revenue) <= 1e-12
+    pays = payments_from_breakpoints(dom, thetas, qs)
+    assert all(t <= theta + 4 * math.ulp(theta)
+               for t, theta in zip(pays, thetas))
+
+    def feasible(x):
+        return [*sorted(min(max(q, 0.0), 1.0) for q in x), 1.0]
+
+    for start in (0.01, 0.5, 0.99):
+        if m == 1:
+            break
+        res = minimize(
+            lambda x: -_square_weight_revenue(thetas, c, feasible(x)),
+            np.linspace(start, 1.0, m)[:-1], method="SLSQP",
+            bounds=[(1e-9, 1.0)] * (m - 1),
+            constraints=[{"type": "ineq",
+                          "fun": lambda x, j=j: x[j + 1] - x[j]}
+                         for j in range(m - 2)],
+            options={"ftol": 1e-15, "maxiter": 500})
+        slsqp = _square_weight_revenue(thetas, c, feasible(res.x))
+        assert revenue >= slsqp - 1e-12
 
 
 @pytest.mark.parametrize("name, mode", [("quasilinear", "payment"),
