@@ -151,9 +151,12 @@ def _two_param_coeff(r):
     if np.ndim(r) == 0:
         r = float(r)
         return r if r <= 2.0 else 2.0 / (3.0 - r) if r < 3.0 else math.inf
+    # infinite from 3 on, as for a float, so that a grid of parameters
+    # beyond the interval weighs them as each one alone
     r = np.asarray(r, dtype=float)
     with np.errstate(divide="ignore"):
-        return np.where(r <= 2.0, r, 2.0 / (3.0 - r))
+        return np.where(r <= 2.0, r,
+                        np.where(r < 3.0, 2.0 / (3.0 - r), math.inf))
 
 
 def _two_param_coeff_inv(c):

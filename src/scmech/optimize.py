@@ -195,38 +195,41 @@ def _newton_blocks(P, M, D, top, v):
     Block ``b`` starts at the breakpoint ``P[b]``, holds the mass ``M[b]``
     and reaches ``D[b]`` up to the next block; ``top`` is the mass sold the
     whole good.  Above its diagonal the Hessian is ``x_a y_b``, with
-    ``x_a = 2 D_a v_a`` and ``y_b = M_b / v_b**2``, so one pass solves each
-    Newton system, every unknown affine in ``T = sum_b y_b w_b``.  A step
-    that would pass a neighbour stops on it; one that would reach 0 goes
-    half way.  Returns the quantities and the block that met the one above
-    it, or None.  One block is the lowest, so ``S = 0`` and the revenue is
-    a parabola in its quantity: one step lands on its vertex
-    ``M P / (2 D top)``, or on the top.
+    ``x_a = 2 D_a v_a`` and ``y_b = M_b / v_b**2``; each Newton system is
+    solved as a matrix, with pivoting.  (Eliminating through the sum
+    ``sum_b y_b w_b`` takes one pass, but subtracts ``x_b y_b = 2 D_b M_b
+    / v_b`` on the diagonal, and a block near 0 then drowns the others in
+    its round-off.)  A step that would pass a neighbour stops on it; one
+    that would reach 0 goes half way.  Returns the quantities and the
+    block that met the one above it, or None.  One block is the lowest, so
+    ``S = 0`` and the revenue is a parabola in its quantity: one step lands
+    on its vertex ``M P / (2 D top)``, or on the top.
     """
     p = len(v)
     if p == 1:
         vertex = M[0] * P[0] / (2.0 * D[0] * top)
         return ([1.0], 0) if vertex >= 1.0 else ([vertex], None)
-    al, be = [0.0] * p, [0.0] * p
+    P, M, D = (np.array(a, dtype=float) for a in (P, M, D))
+    above = np.triu(np.ones((p, p)), 1)
     for _ in range(100):  # a cap no solve has reached
-        u = top
-        for mb, vb in zip(M, v):
-            u += mb / vb
-        la = lb = ya = yb = s2 = 0.0
-        for b, (pb, mb, db, vb) in enumerate(zip(P, M, D, v)):
-            y = mb / (vb * vb)
-            u -= y * vb  # U_b: the mass above block b, each over its quantity
-            x = 2.0 * db * vb
-            den = -(y * s2 + x * u) / vb - x * y
-            al[b] = a = (x * (u - top + ya) - mb * pb
-                         - y * (0.5 * s2 + la)) / den
-            be[b] = e = (x * (yb - 1.0) - y * lb) / den
-            la, lb, ya, yb = la + x * a, lb + x * e, ya + y * a, yb + y * e
-            s2 += x * vb  # 2 S_{b+1}
-        if yb >= 1.0:  # (nearly) no mass above: the highest block would
-            return v, p - 1  # rise without bound
-        t = ya / (1.0 - yb)
-        w = [a + e * t for a, e in zip(al, be)]
+        va = np.array(v)
+        y, x = M / (va * va), 2.0 * D * va
+        s2 = np.concatenate(([0.0], np.cumsum(x * va)[:-1]))  # 2 S_b
+        # U_b: the mass above block b, each over its quantity, and the top
+        u = top + np.concatenate((np.cumsum((M / va)[::-1])[-2::-1], [0.0]))
+        grad = M * P + 0.5 * y * s2 - x * u
+        hess = np.outer(x, y) * above
+        hess += hess.T
+        hess[np.diag_indices(p)] = -(y * s2 + x * u) / va
+        try:
+            newton = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            newton = None
+        if newton is None or not grad @ newton <= 0.0:
+            # (nearly) no mass above: the revenue is nearly linear along v,
+            # and the highest block would rise without bound
+            return v, p - 1
+        w = (va - newton).tolist()
         alpha, hit, step, hv, hw = 1.0, None, 0.0, 1.0, 1.0
         for b in range(p - 1, -1, -1):
             wb, vb = w[b], v[b]

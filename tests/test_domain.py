@@ -176,6 +176,16 @@ def test_two_param_chart_continuous_at_junction():
     assert below == pytest.approx(above, abs=1e-8)
 
 
+def test_two_param_scores_a_parameter_array_as_each_float():
+    # from 3 on the coefficient is infinite for a float and an array alike,
+    # so a grid check beyond the interval agrees with one point at a time
+    rs = np.array([1.0, 2.5, 2.999, 3.0, 3.5, 10.0])
+    ts, qs = np.array([0.0, 0.4, 1.2]), np.array([0.0, 0.3, 1.0])
+    rows = TP.canonical_payment_many(rs[:, None], ts, qs)
+    for r, row in zip(rs, rows):
+        assert same_bits(row, TP.canonical_payment_many(float(r), ts, qs))
+
+
 def test_power_q_canonical_continuous_at_splice():
     from scmech.domain import POWER_Q_SPLICE
 

@@ -378,6 +378,19 @@ def test_square_weight_quantities_are_optimal(dist, thetas):
         assert revenue >= slsqp - 1e-12
 
 
+def test_square_weight_profile_beside_a_block_near_zero():
+    # a lowest breakpoint near 0 sells a quantity near 0 and leaves the
+    # block above it where a breakpoint at 0 puts it
+    dist = SQUARE_WEIGHT_DISTS["beta"]
+    revenue0, qs0 = optimize._square_weight_profile(dist, [0.0, 0.3, 0.5])
+    for e in range(6, 19):
+        revenue, qs = optimize._square_weight_profile(dist,
+                                                      [10.0**-e, 0.3, 0.5])
+        assert revenue0 - 1e-15 <= revenue <= revenue0 + 10.0**-e
+        assert 0.0 <= qs[0] <= 10.0**-e and qs[2] == 1.0
+        assert qs[1] == pytest.approx(qs0[1], abs=1e-9)
+
+
 @pytest.mark.parametrize("name, mode", [("quasilinear", "payment"),
                                         ("myerson", "expected_payment"),
                                         ("risk_averse", "expected_payment")])
