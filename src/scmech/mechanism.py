@@ -414,7 +414,8 @@ def epsilon_truncate(cmech: CountableMechanism, eps: float,
     ``[bp(w, limit), limit_lo)``, where the countable staircase still
     charges less; that overcharge can outweigh the undercharge of the last
     kept bundle below it (see the README's epsilon-truncation section).
-    The support of ``dist`` must lie in the domain interval.
+    The support of ``dist`` must lie in the domain interval.  A cut past
+    the tail's floating-point resolution raises :class:`TractabilityError`.
     """
     from .measure import _check_support, revenue_upper_bound
 
@@ -439,6 +440,12 @@ def epsilon_truncate(cmech: CountableMechanism, eps: float,
                 w -= 1
                 break
             entering = outer if w == tail.start else s * cmech._switch(below, w - 1)
+            # a switch that falls, as from_range sees it, is round-off
+            if (w > tail.start + 1
+                    and entering < s * cmech._switch(below, w - 2) - 1e-12):
+                raise TractabilityError(
+                    f"eps={eps} is below the tail's numerical resolution: its "
+                    f"switching parameters fall at tail index {w - 1}")
             if weight * dist.mass(*_span(below, entering, end)) < eps / 2.0:
                 break
             w += 1

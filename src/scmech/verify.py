@@ -11,8 +11,9 @@ interval.  On a single-crossing domain a deviation that pays off for some
 type of a bundle's interval pays off at one of its two ends, so the
 incentive and participation checks run at the ends of each interval only,
 against every bundle of the range; monotonicity and indifference at the
-breakpoints are checked as well.  :func:`~scmech.optimize.solve_finite`
-gates its result on it.
+breakpoints are checked as well.  It builds its records with the grid
+checks' helpers below.  :func:`~scmech.optimize.solve_finite` gates its
+result on it.
 
 The grid checks (:func:`verify_mechanism` and its parts) serve any rule,
 callables included, at the points of a grid.  The incentive check tests
@@ -31,7 +32,8 @@ payment a block of grid rows against all grid points at a time, at most
 ``PAIR_BLOCK`` pairs or one row, so its memory grows with the grid, not
 with its square.  Records are listed by truthful parameter, then by
 deviant parameter, and an inadmissible point raises the error that a loop
-over the sorted grid would meet first.
+over the sorted grid would meet first.  A record is a :class:`Violation`
+named tuple, so a failing report of many pairs stays cheap to build.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -56,20 +58,14 @@ BRUTE_FORCE_GUARD = 10**7
 PAIR_BLOCK = 2**16
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str  # IC | IR | MONO | CONT
     truthful_r: float
     deviant_r: Optional[float]
     gain: float
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "truthful_r": self.truthful_r,
-            "deviant_r": self.deviant_r,
-            "gain": self.gain,
-        }
+        return self._asdict()
 
 
 @dataclass(frozen=True)
@@ -181,27 +177,37 @@ def _incentive_violations(domain, grid, ts, qs, tol) -> list:
     n = len(grid)
     step = max(1, PAIR_BLOCK // max(n, 1))
     truth, dev, gains = [], [], []
-    with np.errstate(invalid="ignore"):  # inf - inf where a(r) is infinite
-        for lo in range(0, n, step):
-            rows = np.arange(lo, min(lo + step, n))
-            f = np.asarray(domain.canonical_payment_many(grid[rows, None],
-                                                         ts, qs), dtype=float)
-            own = f[np.arange(len(rows)), rows]
-            g = own[:, None] - f  # positive where the deviation is better
-            if domain.restricted:  # unaffordable deviations skipped
-                g[ts > grid[rows, None] + 1e-12] = 0.0
-            i, j = np.nonzero(g > tol)
-            truth.append(rows[i])
-            dev.append(j)
-            gains.append(g[i, j])
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        g = _gains(domain, grid[rows], rows, ts, qs)
+        i, j = np.nonzero(g > tol)
+        truth.append(rows[i])
+        dev.append(j)
+        gains.append(g[i, j])
     if not truth:
         return []
     i, j, gain = map(np.concatenate, (truth, dev, gains))
     # _sorted's order: by truthful then deviant parameter, and on repeated
     # grid points by row then column, as the stable sort leaves them
     order = np.lexsort((j, i, grid[j], grid[i]))
-    return list(map(Violation, itertools.repeat("IC"), grid[i[order]].tolist(),
-                    grid[j[order]].tolist(), gain[order].tolist()))
+    r = grid.tolist()  # the records share one float object per grid point
+    return list(map(Violation, itertools.repeat("IC"),
+                    map(r.__getitem__, i[order].tolist()),
+                    map(r.__getitem__, j[order].tolist()), gain[order].tolist()))
+
+
+def _gains(domain, types, own, ts, qs) -> np.ndarray:
+    """What each of ``types`` gains by taking each offered bundle
+    ``(ts[j], qs[j])`` instead of its own bundle ``own[i]``: the difference
+    of canonical payments, positive where the offered bundle is better.
+    For a restricted family a bundle the type cannot afford gains 0."""
+    with np.errstate(invalid="ignore"):  # inf - inf where a(r) is infinite
+        f = np.asarray(domain.canonical_payment_many(types[:, None], ts, qs),
+                       dtype=float)
+        g = f[np.arange(len(types)), own][:, None] - f
+    if domain.restricted:
+        g[ts > types[:, None] + 1e-12] = 0.0
+    return g
 
 
 def _participation_violations(domain, grid, allocs, ts, qs, tol) -> list:
@@ -276,57 +282,42 @@ def certify_step(domain: PreferenceDomain, mech: FiniteMechanism,
       Deviations go to every bundle of the range; an IC record's
       ``deviant_r`` is the parameter where the deviation's bundle starts.
       For a restricted family a deviation the truthful type cannot afford
-      is skipped, and a bundle its lowest type cannot afford raises
-      :class:`DomainError`, as in :func:`check_strategy_proof`.
+      is skipped, as in :func:`check_strategy_proof`, and a bundle its
+      lowest type cannot afford raises :class:`DomainError`, as in
+      :func:`check_individual_rationality`.
 
     The report's ``grid_size`` is the number of distinct types checked.
     """
     lo, hi = domain.check_param(lo), domain.check_param(hi)
     if lo > hi:
         raise DomainError(f"empty type interval [{lo}, {hi}]")
-    zs, bps = mech.bundles, np.asarray(mech.breakpoints, dtype=float)
-    violations = []
-    for a, b, r in zip(zs, zs[1:], bps):
-        drop = max(a.t - b.t, a.q - b.q)
-        if drop > 1e-12:
-            violations.append(Violation("MONO", float(r), None, float(drop)))
-    for r1, r2 in zip(bps, bps[1:]):
-        if r2 < r1 - 1e-12:
-            violations.append(Violation("MONO", float(r2), None,
-                                        float(r1 - r2)))
+    bps = np.array(mech.breakpoints, dtype=float)
+    ts, qs = np.array(mech.bundles, dtype=float).T
+    # a fall from each bundle to the next is recorded at the breakpoint
+    # between them, and a fall of a breakpoint at the later one
+    violations = _monotonicity_violations(np.append(domain.lo, bps), ts, qs)
+    violations += _monotonicity_violations(bps, bps, bps)
     violations += _indifference_violations(domain, mech, 1e-9)
 
-    # bundle k goes to the types with exactly its first k breakpoints at or
-    # below them, as FiniteMechanism.evaluate allocates: from the largest
-    # of those breakpoints up to breakpoint k
-    starts = np.maximum.accumulate(np.append(domain.lo, bps))
+    # bundle k goes to the types from the largest of its first k
+    # breakpoints (the domain's bottom for k = 0) up to breakpoint k
+    starts = np.maximum(domain.lo, (domain.lo, *mech._steps))
     ends = np.append(bps, math.inf)
     left, right = np.maximum(starts, lo), np.minimum(ends, hi)
     held = np.nonzero((left < ends) & (left <= hi))[0]
-    ts = np.array([z.t for z in zs] + [0.0])  # the range, then (0, 0)
-    qs = np.array([z.q for z in zs] + [0.0])
+    violations += _participation_violations(domain, left[held], None,
+                                            ts[held], qs[held], tol)
     # each held bundle at its left end, then at its right end
     types, own = np.append(left[held], right[held]), np.tile(held, 2)
-    if domain.restricted and np.any(ts[held] > left[held] + 1e-12):
-        k = held[np.argmax(ts[held] - left[held])]
-        raise DomainError(f"mechanism allocates payment {ts[k]} above the "
-                          f"bound of preference {left[k]}")
-    with np.errstate(invalid="ignore"):  # inf - inf where a(r) is infinite
-        f = np.asarray(domain.canonical_payment_many(types[:, None], ts, qs),
-                       dtype=float)
-        gains = f[np.arange(len(own)), own][:, None] - f  # truth over each
-        bad = gains > tol
+    gains = _gains(domain, types, own, ts, qs)
     above = (ts >= ts[own, None]) & (qs >= qs[own, None])
-    bad &= np.vstack([~above[:len(held)], above[len(held):]])
-    if domain.restricted:
-        bad &= ts <= types[:, None] + 1e-12  # unaffordable deviations skipped
-    for row, j in zip(*np.nonzero(bad)):
-        r, gain = float(types[row]), float(gains[row, j])
-        violations.append(Violation("IR", r, None, gain) if j == len(zs)
-                          else Violation("IC", r, float(starts[j]), gain))
+    bad = (gains > tol) & np.vstack([~above[:len(held)], above[len(held):]])
+    i, j = np.nonzero(bad)
+    violations += map(Violation, itertools.repeat("IC"), types[i].tolist(),
+                      starts[j].tolist(), gains[i, j].tolist())
     # a type where two bundles meet can report the same deviation from both
-    violations = list(dict.fromkeys(violations))
-    return VerificationReport(_sorted(violations), len(np.unique(types)), tol)
+    return VerificationReport(_sorted(dict.fromkeys(violations)),
+                              len(np.unique(types)), tol)
 
 
 def verify_mechanism(domain: PreferenceDomain, mech, param_grid,

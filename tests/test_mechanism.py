@@ -9,7 +9,7 @@ from helpers import (FACTORY_FAMILIES, grid_around, random_feasible_range,
                      reference_evaluate, same_bits)
 from scmech import measure, serialize
 from scmech.domain import Bundle, Ordering, ZERO_BUNDLE, make_domain
-from scmech.errors import DomainError, InfeasibleRangeError
+from scmech.errors import DomainError, InfeasibleRangeError, TractabilityError
 from scmech.mechanism import (AnchorLine, CountableMechanism, FiniteMechanism,
                               TailRule, _search_best_on_line, constant_sequence,
                               countable_geometric, epsilon_truncate, from_range,
@@ -262,6 +262,14 @@ def test_epsilon_truncate_rejects_nonpositive_eps(example7):
 def test_epsilon_truncate_rejects_non_finite_eps(example7, eps):
     with pytest.raises(DomainError):
         epsilon_truncate(example7, eps, UNIF)
+
+
+def test_epsilon_truncate_stops_at_the_tails_resolution(example7):
+    # the switching parameters first fall at tail index 10,648, by round-off;
+    # eps = 1e-5 would cut at 81,125
+    assert len(epsilon_truncate(example7, 1e-4, UNIF).bundles) == 8333
+    with pytest.raises(TractabilityError, match="numerical resolution"):
+        epsilon_truncate(example7, 1e-5, UNIF)
 
 
 # -- two-sided countable mechanism ----------------------------------------------

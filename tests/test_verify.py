@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from unittest import mock
@@ -10,7 +11,7 @@ from helpers import (FACTORY_FAMILIES, cubic_domain, grid_around,
                      random_feasible_range, reference_individual_rationality,
                      reference_shape, reference_strategy_proof,
                      reference_verify)
-from scmech import measure, verify
+from scmech import measure, serialize, verify
 from scmech.domain import Bundle, PreferenceDomain, ZERO_BUNDLE, make_domain
 from scmech.errors import DomainError, ScmechError, TractabilityError
 from scmech.mechanism import (AnchorLine, FiniteMechanism, countable_geometric,
@@ -340,6 +341,43 @@ def test_certify_step_rejects_an_unaffordable_bundle():
     mech = FiniteMechanism(ra, (ZERO_BUNDLE, Bundle(1.0, 0.5)), (0.5,))
     with pytest.raises(DomainError):
         certify_step(ra, mech, 0.2, 2.0)
+
+
+def _falling_breakpoints():
+    zs = (Bundle(0.2, 0.2), Bundle(1.0, 0.6), Bundle(1.2, 1.0))
+    return FiniteMechanism(QL, zs, tuple(QL.special_preference(a, b)
+                                         for a, b in zip(zs, zs[1:])))
+
+
+def _affine_steps():
+    """Criterion 6's rule as a step mechanism switching at each grid point."""
+    grid = np.linspace(1.0, 2.0, 101)
+    return FiniteMechanism(QL12, tuple(map(linear_continuum_mech, grid)),
+                           tuple(grid[1:]))
+
+
+# SHA-256 of certify_step's serialized report as the code that built its
+# own records, before it shared the grid checks' parts, wrote it
+@pytest.mark.parametrize("mech, lo, hi, digest", [
+    (FiniteMechanism(make_domain("quasilinear", 0.5, 3.0),
+                     (Bundle(1.0, 1.0), ZERO_BUNDLE, Bundle(2.0, 1.0)),
+                     (1.0, 2.0)), 0.5, 3.0,  # the teaser: MONO, IC, IR
+     "47179b9f7b3662755f73b8e85b4c7458dbba88c8ccb34d98ff2e21f7ba0cd834"),
+    (FiniteMechanism(QL, (Bundle(0.2, 0.3), Bundle(1.2, 0.8)), (1.5,)),
+     0.5, 3.0,  # jumpy: CONT, IC, IR
+     "8ecbc91696ef3f2d1faff0f46a650093662bec59b82b158536e336073de18bd7"),
+    (_affine_steps(), 1.0, 2.0,  # 5150 records: CONT, IC
+     "e1b10a0191b16b46f9f12d9c77b644d7b2a1b275072d888bf3cec557321dcb12"),
+    (FiniteMechanism(make_domain("risk_averse"),
+                     (ZERO_BUNDLE, Bundle(1.0, 0.5), Bundle(2.5, 1.0)),
+                     (1.3, 2.6)), 0.2, 5.0,  # restricted: CONT, IC
+     "338b16d63a2e4c49996352a255a8b59aa0d42453d3dacb559b19c00274b6d105"),
+    (_falling_breakpoints(), 0.1, 3.0,  # MONO of the breakpoints, IC, IR
+     "fe8397abaac682399489008ed4fb77524bbe374f680d31ba898b7f5ed2d63d33"),
+])
+def test_certify_step_reports_are_byte_identical(mech, lo, hi, digest):
+    text = serialize.dumps(certify_step(mech.domain, mech, lo, hi).to_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # -- the grid checks against the point-by-point reference ----------------------
