@@ -10,7 +10,7 @@ Each built-in family stores closed forms for
 
 * ``canonical(r, t, q)``   - the canonical payment of a bundle,
 * ``bind(r, t, q, q2)``  - the payment at quantity ``q2`` indifferent to
-  ``(t, q)``, one binding step (the factory families below),
+  ``(t, q)``, one binding step,
 * ``curve_payment(r, c, q)`` - the payment at quantity ``q`` on the
   indifference curve whose canonical payment is ``c`` (the inverse of
   ``canonical`` in ``t``),
@@ -20,8 +20,8 @@ Each built-in family stores closed forms for
   on the segment ``q = slope * t``, ``t_lo <= t <= t_hi``, where a closed
   form exists.
 
-Seven of the nine built-in families are instances of two separable forms
-and are built from their exponents rather than written out:
+The nine built-in families are instances of three forms and are built
+from their ingredients rather than written out:
 
 * classical, ``f_r(t, q) = phi^-1(phi(t) + a(r) * (1 - h(q)))`` with
   ``phi(t) = t**p``, ``h(q) = q**k``, ``p`` in {1, 2} and ``k`` in
@@ -29,10 +29,14 @@ and are built from their exponents rather than written out:
   ``income_effect``, ``payment_param``, ``two_param``);
 * restricted classical, ``f_r(t, q) = r * (1 - w(q)) + w(q) * t`` with
   ``w(q) = q**k``, ``k`` in {1, 2} (:func:`_restricted`: ``myerson``,
-  ``risk_averse``).
+  ``risk_averse``);
+* linear in the payment, ``f_r(t, q) = t + K(r, q)`` with ``K`` the
+  canonical payment of ``(0, q)`` (:func:`_linear`: ``power_q``, with
+  ``K = 1 - q**r`` spliced to a linear piece at small ``q``, and
+  ``power_q_raw``, with ``K = 1 - q**r``).
 
-``power_q`` and ``power_q_raw`` are written out and have neither closed
-form for the indifference parameter or the best bundle on a line.
+The last form has neither closed form for the indifference parameter or
+the best bundle on a line.
 
 Three of the factory families make the revenue program separate: with
 ``phi`` and ``a`` the identity (``quasilinear``, ``sqrt_quasilinear``,
@@ -183,11 +187,11 @@ class Family:
 
     ``kind`` is ``"classical"`` (monotone everywhere) or ``"restricted"``
     (monotone up to a payment bound ``t_R = r``, with every bundle on the
-    bound indifferent to ``(0, 0)``).  The built-in families other than
-    ``power_q`` and ``power_q_raw`` are instances of the separable forms
-    built by :func:`_classical` and :func:`_restricted`; any family can be
-    given directly.  ``special``, ``best_on_line`` and ``bind`` are
-    optional closed forms (see the module notes); the fields from
+    bound indifferent to ``(0, 0)``).  The built-in families are instances
+    of the forms built by :func:`_classical`, :func:`_restricted` and
+    :func:`_linear`; any family can be given directly.  ``special``,
+    ``best_on_line`` and ``bind`` are optional closed forms (see the
+    module notes); the fields from
     ``best_on_line`` on come last so that positional construction up to
     ``blurb`` keeps its meaning.  Without ``bind`` a binding step is the
     round trip through ``canonical`` and ``curve_payment``.
@@ -354,6 +358,32 @@ def _restricted(name, utility, k, blurb=""):
                   None, bind, ("expected_payment",) if k == 2 else ())
 
 
+def _linear(name, term, param_lo, param_hi, blurb=""):
+    """Family with canonical payment ``t + K(r, q)``, linear in the payment.
+
+    ``K = term`` is the canonical payment of ``(0, q)``, with
+    ``K(r, 1) = 0``.  The utility is ``1 - K(r, q) - t``, the curve inverse
+    ``c - K(r, q)`` and the binding step ``t + K(r, q) - K(r, q2)``, which
+    rounds as the round trip through the two does.  Neither the
+    indifference parameter nor the best bundle on a line has a closed form
+    here.
+    """
+    def utility(r, t, q):
+        return 1.0 - term(r, q) - t
+
+    def canonical(r, t, q):
+        return t + term(r, q)
+
+    def curve_payment(r, c, q):
+        return c - term(r, q)
+
+    def bind(r, t, q, q2):
+        return t + term(r, q) - term(r, q2)
+
+    return Family(name, "classical", param_lo, param_hi, utility, canonical,
+                  curve_payment, None, blurb, bind=bind)
+
+
 def _ql_utility(r, t, q):
     return r * q - t
 
@@ -378,46 +408,21 @@ def _tp_utility(r, t, q):
     return 2.0 * np.sqrt(q) - (3.0 - r) * t * t
 
 
-# power_q takes its powers through numpy's array loop, also for a float
-# parameter: the C library's pow rounds some of them an ulp apart from it,
-# so a grid of parameters would see other canonical payments than each one.
-def _pq_utility(r, t, q):
+# 1 - q**r through numpy's array loop, also for a float parameter: the C
+# library's pow rounds some powers an ulp apart from it, so a grid of
+# parameters would see other canonical payments than each one.
+def _power_term(r, q):
+    return 1.0 - np.power(q, r)
+
+
+def _spliced_power_term(r, q):
+    # the power term from the splice quantity on, and below it the line of
+    # slope _power_q_slope_label(r) that meets it there
     q = np.asarray(q, dtype=float)
     qs = POWER_Q_SPLICE
-    hi = np.power(q, r) - t
-    lo = np.power(qs, r) - _power_q_slope_label(r) * (qs - q) - t
-    out = np.where(q >= qs, hi, lo)
+    out = np.where(q >= qs, _power_term(r, q),
+                   _power_q_slope_label(r) * (qs - q) + 1.0 - np.power(qs, r))
     return out if out.ndim else float(out)
-
-
-def _pq_canonical(r, t, q):
-    q = np.asarray(q, dtype=float)
-    qs = POWER_Q_SPLICE
-    hi = t + 1.0 - np.power(q, r)
-    lo = t + _power_q_slope_label(r) * (qs - q) + 1.0 - np.power(qs, r)
-    out = np.where(q >= qs, hi, lo)
-    return out if out.ndim else float(out)
-
-
-def _pq_curve(r, c, q):
-    q = np.asarray(q, dtype=float)
-    qs = POWER_Q_SPLICE
-    hi = c - 1.0 + np.power(q, r)
-    lo = c - 1.0 + np.power(qs, r) - _power_q_slope_label(r) * (qs - q)
-    out = np.where(q >= qs, hi, lo)
-    return out if out.ndim else float(out)
-
-
-def _pqr_utility(r, t, q):
-    return q**r - t
-
-
-def _pqr_canonical(r, t, q):
-    return t + 1.0 - q**r
-
-
-def _pqr_curve(r, c, q):
-    return c - 1.0 + q**r
 
 
 def _my_utility(r, t, q):
@@ -479,14 +484,12 @@ register_family(_classical(
     _two_param_coeff, _two_param_coeff_inv, param_hi=3.0,
     blurb="two-branch chart: r*sqrt(q)-t**2 on (0,2], 2*sqrt(q)-(3-r)*t**2 on [2,3)",
 ))
-register_family(Family(
-    "power_q", "classical", 0.25, 1.0 / 3.0,
-    _pq_utility, _pq_canonical, _pq_curve, None,
+register_family(_linear(
+    "power_q", _spliced_power_term, 0.25, 1.0 / 3.0,
     blurb="q**r - t above the splice quantity, linear label below it",
 ))
-register_family(Family(
-    "power_q_raw", "classical", 0.0, 1.0,
-    _pqr_utility, _pqr_canonical, _pqr_curve, None,
+register_family(_linear(
+    "power_q_raw", _power_term, 0.0, 1.0,
     blurb="q**r - t on the full quantity range; not single-crossing",
 ))
 register_family(_restricted(
@@ -798,36 +801,21 @@ def _check_pair(domain, r1, r2, anchor, q_grid, touch_tol, slope_tol):
     scale = max(1.0, abs(c2))
     signs = np.where(np.abs(h) <= touch_tol * scale, 0, np.sign(h)).astype(int)
 
-    # Compress into runs and count intersections: each zero-run is one
-    # contact; each sign flip between adjacent nonzero runs is one crossing.
-    runs: list[tuple[int, int]] = []  # (sign, representative index)
-    for idx, s in enumerate(signs):
-        if not runs or runs[-1][0] != s:
-            runs.append((s, idx))
-    contacts = []  # (index, tangent?)
-    prev_nonzero = None
-    for j, (s, idx) in enumerate(runs):
-        if s == 0:
-            nxt = runs[j + 1][0] if j + 1 < len(runs) else None
-            tangent = (prev_nonzero is not None and nxt is not None
-                       and prev_nonzero == nxt)
-            contacts.append((idx, tangent))
-        else:
-            if prev_nonzero is not None and prev_nonzero != s:
-                # transversal crossing between grid points, unless a zero
-                # run in between already recorded the contact
-                if runs[j - 1][0] != 0:
-                    contacts.append((idx, False))
-            prev_nonzero = s
-
-    if len(contacts) >= 2:
-        idx = contacts[1][0]
+    # Count contacts on the runs of equal sign: a zero run is one contact,
+    # tangent when the runs on both sides have the same sign, and two
+    # adjacent nonzero runs (so of opposite signs) are one crossing.
+    starts = np.flatnonzero(np.diff(signs, prepend=2))
+    runs = signs[starts]
+    before, after = np.append(0, runs[:-1]), np.append(runs[1:], 0)
+    hits = starts[(runs == 0) | (before * runs != 0)]
+    multiple = hits.size >= 2
+    # a tangent zero run is a contact: alone, it is the only one
+    if multiple or np.any((runs == 0) & (before * after > 0)):
+        idx = hits[1 if multiple else 0]
         loc = Bundle(float(t_on_1[idx]), float(qs[idx]))
-        return TangencyWitness(r1, r2, anchor, loc, "multiple-intersections")
-    if len(contacts) == 1 and contacts[0][1]:
-        idx = contacts[0][0]
-        loc = Bundle(float(t_on_1[idx]), float(qs[idx]))
-        return TangencyWitness(r1, r2, anchor, loc, "tangency")
+        return TangencyWitness(
+            r1, r2, anchor, loc,
+            "multiple-intersections" if multiple else "tangency")
 
     # Slope tangency exactly at the anchor, even if the grid never sees a
     # second contact.

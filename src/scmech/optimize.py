@@ -38,10 +38,8 @@ path sells ``q_m = 1``: the searched profile is
   for every ``n`` at once (:func:`_chain_dp`).  One sweep
   (coordinate-wise bounded scalar maximization with endpoint probing)
   starts from each of these ranges and from the posted price, which the
-  grid can miss, and the fewest-bundle result within ``RIDGE_TOL`` of the
-  best goes on: the optimum often uses fewer bundles than allowed,
-  leaving flat directions a sweep cannot tighten.  Bundle insertion tries
-  a new bundle in each gap while fewer than allowed are used, and one
+  grid can miss, and the best result goes on.  Bundle insertion tries a
+  new bundle in each gap while fewer than allowed are used, and one
   Nelder-Mead polish moves along ridges the coordinates do not follow.
   The searched vector is the whole profile, except in a family's
   ``Family.exact_quantity_modes`` on this path: for a restricted family
@@ -76,7 +74,7 @@ COLLAPSE_TOL = 1e-6  # componentwise duplicate-bundle threshold for reporting
 STEP_FLOOR = 1e-12  # steps a restricted family's range counts as round-off
 SWEEP_ROUNDS = 12  # coordinate sweeps per local search, at most
 SWEEP_TOL = 1e-12  # a sweep stops once a whole round gains less revenue
-RIDGE_TOL = 1e-10  # revenue fewer bundles may lose and an insertion must gain
+RIDGE_TOL = 1e-10  # revenue an insertion must gain
 DP_GRID = 160  # quantiles, and even points, of the exact path's first grid
 ZOOM = 4  # points either side of a breakpoint on a zoomed grid, and its shrink
 ZOOM_TOL = 1e-11  # the zoom stops at a step this small, per unit support
@@ -536,9 +534,8 @@ def _insert(revenue, x, rev, m, space):
 
 def _search(domain, dist, m, mode, exact):
     """The sweep path: a sweep from each distinct range of the chain DP and
-    from the posted price, bundle insertion from the fewest-bundle result
-    within ``RIDGE_TOL`` of the best, and a Nelder-Mead polish, re-swept
-    when it gains.
+    from the posted price, bundle insertion from the best result, and a
+    Nelder-Mead polish, re-swept when it gains.
 
     Where the quantities are ``exact`` at fixed breakpoints
     (:func:`_square_weight_profile`), the searched vector is the
@@ -570,12 +567,10 @@ def _search(domain, dist, m, mode, exact):
                for th, qs in profiles]
     results = [_sweep(revenue, x, space)
                for k, x in enumerate(vectors) if x not in vectors[:k]]
-    best = max(rev for _, rev in results)
-    base = min((r for r in results if r[1] >= best - RIDGE_TOL),
-               key=lambda r: (len(r[0]), -r[1]))
-    x, rev = _insert(revenue, *base, m, space)
+    best = max(results, key=lambda r: r[1])
+    x, rev = _insert(revenue, *best, m, space)
     fewer = [r for r in results if space.count(r[0]) == m - 1]
-    if kinks and fewer and base not in fewer:
+    if kinks and fewer and best not in fewer:
         y, y_rev = _insert(revenue, *max(fewer, key=lambda r: r[1]), m,
                            space)
         if y_rev > rev:

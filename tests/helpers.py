@@ -93,17 +93,19 @@ def truncation_gap(w):
     return 1.25 * (staircase - t_w / (2 * (w + 1)) - 1 / (6 * w))
 
 
-def cubic_domain():
+def cubic_domain(closed_form=True):
     """A classical family registered through the extension point, with
-    ``f_r(t, q) = t + r (1 - q**3)``."""
-    name = "cubic_quantity_test"
+    ``f_r(t, q) = t + r (1 - q**3)``; without ``closed_form`` it has no
+    ``special``, so its indifference parameters are bisected."""
+    name = "cubic_quantity_test" if closed_form else "cubic_bisected_test"
     if name not in FAMILIES:
         register_family(Family(
             name, "classical", 0.0, math.inf,
             utility=lambda r, t, q: r * q**3 - t,
             canonical=lambda r, t, q: t + r * (1.0 - q**3),
             curve_payment=lambda r, c, q: c - r * (1.0 - q**3),
-            special=lambda a, b: (b[0] - a[0]) / (b[1] ** 3 - a[1] ** 3),
+            special=((lambda a, b: (b[0] - a[0]) / (b[1] ** 3 - a[1] ** 3))
+                     if closed_form else None),
         ))
     return make_domain(name)
 

@@ -168,6 +168,14 @@ def test_truncate_subcommand(tmp_path, capsys):
     assert rc == 0
 
 
+def test_truncate_a_constant_sequence(capsys):
+    # every type takes the one best bundle on the line, so nothing is cut
+    rc, out, _ = run(capsys, *TRUNCATE, "--line", LINE, "--seq", "constant:0.5")
+    assert rc == 0
+    summary = json.loads(out)
+    assert summary["bundles"] == 1 and summary["gap"] == 0.0
+
+
 def test_multibuyer_subcommand(capsys):
     rc, out, _ = run(capsys, "multibuyer", "--dist", "uniform:0,1",
                      "--samples", "100000", "--seed", "3")
@@ -224,8 +232,13 @@ QL_SPEC = {"family": "quasilinear", "params": {"lo": 0, "hi": 1}}
     ('{"domain": ', "SpecParseError"),
     (json.dumps({"domain": QL_SPEC, "bundles": [[0, 0], [0.5, 1]],
                  "breakpoints": [float("nan")]}), "DomainError"),
+    # no grid spans [0, inf)
+    (json.dumps({"domain": {"family": "quasilinear", "params": {"lo": 0}},
+                 "bundles": [[0, 0], [0.5, 1]], "breakpoints": [0.5]}),
+     "SpecParseError"),
 ], ids=["list", "short-bundle", "no-domain", "no-breakpoints",
-        "affine-no-q", "params-list", "truncated", "nan-breakpoint"])
+        "affine-no-q", "params-list", "truncated", "nan-breakpoint",
+        "unbounded-domain"])
 def test_malformed_mechanism_file_is_spec_error(tmp_path, capsys, text, error):
     path = tmp_path / "mech.json"
     path.write_text(text)
@@ -304,6 +317,9 @@ MECH = {"domain": QL_SPEC, "bundles": [[0, 0], [0.5, 1]], "breakpoints": [0.5]}
     ({}, ["validate-domain", "--domain", "quasilinear:0,1", "--anchor-t", ","]),
     ({}, ["validate-domain", "--domain", "quasilinear:0,1", "--anchor-q", ","]),
     ({"m.json": MECH}, ["revenue", "--mech", "m.json", "--dist", "uniform:1,0"]),
+    ({"cfg.json": {"max_bundles": [3]}}, [*OPTIMIZE, "--config", "cfg.json"]),
+    ({"cfg.json": [3]}, [*OPTIMIZE, "--config", "cfg.json"]),
+    ({"cfg.json": {"colour": 3}}, [*OPTIMIZE, "--config", "cfg.json"]),
 ], ids=["config-str", "config-float", "config-switch", "config-choice",
         "dist-lo", "dist-table", "domain-lo", "domain-family", "params", "line-value",
         "line-count", "seq-value", "reserve", "seq-start-zero", "seq-start-negative",
@@ -312,7 +328,8 @@ MECH = {"domain": QL_SPEC, "bundles": [[0, 0], [0.5, 1]], "breakpoints": [0.5]}
         "q-lo-above-one", "q-lo-nan", "dist-beta-nan", "dist-beta-inf",
         "dist-texp-inf", "dist-uniform-inf", "eps-inf", "eps-nan",
         "params-empty", "anchor-t-empty", "anchor-q-empty",
-        "dist-uniform-reversed"])
+        "dist-uniform-reversed", "config-list", "config-not-object",
+        "config-unknown-key"])
 def test_bad_numeric_input_is_spec_error(tmp_path, capsys, files, argv):
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
@@ -341,6 +358,16 @@ def test_closed_form_takes_the_posted_price(capsys, family, revenue):
                      "--dist", "uniform:0,1", "--closed-form")
     assert rc == 0
     assert json.loads(out) == {"revenue": revenue, "active_bundles": 2}
+
+
+def test_closed_form_from_a_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"closed_form": True}))
+    argv = ["optimize", "--domain", "myerson", "--dist", "uniform:0,1"]
+    rc, by_config, _ = run(capsys, *argv, "--config", str(cfg))
+    assert rc == 0
+    assert by_config == run(capsys, *argv, "--closed-form")[1]
+    assert json.loads(by_config) == {"revenue": 0.25, "active_bundles": 2}
 
 
 @pytest.mark.parametrize("family, mode", [

@@ -136,6 +136,14 @@ def test_scalar_bisection_takes_the_array_steps(t, q):
     assert same_bits([scalar], array)
 
 
+def test_bisection_expands_an_unbounded_interval():
+    # on [0, inf) the upper end doubles from 1 until the canonical-payment
+    # gap -0.4 + 0.189 r turns positive, then the bisection runs on [0, 4]
+    dom = cubic_domain(closed_form=False)
+    r = dom.special_preference(Bundle(0.1, 0.3), Bundle(0.5, 0.6))
+    assert abs(r - 0.4 / 0.189) <= 1e-9
+
+
 def test_bisected_breakpoint_at_the_bottom_of_the_interval():
     # the posted price that makes (t, 1) indifferent to (0, 0) at 1/4, with
     # t computed by the family: t + 1 - 1**r does not give t back, so the
@@ -144,6 +152,17 @@ def test_bisected_breakpoint_at_the_bottom_of_the_interval():
     assert t == 0.5129898720969176
     mech = from_range(PQ, [ZERO_BUNDLE, Bundle(t, 1.0)])
     assert abs(mech.breakpoints[0] - 0.25) <= 1e-12
+
+
+def test_a_root_within_round_off_of_the_interval_is_its_end():
+    # the canonical-payment gap at 1/4 is 5e-13 > 0, so the root lies just
+    # below the interval: within 1e-12 it is placed on the end, beyond it
+    # there is none
+    t = PQ.canonical_payment(0.25, ZERO_BUNDLE)
+    r = PQ.special_preference(ZERO_BUNDLE, Bundle(t - 5e-13, 1.0))
+    assert abs(r - 0.25) <= 1e-12
+    with pytest.raises(RichnessError):
+        PQ.special_preference(ZERO_BUNDLE, Bundle(t - 1e-9, 1.0))
 
 
 def test_special_two_param_spans_both_branches():

@@ -339,6 +339,11 @@ def _square_weight_revenue(thetas, c, qs):
 @given(dist=st.sampled_from(sorted(SQUARE_WEIGHT_DISTS)),
        thetas=st.lists(st.sampled_from([0.0, 0.25, 0.3, 0.35, 0.8, 1.0])
                        | st.floats(0.0, 1.0), min_size=1, max_size=6))
+# a tie that the KKT check splits once, earning 0.2740051455296661 where
+# SLSQP's best start earns 0.27393752614304323
+@example(dist="kinked", thetas=[0.3116524789648428, 0.4042615130173461,
+                                0.5692508035289228, 0.8173544910156141,
+                                0.9077856431032348])
 def test_square_weight_quantities_are_optimal(dist, thetas):
     # the inner solve of risk_averse in expected payments beats SLSQP from
     # three starts at the same breakpoints, tied ones and ones without mass
