@@ -256,8 +256,16 @@ def _cmd_validate_domain(ns) -> int:
     return 0 if report.ok else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as a ``SpecParseError``, so it exits 1 with
+    an error record like any other bad input; subparsers inherit the class."""
+
+    def error(self, message):
+        raise SpecParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="scmech",
         description="Construct, verify, and optimize strategy-proof selling "
                     "mechanisms on single-crossing preference domains.",
@@ -343,11 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
-    if not getattr(ns, "func", None):
-        parser.print_help()
-        return 1
     try:
+        ns = parser.parse_args(argv)
+        if not getattr(ns, "func", None):
+            parser.print_help()
+            return 1
         _apply_config(parser, ns)
         return ns.func(ns)
     except (ScmechError, OSError) as exc:

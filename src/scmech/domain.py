@@ -65,7 +65,7 @@ individual family notes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
 

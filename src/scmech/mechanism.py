@@ -82,8 +82,9 @@ class FiniteMechanism:
         return ts[k], qs[k]
 
     def revenue_segments(self, dist) -> Iterator[tuple]:
-        """Clamped parameter intervals on which each bundle is allocated."""
-        edges = [dist.lo, *self.breakpoints, dist.hi]
+        """Clamped parameter intervals on which each bundle is allocated, cut
+        on the running maximum of the breakpoints as :meth:`evaluate` is."""
+        edges = [dist.lo, *self._steps, dist.hi]
         for k, z in enumerate(self.bundles):
             lo = min(max(edges[k], dist.lo), dist.hi)
             hi = min(max(edges[k + 1], dist.lo), dist.hi)
@@ -211,12 +212,12 @@ class TailRule:
         return self._cache[n]
 
 
-def _span(below: bool, a: float, b: float) -> tuple:
+def _span(s: float, a: float, b: float) -> tuple:
     """The parameter interval between walk coordinates ``a`` and ``b``.
 
     A tail walk runs in ``s*r``, with ``s = 1`` below the limit and ``-1``
     above it, so both tails ascend toward the limit bundle."""
-    return (a, b) if below else (-b, -a)
+    return (a, b) if s > 0 else (-b, -a)
 
 
 @dataclass
@@ -260,19 +261,6 @@ class CountableMechanism:
         """Breakpoint entering increasing-tail bundle ``n`` from ``n - 1``."""
         return self._switch(True, n - 1)
 
-    def _walk(self, below: bool, dist):
-        """``(tail, s, start, end)`` for the walk through one tail, from the
-        support's outer end to the limit edge in walk coordinates ``s*r``;
-        None when there is no tail on that side or the support stops short
-        of it."""
-        tail = self.increasing if below else self.decreasing
-        if tail is None:
-            return None
-        s = 1.0 if below else -1.0
-        start = s * (dist.lo if below else dist.hi)
-        end = s * (self.limit_lo if below else self.limit_hi)
-        return (tail, s, start, end) if start < end else None
-
     def evaluate(self, r: float) -> Bundle:
         r = self.domain.check_param(r)
         lo = self.limit_lo if self.limit_lo is not None else -math.inf
@@ -281,55 +269,68 @@ class CountableMechanism:
             return self.limit_bundle
         below = r < lo
         tail = self.increasing if below else self.decreasing
-        # Tail bundles inside numerical resolution of the limit are treated
-        # as the limit bundle itself.  A tie goes to the higher bundle.
+        # Tail bundles past the tail's resolution are treated as the limit
+        # bundle itself.  A tie goes to the higher bundle.
         try:
             n = tail.start
             while (self._switch(below, n) <= r) == below:
                 n += 1
-                if n - tail.start > TAIL_INDEX_CAP:
-                    return self.limit_bundle
             return tail.bundle(n)
-        except DomainError:
+        except (DomainError, TractabilityError):
             return self.limit_bundle
 
     def revenue_segments(self, dist, tol: float = 1e-7) -> Iterator[tuple]:
         """Allocation intervals, tails summed until the residual mass times
-        the residual payment gap is below ``tol``."""
+        the residual payment gap is below ``tol``; a ``tol`` past a tail's
+        resolution raises :class:`TractabilityError`."""
+
+        def done(s, z, a, b, end):
+            gap = s * (self.limit_bundle.t - z.t)
+            return dist.mass(*_span(s, b, end)) * gap < tol
+
         lo = self.limit_lo if self.limit_lo is not None else dist.lo
         hi = self.limit_hi if self.limit_hi is not None else dist.hi
-        yield from self._staircase(True, dist, tol)
+        yield from self._staircase(True, dist.lo, dist.hi, done)
         yield max(lo, dist.lo), min(hi, dist.hi), self.limit_bundle
-        yield from reversed(list(self._staircase(False, dist, tol)))
+        yield from reversed(list(self._staircase(False, dist.lo, dist.hi, done)))
 
-    def _staircase(self, below: bool, dist, tol: float) -> Iterator[tuple]:
-        """One tail's allocation intervals in walk order, outermost first."""
-        walk = self._walk(below, dist)
-        if walk is None:
+    def _staircase(self, below: bool, lo: float, hi: float,
+                   done: Callable) -> Iterator[tuple]:
+        """The one walk of a tail, in ``s*r`` (see :func:`_span`) from the
+        outer end of the support ``[lo, hi]`` to the limit edge ``end``: each
+        tail bundle ``z`` on its interval ``[a, b]`` up to the first for which
+        ``done(s, z, a, b, end)`` holds, then the limit bundle on the rest,
+        or a clamped tail's repeated last bundle.  A switch that cannot be
+        computed or falls by more than ``from_range``'s ``1e-12``, or a
+        bundle past ``TAIL_INDEX_CAP``, raises :class:`TractabilityError`."""
+        tail = self.increasing if below else self.decreasing
+        if tail is None:
             return
-        tail, s, prev, end = walk
-        t_star = self.limit_bundle.t
-        n = tail.start
-        while prev < end:
+        s = 1.0 if below else -1.0
+        a = s * (lo if below else hi)
+        end = s * (self.limit_lo if below else self.limit_hi)
+        if a >= end:
+            return  # the support stops short of this tail
+        n, z, last = tail.start, tail.bundle(tail.start), -math.inf
+        while True:
+            nxt = tail.bundle(n + 1)
+            if nxt == z:
+                break  # the line clamped the tail: z is its last bundle
             try:
-                nxt = min(s * self._switch(below, n), end)
-            except DomainError:
-                nxt = prev
-            if nxt <= prev and n > tail.start:
-                # tail resolution exhausted; remaining bundles are within
-                # noise of the limit bundle
+                switch = s * self._switch(below, n)
+            except DomainError as exc:
+                raise TractabilityError(f"its switching parameter at tail "
+                                        f"index {n} fails: {exc}") from exc
+            if switch < last - 1e-12:
+                raise TractabilityError(
+                    f"its switching parameters fall at tail index {n}")
+            b = min(max(switch, a), end)
+            yield (*_span(s, a, b), z)
+            if done(s, z, a, b, end):
+                a, z = b, self.limit_bundle
                 break
-            z = tail.bundle(n)
-            yield (*_span(below, prev, nxt), z)
-            prev = nxt
-            n += 1
-            residual = dist.mass(*_span(below, prev, end)) * s * (t_star - z.t)
-            if residual < tol or n - tail.start > TAIL_INDEX_CAP:
-                # remaining staircase is within tol of the limit payment
-                break
-        else:
-            return  # walked exactly onto the limit edge
-        yield (*_span(below, prev, end), self.limit_bundle)
+            a, n, z, last = b, n + 1, nxt, switch
+        yield (*_span(s, a, end), z)
 
 
 def _search_best_on_line(domain: PreferenceDomain, r: float, slope: float,
@@ -427,36 +428,18 @@ def epsilon_truncate(cmech: CountableMechanism, eps: float,
         """Bundles of one tail up to its cut, outermost first.  The residual
         weight is the limit payment below the limit and the payment bound
         above it."""
-        walk = cmech._walk(below, dist)
-        if walk is None:
-            return []
-        tail, s, outer, end = walk
         weight = (cmech.limit_bundle.t if below
                   else revenue_upper_bound(cmech.domain, dist))
-        w = tail.start
-        while True:
-            if w > tail.start and tail.bundle(w) == tail.bundle(w - 1):
-                # the line clamped the tail onto its last bundle: it is finite
-                w -= 1
-                break
-            entering = outer if w == tail.start else s * cmech._switch(below, w - 1)
-            # a switch that falls, as from_range sees it, is round-off
-            if (w > tail.start + 1
-                    and entering < s * cmech._switch(below, w - 2) - 1e-12):
-                raise TractabilityError(
-                    f"eps={eps} is below the tail's numerical resolution: its "
-                    f"switching parameters fall at tail index {w - 1}")
-            if weight * dist.mass(*_span(below, entering, end)) < eps / 2.0:
-                break
-            w += 1
-            if w - tail.start > TAIL_INDEX_CAP:
-                raise TractabilityError("eps too small: tail cut index beyond cap")
-        return [z for z in map(tail.bundle, range(tail.start, w + 1))
+
+        def done(s, z, a, b, end):
+            return weight * dist.mass(*_span(s, a, end)) < eps / 2.0
+
+        return [z for _, _, z in cmech._staircase(below, dist.lo, dist.hi, done)
                 if z != cmech.limit_bundle]
 
     try:
         bundles = [*kept(True), cmech.limit_bundle, *reversed(kept(False))]
-    except DomainError as exc:
+    except TractabilityError as exc:
         raise TractabilityError(
             f"eps={eps} is below the tail's numerical resolution: {exc}"
         ) from exc

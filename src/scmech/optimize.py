@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -100,8 +101,10 @@ class OptimizeOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_bundles < 2:
-            raise DomainError("max_bundles must be at least 2")
+        if (not isinstance(self.max_bundles, numbers.Integral)
+                or self.max_bundles < 2):
+            raise DomainError("max_bundles must be an integer of at least 2, "
+                              f"got {self.max_bundles!r}")
 
 
 @dataclass(frozen=True)

@@ -320,6 +320,9 @@ MECH = {"domain": QL_SPEC, "bundles": [[0, 0], [0.5, 1]], "breakpoints": [0.5]}
     ({"cfg.json": {"max_bundles": [3]}}, [*OPTIMIZE, "--config", "cfg.json"]),
     ({"cfg.json": [3]}, [*OPTIMIZE, "--config", "cfg.json"]),
     ({"cfg.json": {"colour": 3}}, [*OPTIMIZE, "--config", "cfg.json"]),
+    ({}, [*OPTIMIZE, "--max-bundles", "abc"]),
+    ({}, ["optimize", "--dist", "uniform:0,1"]),
+    ({}, ["bogus"]),
 ], ids=["config-str", "config-float", "config-switch", "config-choice",
         "dist-lo", "dist-table", "domain-lo", "domain-family", "params", "line-value",
         "line-count", "seq-value", "reserve", "seq-start-zero", "seq-start-negative",
@@ -329,7 +332,8 @@ MECH = {"domain": QL_SPEC, "bundles": [[0, 0], [0.5, 1]], "breakpoints": [0.5]}
         "dist-texp-inf", "dist-uniform-inf", "eps-inf", "eps-nan",
         "params-empty", "anchor-t-empty", "anchor-q-empty",
         "dist-uniform-reversed", "config-list", "config-not-object",
-        "config-unknown-key"])
+        "config-unknown-key", "argv-not-an-int", "argv-missing-option",
+        "argv-unknown-command"])
 def test_bad_numeric_input_is_spec_error(tmp_path, capsys, files, argv):
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
@@ -339,6 +343,13 @@ def test_bad_numeric_input_is_spec_error(tmp_path, capsys, files, argv):
     assert out == ""
     assert err.endswith("\n") and err.count("\n") == 1
     assert json.loads(err)["error"] == "SpecParseError"
+
+
+def test_help_exits_clean(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["optimize", "--help"])
+    assert info.value.code == 0
+    assert "--max-bundles" in capsys.readouterr().out
 
 
 def test_config_values_parse_like_flags(tmp_path, capsys):

@@ -1,8 +1,10 @@
-"""Import guards: scipy is loaded only by the calls that use it.
+"""Import guards: scipy is loaded only by the calls that use it, and no
+module imports a name it does not use.
 
-Each check runs in a fresh interpreter, because this test process has
-scipy loaded already."""
+Each scipy check runs in a fresh interpreter, because this test process
+has scipy loaded already."""
 
+import ast
 import json
 import os
 import subprocess
@@ -69,3 +71,24 @@ def test_beta_revenue_loads_only_special(tmp_path):
     assert rc == 0
     assert "scipy.special" in mods
     assert not {"scipy.stats", "scipy.integrate", "scipy.optimize"} & set(mods)
+
+
+def unused_imports(source: str) -> list:
+    """Module-level imported names that appear nowhere else in ``source``
+    as a name; one used only inside a quoted annotation counts as unused."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name.partition(".")[0]
+                for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+# the package's __init__ imports names to re-export them
+@pytest.mark.parametrize("path", sorted(
+    path for path in (SRC / "scmech").glob("*.py") if path.name != "__init__.py"),
+    ids=lambda path: path.name)
+def test_module_uses_its_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -9,7 +9,7 @@ from scmech import measure
 from scmech.domain import Bundle, ZERO_BUNDLE, make_domain
 from scmech.errors import DomainError, SpecParseError
 from scmech.measure import expected_revenue, from_table, revenue_upper_bound
-from scmech.mechanism import from_range
+from scmech.mechanism import FiniteMechanism, from_range
 
 QL = make_domain("quasilinear")
 MY = make_domain("myerson")
@@ -135,6 +135,18 @@ def test_exact_sum_matches_quadrature():
         exact = expected_revenue(QL, mech, dist)
         quad = expected_revenue(QL, mech.evaluate, dist)
         assert quad == pytest.approx(exact, abs=1e-6)
+
+
+def test_exact_sum_on_falling_breakpoints_matches_quadrature():
+    # a step function kept for diagnostics: types are allocated by the
+    # running maximum of the breakpoints, so (0.2, 0.5) is sold to no type
+    dom = make_domain("quasilinear", 0.0, 1.0)
+    mech = FiniteMechanism(
+        dom, (ZERO_BUNDLE, Bundle(0.2, 0.5), Bundle(0.5, 1.0)), (0.6, 0.4))
+    dist = measure.uniform(0.0, 1.0)
+    assert expected_revenue(dom, mech, dist) == pytest.approx(0.2, abs=1e-15)
+    assert expected_revenue(dom, mech.evaluate, dist) == pytest.approx(
+        0.2, abs=1e-9)
 
 
 def test_revenue_upper_bound():

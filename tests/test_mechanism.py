@@ -375,6 +375,60 @@ def test_truncation_of_tail_clamped_at_line_end():
         assert verify_mechanism(SQ, finite, np.linspace(0.2, 1.0, 200)).ok
 
 
+@pytest.mark.parametrize("side, eps, tol, index", [
+    ("rising", 1e-5, 1e-8, 10648),
+    ("falling", 1e-4, 1e-9, 12351),
+])
+def test_truncation_and_revenue_stop_at_the_tails_resolution(side, eps, tol,
+                                                              index):
+    # example 7's rising tail and the falling tail above: truncation and
+    # revenue walk a tail alike, so both name the first falling switch
+    if side == "rising":
+        cm, dist = countable_geometric(SQ, LINE, SEQ), UNIF
+    else:
+        dom = make_domain("sqrt_quasilinear", 0.26, 1.0)
+        cm = countable_geometric(dom, AnchorLine(1.0, 0.01, 0.9),
+                                 harmonic_sequence(0.5, -1.0, 3))
+        dist = measure.uniform(0.26, 1.0)
+    reason = f"its switching parameters fall at tail index {index}"
+    with pytest.raises(TractabilityError) as info:
+        epsilon_truncate(cm, eps, dist)
+    assert str(info.value) == (
+        f"eps={eps} is below the tail's numerical resolution: {reason}")
+    with pytest.raises(TractabilityError) as info:
+        list(cm.revenue_segments(dist, tol=tol))
+    assert str(info.value) == reason
+
+
+def test_truncation_and_revenue_stop_at_a_switch_that_fails():
+    # bundle 5 costs less than bundle 4 and gives more, so no preference
+    # makes the two indifferent
+    def rising(n):
+        q = 0.8 - 1.0 / n
+        return Bundle(0.0 if n == 5 else 0.78125 * q * q, q)
+
+    cm = CountableMechanism(QL, Bundle(0.5, 0.8),
+                            increasing=TailRule(rising, start=3), limit_lo=1.25)
+    dist = measure.uniform(0.3, 2.5)
+    with pytest.raises(TractabilityError, match="^eps=0.001 .* tail index 4 fails"):
+        epsilon_truncate(cm, 1e-3, dist)
+    with pytest.raises(TractabilityError, match="^its .* tail index 4 fails"):
+        list(cm.revenue_segments(dist))
+
+
+def test_tail_index_cap_bounds_every_walk(monkeypatch):
+    from scmech import mechanism
+
+    monkeypatch.setattr(mechanism, "TAIL_INDEX_CAP", 5)
+    cm = countable_geometric(SQ, LINE, SEQ)
+    # a type past the cap gets the limit bundle, as one within resolution
+    assert cm.evaluate(2 / 3 - 1e-4) == cm.limit_bundle
+    with pytest.raises(TractabilityError, match="beyond cap 5$"):
+        epsilon_truncate(cm, 1e-3, UNIF)
+    with pytest.raises(TractabilityError, match="beyond cap 5$"):
+        list(cm.revenue_segments(UNIF))
+
+
 # -- best bundle on a line ----------------------------------------------------
 
 @settings(max_examples=300, deadline=None)

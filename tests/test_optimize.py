@@ -171,6 +171,21 @@ def test_options_validation():
         OptimizeOptions(max_bundles=1)
 
 
+@pytest.mark.parametrize("max_bundles", [3.0, 2.5, "3"])
+def test_max_bundles_must_be_an_integer(max_bundles):
+    with pytest.raises(DomainError, match="integer"):
+        OptimizeOptions(max_bundles=max_bundles)
+
+
+def test_max_bundles_takes_a_numpy_integer():
+    dom = make_domain("risk_averse", 0.1, 1.0)
+    dist = measure.uniform(0.1, 1.0)
+    solve = [solve_finite(dom, dist, OptimizeOptions(max_bundles=l),
+                          mode="expected_payment")
+             for l in (np.int64(3), 3)]
+    assert solve[0].mechanism == solve[1].mechanism
+
+
 def test_closed_form_quasilinear():
     sol = solve_finite(QL, U01)
     assert sol.diagnostics["method"] == "posted_price"
