@@ -101,7 +101,10 @@ def simulate_revenue(mech: MultiBuyerMechanism, samples: int,
 
     Types are drawn by inverse-CDF sampling in fixed-size chunks with
     seeds spawned from ``seed``, so the estimate depends only on the seed
-    and the sample count.
+    and the sample count.  A draw pays the larger of the reserve and the
+    second-highest type when its highest type beats the reserve: tied
+    winners are each other's second-highest, and their shares of it sum
+    to it, as in :func:`allocate_profiles`.
     """
     if samples < 1:
         raise DomainError("samples must be at least 1")
@@ -115,8 +118,13 @@ def simulate_revenue(mech: MultiBuyerMechanism, samples: int,
         rng = np.random.default_rng(chunk_seed)
         u = rng.random((count, mech.n))
         profiles = np.asarray(mech.dist.ppf(u))
-        t, _ = allocate_profiles(mech, profiles)
-        rev = t.sum(axis=1)
+        if mech.n == 1:
+            top, second = profiles[:, 0], -np.inf
+        else:
+            pair = np.partition(profiles, -2, axis=1)
+            top, second = pair[:, -1], pair[:, -2]
+        rev = np.where(top > mech.reserve,
+                       np.maximum(mech.reserve, second), 0.0)
         total += float(rev.sum())
         total_sq += float((rev * rev).sum())
         done += count

@@ -35,18 +35,21 @@ path sells ``q_m = 1``: the searched profile is
   low-dimensional.  The revenue of a range is a chain over consecutive
   bundles, so the best range of at most ``n`` bundles on a grid of
   ``CHAIN_GRID**2`` bundles is the best chain of bundle pairs, exactly,
-  for every ``n`` at once (:func:`_chain_dp`).  One sweep
-  (coordinate-wise bounded scalar maximization with endpoint probing)
-  starts from each of these ranges and from the posted price, which the
-  grid can miss, and the best result goes on.  Bundle insertion tries a
-  new bundle in each gap while fewer than allowed are used, and one
-  Nelder-Mead polish moves along ridges the coordinates do not follow.
-  The searched vector is the whole profile, except in a family's
-  ``Family.exact_quantity_modes`` on this path: for a restricted family
-  with ``w(q) = q**2`` (risk_averse) in expected payments the revenue at
-  fixed breakpoints is concave in the quantities, which an active-set
-  Newton method gives exactly (:func:`_square_weight_profile`), and only
-  the breakpoints are searched (``diagnostics["searched"]``).
+  for every ``n`` at once (:func:`_chain_dp`).  One local search starts
+  from each of these ranges and from the posted price, which the grid can
+  miss, and the best result goes on.  Bundle insertion tries a new bundle
+  in each gap while fewer than allowed are used.  The searched vector is
+  the whole profile, except in a family's ``Family.exact_quantity_modes``
+  on this path: for a restricted family with ``w(q) = q**2``
+  (risk_averse) in expected payments the revenue at fixed breakpoints is
+  concave in the quantities, which an active-set Newton method gives
+  exactly, with the revenue's gradient in the breakpoints
+  (:func:`_square_weight_profile`), and only the breakpoints are searched
+  (``diagnostics["searched"]``).  There, on a CDF without knots inside
+  the support, the local search is L-BFGS-B on that gradient.  Elsewhere
+  it is a sweep (coordinate-wise bounded scalar maximization with
+  endpoint probing), and one Nelder-Mead polish moves along ridges the
+  coordinates do not follow (``diagnostics["local_search"]``).
 
 Both DPs are one, :func:`_best_chain`: the revenue of a range is a sum over
 consecutive pairs whose keys do not decrease, the pooled ratio ``c/d`` of
@@ -89,6 +92,8 @@ KKT_TOL = 1e-13  # a tie splits once its gradient is this far below 0, per
 #                  unit of the top breakpoint
 SELL_TOL = 1e-18  # a segment worth less, per unit of the top breakpoint,
 #                   sells what the one below it sells
+ASCENT_FTOL = 1e-15  # L-BFGS-B stops once a step gains this little, relative
+ASCENT_GTOL = 1e-10  # or once its projected gradient is this small
 
 
 @dataclass(frozen=True)
@@ -251,7 +256,7 @@ def _newton_blocks(P, M, D, top, v):
     return v, None
 
 
-def _square_weight_profile(dist, thetas):
+def _square_weight_profile(dist, thetas, gradient=False):
     """Revenue-maximizing quantities at fixed breakpoints for a restricted
     form with ``w(q) = q**2`` in expected payments.
 
@@ -269,7 +274,18 @@ def _square_weight_profile(dist, thetas):
     vertex: two breakpoints sell
     ``q_1 = min(1, c_1 theta_1 / (2 c_2 dtheta_1))``.
     ``thetas`` must be sorted and nonnegative.  Plain float arithmetic
-    after one CDF call.  Returns the revenue and the quantities.
+    after one CDF call.
+
+    The constraints on the quantities do not depend on the breakpoints, so
+    the revenue's gradient is its partial derivative at these quantities
+    (Danskin): with ``g_k`` the expected payment of segment ``k`` and
+    ``T_k = sum_{j>=k} c_j / q_j`` over the segments that sell,
+    ``dR/dtheta_k = f(theta_k) (g_{k-1} - g_k) + c_k q_k
+    - q_{k-1}**2 T_k + q_k**2 T_{k+1}`` with ``g_0 = q_0 = 0``.  It is
+    continuous where the active set changes (README).  Returns the
+    revenue, the quantities and, with ``gradient``, the gradient, at the
+    cost of one density call (else None): the sweeps of a table CDF
+    would pay it for nothing.
     """
     m = len(thetas)
     cdf = dist.cdf([*thetas, dist.hi]).tolist()
@@ -344,7 +360,24 @@ def _square_weight_profile(dist, thetas):
         revenue += mb * (thetas[k] * u - s2 / u)
         s2 += d * u * u
     qs[top:] = [1.0] * (m - top)
-    return revenue + mt * (thetas[top] - s2), qs
+    revenue += mt * (thetas[top] - s2)
+    if not gradient:
+        return revenue, qs, None
+    # g[k] and t[k] are g_k and T_k; g[-1] and t[m] stay 0
+    g, t, s2 = [0.0] * (m + 1), [0.0] * (m + 1), 0.0
+    for k, q in enumerate(qs):
+        if q > 0.0:
+            g[k] = thetas[k] * q - s2 / q
+        if k + 1 < m:
+            s2 += (thetas[k + 1] - thetas[k]) * q * q
+    for k in range(m - 1, -1, -1):
+        t[k] = t[k + 1] + ((cdf[k + 1] - cdf[k]) / qs[k] if qs[k] > 0.0
+                           else 0.0)
+    dens = dist.pdf(thetas).tolist()
+    grad = [dens[k] * (g[k - 1] - g[k]) + (cdf[k + 1] - cdf[k]) * q
+            - p * p * t[k] + q * q * t[k + 1]
+            for k, (p, q) in enumerate(zip([0.0, *qs], qs))]
+    return revenue, qs, grad
 
 
 class _Space(NamedTuple):
@@ -512,12 +545,33 @@ def _chain_dp(domain, dist, mode, m, t_grid, q_grid):
     return starts, n - 1
 
 
-def _insert(revenue, x, rev, m, space):
+def _ascend(dist, x, space):
+    """Quasi-Newton ascent of the breakpoints ``x`` at exact quantities:
+    L-BFGS-B on the revenue and its gradient (:func:`_square_weight_profile`)
+    within the support.  The objective sorts the breakpoints, so it is
+    symmetric in them, and puts the gradient back in their order."""
+    from scipy.optimize import minimize
+
+    def loss(y):
+        order = np.argsort(y, kind="stable")
+        rev, _, grad = _square_weight_profile(dist, y[order].tolist(),
+                                              gradient=True)
+        out = np.empty(len(y))
+        out[order] = grad
+        return -rev, -out
+
+    res = minimize(loss, np.asarray(x, dtype=float), jac=True,
+                   method="L-BFGS-B", bounds=[(space.lo, space.hi)] * len(x),
+                   options={"ftol": ASCENT_FTOL, "gtol": ASCENT_GTOL})
+    return sorted(res.x.tolist()), -float(res.fun)
+
+
+def _insert(local, x, rev, m, space):
     """Bundle insertion: while fewer than ``m`` breakpoints are used, try a
     new one in each gap of the searched vector ``x``, at the gap's midpoint
     and, where quantities are searched, with its quantity 1% of the way up
-    the gap, and keep the best re-swept one that earns more than
-    ``RIDGE_TOL``."""
+    the gap, and keep the best one after the ``local`` search that earns
+    more than ``RIDGE_TOL``."""
     while (n := space.count(x)) < m:
         th, qs = [space.lo, *x[:n], space.hi], [*x[n:], 1.0]
         q = [0.0, *qs, 1.0]
@@ -527,7 +581,7 @@ def _insert(revenue, x, rev, m, space):
             if space.quantities:
                 trial += [*qs[:k], q[k] + 0.01 * (q[k + 1] - q[k]),
                           *qs[k:]][:-1]
-            trials.append(_sweep(revenue, trial, space))
+            trials.append(local(trial))
         best = max(trials, key=lambda trial: trial[1])
         if best[1] <= rev + RIDGE_TOL:
             break
@@ -535,51 +589,14 @@ def _insert(revenue, x, rev, m, space):
     return x, rev
 
 
-def _search(domain, dist, m, mode, exact):
-    """The sweep path: a sweep from each distinct range of the chain DP and
-    from the posted price, bundle insertion from the best result, and a
-    Nelder-Mead polish, re-swept when it gains.
-
-    Where the quantities are ``exact`` at fixed breakpoints
-    (:func:`_square_weight_profile`), the searched vector is the
-    breakpoints; otherwise it is the whole profile.  With exact
-    quantities the revenue is smooth in each breakpoint between the CDF's
-    knots, with a local maximum between two knots where the density drops
-    at both, so a sweep can stop below a better one.  Where the support
-    holds knots, the sweeps probe them, and the best result with one
-    breakpoint fewer than allowed is extended by insertion as well.
-    Returns the profile and its diagnostics."""
+def _polish(revenue, x, rev, space):
+    """Nelder-Mead on the searched vector ``x`` from a first simplex
+    ``POLISH_STEP`` of the support and of [0, 1] wide, re-swept when it
+    gains.  Returns the vector, its revenue and the polish's
+    evaluations."""
     from scipy.optimize import minimize
 
-    lo, hi = dist.lo, dist.hi
-    kinks = tuple(k for k in dist.knots or () if lo < k < hi) if exact else ()
-    space = _Space(lo, hi, not exact, kinks)
-    if exact:
-        def revenue(x):
-            return _square_weight_profile(dist, x)[0]
-    else:
-        def revenue(x):
-            n = space.count(x)
-            return _profile_revenue(domain, dist, mode, x[:n],
-                                    [*x[n:], 1.0])
-
-    grid = _bundle_grid(domain.family, dist)
-    starts, size = _chain_dp(domain, dist, mode, m, *grid)
-    profiles = [p for p, _ in starts] + [([monopoly_price(dist)], [1.0])]
-    vectors = [[*th, *qs[:-1]] if space.quantities else list(th)
-               for th, qs in profiles]
-    results = [_sweep(revenue, x, space)
-               for k, x in enumerate(vectors) if x not in vectors[:k]]
-    best = max(results, key=lambda r: r[1])
-    x, rev = _insert(revenue, *best, m, space)
-    fewer = [r for r in results if space.count(r[0]) == m - 1]
-    if kinks and fewer and best not in fewer:
-        y, y_rev = _insert(revenue, *max(fewer, key=lambda r: r[1]), m,
-                           space)
-        if y_rev > rev:
-            x, rev = y, y_rev
-
-    n = space.count(x)
+    n, lo, hi = space.count(x), space.lo, space.hi
 
     def clip(x):
         x = x.tolist()
@@ -597,13 +614,72 @@ def _search(domain, dist, m, mode, exact):
                             "fatol": POLISH_FATOL, "maxfev": POLISH_MAXFEV})
     if -res.fun > rev:
         x, rev = _sweep(revenue, clip(res.x), space)
+    return x, rev, int(res.nfev)
+
+
+def _search(domain, dist, m, mode, exact):
+    """The sweep path: a local search from each distinct range of the chain
+    DP and from the posted price, then bundle insertion from the best
+    result.
+
+    Where the quantities are ``exact`` at fixed breakpoints
+    (:func:`_square_weight_profile`), the searched vector is the
+    breakpoints; otherwise it is the whole profile.  With exact quantities
+    on a CDF without knots inside the support, the revenue is C1 in the
+    breakpoints with its gradient in closed form, and the local search is
+    a quasi-Newton ascent (:func:`_ascend`).  Elsewhere it is a sweep, and
+    a Nelder-Mead polish, re-swept when it gains, ends the search.  With
+    exact quantities on a table CDF the revenue is smooth in each
+    breakpoint only between the knots, with a local maximum between two
+    knots where the density drops at both, so a sweep can stop below a
+    better one: the sweeps probe the knots, and the best result with one
+    breakpoint fewer than allowed is extended by insertion as well.
+    Returns the profile and its diagnostics, among them the local search,
+    ``"local_search"`` (``"gradient"`` or ``"sweep"``)."""
+    lo, hi = dist.lo, dist.hi
+    kinks = tuple(k for k in dist.knots or () if lo < k < hi) if exact else ()
+    space = _Space(lo, hi, not exact, kinks)
+    if exact:
+        def revenue(x):
+            return _square_weight_profile(dist, x)[0]
+    else:
+        def revenue(x):
+            n = space.count(x)
+            return _profile_revenue(domain, dist, mode, x[:n],
+                                    [*x[n:], 1.0])
+    gradient = exact and not kinks
+    if gradient:
+        def local(x):
+            return _ascend(dist, x, space)
+    else:
+        def local(x):
+            return _sweep(revenue, x, space)
+
+    grid = _bundle_grid(domain.family, dist)
+    starts, size = _chain_dp(domain, dist, mode, m, *grid)
+    profiles = [p for p, _ in starts] + [([monopoly_price(dist)], [1.0])]
+    vectors = [[*th, *qs[:-1]] if space.quantities else list(th)
+               for th, qs in profiles]
+    results = [local(x) for k, x in enumerate(vectors)
+               if x not in vectors[:k]]
+    best = max(results, key=lambda r: r[1])
+    x, rev = _insert(local, *best, m, space)
+    fewer = [r for r in results if space.count(r[0]) == m - 1]
+    if kinks and fewer and best not in fewer:
+        y, y_rev = _insert(local, *max(fewer, key=lambda r: r[1]), m, space)
+        if y_rev > rev:
+            x, rev = y, y_rev
+    diagnostics = {"method": "sweep", "dp_grid": size,
+                   "dp_revenue": starts[-1][1],
+                   "searched": "breakpoints" if exact else "profile",
+                   "local_search": "gradient" if gradient else "sweep"}
+    if not gradient:
+        x, rev, diagnostics["polish_evals"] = _polish(revenue, x, rev, space)
+    n = space.count(x)
     thetas = [float(t) for t in x[:n]]
     qs = (_square_weight_profile(dist, thetas)[1] if exact
           else [*x[n:], 1.0])
-    return thetas, qs, {"method": "sweep", "dp_grid": size,
-                        "dp_revenue": starts[-1][1],
-                        "searched": "breakpoints" if exact else "profile",
-                        "polish_evals": int(res.nfev)}
+    return thetas, qs, diagnostics
 
 
 def _mechanism(domain, thetas, qs) -> FiniteMechanism:
@@ -761,16 +837,19 @@ def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
     In its ``exact_quantity_modes`` a family has exact quantities for
     given breakpoints, and only the breakpoints are searched: by a zoomed
     grid DP for a classical family with ``phi(t) = t**2`` in payments, and
-    by the sweep for risk_averse in expected payments.  Otherwise the
-    profile is swept.  Both searches start from the same DP, the best
-    chain of consecutive pairs on a grid of breakpoints or of bundles.
-    ``diagnostics["method"]`` says which path ran (``"posted_price"``,
-    ``"exact_quantities"`` or ``"sweep"``); the last two also report their
-    first DP's grid size ``"dp_grid"`` (breakpoints, or bundles) and grid
-    optimum ``"dp_revenue"``.  The exact path reports its zoomed DPs,
-    ``"zoom_rounds"``, and the sweep path the vector it searched,
-    ``"searched"`` (``"breakpoints"`` or ``"profile"``), and the revenue
-    evaluations of its polish, ``"polish_evals"``.  The mechanism is
+    on the sweep path for risk_averse in expected payments, by L-BFGS-B
+    on the revenue's gradient where the CDF has no knot inside the
+    support.  Otherwise the profile is swept.  Both searches start from
+    the same DP, the best chain of consecutive pairs on a grid of
+    breakpoints or of bundles.  ``diagnostics["method"]`` says which path
+    ran (``"posted_price"``, ``"exact_quantities"`` or ``"sweep"``); the
+    last two also report their first DP's grid size ``"dp_grid"``
+    (breakpoints, or bundles) and grid optimum ``"dp_revenue"``.  The
+    exact path reports its zoomed DPs, ``"zoom_rounds"``, and the sweep
+    path the vector it searched, ``"searched"`` (``"breakpoints"`` or
+    ``"profile"``), its local search, ``"local_search"`` (``"gradient"``
+    or ``"sweep"``), and, after sweeps, the revenue evaluations of its
+    polish, ``"polish_evals"``.  The mechanism is
     certified for every type of the support by
     :func:`~scmech.verify.certify_step`, and a failure raises
     :class:`ScmechError`.

@@ -89,6 +89,15 @@ def test_simulation_matches_single_buyer_closed_form():
     assert abs(est - 0.25) <= 4 * se
 
 
+def test_readme_simulation_is_pinned():
+    # `scmech multibuyer --n 2 --dist uniform:0,1 --samples 1000000
+    # --seed 7`: the per-draw payments summed directly give what summing
+    # allocate_profiles' payment matrix gave, to the bit
+    mech = from_distribution(2, U01)
+    assert simulate_revenue(mech, 1_000_000, seed=7) == (
+        0.41664335588924717, 0.0002567852067054972)
+
+
 def test_reserve_at_top_never_sells():
     mech = MultiBuyerMechanism(2, 1.0, U01)
     est, se = simulate_revenue(mech, 10_000, seed=0)

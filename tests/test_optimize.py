@@ -125,9 +125,10 @@ def objective_calls(monkeypatch):
     # evaluation of a solve, each as (function name, arguments)
     calls = []
     for name in ("payments_from_breakpoints", "_square_weight_profile"):
-        def counted(*args, _name=name, _inner=getattr(optimize, name)):
+        def counted(*args, _name=name, _inner=getattr(optimize, name),
+                    **kwargs):
             calls.append((_name, args))
-            return _inner(*args)
+            return _inner(*args, **kwargs)
 
         monkeypatch.setattr(optimize, name, counted)
     return calls
@@ -140,15 +141,18 @@ def test_solve_evaluation_budget(objective_calls):
 
 def test_sweep_evaluation_budget(objective_calls):
     # risk_averse in expected payments takes the sweep path over the
-    # breakpoints alone: one sweep from each of the chain DP's ranges and
-    # from the posted price, the insertion and the polish.  No quantity is
-    # searched: payments are taken once, for the mechanism
+    # breakpoints alone, and on a CDF without inner knots its local search
+    # is L-BFGS-B: 1 evaluation from the chain DP's best single
+    # breakpoint, which is the posted price 0.5 and stationary, 8 from its
+    # best pair and 1 for the quantities (the sweeps and the polish took
+    # 395).  No quantity is searched: payments are taken once, for the
+    # mechanism
     dom = make_domain("risk_averse", 0.0, 1.0)
     sol = solve_finite(dom, measure.uniform(0.1, 1.0),
                        OptimizeOptions(max_bundles=3, seed=11),
                        mode="expected_payment")
     assert sol.diagnostics["searched"] == "breakpoints"
-    assert len(objective_calls) <= 396
+    assert len(objective_calls) <= 11
     assert [name for name, _ in objective_calls].count(
         "payments_from_breakpoints") == 1
     assert objective_calls[-1][0] == "payments_from_breakpoints"
@@ -291,18 +295,19 @@ def test_risk_averse_on_the_equal_revenue_table():
     # with a local maximum between two of them: from the chain DP's four
     # breakpoints the sweep stops at 1.0325912 at l = 5, and the insertion
     # from the best three reaches 1.0326038.  These are the revenues of
-    # the sweep over breakpoints and quantities, which the sweep over
-    # breakpoints alone may not lose
+    # the sweeps over breakpoints alone with knot probes; the sweep over
+    # breakpoints and quantities earned 1.0227156, 1.0296015 and 1.0326038
     thetas = np.geomspace(0.01, 100.0, 60)
     er = measure.from_table([*([t, 1.0 - 0.1 / np.sqrt(t)] for t in thetas),
                              [100.1, 1.0]])
     dom = make_domain("risk_averse", 0.0, 100.1)
-    for l, before in ((3, 1.0227155667487928), (4, 1.0296015177874271),
-                      (5, 1.032603770269002)):
+    for l, before in ((3, 1.0227806146679619), (4, 1.029605351249602),
+                      (5, 1.03260377027072)):
         sol = solve_finite(dom, er, OptimizeOptions(max_bundles=l),
                            mode="expected_payment")
         assert sol.revenue >= before - 1e-12
         assert sol.active_bundles == l
+        assert sol.diagnostics["local_search"] == "sweep"
 
 
 def test_randomization_helps_the_risk_averse_model():
@@ -369,7 +374,7 @@ def test_square_weight_quantities_are_optimal(dist, thetas):
 
     dist, thetas = SQUARE_WEIGHT_DISTS[dist], sorted(thetas)
     dom, m = make_domain("risk_averse", 0.0, 1.0), len(thetas)
-    revenue, qs = optimize._square_weight_profile(dist, thetas)
+    revenue, qs, _ = optimize._square_weight_profile(dist, thetas)
     assert len(qs) == m and qs[-1] == 1.0
     assert all(0.0 <= a <= b for a, b in zip(qs, qs[1:]))
     c = np.diff(dist.cdf([*thetas, 1.0])).tolist()
@@ -402,13 +407,79 @@ def test_square_weight_profile_beside_a_block_near_zero():
     # a lowest breakpoint near 0 sells a quantity near 0 and leaves the
     # block above it where a breakpoint at 0 puts it
     dist = SQUARE_WEIGHT_DISTS["beta"]
-    revenue0, qs0 = optimize._square_weight_profile(dist, [0.0, 0.3, 0.5])
+    revenue0, qs0, _ = optimize._square_weight_profile(dist, [0.0, 0.3, 0.5])
     for e in range(6, 19):
-        revenue, qs = optimize._square_weight_profile(dist,
-                                                      [10.0**-e, 0.3, 0.5])
+        revenue, qs, _ = optimize._square_weight_profile(
+            dist, [10.0**-e, 0.3, 0.5])
         assert revenue0 - 1e-15 <= revenue <= revenue0 + 10.0**-e
         assert 0.0 <= qs[0] <= 10.0**-e and qs[2] == 1.0
         assert qs[1] == pytest.approx(qs0[1], abs=1e-9)
+
+
+# CDFs without a knot inside the support, where risk_averse's breakpoints
+# are searched by gradient
+SMOOTH_DISTS = {"U[0.1,1]": measure.uniform(0.1, 1.0), "U[0,1]": U01,
+                "beta(2,3)": measure.beta(2.0, 3.0),
+                "texp(3,0,1)": measure.truncated_exponential(3.0, 0.0, 1.0)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(dist=st.sampled_from(sorted(SMOOTH_DISTS)),
+       levels=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=7))
+def test_square_weight_gradient_matches_central_differences(dist, levels):
+    # breakpoints at least 0.01 apart and from the ends of the support.
+    # The difference's error is O(h**2) times R's third derivative, which
+    # grows as the top segment's mass falls, and only O(h) where the
+    # active set switches, where R is C1 but not C2: 6000 examples stayed
+    # within 2.5e-9, at (0.01, 0.99) on U[0, 1], and within 2.4e-7 with
+    # breakpoints 1e-3 from the top
+    dist, m, gap, h = SMOOTH_DISTS[dist], len(levels), 1e-2, 1e-6
+    width = dist.hi - dist.lo - (m + 1) * gap
+    thetas = [dist.lo + gap * (k + 1) + width * v
+              for k, v in enumerate(sorted(levels))]
+    _, _, grad = optimize._square_weight_profile(dist, thetas, gradient=True)
+    assert len(grad) == m
+    for k in range(m):
+        up, down = list(thetas), list(thetas)
+        up[k] += h
+        down[k] -= h
+        diff = (optimize._square_weight_profile(dist, up)[0]
+                - optimize._square_weight_profile(dist, down)[0])
+        assert abs(diff / (up[k] - down[k]) - grad[k]) <= 1e-8
+
+
+@pytest.mark.parametrize("dist, l, before", [
+    ("U[0.1,1]", 3, 0.2902265277374905), ("U[0.1,1]", 4, 0.2938037642748796),
+    ("U[0.1,1]", 5, 0.29531564988015374),
+    ("U[0.1,1]", 8, 0.29683521641958854),
+    ("U[0,1]", 3, 0.2612038749637415), ("U[0,1]", 4, 0.2644233878473916),
+    ("U[0,1]", 5, 0.26578408489213834),
+    ("beta(2,3)", 3, 0.20618053474272627), ("beta(2,3)", 4, 0.2086000703526371),
+    ("beta(2,3)", 5, 0.20960614138109318),
+    ("texp(3,0,1)", 3, 0.11980535016831587),
+    ("texp(3,0,1)", 4, 0.12195007427622392),
+    ("texp(3,0,1)", 5, 0.1228726667749486),
+    ("kinked", 3, 0.3092207792207792), ("kinked", 4, 0.30923302777022754),
+    ("kinked", 5, 0.3092356004086647)])
+def test_risk_averse_keeps_the_sweeps_revenue(monkeypatch, dist, l, before):
+    # the revenues of the coordinate sweeps and the Nelder-Mead polish over
+    # the breakpoints: on a smooth CDF L-BFGS-B replaces both, and on a
+    # table, the equal-revenue one included (above), they still run
+    smooth = dist in SMOOTH_DISTS
+    if smooth:
+        def fail(*args):
+            raise AssertionError("a sweep or polish ran on a smooth CDF")
+
+        monkeypatch.setattr(optimize, "_sweep", fail)
+        monkeypatch.setattr(optimize, "_polish", fail)
+    sol = solve_finite(make_domain("risk_averse", 0.0, 1.0),
+                       SMOOTH_DISTS[dist] if smooth else KINKED,
+                       OptimizeOptions(max_bundles=l), mode="expected_payment")
+    assert sol.revenue >= before - 1e-12
+    assert sol.active_bundles == l
+    assert sol.diagnostics["local_search"] == ("gradient" if smooth
+                                               else "sweep")
+    assert ("polish_evals" in sol.diagnostics) is not smooth
 
 
 @pytest.mark.parametrize("name, mode", [("quasilinear", "payment"),
