@@ -172,13 +172,23 @@ def _two_param_coeff_inv(c):
         return np.where(c <= 2.0, c, 3.0 - 2.0 / c)
 
 
+def _two_param_inv_coeff_slope(r):
+    # d(1/a)/dr on the chart: 1/a is 1/r up to 2, then (3 - r)/2
+    r = np.asarray(r, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(r <= 2.0, -1.0 / (r * r), -0.5)
+
+
 class ExactQuantities(NamedTuple):
     """Ingredients of a classical form with ``phi(t) = t**2``: the
-    coefficient ``a`` and the inverse of the quantity transform ``h``,
-    both vectorized."""
+    coefficient ``a``, the inverse of the quantity transform ``h`` and the
+    slope of ``1/a``, all vectorized, and the parameters where ``a`` has a
+    kink."""
 
     a: Callable
     h_inv: Callable
+    inv_a_slope: Callable
+    kinks: tuple
 
 
 @dataclass(frozen=True)
@@ -238,6 +248,13 @@ def _square(x):
     return x * x
 
 
+def _inverse_slope(r):
+    # d(1/r)/dr, -inf at 0
+    r = np.asarray(r, dtype=float)
+    with np.errstate(divide="ignore"):
+        return -1.0 / (r * r)
+
+
 # Evaluated form of each exponent the factories take: x*x and np.sqrt are
 # correctly rounded, which a general x**p need not be.
 _POWERS = {1: _identity, 2: _square, 0.5: np.sqrt}
@@ -248,12 +265,15 @@ def _clamp(t, lo, hi):
 
 
 def _classical(name, utility, p, k, a=_identity, a_inv=_identity,
-               param_hi=math.inf, blurb=""):
+               param_hi=math.inf, blurb="", inv_a_slope=_inverse_slope,
+               a_kinks=()):
     """Family with canonical payment ``phi^-1(phi(t) + a(r) * (1 - h(q)))``.
 
     ``phi(t) = t**p`` is the payment transform and ``h(q) = q**k`` the
     quantity transform, with ``p >= k``; ``a`` is an increasing positive
-    coefficient with inverse ``a_inv``.  The form is linear in ``phi(t)``,
+    coefficient with inverse ``a_inv``, ``inv_a_slope`` the slope of
+    ``1/a`` and ``a_kinks`` the parameters where ``a`` has a kink.  The
+    form is linear in ``phi(t)``,
     so the binding step ``phi^-1(phi(t) + a(r) * (h(q2) - h(q)))`` (to
     ``q2 = 1`` it is ``f_r``), the curve inverse, the indifference
     parameter of two bundles and the best bundle on a line follow in
@@ -307,7 +327,8 @@ def _classical(name, utility, p, k, a=_identity, a_inv=_identity,
     posted = (("payment", "expected_payment") if p == 1 and a is _identity
               else ())
     # with phi(t) = t**2, t_k**2 - t_{k-1}**2 = a(theta_k) * dh_k
-    exact = ExactQuantities(a, _POWERS[1 / k]) if p == 2 else None
+    exact = (ExactQuantities(a, _POWERS[1 / k], inv_a_slope, a_kinks)
+             if p == 2 else None)
     return Family(name, "classical", 0.0, param_hi, utility, canonical,
                   curve_payment, special, blurb, best_on_line, posted,
                   exact, bind, ("payment",) if p == 2 else ())
@@ -483,6 +504,7 @@ register_family(_classical(
     "two_param", _tp_utility, 2, 0.5,
     _two_param_coeff, _two_param_coeff_inv, param_hi=3.0,
     blurb="two-branch chart: r*sqrt(q)-t**2 on (0,2], 2*sqrt(q)-(3-r)*t**2 on [2,3)",
+    inv_a_slope=_two_param_inv_coeff_slope, a_kinks=(2.0,),
 ))
 register_family(_linear(
     "power_q", _spliced_power_term, 0.25, 1.0 / 3.0,

@@ -28,9 +28,12 @@ path sells ``q_m = 1``: the searched profile is
   revenue is ``R(theta) = sqrt(sum_B c_B**2 / d_B)`` over the blocks that
   pool-adjacent-violators makes of the segments (:func:`_exact_profile`).
   The breakpoints come from the best chain of segments on a grid of
-  quantiles, even points and knots, exact on the grid (:func:`_grid_dp`),
-  and from the same DP on grids zoomed in around them, which keep the
-  knots.
+  quantiles, even points and knots, exact on the grid (:func:`_grid_dp`).
+  Where neither the CDF nor ``a`` has a kink inside the support, ``R`` is
+  C1 with its gradient in closed form (:func:`_exact_gradient`), and a
+  projected BFGS ascent (:func:`_bfgs_ascent`) finishes from them;
+  elsewhere the same DP runs on grids zoomed in around them, which keep
+  the knots.
 * ``"sweep"``.  Elsewhere the objective is piecewise smooth and
   low-dimensional.  The revenue of a range is a chain over consecutive
   bundles, so the best range of at most ``n`` bundles on a grid of
@@ -46,10 +49,11 @@ path sells ``q_m = 1``: the searched profile is
   exactly, with the revenue's gradient in the breakpoints
   (:func:`_square_weight_profile`), and only the breakpoints are searched
   (``diagnostics["searched"]``).  There, on a CDF without knots inside
-  the support, the local search is L-BFGS-B on that gradient.  Elsewhere
-  it is a sweep (coordinate-wise bounded scalar maximization with
-  endpoint probing), and one Nelder-Mead polish moves along ridges the
-  coordinates do not follow (``diagnostics["local_search"]``).
+  the support, the local search is the same projected BFGS ascent on
+  that gradient.  Elsewhere it is a sweep (coordinate-wise bounded scalar
+  maximization with endpoint probing), and one Nelder-Mead polish moves
+  along ridges the coordinates do not follow
+  (``diagnostics["local_search"]``).
 
 Both DPs are one, :func:`_best_chain`: the revenue of a range is a sum over
 consecutive pairs whose keys do not decrease, the pooled ratio ``c/d`` of
@@ -63,6 +67,7 @@ import bisect
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -92,8 +97,9 @@ KKT_TOL = 1e-13  # a tie splits once its gradient is this far below 0, per
 #                  unit of the top breakpoint
 SELL_TOL = 1e-18  # a segment worth less, per unit of the top breakpoint,
 #                   sells what the one below it sells
-ASCENT_FTOL = 1e-15  # L-BFGS-B stops once a step gains this little, relative
-ASCENT_GTOL = 1e-10  # or once its projected gradient is this small
+ASCENT_FTOL = 1e-15  # an ascent stops once a step gains this little, relative
+ASCENT_GTOL = 1e-10  # or once its free gradient times the box's width is
+#                      this small, relative to the value
 
 
 @dataclass(frozen=True)
@@ -545,25 +551,101 @@ def _chain_dp(domain, dist, mode, m, t_grid, q_grid):
     return starts, n - 1
 
 
+def _bfgs_ascent(fun, x, lo, hi):
+    """Maximize ``fun`` on the box ``[lo, hi]**n`` from ``x`` by projected
+    BFGS (Bertsekas 1982), on Python floats.
+
+    ``fun`` maps a list to its value and gradient, a list.  A coordinate
+    on a bound whose gradient points out of the box is fixed; the others
+    are free, and the inverse Hessian is kept for them alone, reset to a
+    multiple of the identity whenever the free set changes.  A step goes
+    along the free coordinates' quasi-Newton direction, projected onto the
+    box, and shrinks until it gains a ten-thousandth of what the gradient
+    predicts (Armijo).  The first step moves no coordinate more than the
+    box's width over ``n + 1``.  The ascent stops once a step gains at most
+    ``ASCENT_FTOL`` of the value, or once the free gradient times the
+    width is at most ``ASCENT_GTOL`` of it.  Returns the point, its value
+    and the evaluations of ``fun``.
+    """
+    width = hi - lo
+    x = [min(max(v, lo), hi) for v in x]
+    f, g = fun(x)
+    evals, free, inv_h, gamma = 1, None, None, None
+    for _ in range(100 * len(x) + 100):  # a cap no solve has reached
+        now = [i for i, (v, d) in enumerate(zip(x, g))
+               if not (v <= lo and d < 0.0 or v >= hi and d > 0.0)]
+        gf = [g[i] for i in now]
+        top = max(map(abs, gf), default=0.0)
+        if top * width <= ASCENT_GTOL * abs(f):
+            break
+        if now != free:
+            free, inv_h = now, None
+        if inv_h is None:
+            scale = gamma if gamma is not None else width / top / (len(x) + 1)
+            step = [scale * d for d in gf]
+        else:
+            step = [math.fsum(h * d for h, d in zip(row, gf)) for row in inv_h]
+        t = 1.0
+        while True:
+            trial = list(x)
+            for i, d in zip(free, step):
+                trial[i] = min(max(x[i] + t * d, lo), hi)
+            predicted = math.fsum(g[i] * (trial[i] - x[i]) for i in free)
+            if not predicted > ASCENT_FTOL * abs(f):
+                return x, f, evals
+            f_new, g_new = fun(trial)
+            evals += 1
+            if f_new >= f + 1e-4 * predicted:
+                break
+            # the maximizer of the parabola through f, its slope and f_new,
+            # kept within a tenth and a half of the step
+            t *= min(max(0.5 * predicted / (f + predicted - f_new), 0.1), 0.5)
+        s = [trial[i] - x[i] for i in free]
+        y = [g[i] - g_new[i] for i in free]
+        done = f_new - f <= ASCENT_FTOL * abs(f_new)
+        x, f, g = trial, f_new, g_new
+        if done:
+            break
+        sy = math.fsum(a * b for a, b in zip(s, y))
+        if sy <= 0.0:
+            continue  # no curvature along the step: keep the matrix
+        gamma = sy / math.fsum(b * b for b in y)
+        if inv_h is None:
+            inv_h = [[gamma if i == j else 0.0 for j in range(len(free))]
+                     for i in range(len(free))]
+        # H + c s s' - (s (Hy)' + Hy s') / sy, c = (1 + y'Hy / sy) / sy
+        hy = [math.fsum(h * b for h, b in zip(row, y)) for row in inv_h]
+        c = (1.0 + math.fsum(a * b for a, b in zip(y, hy)) / sy) / sy
+        inv_h = [[h + c * si * sj - (si * hyj + hyi * sj) / sy
+                  for h, sj, hyj in zip(row, s, hy)]
+                 for row, si, hyi in zip(inv_h, s, hy)]
+    return x, f, evals
+
+
+def _sorted_call(profile, x):
+    """``profile`` of the sorted breakpoints ``x``, a revenue and its
+    gradient, with the gradient put back in the order of ``x``: the
+    objective is symmetric in the breakpoints."""
+    order = sorted(range(len(x)), key=x.__getitem__)
+    revenue, grad = profile([x[i] for i in order])
+    out = [0.0] * len(x)
+    for i, d in zip(order, grad):
+        out[i] = d
+    return revenue, out
+
+
 def _ascend(dist, x, space):
     """Quasi-Newton ascent of the breakpoints ``x`` at exact quantities:
-    L-BFGS-B on the revenue and its gradient (:func:`_square_weight_profile`)
-    within the support.  The objective sorts the breakpoints, so it is
-    symmetric in them, and puts the gradient back in their order."""
-    from scipy.optimize import minimize
+    projected BFGS (:func:`_bfgs_ascent`) on the revenue and its gradient
+    (:func:`_square_weight_profile`) within the support.  Returns the
+    sorted breakpoints, their revenue and the evaluations."""
+    def profile(thetas):
+        revenue, _, grad = _square_weight_profile(dist, thetas, gradient=True)
+        return revenue, grad
 
-    def loss(y):
-        order = np.argsort(y, kind="stable")
-        rev, _, grad = _square_weight_profile(dist, y[order].tolist(),
-                                              gradient=True)
-        out = np.empty(len(y))
-        out[order] = grad
-        return -rev, -out
-
-    res = minimize(loss, np.asarray(x, dtype=float), jac=True,
-                   method="L-BFGS-B", bounds=[(space.lo, space.hi)] * len(x),
-                   options={"ftol": ASCENT_FTOL, "gtol": ASCENT_GTOL})
-    return sorted(res.x.tolist()), -float(res.fun)
+    x, revenue, evals = _bfgs_ascent(partial(_sorted_call, profile), x,
+                                     space.lo, space.hi)
+    return sorted(x), revenue, evals
 
 
 def _insert(local, x, rev, m, space):
@@ -627,7 +709,8 @@ def _search(domain, dist, m, mode, exact):
     breakpoints; otherwise it is the whole profile.  With exact quantities
     on a CDF without knots inside the support, the revenue is C1 in the
     breakpoints with its gradient in closed form, and the local search is
-    a quasi-Newton ascent (:func:`_ascend`).  Elsewhere it is a sweep, and
+    a projected BFGS ascent (:func:`_ascend`), whose evaluations the
+    diagnostics count, ``"ascent_evals"``.  Elsewhere it is a sweep, and
     a Nelder-Mead polish, re-swept when it gains, ends the search.  With
     exact quantities on a table CDF the revenue is smooth in each
     breakpoint only between the knots, with a local maximum between two
@@ -648,9 +731,12 @@ def _search(domain, dist, m, mode, exact):
             return _profile_revenue(domain, dist, mode, x[:n],
                                     [*x[n:], 1.0])
     gradient = exact and not kinks
+    ascent_evals = []
     if gradient:
         def local(x):
-            return _ascend(dist, x, space)
+            x, rev, evals = _ascend(dist, x, space)
+            ascent_evals.append(evals)
+            return x, rev
     else:
         def local(x):
             return _sweep(revenue, x, space)
@@ -673,7 +759,9 @@ def _search(domain, dist, m, mode, exact):
                    "dp_revenue": starts[-1][1],
                    "searched": "breakpoints" if exact else "profile",
                    "local_search": "gradient" if gradient else "sweep"}
-    if not gradient:
+    if gradient:
+        diagnostics["ascent_evals"] = sum(ascent_evals)
+    else:
         x, rev, diagnostics["polish_evals"] = _polish(revenue, x, rev, space)
     n = space.count(x)
     thetas = [float(t) for t in x[:n]]
@@ -705,6 +793,37 @@ def _inverse_a(form, thetas):
         return 1.0 / np.asarray(form.a(thetas), dtype=float)
 
 
+def _exact_blocks(form, dist, thetas):
+    """The segments of :func:`_exact_profile` pooled into blocks.
+
+    Segment ``k`` runs from ``thetas[k]`` up to the next breakpoint, or to
+    the top of the support, with mass ``c_k`` and weight ``d_k =
+    1/a(theta_k) - 1/a(theta_{k+1})`` (``1/a := 0`` above the last).
+    Pool-adjacent-violators merges them into blocks on which ``c/d`` is
+    nondecreasing; a zero-width block (tied breakpoints) pools with the
+    next.  Returns the first breakpoint that sells, ``1/a`` from it on to
+    the last that sells, and the blocks ``(c_B, d_B, segments)``.
+    """
+    inv = _inverse_a(form, thetas)
+    # a increases, so the infinite 1/a are a prefix and the zero ones a
+    # suffix; the breakpoints first..last-1 are the ones that can sell
+    first = int(np.count_nonzero(np.isinf(inv)))
+    last = len(inv) - int(np.count_nonzero(inv == 0.0))
+    inv = inv[first:last]
+    c = np.diff(dist.cdf([*thetas[first:last], dist.hi]))
+    d = inv - np.append(inv[1:], 0.0)
+    blocks = []
+    for cb, db in zip(c.tolist(), d.tolist()):
+        n = 1
+        # a block whose ratio c/d exceeds the new one's pools with it
+        while blocks and (blocks[-1][1] == 0.0
+                          or blocks[-1][0] * db > cb * blocks[-1][1]):
+            pc, pd, pn = blocks.pop()
+            cb, db, n = cb + pc, db + pd, n + pn
+        blocks.append((cb, db, n))
+    return first, inv, blocks
+
+
 def _exact_profile(form, dist, thetas):
     """Revenue-maximizing quantities at fixed breakpoints, for a classical
     form with ``phi(t) = t**2`` in payment mode.
@@ -715,7 +834,7 @@ def _exact_profile(form, dist, thetas):
     last breakpoint), and the revenue is ``sum_k c_k sqrt(v_k)`` with
     ``c_k = F(theta_{k+1}) - F(theta_k)``.  Maximizing it over
     nondecreasing ``v`` with ``sum_k d_k v_k <= 1`` pools the segments into
-    blocks on which ``c/d`` is nondecreasing (pool-adjacent-violators) and
+    blocks on which ``c/d`` is nondecreasing (:func:`_exact_blocks`) and
     sets ``v_B = (c_B/d_B)**2 / S`` with ``S = sum_B c_B**2 / d_B``; the
     revenue is ``sqrt(S)`` (README, classical families in payment mode).
     A breakpoint where ``1/a`` is infinite sells nothing: its ``v`` and
@@ -724,24 +843,8 @@ def _exact_profile(form, dist, thetas):
     ``thetas`` must be sorted.  Returns the revenue and the quantities.
     """
     thetas = np.asarray(thetas, dtype=float)
-    inv = _inverse_a(form, thetas)
-    # a increases, so the infinite 1/a are a prefix and the zero ones a
-    # suffix; the breakpoints first..last-1 are the ones that can sell
-    first = int(np.count_nonzero(np.isinf(inv)))
-    last = len(inv) - int(np.count_nonzero(inv == 0.0))
-    inv = inv[first:last]
-    c = np.diff(dist.cdf([*thetas[first:last], dist.hi]))
-    d = inv - np.append(inv[1:], 0.0)
-    blocks = []  # (c_B, d_B, segments)
-    for ck, dk in zip(c.tolist(), d.tolist()):
-        cb, db, n = ck, dk, 1
-        # a zero-width block (tied breakpoints) pools with the next; a
-        # block whose ratio c/d exceeds the new one's pools with it
-        while blocks and (blocks[-1][1] == 0.0
-                          or blocks[-1][0] * db > cb * blocks[-1][1]):
-            pc, pd, pn = blocks.pop()
-            cb, db, n = cb + pc, db + pd, n + pn
-        blocks.append((cb, db, n))
+    first, inv, blocks = _exact_blocks(form, dist, thetas)
+    last = first + len(inv)
     total = sum(cb * cb / db for cb, db, _ in blocks)
     v = np.zeros(last)
     if total > 0.0:
@@ -753,6 +856,35 @@ def _exact_profile(form, dist, thetas):
     if h[-1] > 0.0:
         h /= h[-1]  # the budget binds: h(q_m) = 1 up to round-off, made exact
     return math.sqrt(total), np.asarray(form.h_inv(h), dtype=float)
+
+
+def _exact_gradient(form, dist, thetas):
+    """The revenue ``R`` of :func:`_exact_profile` and its gradient in the
+    sorted breakpoints ``thetas``.
+
+    With ``b = 1/a`` and ``rho_B = c_B/d_B``, ``d(c**2/d) = 2 rho dc -
+    rho**2 dd`` gives, for the first breakpoint ``theta_i`` of block B
+    after block A (``rho_A = 0`` below the first block),
+    ``dS/dtheta_i = (rho_A - rho_B)(2 f(theta_i) + b'(theta_i)(rho_A +
+    rho_B))``; a breakpoint inside a block has gradient 0, and so has one
+    that sells nothing (README).  ``dR = dS / (2R)``.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    first, _, blocks = _exact_blocks(form, dist, thetas)
+    total = sum(cb * cb / db for cb, db, _ in blocks)
+    grad = [0.0] * len(thetas)
+    if not total > 0.0:
+        return 0.0, grad
+    starts = np.cumsum([first, *(n for _, _, n in blocks[:-1])])
+    dens = dist.pdf(thetas[starts]).tolist()
+    slope = form.inv_a_slope(thetas[starts]).tolist()
+    revenue, below = math.sqrt(total), 0.0
+    for k, f, b, (cb, db, _) in zip(starts.tolist(), dens, slope, blocks):
+        rho = cb / db
+        grad[k] = ((below - rho) * (2.0 * f + b * (below + rho))
+                   / (2.0 * revenue))
+        below = rho
+    return revenue, grad
 
 
 def _grid_dp(form, dist, m, grid):
@@ -788,42 +920,54 @@ def _grid_dp(form, dist, m, grid):
 
 
 def _exact_search(form, dist, m):
-    """Grid DP over the breakpoints, then the same DP on grids zoomed in
-    around its breakpoints.
+    """Grid DP over the breakpoints, then an ascent from its breakpoints,
+    or, where R has a kink inside the support, the same DP on grids zoomed
+    in around them.
 
     The first grid is ``DP_GRID`` quantiles, evenly spaced in level,
     ``DP_GRID`` even points of the support, which cover the pieces with
     less mass than a quantile step, and the CDF's knots.
-    A zoomed grid holds the breakpoints, ``ZOOM`` points one step apart on
-    either side of each, and the knots, so revenue never falls and a
-    breakpoint at a kink lands on it exactly.  The step shrinks by ``ZOOM``
-    unless a breakpoint gained revenue at the edge of its window, where the
-    window recentres at the same step, until it is ``ZOOM_TOL`` of the
-    support."""
+    Where neither the CDF nor ``a`` has a kink inside the support, ``R``
+    is C1 in the breakpoints with its gradient in closed form
+    (:func:`_exact_gradient`), and a projected BFGS ascent
+    (:func:`_bfgs_ascent`) within the support finishes the search.
+    Elsewhere a zoomed grid holds the breakpoints, ``ZOOM`` points one
+    step apart on either side of each, and the knots, so revenue never
+    falls and a breakpoint at a kink lands on it exactly.  The step shrinks
+    by ``ZOOM`` unless a breakpoint gained revenue at the edge of its
+    window, where the window recentres at the same step, until it is
+    ``ZOOM_TOL`` of the support."""
     width, knots = dist.hi - dist.lo, dist.knots or ()
     levels = np.linspace(0.0, 1.0, DP_GRID)
     grid = np.unique(np.concatenate([dist.ppf(levels),
                                      dist.lo + width * levels, knots]))
     thetas, dp_revenue, size = _grid_dp(form, dist, m, grid)
-    revenue, step, rounds = dp_revenue, width / (DP_GRID - 1), 0
-    while step > ZOOM_TOL * width:
-        window = step * np.arange(-ZOOM, ZOOM + 1)
-        grid = np.unique(np.clip(np.append(np.add.outer(thetas, window), knots),
-                                 dist.lo, dist.hi))
-        trial, trial_revenue, _ = _grid_dp(form, dist, m, grid)
-        rounds += 1
-        # a breakpoint past the inner points of every window sits on an
-        # edge (or a knot), and may gain more beyond it
-        moved = np.abs(np.subtract.outer(trial, thetas)).min(axis=1)
-        gained = trial_revenue > revenue
-        if gained:
-            thetas, revenue = trial, trial_revenue
-        if not (gained and np.any(moved > (ZOOM - 0.5) * step)):
-            step /= ZOOM
+    diagnostics = {"method": "exact_quantities", "dp_grid": size,
+                   "dp_revenue": dp_revenue}
+    if not any(dist.lo < k < dist.hi for k in (*knots, *form.kinks)):
+        x, _, diagnostics["ascent_evals"] = _bfgs_ascent(
+            partial(_sorted_call, partial(_exact_gradient, form, dist)),
+            thetas.tolist(), dist.lo, dist.hi)
+        thetas = np.sort(x)
+    else:
+        revenue, step, rounds = dp_revenue, width / (DP_GRID - 1), 0
+        while step > ZOOM_TOL * width:
+            window = step * np.arange(-ZOOM, ZOOM + 1)
+            grid = np.unique(np.clip(np.append(np.add.outer(thetas, window),
+                                               knots), dist.lo, dist.hi))
+            trial, trial_revenue, _ = _grid_dp(form, dist, m, grid)
+            rounds += 1
+            # a breakpoint past the inner points of every window sits on an
+            # edge (or a knot), and may gain more beyond it
+            moved = np.abs(np.subtract.outer(trial, thetas)).min(axis=1)
+            gained = trial_revenue > revenue
+            if gained:
+                thetas, revenue = trial, trial_revenue
+            if not (gained and np.any(moved > (ZOOM - 0.5) * step)):
+                step /= ZOOM
+        diagnostics["zoom_rounds"] = rounds
     _, qs = _exact_profile(form, dist, thetas)
-    return list(thetas), list(qs), {
-        "method": "exact_quantities", "dp_grid": size,
-        "dp_revenue": dp_revenue, "zoom_rounds": rounds}
+    return list(thetas), list(qs), diagnostics
 
 
 def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
@@ -835,18 +979,22 @@ def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
     In the family's posted-price modes the answer is the posted price
     :func:`~scmech.measure.monopoly_price`, exact for every distribution.
     In its ``exact_quantity_modes`` a family has exact quantities for
-    given breakpoints, and only the breakpoints are searched: by a zoomed
-    grid DP for a classical family with ``phi(t) = t**2`` in payments, and
-    on the sweep path for risk_averse in expected payments, by L-BFGS-B
-    on the revenue's gradient where the CDF has no knot inside the
-    support.  Otherwise the profile is swept.  Both searches start from
+    given breakpoints, and only the breakpoints are searched: for a
+    classical family with ``phi(t) = t**2`` in payments by a grid DP and
+    a projected BFGS ascent on the revenue's gradient, or zoomed grid DPs
+    where the CDF or ``a`` has a kink inside the support; and on the sweep
+    path for risk_averse in expected payments, by the same ascent where
+    the CDF has no knot inside the support.  Otherwise the profile is
+    swept.  Both searches start from
     the same DP, the best chain of consecutive pairs on a grid of
     breakpoints or of bundles.  ``diagnostics["method"]`` says which path
     ran (``"posted_price"``, ``"exact_quantities"`` or ``"sweep"``); the
     last two also report their first DP's grid size ``"dp_grid"``
-    (breakpoints, or bundles) and grid optimum ``"dp_revenue"``.  The
-    exact path reports its zoomed DPs, ``"zoom_rounds"``, and the sweep
-    path the vector it searched, ``"searched"`` (``"breakpoints"`` or
+    (breakpoints, or bundles) and grid optimum ``"dp_revenue"``.  Both
+    report the revenue evaluations of their ascents, ``"ascent_evals"``,
+    where they ascend; the exact path reports its zoomed DPs,
+    ``"zoom_rounds"``, where it zooms instead.  The sweep path reports the
+    vector it searched, ``"searched"`` (``"breakpoints"`` or
     ``"profile"``), its local search, ``"local_search"`` (``"gradient"``
     or ``"sweep"``), and, after sweeps, the revenue evaluations of its
     polish, ``"polish_evals"``.  The mechanism is

@@ -58,7 +58,14 @@ def test_import_loads_no_scipy(tmp_path):
       "--anchor-t", "1.0", "--anchor-q", "0.125,0.5"], 2),
     (["optimize", "--domain", "quasilinear", "--dist", "uniform:0,1",
       "--max-bundles", "4", "--out", "mech.json"], 0),
-], ids=["verify", "truncate", "multibuyer", "validate-domain", "optimize"])
+    # the gradient ascents of the two exact-quantity paths are the
+    # solver's own, so neither loads scipy.optimize
+    (["optimize", "--domain", "risk_averse", "--dist", "uniform:0.1,1",
+      "--max-bundles", "3", "--revenue-mode", "expected_payment"], 0),
+    (["optimize", "--domain", "income_effect", "--dist", "uniform:0.1,1",
+      "--max-bundles", "3"], 0),
+], ids=["verify", "truncate", "multibuyer", "validate-domain", "optimize",
+        "optimize-risk_averse", "optimize-income_effect"])
 def test_subcommand_loads_no_scipy(tmp_path, argv, rc):
     (tmp_path / "mech.json").write_text(json.dumps(MECH))
     assert scipy_after(argv, tmp_path) == (rc, [])
