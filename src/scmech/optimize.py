@@ -460,23 +460,33 @@ def _best_chain(key, gain, m):
     An edge ``(u, v)`` exists where ``gain[u, v] > -inf``; its key is
     ``key[u, v]``, NaN for a missing edge.  A state is an edge ``(v, w)``,
     and its predecessors are the edges ``(h, v)`` whose key is at most its
-    own: the best of them is a running maximum down column ``v`` sorted by
-    key, where a NaN key sorts last and is never at most another.  Stage
-    ``s`` holds the best chain of at most ``s + 1`` edges ending in each
-    edge, so a chain ends anywhere.  Each of the ``m`` stages costs
-    O(N**2) time and is kept for the backtrack, O(m N**2) memory.  Returns
-    each best chain's nodes ``v_1..v_n`` and total gain.
+    own, where a NaN key is never at most another.  Stage ``s`` holds the
+    best chain of at most ``s + 1`` edges ending in each edge, so a chain
+    ends anywhere.  A chain starts at node 0, so the second stage has one
+    candidate predecessor per edge, ``(0, v)``, and is direct.  From the
+    third on, the best predecessor is a running maximum down column ``v``
+    sorted by key, where a NaN key sorts last.  Each stage costs O(N**2)
+    time, and the O(N**2 log N) sort is paid once, only from the third
+    stage.  Every stage is kept for the backtrack, O(m N**2) memory.
+    Returns each best chain's nodes ``v_1..v_n`` and total gain.
     """
     n = len(gain)
     gain = np.where(gain > -np.inf, gain, -np.inf)  # a NaN gain is no edge
-    order, cols = np.argsort(key, axis=0), np.arange(n)
-    # count[v, w]: how many edges (h, v) have a key at most key[v, w]
-    count = np.array([np.searchsorted(key[order[:, v], v], key[v],
-                                      side="right") for v in cols])
     first = np.full((n, n), -np.inf)
     first[0] = gain[0]  # a chain starts at node 0
     stages = [first]
-    for _ in range(m - 1):
+    if m >= 2:
+        stage = gain + np.where(key[0][:, None] <= key, gain[0][:, None],
+                                -np.inf)
+        stage[0] = gain[0]
+        stages.append(stage)
+    if m >= 3:
+        order, cols = np.argsort(key, axis=0), np.arange(n)
+        # count[v, w]: how many edges (h, v) have a key at most key[v, w]
+        count = np.array([np.searchsorted(key[order[:, v], v], key[v],
+                                          side="right") for v in cols])
+        count[np.isnan(key)] = 0
+    for _ in range(m - 2):
         best = np.maximum.accumulate(
             np.take_along_axis(stages[-1], order, axis=0), axis=0)
         best = np.vstack([np.full(n, -np.inf), best])

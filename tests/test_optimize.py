@@ -542,13 +542,13 @@ def _chains(key, gain, m, path=(0,)):
 @st.composite
 def chain_graphs(draw):
     # DAGs with edges u -> v for u < v: node 0 reaches every node, about
-    # 40% of the other edges are missing, some with a NaN gain, and keys
-    # tie often
+    # 40% of the other edges are missing, some with a NaN gain, keys tie
+    # often, and some edges have a NaN key, never at most another
     n, m = draw(st.integers(2, 7)), draw(st.integers(1, 4))
     key, gain = np.full((n, n), np.nan), np.full((n, n), -np.inf)
     for u, v in itertools.combinations(range(n), 2):
         if u == 0 or draw(st.integers(0, 9)) >= 4:
-            key[u, v] = draw(st.sampled_from([0.0, 1.0, 2.0]))
+            key[u, v] = draw(st.sampled_from([0.0, 1.0, 2.0, np.nan]))
             gain[u, v] = draw(st.floats(-1.0, 1.0))
         elif draw(st.booleans()):
             gain[u, v] = np.nan
@@ -571,9 +571,71 @@ def test_best_chain_matches_enumeration(graph):
         assert 1 <= len(chain) <= n
         assert all(gain[u, v] > -np.inf for u, v in zip(path, path[1:]))
         keys = [key[u, v] for u, v in zip(path, path[1:])]
-        assert keys == sorted(keys)
+        assert all(a <= b for a, b in zip(keys, keys[1:]))
         assert abs(sum(gain[u, v] for u, v in zip(path, path[1:]))
                    - total) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_best_chain_never_follows_a_nan_key(m):
+    # 1 -> 2 has a finite gain and a NaN key, so it follows no edge: the
+    # best chain is 0 -> 1 alone, whatever the bound
+    key, gain = np.full((3, 3), np.nan), np.full((3, 3), -np.inf)
+    key[0, 1] = key[0, 2] = 0.0
+    gain[0, 1], gain[1, 2], gain[0, 2] = 1.0, 1.0, 0.5
+    assert optimize._best_chain(key, gain, m)[-1] == ([1], 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=chain_graphs())
+def test_best_chain_stages_do_not_depend_on_the_bound(graph):
+    # the chains for bounds 1..k are the same, bit for bit, whether the DP
+    # stops at k or runs on to a larger bound: no stage depends on it
+    key, gain, _ = graph
+    runs = [[(chain, total.hex())
+             for chain, total in optimize._best_chain(key, gain, m)]
+            for m in range(1, 5)]
+    for k in range(1, 4):
+        for run in runs[k:]:
+            assert run[:k] == runs[k - 1]
+
+
+def test_two_stage_chain_dps_sort_nothing(monkeypatch):
+    # at max_bundles = 3 each chain has one candidate predecessor, so
+    # neither DP sorts: the sweep path's 197-node bundle graph and the
+    # exact path's 160-point first grid give the chains they gave when
+    # every stage was sorted
+    dist = measure.uniform(0.1, 1.0)
+    dom = make_domain("risk_averse", 0.0, 1.0)
+    bundles = optimize._bundle_grid(dom.family, dist)
+    form = make_domain("income_effect", 0.0, 1.0).family.exact_quantities
+    levels = np.linspace(0.0, 1.0, optimize.DP_GRID)
+    grid = np.unique(np.append(dist.ppf(levels),
+                               dist.lo + (dist.hi - dist.lo) * levels))
+    chains, best_chain = [], optimize._best_chain
+
+    def spy(key, gain, m):
+        chains.append((len(gain), best_chain(key, gain, m)))
+        return chains[-1][1]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a two-stage chain DP sorted")
+
+    monkeypatch.setattr(optimize, "_best_chain", spy)
+    monkeypatch.setattr(np, "argsort", fail)
+    monkeypatch.setattr(np, "searchsorted", fail)
+    optimize._chain_dp(dom, dist, "expected_payment", 2, *bundles)
+    optimize._grid_dp(form, dist, 2, grid)
+    expected = {197: [([98], 0.2777777777777778),
+                      ([62, 98], 0.28968253968253965)],
+                161: [([119], 0.18289699252104458),
+                      ([107, 142], 0.19752910617987157)]}
+    assert [n for n, _ in chains] == [197, 161]
+    for n, out in chains:
+        for (chain, total), (want, wanted) in zip(out, expected[n],
+                                                  strict=True):
+            assert chain == want
+            assert abs(total - wanted) <= 1e-15 * wanted
 
 
 def test_sweep_path_posts_the_price_at_a_kink():
