@@ -29,11 +29,9 @@ path sells ``q_m = 1``: the searched profile is
   pool-adjacent-violators makes of the segments (:func:`_exact_profile`).
   The breakpoints come from the best chain of segments on a grid of
   quantiles, even points and knots, exact on the grid (:func:`_grid_dp`).
-  Where neither the CDF nor ``a`` has a kink inside the support, ``R`` is
-  C1 with its gradient in closed form (:func:`_exact_gradient`), and a
-  projected BFGS ascent (:func:`_bfgs_ascent`) finishes from them;
-  elsewhere the same DP runs on grids zoomed in around them, which keep
-  the knots.
+  Between the kinks of the CDF and of ``a``, ``R`` is C1 with its
+  gradient in closed form (:func:`_exact_gradient`), and an ascent cell
+  by cell (:func:`_cell_ascent`) finishes from them.
 * ``"sweep"``.  Elsewhere the objective is piecewise smooth and
   low-dimensional.  The revenue of a range is a chain over consecutive
   bundles, so the best range of at most ``n`` bundles on a grid of
@@ -48,12 +46,10 @@ path sells ``q_m = 1``: the searched profile is
   concave in the quantities, which an active-set Newton method gives
   exactly, with the revenue's gradient in the breakpoints
   (:func:`_square_weight_profile`), and only the breakpoints are searched
-  (``diagnostics["searched"]``).  There, on a CDF without knots inside
-  the support, the local search is the same projected BFGS ascent on
-  that gradient.  Elsewhere it is a sweep (coordinate-wise bounded scalar
-  maximization with endpoint probing), and one Nelder-Mead polish moves
-  along ridges the coordinates do not follow
-  (``diagnostics["local_search"]``).
+  (``diagnostics["searched"]``), by the same ascent cell by cell on that
+  gradient.  Elsewhere the local search is a sweep (coordinate-wise
+  bounded scalar maximization with endpoint probing), and one Nelder-Mead
+  polish moves along ridges the coordinates do not follow.
 
 Both DPs are one, :func:`_best_chain`: the revenue of a range is a sum over
 consecutive pairs whose keys do not decrease, the pooled ratio ``c/d`` of
@@ -85,8 +81,6 @@ SWEEP_ROUNDS = 12  # coordinate sweeps per local search, at most
 SWEEP_TOL = 1e-12  # a sweep stops once a whole round gains less revenue
 RIDGE_TOL = 1e-10  # revenue an insertion must gain
 DP_GRID = 160  # quantiles, and even points, of the exact path's first grid
-ZOOM = 4  # points either side of a breakpoint on a zoomed grid, and its shrink
-ZOOM_TOL = 1e-11  # the zoom stops at a step this small, per unit support
 CHAIN_GRID = 14  # payment and quantity steps of the sweep path's bundle grid
 POLISH_STEP = 1e-3  # first simplex of the sweep path's polish, per unit range
 POLISH_XATOL = 1e-10  # Nelder-Mead stops once its simplex is this small in theta
@@ -262,7 +256,7 @@ def _newton_blocks(P, M, D, top, v):
     return v, None
 
 
-def _square_weight_profile(dist, thetas, gradient=False):
+def _square_weight_profile(dist, thetas):
     """Revenue-maximizing quantities at fixed breakpoints for a restricted
     form with ``w(q) = q**2`` in expected payments.
 
@@ -289,10 +283,7 @@ def _square_weight_profile(dist, thetas, gradient=False):
     ``dR/dtheta_k = f(theta_k) (g_{k-1} - g_k) + c_k q_k
     - q_{k-1}**2 T_k + q_k**2 T_{k+1}`` with ``g_0 = q_0 = 0``.  It is
     continuous where the active set changes (README).  Returns the
-    revenue, the quantities and, with ``gradient``, the gradient, at the
-    cost of one density call (else None): the sweeps of a table CDF
-    would pay it for nothing.
-    """
+    revenue, the quantities and the gradient."""
     m = len(thetas)
     cdf = dist.cdf([*thetas, dist.hi]).tolist()
     floor = SELL_TOL * thetas[-1]
@@ -367,8 +358,6 @@ def _square_weight_profile(dist, thetas, gradient=False):
         s2 += d * u * u
     qs[top:] = [1.0] * (m - top)
     revenue += mt * (thetas[top] - s2)
-    if not gradient:
-        return revenue, qs, None
     # g[k] and t[k] are g_k and T_k; g[-1] and t[m] stay 0
     g, t, s2 = [0.0] * (m + 1), [0.0] * (m + 1), 0.0
     for k, q in enumerate(qs):
@@ -389,14 +378,11 @@ def _square_weight_profile(dist, thetas, gradient=False):
 class _Space(NamedTuple):
     """The searched vector: ``n`` breakpoints in ``[lo, hi]``, then, where
     ``quantities`` is set, ``q_1..q_{n-1}`` in [0, 1] (the top quantity
-    is 1).  ``kinks`` are the points where the sweeps probe each
-    breakpoint: the CDF's knots inside the support for the search over
-    breakpoints alone (see :func:`_search`), none for the profile."""
+    is 1)."""
 
     lo: float
     hi: float
     quantities: bool
-    kinks: tuple
 
     def count(self, x):
         return (len(x) + 1) // 2 if self.quantities else len(x)
@@ -407,8 +393,7 @@ def _sweep(revenue, x, space):
 
     Each coordinate of the searched vector ``x`` is bounded by its
     neighbours in its own block, and at the block ends by the support
-    (breakpoints) or by [0, 1] (quantities).  A breakpoint also probes the
-    kinks on either side of Brent's point, where its optimum often sits.
+    (breakpoints) or by [0, 1] (quantities).
     """
     from scipy.optimize import minimize_scalar
 
@@ -437,12 +422,6 @@ def _sweep(revenue, x, space):
             # The revenue at Brent's final point and at x[i] is known.
             cands = [float(res.x), a, b, x[i]]
             vals = [-res.fun, revenue_at(a), revenue_at(b), best]
-            if i < n:
-                k = bisect.bisect(space.kinks, cands[0])
-                for kink in space.kinks[max(k - 1, 0):k + 1]:
-                    if a < kink < b:
-                        cands.append(kink)
-                        vals.append(revenue_at(kink))
             j = max(range(len(vals)), key=vals.__getitem__)  # the first
             if vals[j] > best + 1e-15:
                 improved += vals[j] - best
@@ -562,8 +541,8 @@ def _chain_dp(domain, dist, mode, m, t_grid, q_grid):
 
 
 def _bfgs_ascent(fun, x, lo, hi):
-    """Maximize ``fun`` on the box ``[lo, hi]**n`` from ``x`` by projected
-    BFGS (Bertsekas 1982), on Python floats.
+    """Maximize ``fun`` on the box ``lo <= x <= hi`` (lists, a bound per
+    coordinate) from ``x`` by projected BFGS (Bertsekas 1982), on floats.
 
     ``fun`` maps a list to its value and gradient, a list.  A coordinate
     on a bound whose gradient points out of the box is fixed; the others
@@ -572,18 +551,17 @@ def _bfgs_ascent(fun, x, lo, hi):
     along the free coordinates' quasi-Newton direction, projected onto the
     box, and shrinks until it gains a ten-thousandth of what the gradient
     predicts (Armijo).  The first step moves no coordinate more than the
-    box's width over ``n + 1``.  The ascent stops once a step gains at most
-    ``ASCENT_FTOL`` of the value, or once the free gradient times the
-    width is at most ``ASCENT_GTOL`` of it.  Returns the point, its value
-    and the evaluations of ``fun``.
-    """
-    width = hi - lo
-    x = [min(max(v, lo), hi) for v in x]
+    box's largest width over ``n + 1``.  The ascent stops once a step
+    gains at most ``ASCENT_FTOL`` of the value, or once the free gradient
+    times that width is at most ``ASCENT_GTOL`` of it.  Returns the point,
+    its value and the evaluations of ``fun``."""
+    width = max(b - a for a, b in zip(lo, hi))
+    x = [min(max(v, a), b) for v, a, b in zip(x, lo, hi)]
     f, g = fun(x)
     evals, free, inv_h, gamma = 1, None, None, None
     for _ in range(100 * len(x) + 100):  # a cap no solve has reached
         now = [i for i, (v, d) in enumerate(zip(x, g))
-               if not (v <= lo and d < 0.0 or v >= hi and d > 0.0)]
+               if not (v <= lo[i] and d < 0.0 or v >= hi[i] and d > 0.0)]
         gf = [g[i] for i in now]
         top = max(map(abs, gf), default=0.0)
         if top * width <= ASCENT_GTOL * abs(f):
@@ -599,7 +577,7 @@ def _bfgs_ascent(fun, x, lo, hi):
         while True:
             trial = list(x)
             for i, d in zip(free, step):
-                trial[i] = min(max(x[i] + t * d, lo), hi)
+                trial[i] = min(max(x[i] + t * d, lo[i]), hi[i])
             predicted = math.fsum(g[i] * (trial[i] - x[i]) for i in free)
             if not predicted > ASCENT_FTOL * abs(f):
                 return x, f, evals
@@ -644,18 +622,80 @@ def _sorted_call(profile, x):
     return revenue, out
 
 
-def _ascend(dist, x, space):
-    """Quasi-Newton ascent of the breakpoints ``x`` at exact quantities:
-    projected BFGS (:func:`_bfgs_ascent`) on the revenue and its gradient
-    (:func:`_square_weight_profile`) within the support.  Returns the
-    sorted breakpoints, their revenue and the evaluations."""
+def _cell_ascent(fun, x, lo, hi, kinks):
+    """Maximize ``fun`` over the breakpoints ``x`` in ``[lo, hi]``, smooth
+    only between the sorted ``kinks`` inside it, cell by cell.
+
+    All breakpoints ascend by one :func:`_bfgs_ascent`, each boxed in its
+    cell one ulp inside an inner kink, so that every derivative comes from
+    inside the cell (a breakpoint on a kink starts in the cell above it).
+    Then each breakpoint tries the cells beside its own, ascending alone
+    from their midpoints, and a move is kept only if it gains; the ascent
+    restarts from the result until a round gains nothing.  Last, a
+    breakpoint one ulp from a kink moves onto it where that loses nothing.
+    Without kinks this is one :func:`_bfgs_ascent` on the support.
+    Returns the point, its value and the evaluations of ``fun``."""
+    if not kinks:
+        return _bfgs_ascent(fun, x, [lo] * len(x), [hi] * len(x))
+    edges, last = [lo, *kinks, hi], len(kinks)
+    floors = [lo, *(math.nextafter(k, math.inf) for k in kinks)]
+    ceilings = [*(math.nextafter(k, -math.inf) for k in kinks), hi]
+
+    def ascend(x, cells, alone=None):
+        # a cell narrower than its two margins is the one point floors[j];
+        # with ``alone`` set, every other breakpoint is held where it is
+        boxes = [(floors[j], max(floors[j], ceilings[j]))
+                 if alone in (None, i) else (v, v)
+                 for i, (j, v) in enumerate(zip(cells, x))]
+        return _bfgs_ascent(fun, x, *map(list, zip(*boxes)))
+
+    cells = [min(bisect.bisect(edges, v) - 1, last) for v in x]
+    x, f, evals = ascend(x, cells)
+    start = -math.inf
+    while f > start:
+        start = f
+        for i in range(len(x)):
+            for j in (cells[i] - 1, cells[i] + 1):
+                if 0 <= j <= last:
+                    trial, moved = list(x), list(cells)
+                    trial[i], moved[i] = 0.5 * (edges[j] + edges[j + 1]), j
+                    y, g, e = ascend(trial, moved, i)
+                    evals += e
+                    if g > f:
+                        x, f, cells = y, g, moved
+        y, g, e = ascend(x, cells)
+        evals += e
+        if g > f:
+            x, f = y, g
+    for i, v in enumerate(x):
+        k = min(kinks, key=lambda k: abs(k - v))
+        if math.nextafter(v, k) == k != v:
+            trial = [*x[:i], k, *x[i + 1:]]
+            g, _ = fun(trial)
+            evals += 1
+            if g >= f:
+                x, f = trial, g
+    return x, f, evals
+
+
+def _ascend(dist, x, kinks):
+    """:func:`_cell_ascent` of the breakpoints ``x`` at exact quantities
+    (:func:`_square_weight_profile`) between the CDF's ``kinks``.  A
+    breakpoint that sells no more than the one below it, by the ascent's
+    own evaluations, is dropped, so that insertion can place it again.
+    Returns the sorted breakpoints, their revenue and the evaluations."""
+    sold = {}
+
     def profile(thetas):
-        revenue, _, grad = _square_weight_profile(dist, thetas, gradient=True)
+        revenue, qs, grad = _square_weight_profile(dist, thetas)
+        sold[tuple(thetas)] = qs
         return revenue, grad
 
-    x, revenue, evals = _bfgs_ascent(partial(_sorted_call, profile), x,
-                                     space.lo, space.hi)
-    return sorted(x), revenue, evals
+    x, revenue, evals = _cell_ascent(partial(_sorted_call, profile), x,
+                                     dist.lo, dist.hi, kinks)
+    x = sorted(x)
+    qs = sold[tuple(x)]
+    return [t for t, p, q in zip(x, [0.0, *qs], qs) if q > p], revenue, evals
 
 
 def _insert(local, x, rev, m, space):
@@ -716,38 +756,29 @@ def _search(domain, dist, m, mode, exact):
 
     Where the quantities are ``exact`` at fixed breakpoints
     (:func:`_square_weight_profile`), the searched vector is the
-    breakpoints; otherwise it is the whole profile.  With exact quantities
-    on a CDF without knots inside the support, the revenue is C1 in the
-    breakpoints with its gradient in closed form, and the local search is
-    a projected BFGS ascent (:func:`_ascend`), whose evaluations the
-    diagnostics count, ``"ascent_evals"``.  Elsewhere it is a sweep, and
-    a Nelder-Mead polish, re-swept when it gains, ends the search.  With
-    exact quantities on a table CDF the revenue is smooth in each
-    breakpoint only between the knots, with a local maximum between two
-    knots where the density drops at both, so a sweep can stop below a
-    better one: the sweeps probe the knots, and the best result with one
-    breakpoint fewer than allowed is extended by insertion as well.
-    Returns the profile and its diagnostics, among them the local search,
-    ``"local_search"`` (``"gradient"`` or ``"sweep"``)."""
-    lo, hi = dist.lo, dist.hi
-    kinks = tuple(k for k in dist.knots or () if lo < k < hi) if exact else ()
-    space = _Space(lo, hi, not exact, kinks)
+    breakpoints, smooth between the CDF's knots with its gradient in
+    closed form, and the local search an ascent cell by cell
+    (:func:`_ascend`; ``"ascent_evals"`` counts its evaluations).  A
+    table's density can drop at both ends of a cell, with a local maximum
+    inside, so there the best result with one breakpoint fewer than
+    allowed is extended by insertion as well.  Otherwise the searched
+    vector is the whole profile, the local search is a sweep, and a
+    Nelder-Mead polish, re-swept when it gains, ends the search.  Returns
+    the profile and its diagnostics."""
+    space = _Space(dist.lo, dist.hi, not exact)
+    kinks = tuple(k for k in dist.knots or () if dist.lo < k < dist.hi)
+    ascent_evals = []
     if exact:
-        def revenue(x):
-            return _square_weight_profile(dist, x)[0]
+        def local(x):
+            x, rev, evals = _ascend(dist, x, kinks)
+            ascent_evals.append(evals)
+            return x, rev
     else:
         def revenue(x):
             n = space.count(x)
             return _profile_revenue(domain, dist, mode, x[:n],
                                     [*x[n:], 1.0])
-    gradient = exact and not kinks
-    ascent_evals = []
-    if gradient:
-        def local(x):
-            x, rev, evals = _ascend(dist, x, space)
-            ascent_evals.append(evals)
-            return x, rev
-    else:
+
         def local(x):
             return _sweep(revenue, x, space)
 
@@ -761,15 +792,14 @@ def _search(domain, dist, m, mode, exact):
     best = max(results, key=lambda r: r[1])
     x, rev = _insert(local, *best, m, space)
     fewer = [r for r in results if space.count(r[0]) == m - 1]
-    if kinks and fewer and best not in fewer:
+    if exact and kinks and fewer and best not in fewer:
         y, y_rev = _insert(local, *max(fewer, key=lambda r: r[1]), m, space)
         if y_rev > rev:
             x, rev = y, y_rev
     diagnostics = {"method": "sweep", "dp_grid": size,
                    "dp_revenue": starts[-1][1],
-                   "searched": "breakpoints" if exact else "profile",
-                   "local_search": "gradient" if gradient else "sweep"}
-    if gradient:
+                   "searched": "breakpoints" if exact else "profile"}
+    if exact:
         diagnostics["ascent_evals"] = sum(ascent_evals)
     else:
         x, rev, diagnostics["polish_evals"] = _polish(revenue, x, rev, space)
@@ -930,54 +960,29 @@ def _grid_dp(form, dist, m, grid):
 
 
 def _exact_search(form, dist, m):
-    """Grid DP over the breakpoints, then an ascent from its breakpoints,
-    or, where R has a kink inside the support, the same DP on grids zoomed
-    in around them.
+    """Grid DP over the breakpoints, then an ascent from its breakpoints.
 
     The first grid is ``DP_GRID`` quantiles, evenly spaced in level,
     ``DP_GRID`` even points of the support, which cover the pieces with
-    less mass than a quantile step, and the CDF's knots.
-    Where neither the CDF nor ``a`` has a kink inside the support, ``R``
-    is C1 in the breakpoints with its gradient in closed form
-    (:func:`_exact_gradient`), and a projected BFGS ascent
-    (:func:`_bfgs_ascent`) within the support finishes the search.
-    Elsewhere a zoomed grid holds the breakpoints, ``ZOOM`` points one
-    step apart on either side of each, and the knots, so revenue never
-    falls and a breakpoint at a kink lands on it exactly.  The step shrinks
-    by ``ZOOM`` unless a breakpoint gained revenue at the edge of its
-    window, where the window recentres at the same step, until it is
-    ``ZOOM_TOL`` of the support."""
+    less mass than a quantile step, and the CDF's knots.  ``R`` is C1 in
+    the breakpoints between the kinks of the CDF and of ``a`` inside the
+    support, with its gradient in closed form (:func:`_exact_gradient`),
+    and an ascent cell by cell (:func:`_cell_ascent`) finishes the
+    search: a breakpoint at a kink lands on it exactly."""
     width, knots = dist.hi - dist.lo, dist.knots or ()
     levels = np.linspace(0.0, 1.0, DP_GRID)
     grid = np.unique(np.concatenate([dist.ppf(levels),
                                      dist.lo + width * levels, knots]))
     thetas, dp_revenue, size = _grid_dp(form, dist, m, grid)
-    diagnostics = {"method": "exact_quantities", "dp_grid": size,
-                   "dp_revenue": dp_revenue}
-    if not any(dist.lo < k < dist.hi for k in (*knots, *form.kinks)):
-        x, _, diagnostics["ascent_evals"] = _bfgs_ascent(
-            partial(_sorted_call, partial(_exact_gradient, form, dist)),
-            thetas.tolist(), dist.lo, dist.hi)
-        thetas = np.sort(x)
-    else:
-        revenue, step, rounds = dp_revenue, width / (DP_GRID - 1), 0
-        while step > ZOOM_TOL * width:
-            window = step * np.arange(-ZOOM, ZOOM + 1)
-            grid = np.unique(np.clip(np.append(np.add.outer(thetas, window),
-                                               knots), dist.lo, dist.hi))
-            trial, trial_revenue, _ = _grid_dp(form, dist, m, grid)
-            rounds += 1
-            # a breakpoint past the inner points of every window sits on an
-            # edge (or a knot), and may gain more beyond it
-            moved = np.abs(np.subtract.outer(trial, thetas)).min(axis=1)
-            gained = trial_revenue > revenue
-            if gained:
-                thetas, revenue = trial, trial_revenue
-            if not (gained and np.any(moved > (ZOOM - 0.5) * step)):
-                step /= ZOOM
-        diagnostics["zoom_rounds"] = rounds
+    kinks = sorted({k for k in (*knots, *form.kinks) if dist.lo < k < dist.hi})
+    x, _, evals = _cell_ascent(
+        partial(_sorted_call, partial(_exact_gradient, form, dist)),
+        thetas.tolist(), dist.lo, dist.hi, kinks)
+    thetas = np.sort(x)
     _, qs = _exact_profile(form, dist, thetas)
-    return list(thetas), list(qs), diagnostics
+    return list(thetas), list(qs), {"method": "exact_quantities",
+                                     "dp_grid": size, "dp_revenue": dp_revenue,
+                                     "ascent_evals": evals}
 
 
 def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
@@ -989,28 +994,23 @@ def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
     In the family's posted-price modes the answer is the posted price
     :func:`~scmech.measure.monopoly_price`, exact for every distribution.
     In its ``exact_quantity_modes`` a family has exact quantities for
-    given breakpoints, and only the breakpoints are searched: for a
-    classical family with ``phi(t) = t**2`` in payments by a grid DP and
-    a projected BFGS ascent on the revenue's gradient, or zoomed grid DPs
-    where the CDF or ``a`` has a kink inside the support; and on the sweep
-    path for risk_averse in expected payments, by the same ascent where
-    the CDF has no knot inside the support.  Otherwise the profile is
-    swept.  Both searches start from
-    the same DP, the best chain of consecutive pairs on a grid of
-    breakpoints or of bundles.  ``diagnostics["method"]`` says which path
-    ran (``"posted_price"``, ``"exact_quantities"`` or ``"sweep"``); the
-    last two also report their first DP's grid size ``"dp_grid"``
-    (breakpoints, or bundles) and grid optimum ``"dp_revenue"``.  Both
-    report the revenue evaluations of their ascents, ``"ascent_evals"``,
-    where they ascend; the exact path reports its zoomed DPs,
-    ``"zoom_rounds"``, where it zooms instead.  The sweep path reports the
-    vector it searched, ``"searched"`` (``"breakpoints"`` or
-    ``"profile"``), its local search, ``"local_search"`` (``"gradient"``
-    or ``"sweep"``), and, after sweeps, the revenue evaluations of its
-    polish, ``"polish_evals"``.  The mechanism is
-    certified for every type of the support by
-    :func:`~scmech.verify.certify_step`, and a failure raises
-    :class:`ScmechError`.
+    given breakpoints, and only the breakpoints are searched, by an ascent
+    on the revenue's gradient that works cell by cell between the kinks
+    of the CDF (and of ``a``): for a classical family with
+    ``phi(t) = t**2`` in payments from a grid DP, and on the sweep path
+    for risk_averse in expected payments.  Otherwise the profile is
+    swept.  Both searches start from the same DP, the best chain of
+    consecutive pairs on a grid of breakpoints or of bundles.
+    ``diagnostics["method"]`` says which path ran (``"posted_price"``,
+    ``"exact_quantities"`` or ``"sweep"``); the last two also report their
+    first DP's grid size ``"dp_grid"`` (breakpoints, or bundles) and grid
+    optimum ``"dp_revenue"``, and, where they search breakpoints, the
+    revenue evaluations of their ascents, ``"ascent_evals"``.  The sweep
+    path reports the vector it searched, ``"searched"`` (``"breakpoints"``
+    or ``"profile"``), and, after sweeps, the revenue evaluations of its
+    polish, ``"polish_evals"``.  The mechanism is certified for every type
+    of the support by :func:`~scmech.verify.certify_step`, and a failure
+    raises :class:`ScmechError`.
     """
     check_revenue_mode(mode)
     _check_support(domain, dist)

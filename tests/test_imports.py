@@ -16,6 +16,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 MECH = {"domain": {"family": "quasilinear", "params": {"lo": 0, "hi": 1}},
         "bundles": [[0, 0], [0.5, 1]], "breakpoints": [0.5]}
+KINKED = {"table": [[0, 0], [0.25, 0.05], [0.35, 0.6], [0.8, 0.65], [1, 1]]}
 
 
 def scipy_after(argv, cwd):
@@ -59,15 +60,19 @@ def test_import_loads_no_scipy(tmp_path):
     (["optimize", "--domain", "quasilinear", "--dist", "uniform:0,1",
       "--max-bundles", "4", "--out", "mech.json"], 0),
     # the gradient ascents of the two exact-quantity paths are the
-    # solver's own, so neither loads scipy.optimize
+    # solver's own, so neither loads scipy.optimize, on a table either
     (["optimize", "--domain", "risk_averse", "--dist", "uniform:0.1,1",
       "--max-bundles", "3", "--revenue-mode", "expected_payment"], 0),
     (["optimize", "--domain", "income_effect", "--dist", "uniform:0.1,1",
       "--max-bundles", "3"], 0),
+    (["optimize", "--domain", "risk_averse:0,1", "--dist", "kinked.json",
+      "--max-bundles", "4", "--revenue-mode", "expected_payment"], 0),
 ], ids=["verify", "truncate", "multibuyer", "validate-domain", "optimize",
-        "optimize-risk_averse", "optimize-income_effect"])
+        "optimize-risk_averse", "optimize-income_effect",
+        "optimize-risk_averse-table"])
 def test_subcommand_loads_no_scipy(tmp_path, argv, rc):
     (tmp_path / "mech.json").write_text(json.dumps(MECH))
+    (tmp_path / "kinked.json").write_text(json.dumps(KINKED))
     assert scipy_after(argv, tmp_path) == (rc, [])
 
 

@@ -21,6 +21,9 @@ U01 = measure.uniform(0.0, 1.0)
 # bimodal and not MHR; theta (1 - F) peaks at the kink 0.8
 KINKED = measure.from_table([[0, 0], [0.25, 0.05], [0.35, 0.6], [0.8, 0.65],
                              [1, 1]])
+# two steep pieces, each ending at a knot where the density drops
+T3 = measure.from_table([[0, 0], [0.1, 0.3], [0.12, 0.31], [0.6, 0.35],
+                         [0.61, 0.9], [1, 1]])
 # all the mass in [0, 0.0058]: a grid even on [0, 1] sells nothing
 SLIVER = measure.from_table([[0, 0], [0.005825242718446602, 1],
                              [0.5029126213592233, 1], [1, 1]])
@@ -293,10 +296,11 @@ def test_risk_averse_pins_the_three_bundle_optimum():
 def test_risk_averse_on_the_equal_revenue_table():
     # the revenue is smooth in each breakpoint between the table's knots,
     # with a local maximum between two of them: from the chain DP's four
-    # breakpoints the sweep stops at 1.0325912 at l = 5, and the insertion
-    # from the best three reaches 1.0326038.  These are the revenues of
-    # the sweeps over breakpoints alone with knot probes; the sweep over
-    # breakpoints and quantities earned 1.0227156, 1.0296015 and 1.0326038
+    # breakpoints the ascent cell by cell stops at 1.0325912 at l = 5, and
+    # the insertion from the best three reaches 1.0326038.  The floors are
+    # the revenues of the sweeps over breakpoints alone with knot probes
+    # that the ascent replaced; the sweep over breakpoints and quantities
+    # earned 1.0227156, 1.0296015 and 1.0326038
     thetas = np.geomspace(0.01, 100.0, 60)
     er = measure.from_table([*([t, 1.0 - 0.1 / np.sqrt(t)] for t in thetas),
                              [100.1, 1.0]])
@@ -307,7 +311,8 @@ def test_risk_averse_on_the_equal_revenue_table():
                            mode="expected_payment")
         assert sol.revenue >= before - 1e-12
         assert sol.active_bundles == l
-        assert sol.diagnostics["local_search"] == "sweep"
+        assert "ascent_evals" in sol.diagnostics
+        assert "polish_evals" not in sol.diagnostics
 
 
 def test_randomization_helps_the_risk_averse_model():
@@ -323,7 +328,7 @@ def test_randomization_helps_the_risk_averse_model():
 
 def test_exact_quantity_modes():
     # the modes whose quantities are exact at fixed breakpoints: the exact
-    # path's, and risk_averse's sweep over breakpoints alone
+    # path's, and risk_averse's search over breakpoints alone
     modes = {name: make_domain(name).family.exact_quantity_modes
              for name in FACTORY_FAMILIES}
     assert modes == {"quasilinear": (), "sqrt_quasilinear": (),
@@ -437,7 +442,7 @@ def test_square_weight_gradient_matches_central_differences(dist, levels):
     width = dist.hi - dist.lo - (m + 1) * gap
     thetas = [dist.lo + gap * (k + 1) + width * v
               for k, v in enumerate(sorted(levels))]
-    _, _, grad = optimize._square_weight_profile(dist, thetas, gradient=True)
+    _, _, grad = optimize._square_weight_profile(dist, thetas)
     assert len(grad) == m
     for k in range(m):
         up, down = list(thetas), list(thetas)
@@ -461,14 +466,66 @@ def test_bfgs_ascent_stops_on_an_active_bound():
                        -2.0 * (x1 - 1.0 / 3.0) + x0 - 0.5 * x2,
                        -2.0 * (x2 + 1.0) - 0.5 * x1]
 
-    x, value, evals = optimize._bfgs_ascent(fun, [0.5, 0.5, 0.5], 0.0, 1.0)
+    lo, hi = [0.0] * 3, [1.0] * 3
+    x, value, evals = optimize._bfgs_ascent(fun, [0.5, 0.5, 0.5], lo, hi)
     assert x[0] == 1.0 and x[2] == 0.0
     assert x[1] == pytest.approx(5.0 / 6.0, abs=1e-8)
     assert value == pytest.approx(fun([1.0, 5.0 / 6.0, 0.0])[0], abs=1e-14)
     assert 1 < evals <= 20
     # a start outside the box is projected onto it first
-    assert optimize._bfgs_ascent(fun, [3.0, -1.0, 2.0], 0.0, 1.0)[0] == \
+    assert optimize._bfgs_ascent(fun, [3.0, -1.0, 2.0], lo, hi)[0] == \
         pytest.approx([1.0, 5.0 / 6.0, 0.0], abs=1e-8)
+
+
+def test_cell_ascent_moves_to_a_better_neighbouring_cell():
+    # a local maximum 0 at 0.5 in the cell below the kink 1, and the best
+    # one, 1.75 at 1.5, above it: the derivative points away from the kink
+    # on both sides, so only the trial in the neighbouring cell finds it
+    def fun(x):
+        v = x[0]
+        if v <= 1.0:
+            return -(v - 0.5) ** 2, [-2.0 * (v - 0.5)]
+        return 1.75 - 8.0 * (v - 1.5) ** 2, [-16.0 * (v - 1.5)]
+
+    x, value, evals = optimize._cell_ascent(fun, [0.3], 0.0, 2.0, (1.0,))
+    assert x[0] == pytest.approx(1.5, abs=1e-8)
+    assert value == pytest.approx(1.75, abs=1e-14)
+    assert evals > 1
+
+
+def test_cell_ascent_lands_on_a_concave_kink():
+    # rising with slope 1 - x/2 up to the kink 0.6 and falling with slope
+    # -1 beyond it: the maximizer is the kink itself, which each cell's
+    # ascent reaches only to one ulp
+    def fun(x):
+        v = x[0]
+        if v <= 0.6:
+            return v - v * v / 4.0, [1.0 - v / 2.0]
+        return 0.51 - (v - 0.6), [-1.0]
+
+    for start in (0.2, 0.9):
+        x, value, _ = optimize._cell_ascent(fun, [start], 0.0, 1.0, (0.6,))
+        assert x == [0.6]
+        assert value == fun([0.6])[0]
+
+
+def test_cell_ascent_without_kinks_is_one_bfgs_ascent():
+    # with one cell the search is the plain ascent on the support: the
+    # same point, value and evaluations, bit for bit
+    def fun(x):
+        calls.append(list(x))
+        x0, x1, x2 = x
+        value = (-(x0 - 0.7) ** 2 - (x1 - 0.2) ** 2 - (x2 - 0.4) ** 2
+                 + 0.5 * x0 * x2)
+        return value, [-2.0 * (x0 - 0.7) + 0.5 * x2, -2.0 * (x1 - 0.2),
+                       -2.0 * (x2 - 0.4) + 0.5 * x0]
+
+    calls = []
+    cell = optimize._cell_ascent(fun, [0.1, 0.9, 0.5], 0.0, 1.0, ())
+    cell_calls, calls = calls, []
+    plain = optimize._bfgs_ascent(fun, [0.1, 0.9, 0.5], [0.0] * 3, [1.0] * 3)
+    assert cell == plain
+    assert cell_calls == calls
 
 
 @pytest.mark.parametrize("dist, l, before", [
@@ -483,28 +540,26 @@ def test_bfgs_ascent_stops_on_an_active_bound():
     ("texp(3,0,1)", 4, 0.12195007427622392),
     ("texp(3,0,1)", 5, 0.1228726667749486),
     ("kinked", 3, 0.3092207792207792), ("kinked", 4, 0.30923302777022754),
-    ("kinked", 5, 0.3092356004086647)])
+    ("kinked", 5, 0.3092356004086647),
+    ("T3", 3, 0.39008547008547007), ("T3", 4, 0.39010342038427998),
+    ("T3", 5, 0.39013615452221273), ("T3", 6, 0.39015040866952011)])
 def test_risk_averse_keeps_the_sweeps_revenue(monkeypatch, dist, l, before):
     # the revenues of the coordinate sweeps and the Nelder-Mead polish over
-    # the breakpoints: on a smooth CDF a projected BFGS ascent replaces
-    # both, and on a table, the equal-revenue one included (above), they
-    # still run
-    smooth = dist in SMOOTH_DISTS
-    if smooth:
-        def fail(*args):
-            raise AssertionError("a sweep or polish ran on a smooth CDF")
+    # the breakpoints, which an ascent cell by cell between the CDF's knots
+    # replaces on every CDF, the tables (and the equal-revenue one, above)
+    # included.  On T3 the sweeps stopped at 4 active bundles at l = 5
+    def fail(*args):
+        raise AssertionError("a sweep or polish ran over breakpoints")
 
-        monkeypatch.setattr(optimize, "_sweep", fail)
-        monkeypatch.setattr(optimize, "_polish", fail)
-    sol = solve_finite(make_domain("risk_averse", 0.0, 1.0),
-                       SMOOTH_DISTS[dist] if smooth else KINKED,
+    monkeypatch.setattr(optimize, "_sweep", fail)
+    monkeypatch.setattr(optimize, "_polish", fail)
+    dist = {**SMOOTH_DISTS, "kinked": KINKED, "T3": T3}[dist]
+    sol = solve_finite(make_domain("risk_averse", 0.0, 1.0), dist,
                        OptimizeOptions(max_bundles=l), mode="expected_payment")
     assert sol.revenue >= before - 1e-12
     assert sol.active_bundles == l
-    assert sol.diagnostics["local_search"] == ("gradient" if smooth
-                                               else "sweep")
-    assert ("polish_evals" in sol.diagnostics) is not smooth
-    assert ("ascent_evals" in sol.diagnostics) is smooth
+    assert "polish_evals" not in sol.diagnostics
+    assert "ascent_evals" in sol.diagnostics
 
 
 @pytest.mark.parametrize("name, mode", [("quasilinear", "payment"),
@@ -650,7 +705,7 @@ def test_sweep_path_posts_the_price_at_a_kink():
 
 def test_sweep_path_inserts_a_small_first_bundle():
     # risk_averse's best range on KINKED starts with a bundle at q < 0.01,
-    # below the grid's first quantity 1/14; the sweeps keep two bundles at
+    # below the grid's first quantity 1/14; the ascents keep two bundles at
     # 0.3092208, and the insertion adds it for 1.2e-5 more
     sol = solve_finite(make_domain("risk_averse", 0.0, 1.0), KINKED,
                        OptimizeOptions(max_bundles=4), mode="expected_payment")
@@ -1099,8 +1154,29 @@ def test_exact_path_ignores_the_seed():
     assert "seed" not in a.diagnostics
     assert a.diagnostics["dp_revenue"] <= a.revenue + 1e-12
     assert a.diagnostics["dp_grid"] >= optimize.DP_GRID
-    assert a.diagnostics["zoom_rounds"] >= 1
+    assert a.diagnostics["ascent_evals"] >= 1
     assert "polish_evals" not in a.diagnostics
+
+
+@pytest.mark.parametrize("name, dist, lo, hi, l", [
+    ("income_effect", KINKED, 0.0, 1.0, 4), ("payment_param", T3, 0.0, 1.0, 6),
+    ("two_param", measure.uniform(0.0, 3.0), 0.0, 3.0, 5)])
+def test_exact_path_runs_one_grid_dp(monkeypatch, name, dist, lo, hi, l):
+    # on a table, and for two_param with its kink 2 inside the support, the
+    # ascent cell by cell finishes from the first DP: no zoomed grid DP
+    calls = []
+    grid_dp = optimize._grid_dp
+
+    def counted(*args):
+        calls.append(args)
+        return grid_dp(*args)
+
+    monkeypatch.setattr(optimize, "_grid_dp", counted)
+    sol = solve_finite(make_domain(name, lo, hi), dist,
+                       OptimizeOptions(max_bundles=l))
+    assert sol.diagnostics["method"] == "exact_quantities"
+    assert len(calls) == 1
+    assert sol.revenue >= sol.diagnostics["dp_revenue"] - 1e-12
 
 
 def test_exact_path_puts_a_breakpoint_on_a_kink():
@@ -1114,8 +1190,7 @@ def test_exact_path_beats_a_fine_grid_and_keeps_a_kink():
     # on 800 even points and the knots the DP earns 0.50605632; a local
     # polish of the 160-point optimum stopped below it, and 1 ulp short of
     # the knot 0.6
-    dist = measure.from_table([[0, 0], [0.1, 0.3], [0.12, 0.31], [0.6, 0.35],
-                               [0.61, 0.9], [1, 1]])
+    dist = T3
     dom = make_domain("income_effect", 0.0, 1.0)
     form = dom.family.exact_quantities
     grid = np.sort(np.append(np.linspace(0.0, 1.0, 800), dist.knots))
@@ -1146,9 +1221,9 @@ def test_exact_path_beats_a_fine_grid_and_keeps_a_kink():
                                   [0.8, 0.0038910505836575876], [1, 1]]),
          name="income_effect", m=2)
 def test_exact_path_beats_a_finer_grid(dist, name, m):
-    # the zoom starts from the DP on 160 quantiles and 160 even points and
-    # keeps its breakpoints, so it earns at least that; it also earns at
-    # least the DP on 400 even points
+    # the ascent starts from the DP on 160 quantiles and 160 even points and
+    # never falls, so it earns at least that; it also earns at least the
+    # DP on 400 even points
     dom = make_domain(name, 0.0, 1.0)
     form = dom.family.exact_quantities
     grid = np.sort(np.append(np.linspace(dist.lo, dist.hi, 400), dist.knots))
