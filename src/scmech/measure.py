@@ -19,6 +19,7 @@ from .errors import DomainError, ScmechError, SpecParseError
 
 REVENUE_MODES = ("payment", "expected_payment")
 PRICE_GRID = 1025  # points of the revenue curve searched before refining
+BETA_POLY_DEGREE = 64  # largest a + b - 1 of a beta CDF taken as a polynomial
 
 
 def check_revenue_mode(mode: str) -> None:
@@ -44,6 +45,12 @@ class TypeDistribution:
     ``knots`` lists, in increasing order, the points between which the CDF
     is linear, for the piecewise-linear distributions (``uniform``,
     ``from_table``); ``None`` for a smooth CDF.
+
+    A float argument of ``cdf`` (``np.float64`` included) is clamped by two
+    comparisons and reaches ``_cdf`` as a float, skipping numpy's 0-d
+    round trip; anything else reaches it as a float array.  Every built-in
+    ``_cdf`` is one formula for both, so a float gets the bits its array
+    element gets.
     """
 
     name: str
@@ -56,6 +63,14 @@ class TypeDistribution:
     knots: Optional[tuple] = field(default=None, repr=False)
 
     def cdf(self, theta):
+        if isinstance(theta, float):
+            # the array path's clamp: a NaN fails both tests and a tie keeps
+            # theta, so NaN and -0.0 pass through
+            if theta < self.lo:
+                theta = self.lo
+            elif theta > self.hi:
+                theta = self.hi
+            return float(self._cdf(theta))
         # np.clip's result at half its cost on short inputs; on a tie each
         # keeps theta, so -0.0 stays -0.0
         theta = np.asarray(theta, dtype=float)
@@ -76,7 +91,7 @@ class TypeDistribution:
     def mass(self, r_lo: float, r_hi: float) -> float:
         if r_hi <= r_lo:
             return 0.0
-        return float(self.cdf(r_hi) - self.cdf(r_lo))
+        return self.cdf(r_hi) - self.cdf(r_lo)
 
     def to_spec(self) -> dict:
         return {"name": self.name, "params": dict(self.params)}
@@ -136,27 +151,92 @@ def truncated_exponential(rate: float, lo: float, hi: float) -> TypeDistribution
     z = 1.0 - math.exp(-rate * (hi - lo))
     return TypeDistribution(
         "truncated_exponential", {"rate": rate, "lo": lo, "hi": hi}, lo, hi,
-        lambda x: (1.0 - np.exp(-rate * (np.asarray(x, float) - lo))) / z,
+        lambda x: (1.0 - np.exp(-rate * (x - lo))) / z,
         lambda x: rate * np.exp(-rate * (np.asarray(x, float) - lo)) / z,
         lambda u: lo - np.log1p(-z * np.asarray(u, dtype=float)) / rate,
     )
 
 
 def beta(a: float, b: float) -> TypeDistribution:
-    """Beta(a, b) on [0, 1] from the regularized incomplete beta function."""
+    """Beta(a, b) on [0, 1].
+
+    For integer shapes with ``a + b - 1 <= BETA_POLY_DEGREE`` the CDF is
+    the binomial tail of :func:`_integer_beta`, and no scipy is loaded
+    until the first quantile; for other shapes it is the regularized
+    incomplete beta function ``scipy.special.betainc``.  The quantile is
+    ``scipy.special.betaincinv`` for every shape.
+    """
     a, b = float(a), float(b)
     if not (_finite(a, b) and a > 0 and b > 0):
         raise DomainError(f"beta needs finite positive shapes, got ({a}, {b})")
-    from scipy import special
 
-    log_norm = special.betaln(a, b)
-    return TypeDistribution(
-        "beta", {"a": a, "b": b}, 0.0, 1.0,
-        lambda x: special.betainc(a, b, x),
-        lambda x: np.exp(special.xlogy(a - 1.0, x)
-                         + special.xlog1py(b - 1.0, -x) - log_norm),
-        lambda u: special.betaincinv(a, b, u),
-    )
+    def ppf(u):
+        from scipy import special
+
+        return special.betaincinv(a, b, u)
+
+    if a.is_integer() and b.is_integer() and a + b - 1 <= BETA_POLY_DEGREE:
+        cdf, pdf = _integer_beta(int(a), int(b))
+    else:
+        from scipy import special
+
+        log_norm = special.betaln(a, b)
+
+        def cdf(x):
+            return special.betainc(a, b, x)
+
+        def pdf(x):
+            return np.exp(special.xlogy(a - 1.0, x)
+                          + special.xlog1py(b - 1.0, -x) - log_norm)
+
+    return TypeDistribution("beta", {"a": a, "b": b}, 0.0, 1.0, cdf, pdf, ppf)
+
+
+def _powers(x, n: int) -> list:
+    """``[1, x, x*x, ..., x**n]`` by repeated products, which round a float
+    as they round each element of an array; ``**`` does not, as numpy's
+    array power and C ``pow`` can differ by an ulp."""
+    out = [1.0]
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return out
+
+
+def _integer_beta(a: int, b: int):
+    """CDF and density of Beta(a, b) for positive integers ``a``, ``b``.
+
+    With ``n = a + b - 1`` the CDF is the binomial tail ``P(Bin(n, x) >= a)``:
+    of the Bernstein terms ``C(n, j) x^j (1 - x)^(n - j)``, the ``upper``
+    ones (``j >= a``) over all of them.  The smaller tail over the whole
+    is accurate to its last bits, so the CDF is ``upper / whole`` below the
+    median and ``1 - lower / whole`` above it: it keeps its relative
+    accuracy near 0, never passes 1, and rises through the rounding near
+    1 where ``upper / whole`` wobbles by an ulp.  The density is
+    ``n C(n - 1, a - 1) x^(a - 1) (1 - x)^(b - 1)``.  Both are products,
+    sums in a fixed order and one choice made by arithmetic, so a float
+    and an array element get the same bits.
+    """
+    n = a + b - 1
+    coef = [float(math.comb(n, j)) for j in range(n + 1)]
+    norm = float(n * math.comb(n - 1, a - 1))
+
+    def cdf(x):
+        xp, yp = _powers(x, n), _powers(1.0 - x, n)
+        lower = upper = 0.0
+        for j in range(n + 1):  # no sum(): it is compensated from 3.12
+            term = coef[j] * xp[j] * yp[n - j]
+            if j < a:
+                lower = lower + term
+            else:
+                upper = upper + term
+        whole = lower + upper
+        below = (upper <= lower) * 1.0  # exactly 1.0 or 0.0
+        return below * (upper / whole) + (1.0 - below) * (1.0 - lower / whole)
+
+    def pdf(x):
+        return norm * _powers(x, a - 1)[-1] * _powers(1.0 - x, b - 1)[-1]
+
+    return cdf, pdf
 
 
 def from_table(points: Sequence[Sequence[float]]) -> TypeDistribution:
@@ -189,7 +269,7 @@ def from_table(points: Sequence[Sequence[float]]) -> TypeDistribution:
     return TypeDistribution(
         "table", {"points": [[float(t), float(c)] for t, c in pts]},
         float(xs[0]), float(xs[-1]),
-        lambda x: np.interp(np.asarray(x, float), xs, cs),
+        lambda x: np.interp(x, xs, cs),
         pdf,
         lambda u: np.interp(np.asarray(u, float), cs, xs),
         tuple(float(x) for x in xs),

@@ -67,9 +67,11 @@ def test_import_loads_no_scipy(tmp_path):
       "--max-bundles", "3"], 0),
     (["optimize", "--domain", "risk_averse:0,1", "--dist", "kinked.json",
       "--max-bundles", "4", "--revenue-mode", "expected_payment"], 0),
+    # an integer-shape beta CDF is a polynomial of the package's own
+    (["revenue", "--mech", "mech.json", "--dist", "beta:2,3"], 0),
 ], ids=["verify", "truncate", "multibuyer", "validate-domain", "optimize",
         "optimize-risk_averse", "optimize-income_effect",
-        "optimize-risk_averse-table"])
+        "optimize-risk_averse-table", "revenue-beta-integer"])
 def test_subcommand_loads_no_scipy(tmp_path, argv, rc):
     (tmp_path / "mech.json").write_text(json.dumps(MECH))
     (tmp_path / "kinked.json").write_text(json.dumps(KINKED))
@@ -77,9 +79,10 @@ def test_subcommand_loads_no_scipy(tmp_path, argv, rc):
 
 
 def test_beta_revenue_loads_only_special(tmp_path):
+    # a non-integer shape's CDF is scipy.special.betainc
     (tmp_path / "mech.json").write_text(json.dumps(MECH))
     rc, mods = scipy_after(["revenue", "--mech", "mech.json",
-                            "--dist", "beta:2,3"], tmp_path)
+                            "--dist", "beta:2.5,3"], tmp_path)
     assert rc == 0
     assert "scipy.special" in mods
     assert not {"scipy.stats", "scipy.integrate", "scipy.optimize"} & set(mods)

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import same_bits
 from scmech import measure
@@ -76,6 +77,37 @@ def test_cdf_clamps_as_np_clip(dist):
     ref = dist._cdf(np.clip(x, dist.lo, dist.hi))
     assert same_bits(dist.cdf(x), ref)
     assert same_bits([dist.cdf(v) for v in x[:500]], ref[:500])
+
+
+# every CDF family, with beta on both sides of its polynomial branch
+FLOAT_PATH_DISTS = [*ALL_DISTS, measure.beta(3.7, 9.1), measure.beta(1.0, 1.0)]
+
+
+def float_args(dist):
+    """Floats across and beyond the support, its ends, +-0, the
+    infinities and NaN, as Python floats or as ``np.float64``."""
+    width = dist.hi - dist.lo
+    inside = st.floats(dist.lo - width, dist.hi + width)
+    special = st.sampled_from([dist.lo, dist.hi, 0.0, -0.0, math.inf,
+                               -math.inf, math.nan])
+    return st.tuples(st.one_of(inside, special), st.booleans()).map(
+        lambda xb: np.float64(xb[0]) if xb[1] else xb[0])
+
+
+@pytest.mark.parametrize("dist", FLOAT_PATH_DISTS,
+                         ids=lambda d: f"{d.name}{tuple(d.params.values())}")
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_float_cdf_is_the_array_element(dist, data):
+    # a float skips the array clamp and the 0-d round trip, and still gets
+    # the array element's bits, as a Python float; mass is their difference
+    x = data.draw(float_args(dist), label="x")
+    y = data.draw(float_args(dist), label="y")
+    value = dist.cdf(x)
+    assert type(value) is float
+    ref = dist.cdf(np.array([x, y]))
+    assert same_bits([value, dist.cdf(y)], ref)
+    assert same_bits(dist.mass(x, y), 0.0 if y <= x else ref[1] - ref[0])
 
 
 def test_cdf_endpoints():
@@ -179,26 +211,60 @@ def test_support_validation():
         measure.uniform(1.0, 1.0)
 
 
-# Shapes with a < 1 and b < 1 give densities unbounded at the ends.
+# Shapes with a < 1 and b < 1 give densities unbounded at the ends; the
+# integer shapes up to BETA_POLY_DEGREE take the polynomial CDF, and
+# (40, 30) lies above it.
 BETA_SHAPES = [(2.0, 3.0), (0.5, 0.5), (5.0, 1.2), (1.0, 1.0), (3.7, 9.1),
-               (0.3, 2.0)]
+               (0.3, 2.0), (3.0, 12.0), (7.0, 1.0), (40.0, 30.0)]
+
+
+def polynomial_beta(a, b):
+    return (a.is_integer() and b.is_integer()
+            and a + b - 1 <= measure.BETA_POLY_DEGREE)
+
+
+def beta_grid():
+    ends = np.geomspace(1e-12, 0.5, 60)
+    return np.concatenate([np.linspace(0.0, 1.0, 2001), ends, 1.0 - ends])
 
 
 @pytest.mark.parametrize("a, b", BETA_SHAPES)
 def test_beta_matches_scipy_stats(a, b):
+    # scipy.stats's CDF bit for bit off the polynomial branch; its quantile
+    # on every shape, and its density to 1e-12
     from scipy import stats
 
     ref = stats.beta(a, b)
     dist = measure.beta(a, b)
-    ends = np.geomspace(1e-12, 0.5, 60)
-    x = np.concatenate([np.linspace(0.0, 1.0, 2001), ends, 1.0 - ends])
-    assert np.array_equal(dist.cdf(x), ref.cdf(x))
+    x = beta_grid()
+    if not polynomial_beta(a, b):
+        assert np.array_equal(dist.cdf(x), ref.cdf(x))
+        assert [dist.cdf(v) for v in x[::50]] == [float(ref.cdf(v))
+                                                  for v in x[::50]]
     assert np.array_equal(dist.ppf(x), ref.ppf(x))
-    assert [dist.cdf(v) for v in x[::50]] == [float(ref.cdf(v)) for v in x[::50]]
     assert [dist.ppf(v) for v in x[::50]] == [float(ref.ppf(v)) for v in x[::50]]
     want = ref.pdf(x)
     ok = np.isfinite(want) & (want > 0)
     assert np.all(np.abs(dist.pdf(x)[ok] - want[ok]) <= 1e-12 * want[ok])
+
+
+@pytest.mark.parametrize("a, b", [s for s in BETA_SHAPES if polynomial_beta(*s)])
+def test_integer_beta_cdf_matches_mpmath(a, b):
+    # the binomial tail cannot match scipy's betainc bit for bit; against
+    # the regularized incomplete beta at 40 digits it is within 2e-15 (it
+    # reads 2.2e-16 at worst, scipy's 5.6e-16), exact at the ends and
+    # nondecreasing
+    import mpmath
+
+    dist = measure.beta(a, b)
+    x = np.sort(beta_grid())
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.betainc(a, b, 0, mpmath.mpf(v),
+                                             regularized=True)) for v in x])
+    cdf = dist.cdf(x)
+    assert np.max(np.abs(cdf - ref)) <= 2e-15
+    assert dist.cdf(0.0) == 0.0 and dist.cdf(1.0) == 1.0
+    assert np.all(np.diff(cdf) >= 0.0)
 
 
 @pytest.mark.parametrize("make, args", [
