@@ -19,7 +19,12 @@ from .errors import DomainError, ScmechError, SpecParseError
 
 REVENUE_MODES = ("payment", "expected_payment")
 PRICE_GRID = 1025  # points of the revenue curve searched before refining
-BETA_POLY_DEGREE = 64  # largest a + b - 1 of a beta CDF taken as a polynomial
+# Largest a + b - 1 of a beta CDF taken as a polynomial.  Against
+# scipy.special.betainc the polynomial costs about as much per float at 4
+# and more above it, is faster on arrays to about 5-8, and holds a + b + 4
+# arrays of its input's size at its peak, against betainc's 2 (timings in
+# CHANGES.md).  beta(2, 3), the README's and the benchmark's, is 4.
+BETA_POLY_DEGREE = 4
 
 
 def check_revenue_mode(mode: str) -> None:
@@ -219,16 +224,25 @@ def _integer_beta(a: int, b: int):
     n = a + b - 1
     coef = [float(math.comb(n, j)) for j in range(n + 1)]
     norm = float(n * math.comb(n - 1, a - 1))
+    # (C(n, j), n - j) for the terms with j < a, then for those with j >= a
+    lower_terms = list(zip(coef[:a], range(n, n - a, -1)))
+    upper_terms = list(zip(coef[a:], range(n - a, -1, -1)))
+
+    def tails(x):
+        # the sums of the lower and upper terms in the order of j; x**j is
+        # built as _powers builds it, and only the powers of 1 - x are kept
+        yp = _powers(1.0 - x, n)
+        xj, lower, upper = 1.0, 0.0, 0.0
+        for c, k in lower_terms:  # no sum(): it is compensated from 3.12
+            lower = lower + c * xj * yp[k]
+            xj = xj * x
+        for c, k in upper_terms:
+            upper = upper + c * xj * yp[k]
+            xj = xj * x
+        return lower, upper
 
     def cdf(x):
-        xp, yp = _powers(x, n), _powers(1.0 - x, n)
-        lower = upper = 0.0
-        for j in range(n + 1):  # no sum(): it is compensated from 3.12
-            term = coef[j] * xp[j] * yp[n - j]
-            if j < a:
-                lower = lower + term
-            else:
-                upper = upper + term
+        lower, upper = tails(x)  # the powers are freed before the quotients
         whole = lower + upper
         below = (upper <= lower) * 1.0  # exactly 1.0 or 0.0
         return below * (upper / whole) + (1.0 - below) * (1.0 - lower / whole)
