@@ -53,9 +53,11 @@ class TypeDistribution:
 
     A float argument of ``cdf`` (``np.float64`` included) is clamped by two
     comparisons and reaches ``_cdf`` as a float, skipping numpy's 0-d
-    round trip; anything else reaches it as a float array.  Every built-in
-    ``_cdf`` is one formula for both, so a float gets the bits its array
-    element gets.
+    round trip; anything else reaches it as a float array.  ``pdf`` does
+    the same with its mask: a float off the support gets 0.0 and one on it
+    reaches ``_pdf`` as a float.  Every built-in ``_cdf`` and ``_pdf`` is
+    one formula for both, so a float gets the bits its array element
+    gets.
     """
 
     name: str
@@ -84,6 +86,12 @@ class TypeDistribution:
         return float(out) if np.ndim(out) == 0 else out
 
     def pdf(self, theta):
+        if isinstance(theta, float):
+            # the array path's mask: NaN and points off the support get 0.0,
+            # and a point on it, -0.0 included, reaches _pdf as it is
+            if self.lo <= theta <= self.hi:
+                return float(self._pdf(theta))
+            return 0.0
         theta = np.asarray(theta, dtype=float)
         out = np.where((theta >= self.lo) & (theta <= self.hi),
                        self._pdf(np.clip(theta, self.lo, self.hi)), 0.0)
@@ -142,7 +150,7 @@ def uniform(lo: float, hi: float) -> TypeDistribution:
     return TypeDistribution(
         "uniform", {"lo": lo, "hi": hi}, lo, hi,
         lambda x: (x - lo) / width,
-        lambda x: np.full_like(np.asarray(x, dtype=float), 1.0 / width),
+        lambda x: x * 0.0 + 1.0 / width,  # x's shape: a float gives a float
         lambda u: lo + np.asarray(u, dtype=float) * width,
         (lo, hi),
     )
@@ -157,7 +165,7 @@ def truncated_exponential(rate: float, lo: float, hi: float) -> TypeDistribution
     return TypeDistribution(
         "truncated_exponential", {"rate": rate, "lo": lo, "hi": hi}, lo, hi,
         lambda x: (1.0 - np.exp(-rate * (x - lo))) / z,
-        lambda x: rate * np.exp(-rate * (np.asarray(x, float) - lo)) / z,
+        lambda x: rate * np.exp(-rate * (x - lo)) / z,
         lambda u: lo - np.log1p(-z * np.asarray(u, dtype=float)) / rate,
     )
 
@@ -275,10 +283,12 @@ def from_table(points: Sequence[Sequence[float]]) -> TypeDistribution:
         raise SpecParseError("table knots are too close: a piece has an "
                              "infinite density")
 
+    inner = xs[1:-1]
+
     def pdf(x):
-        idx = np.clip(np.searchsorted(xs, np.asarray(x, float), side="right") - 1,
-                      0, len(dens) - 1)
-        return dens[idx]
+        # x lies on the support, so the inner knots at or below it count
+        # the pieces below its own
+        return dens[np.searchsorted(inner, x, side="right")]
 
     return TypeDistribution(
         "table", {"points": [[float(t), float(c)] for t, c in pts]},

@@ -71,6 +71,13 @@ class FiniteMechanism:
         arrays; :meth:`evaluate` at each type, bit for bit.  The first type
         outside the domain interval, or not finite, raises its
         :class:`DomainError`."""
+        k, ts, qs = self._lookup(rs)
+        return ts[k], qs[k]
+
+    def _lookup(self, rs) -> tuple:
+        """``(k, ts, qs)``: the index into ``bundles`` of the bundle each
+        type ``rs`` gets, and the bundles' payments and quantities as
+        arrays.  Raises as :meth:`evaluate_many` does."""
         rs = np.asarray(rs, dtype=float)
         dom = self.domain
         admissible = np.isfinite(rs) & (dom.lo <= rs) & (rs <= dom.hi)
@@ -79,7 +86,7 @@ class FiniteMechanism:
         k = np.searchsorted(np.array(self._steps, dtype=float), rs,
                             side="right")
         ts, qs = np.array(self.bundles, dtype=float).T
-        return ts[k], qs[k]
+        return k, ts, qs
 
     def revenue_segments(self, dist) -> Iterator[tuple]:
         """Clamped parameter intervals on which each bundle is allocated, cut

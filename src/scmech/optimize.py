@@ -94,6 +94,8 @@ SELL_TOL = 1e-18  # a segment worth less, per unit of the top breakpoint,
 ASCENT_FTOL = 1e-15  # an ascent stops once a step gains this little, relative
 ASCENT_GTOL = 1e-10  # or once its free gradient times the box's width is
 #                      this small, relative to the value
+SPLIT_STEP = 1e-9  # a breakpoint inserted beside another starts this far
+#                    from it, per unit of the support
 
 
 @dataclass(frozen=True)
@@ -968,16 +970,32 @@ def _exact_search(form, dist, m):
     the breakpoints between the kinks of the CDF and of ``a`` inside the
     support, with its gradient in closed form (:func:`_exact_gradient`),
     and an ascent cell by cell (:func:`_cell_ascent`) finishes the
-    search: a breakpoint at a kink lands on it exactly."""
+    search: a breakpoint at a kink lands on it exactly.  While the DP
+    left breakpoints unused, one is tried just beside each placed one."""
     width, knots = dist.hi - dist.lo, dist.knots or ()
     levels = np.linspace(0.0, 1.0, DP_GRID)
     grid = np.unique(np.concatenate([dist.ppf(levels),
                                      dist.lo + width * levels, knots]))
     thetas, dp_revenue, size = _grid_dp(form, dist, m, grid)
     kinks = sorted({k for k in (*knots, *form.kinks) if dist.lo < k < dist.hi})
-    x, _, evals = _cell_ascent(
-        partial(_sorted_call, partial(_exact_gradient, form, dist)),
-        thetas.tolist(), dist.lo, dist.hi, kinks)
+    fun = partial(_sorted_call, partial(_exact_gradient, form, dist))
+    x, revenue, evals = _cell_ascent(fun, thetas.tolist(), dist.lo, dist.hi,
+                                     kinks)
+    # A breakpoint the DP left unused can gain beside one it placed, in a
+    # window narrower than the grid's steps: the piece it cuts off has the
+    # ratio of the density to the slope of 1/a on that side, not its
+    # block's ratio.  It starts SPLIT_STEP of the support away on either
+    # side, and the best ascent is kept while it gains.
+    step = SPLIT_STEP * width
+    while 0 < len(x) < m:
+        trials = [_cell_ascent(fun, [*x, min(max(t + d, dist.lo), dist.hi)],
+                               dist.lo, dist.hi, kinks)
+                  for t in x for d in (-step, step)]
+        evals += sum(e for _, _, e in trials)
+        y, y_rev, _ = max(trials, key=lambda trial: trial[1])
+        if not y_rev > revenue:
+            break
+        x, revenue = y, y_rev
     thetas = np.sort(x)
     _, qs = _exact_profile(form, dist, thetas)
     return list(thetas), list(qs), {"method": "exact_quantities",

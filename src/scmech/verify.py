@@ -27,13 +27,17 @@ both kinds of check.
 The grid checks are array code.  A step mechanism is evaluated on the
 whole grid at once (:meth:`FiniteMechanism.evaluate_many`), a callable
 once per point, and :func:`verify_mechanism` evaluates the rule once for
-all three checks.  The incentive check hands the family's canonical
-payment a block of grid rows against all grid points at a time, at most
-``PAIR_BLOCK`` pairs or one row, so its memory grows with the grid, not
-with its square.  Records are listed by truthful parameter, then by
-deviant parameter, and an inadmissible point raises the error that a loop
-over the sorted grid would meet first.  A record is a :class:`Violation`
-named tuple, so a failing report of many pairs stays cheap to build.
+all three checks.  The incentive check prices each grid point's type
+against a table of the distinct bundles the rule allocates (a step
+mechanism's range, or a callable's distinct allocations), in blocks of
+grid rows of at most ``PAIR_BLOCK`` payments or one row; a row's gain
+against a bundle is its gain against every point that holds it.  So its
+time and memory grow with grid × distinct bundles, not with the grid's
+square, beyond the records of the pairs that fail.  Records are listed
+by truthful parameter, then by deviant parameter, and an inadmissible
+point raises the error that a loop over the sorted grid would meet
+first.  A record is a :class:`Violation` named tuple built in C, so a
+failing report of many pairs stays cheap to build.
 """
 
 from __future__ import annotations
@@ -53,8 +57,9 @@ from .mechanism import FiniteMechanism, from_range
 # Incentive/IR gains below this are attributed to floating-point round-off.
 TAU_IC = 1e-7
 BRUTE_FORCE_GUARD = 10**7
-# The incentive check sends at most this many grid pairs, or one grid row,
-# to the canonical payment at once.
+# The incentive check sends at most this many payments of a grid type
+# against a distinct bundle, or one grid row, to the canonical payment at
+# once.
 PAIR_BLOCK = 2**16
 
 
@@ -117,9 +122,10 @@ def check_strategy_proof(domain: PreferenceDomain, mech_fn: Callable,
                          tol: float = TAU_IC) -> VerificationReport:
     """Flag every grid pair where misreporting beats truth-telling."""
     grid = _sorted_grid(param_grid)
-    _, ts, qs = _allocate(mech_fn, grid)
+    _, ts, qs, table = _allocate(mech_fn, grid)
     return VerificationReport(
-        tuple(_incentive_violations(domain, grid, ts, qs, tol)), len(grid), tol)
+        tuple(_incentive_violations(domain, grid, ts, qs, table, tol)),
+        len(grid), tol)
 
 
 def check_individual_rationality(domain: PreferenceDomain, mech_fn: Callable,
@@ -127,8 +133,8 @@ def check_individual_rationality(domain: PreferenceDomain, mech_fn: Callable,
                                  tol: float = TAU_IC) -> VerificationReport:
     """Flag grid points where the buyer would rather walk away."""
     grid = _sorted_grid(param_grid)
-    violations = _participation_violations(domain, grid,
-                                           *_allocate(mech_fn, grid), tol)
+    allocs, ts, qs, _ = _allocate(mech_fn, grid)
+    violations = _participation_violations(domain, grid, allocs, ts, qs, tol)
     return VerificationReport(tuple(violations), len(grid), tol)
 
 
@@ -151,22 +157,35 @@ def _sorted_grid(param_grid) -> np.ndarray:
 
 
 def _allocate(rule, grid) -> tuple:
-    """``(allocations, ts, qs)``: the rule's bundles on the grid, and their
-    payments and quantities as arrays.  A step mechanism is evaluated on the
-    whole grid at once and gives no bundle list; any other rule, callables
-    included, is called point by point."""
+    """``(allocations, ts, qs, table)``: the rule's bundles on the grid, and
+    their payments and quantities as arrays.  ``table`` is ``(index, bts,
+    bqs)``: each grid point's row in a table of bundles, and the table's
+    payments and quantities as floats.  A step mechanism is evaluated on
+    the whole grid at once, its table is its range, and it gives no bundle
+    list.  Any other rule, callables included, is called point by point,
+    and its table is its distinct allocations in first-seen order, told
+    apart by their bits, so that ``-0.0`` and ``0.0`` stay two bundles."""
     if isinstance(rule, FiniteMechanism):
-        return (None, *rule.evaluate_many(grid))
+        index, bts, bqs = rule._lookup(grid)
+        return None, bts[index], bqs[index], (index, bts, bqs)
     fn = rule.evaluate if hasattr(rule, "evaluate") else rule
     allocs = [fn(r) for r in grid]
-    return (allocs, np.array([z[0] for z in allocs]),
-            np.array([z[1] for z in allocs]))
+    ts = np.array([z[0] for z in allocs])
+    qs = np.array([z[1] for z in allocs])
+    tf, qf = np.asarray(ts, dtype=float), np.asarray(qs, dtype=float)
+    seen = {}
+    index = np.array([seen.setdefault(key, len(seen)) for key in zip(
+        tf.view(np.int64).tolist(), qf.view(np.int64).tolist())], dtype=np.intp)
+    first = np.unique(index, return_index=True)[1]
+    return allocs, ts, qs, (index, tf[first], qf[first])
 
 
-def _incentive_violations(domain, grid, ts, qs, tol) -> list:
-    """IC records of every grid pair, in :func:`_sorted` order.  Rows of
-    the pair matrix go to the canonical payment in blocks of at most
-    ``PAIR_BLOCK`` pairs, or one row."""
+def _incentive_violations(domain, grid, ts, qs, table, tol) -> list:
+    """IC records of every grid pair, in :func:`_sorted` order.  The
+    canonical payments are those of each grid point's type against each
+    bundle of the ``table`` (see :func:`_allocate`), in blocks of rows of at
+    most ``PAIR_BLOCK`` payments, or one row.  A row's gain against a
+    bundle is its gain against every grid point that holds the bundle."""
     over = ts > grid + 1e-12
     if domain.restricted and over.any():
         i = int(np.argmax(over))
@@ -174,16 +193,30 @@ def _incentive_violations(domain, grid, ts, qs, tol) -> list:
             f"mechanism allocates payment {ts[i]} above the bound of "
             f"preference {grid[i]}"
         )
-    n = len(grid)
-    step = max(1, PAIR_BLOCK // max(n, 1))
+    index, bts, bqs = table
+    n, m = len(grid), len(bts)
+    # unless each point holds a bundle of its own, the holders of each
+    # bundle, in grid order, are holders[start[u]:start[u] + count[u]]
+    alone = m == n and np.array_equal(index, np.arange(n))
+    if not alone:
+        holders = np.argsort(index, kind="stable")
+        count = np.bincount(index, minlength=m)
+        start = np.cumsum(count) - count
+    step = max(1, PAIR_BLOCK // max(m, 1))
     truth, dev, gains = [], [], []
     for lo in range(0, n, step):
         rows = np.arange(lo, min(lo + step, n))
-        g = _gains(domain, grid[rows], rows, ts, qs)
+        g = _gains(domain, grid[rows], index[rows], bts, bqs)
         i, j = np.nonzero(g > tol)
+        gain = g[i, j]
+        if not alone:  # hit h stands for the pairs of its count[j[h]] holders
+            c = count[j]
+            i, gain = np.repeat(i, c), np.repeat(gain, c)
+            j = holders[np.arange(len(i))
+                        + np.repeat(start[j] - (np.cumsum(c) - c), c)]
         truth.append(rows[i])
         dev.append(j)
-        gains.append(g[i, j])
+        gains.append(gain)
     if not truth:
         return []
     i, j, gain = map(np.concatenate, (truth, dev, gains))
@@ -191,9 +224,15 @@ def _incentive_violations(domain, grid, ts, qs, tol) -> list:
     # grid points by row then column, as the stable sort leaves them
     order = np.lexsort((j, i, grid[j], grid[i]))
     r = grid.tolist()  # the records share one float object per grid point
-    return list(map(Violation, itertools.repeat("IC"),
-                    map(r.__getitem__, i[order].tolist()),
-                    map(r.__getitem__, j[order].tolist()), gain[order].tolist()))
+    return _records("IC", map(r.__getitem__, i[order].tolist()),
+                    map(r.__getitem__, j[order].tolist()), gain[order].tolist())
+
+
+def _records(kind, truth, deviant, gains) -> list:
+    """:class:`Violation` records of one kind, built field by field in C:
+    ``tuple.__new__`` skips the named tuple's constructor."""
+    return list(map(tuple.__new__, itertools.repeat(Violation),
+                    zip(itertools.repeat(kind), truth, deviant, gains)))
 
 
 def _gains(domain, types, own, ts, qs) -> np.ndarray:
@@ -228,17 +267,16 @@ def _participation_violations(domain, grid, allocs, ts, qs, tol) -> list:
         gains = (domain.canonical_payment_many(grid, ts, qs)
                  - domain.canonical_payment_many(grid, 0.0, 0.0))
     k = np.nonzero(gains > tol)[0]
-    return list(map(Violation, itertools.repeat("IR"), grid[k].tolist(),
-                    itertools.repeat(None), gains[k].tolist()))
+    return _records("IR", grid[k].tolist(), itertools.repeat(None),
+                    gains[k].tolist())
 
 
 def _monotonicity_violations(grid, ts, qs) -> list:
     """MONO records where a coordinate falls between neighboring points."""
     drop = np.maximum(ts[:-1] - ts[1:], qs[:-1] - qs[1:])
     k = np.nonzero(drop > 1e-12)[0]
-    return list(map(Violation, itertools.repeat("MONO"),
-                    grid[k + 1].tolist(), itertools.repeat(None),
-                    drop[k].tolist()))
+    return _records("MONO", grid[k + 1].tolist(), itertools.repeat(None),
+                    drop[k].tolist())
 
 
 def _indifference_violations(domain, mech, indiff_tol) -> list:
@@ -313,8 +351,8 @@ def certify_step(domain: PreferenceDomain, mech: FiniteMechanism,
     above = (ts >= ts[own, None]) & (qs >= qs[own, None])
     bad = (gains > tol) & np.vstack([~above[:len(held)], above[len(held):]])
     i, j = np.nonzero(bad)
-    violations += map(Violation, itertools.repeat("IC"), types[i].tolist(),
-                      starts[j].tolist(), gains[i, j].tolist())
+    violations += _records("IC", types[i].tolist(), starts[j].tolist(),
+                           gains[i, j].tolist())
     # a type where two bundles meet can report the same deviation from both
     return VerificationReport(_sorted(dict.fromkeys(violations)),
                               len(np.unique(types)), tol)
@@ -327,8 +365,8 @@ def verify_mechanism(domain: PreferenceDomain, mech, param_grid,
     The rule is evaluated once; the three checks share its allocations.
     """
     grid = _sorted_grid(param_grid)
-    allocs, ts, qs = _allocate(mech, grid)
-    violations = _incentive_violations(domain, grid, ts, qs, tol)
+    allocs, ts, qs, table = _allocate(mech, grid)
+    violations = _incentive_violations(domain, grid, ts, qs, table, tol)
     violations += _participation_violations(domain, grid, allocs, ts, qs, tol)
     if isinstance(mech, FiniteMechanism):
         violations += _monotonicity_violations(grid, ts, qs)

@@ -76,6 +76,8 @@ def test_cdf_clamps_as_np_clip(dist):
     # np.clip's bits: 10k points with the support ends, +-0, infinities and
     # a NaN, as an array, np.float64 and Python floats.  A float's CDF is a
     # Python float, and mass is the difference of the array's elements.
+    # pdf masks a float by two comparisons where it masks an array, and
+    # gets the same bits on the same points.
     rng = np.random.default_rng(8)
     width = dist.hi - dist.lo
     x = rng.uniform(dist.lo - 0.5 * width, dist.hi + 0.5 * width, 10_000)
@@ -90,6 +92,13 @@ def test_cdf_clamps_as_np_clip(dist):
     pairs = zip(x[:499].tolist(), x[1:500].tolist())
     assert same_bits([dist.mass(u, v) for u, v in pairs],
                      np.where(x[1:500] <= x[:499], 0.0, np.diff(ref[:500])))
+    dens = np.where((x >= dist.lo) & (x <= dist.hi),
+                    dist._pdf(np.clip(x, dist.lo, dist.hi)), 0.0)
+    assert same_bits(dist.pdf(x), dens)
+    values = [dist.pdf(v) for v in x[:500]]
+    assert all(type(v) is float for v in values)
+    assert same_bits(values, dens[:500])
+    assert same_bits([dist.pdf(float(v)) for v in x[:500]], dens[:500])
 
 
 def test_cdf_endpoints():

@@ -1220,6 +1220,16 @@ def test_exact_path_beats_a_fine_grid_and_keeps_a_kink():
                                   [0.6, 0.0038910505836575876],
                                   [0.8, 0.0038910505836575876], [1, 1]]),
          name="income_effect", m=2)
+# the second breakpoint gains only in (0.45951, 0.4614), just above the
+# first, where the first grid has no point: the DP placed one breakpoint,
+# 3.8e-9 short of the 400-point DP's pair 0.45951, 0.46007
+@example(dist=measure.from_table([[0.177734375, 0], [0.3732731516768293, 0],
+                                  [0.4595107660060976, 0],
+                                  [0.6911490091463415, 0.5019607843137255],
+                                  [0.8596131859756098, 0.5019607843137255],
+                                  [0.9157679115853659, 0.5019607843137255],
+                                  [1, 1]]),
+         name="income_effect", m=2)
 def test_exact_path_beats_a_finer_grid(dist, name, m):
     # the ascent starts from the DP on 160 quantiles and 160 even points and
     # never falls, so it earns at least that; it also earns at least the

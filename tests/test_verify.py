@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (FACTORY_FAMILIES, cubic_domain, grid_around,
                      random_feasible_range, reference_individual_rationality,
@@ -140,6 +140,49 @@ def test_incentive_check_runs_in_blocks_of_pairs():
                                           np.linspace(1.0, 2.0, 300))
         assert seen == sizes
         assert len(report.violations) == 300 * 299 // 2
+
+
+def test_incentive_check_pays_for_distinct_bundles():
+    # a 5-bundle step mechanism on 300 points: each point's type against
+    # each of the 5 bundles, not against each of the 300 points, whether
+    # the rule is the mechanism, its evaluate or a callable around it
+    mech = from_range(QL, [ZERO_BUNDLE, Bundle(0.2, 0.2), Bundle(0.6, 0.4),
+                           Bundle(1.2, 0.6), Bundle(2.0, 0.8)])
+    assert mech.breakpoints == pytest.approx((1.0, 2.0, 3.0, 4.0))
+    grid = np.linspace(0.5, 5.0, 300)
+    real = PreferenceDomain.canonical_payment_many
+    for rule in (mech, mech.evaluate, lambda r: mech.evaluate(r)):
+        seen = []
+
+        def spy(self, r, t, q):
+            out = real(self, r, t, q)
+            seen.append(np.size(out))
+            return out
+
+        with mock.patch.object(PreferenceDomain, "canonical_payment_many",
+                               spy):
+            report = check_strategy_proof(QL, rule, grid)
+        assert report.ok
+        assert sum(seen) <= 300 * 5
+
+
+def test_incentive_check_reports_a_step_rule_alike_in_every_form():
+    # the teaser fails incentives; as a mechanism its table is its range,
+    # as a callable its distinct allocations, and the grid repeats points,
+    # so a hit against one bundle stands for several deviant points
+    dom = make_domain("quasilinear", 0.5, 3.0)
+    mech = FiniteMechanism(
+        dom, (Bundle(1.0, 1.0), ZERO_BUNDLE, Bundle(2.0, 1.0)), (1.0, 2.0))
+    grid = np.linspace(0.5, 3.0, 200)
+    grid = np.concatenate([grid, grid[::7]])
+    texts = {serialize.dumps(check_strategy_proof(dom, rule, grid).to_dict())
+             for rule in (mech, mech.evaluate, lambda r: mech.evaluate(r))}
+    assert len(texts) == 1
+    report = check_strategy_proof(dom, mech, grid)
+    assert {v.kind for v in report.violations} == {"IC"}
+    assert_same_outcome(report.to_dict(),
+                        reference_strategy_proof(dom, mech.evaluate,
+                                                 grid).to_dict(), True)
 
 
 def test_report_ordering_is_deterministic():
@@ -437,8 +480,8 @@ def grid_cases(draw):
     """A domain, a rule and a grid.  Rules: a step mechanism on a drawn
     range (supportable or not), a step mechanism with free bundles and
     unsorted breakpoints, a wavy callable and an affine one.  Grids are
-    unsorted, repeat points, and may be empty, hold one point, or leave the
-    domain interval."""
+    unsorted, repeat points, and may be empty, hold one point, leave the
+    domain interval or hold a NaN."""
     name = draw(st.sampled_from([*CERTIFY_FAMILIES, CUBIC.family.name]))
     dom, zs = draw(candidate_ranges(st.just(name)))
     lo, hi = max(dom.lo, 0.05), min(dom.hi, 4.0)
@@ -466,6 +509,10 @@ def grid_cases(draw):
     if draw(st.integers(0, 9)) == 0:  # now and then a point outside
         pool.append(dom.lo - 0.5 if dom.lo > 0.5 else
                     dom.hi + 0.5 if math.isfinite(dom.hi) else -0.5)
+    if draw(st.integers(0, 9)) == 0:
+        # now and then a NaN: sorted() leaves it where its comparisons put
+        # it, and the first inadmissible point in that order raises
+        pool.append(math.nan)
     size = draw(st.integers(0, 40))
     grid = draw(st.lists(st.sampled_from(pool), min_size=size,
                          max_size=size))
@@ -474,6 +521,12 @@ def grid_cases(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(case=grid_cases(), block=st.sampled_from([1, 5, 64, verify.PAIR_BLOCK]))
+# sorted() leaves [0.5, nan, 0.1, 3.0]: the loop meets the NaN first, where
+# np.sort would put the NaN last and meet 3.0 first
+@example(case=(make_domain("quasilinear", 0.0, 1.0),
+               from_range(make_domain("quasilinear", 0.0, 1.0),
+                          [ZERO_BUNDLE, Bundle(0.5, 1.0)]),
+               [0.5, math.nan, 3.0, 0.1]), block=verify.PAIR_BLOCK)
 def test_grid_checks_match_the_reference(case, block):
     dom, rule, grid = case
     fn = rule.evaluate if isinstance(rule, FiniteMechanism) else rule
