@@ -700,27 +700,33 @@ def _ascend(dist, x, kinks):
     return [t for t, p, q in zip(x, [0.0, *qs], qs) if q > p], revenue, evals
 
 
-def _insert(local, x, rev, m, space):
-    """Bundle insertion: while fewer than ``m`` breakpoints are used, try a
-    new one in each gap of the searched vector ``x``, at the gap's midpoint
-    and, where quantities are searched, with its quantity 1% of the way up
-    the gap, and keep the best one after the ``local`` search that earns
-    more than ``RIDGE_TOL``."""
-    while (n := space.count(x)) < m:
-        th, qs = [space.lo, *x[:n], space.hi], [*x[n:], 1.0]
-        q = [0.0, *qs, 1.0]
-        trials = []
-        for k in range(n + 1):
-            trial = [*x[:k], 0.5 * (th[k] + th[k + 1]), *x[k:n]]
-            if space.quantities:
-                trial += [*qs[:k], q[k] + 0.01 * (q[k + 1] - q[k]),
-                          *qs[k:]][:-1]
-            trials.append(local(trial))
-        best = max(trials, key=lambda trial: trial[1])
+def _insert(local, x, rev, m, count, trials):
+    """Bundle insertion: while ``count(x)`` is below ``m``, run the
+    ``local`` search from each vector of ``trials(x)`` and keep the best
+    result that earns more than ``RIDGE_TOL``."""
+    while count(x) < m:
+        best = max(map(local, trials(x)), key=lambda trial: trial[1],
+                   default=(x, rev))
         if best[1] <= rev + RIDGE_TOL:
             break
         x, rev = best
     return x, rev
+
+
+def _gap_trials(space, x):
+    """A new breakpoint in each gap of the searched vector ``x``, at the
+    gap's midpoint and, where quantities are searched, with its quantity 1%
+    of the way up the gap."""
+    n = space.count(x)
+    th, qs = [space.lo, *x[:n], space.hi], [*x[n:], 1.0]
+    q = [0.0, *qs, 1.0]
+    trials = []
+    for k in range(n + 1):
+        trial = [*x[:k], 0.5 * (th[k] + th[k + 1]), *x[k:n]]
+        if space.quantities:
+            trial += [*qs[:k], q[k] + 0.01 * (q[k + 1] - q[k]), *qs[k:]][:-1]
+        trials.append(trial)
+    return trials
 
 
 def _polish(revenue, x, rev, space):
@@ -792,10 +798,12 @@ def _search(domain, dist, m, mode, exact):
     results = [local(x) for k, x in enumerate(vectors)
                if x not in vectors[:k]]
     best = max(results, key=lambda r: r[1])
-    x, rev = _insert(local, *best, m, space)
+    gaps = partial(_insert, local, m=m, count=space.count,
+                   trials=partial(_gap_trials, space))
+    x, rev = gaps(*best)
     fewer = [r for r in results if space.count(r[0]) == m - 1]
     if exact and kinks and fewer and best not in fewer:
-        y, y_rev = _insert(local, *max(fewer, key=lambda r: r[1]), m, space)
+        y, y_rev = gaps(*max(fewer, key=lambda r: r[1]))
         if y_rev > rev:
             x, rev = y, y_rev
     diagnostics = {"method": "sweep", "dp_grid": size,
@@ -970,8 +978,10 @@ def _exact_search(form, dist, m):
     the breakpoints between the kinks of the CDF and of ``a`` inside the
     support, with its gradient in closed form (:func:`_exact_gradient`),
     and an ascent cell by cell (:func:`_cell_ascent`) finishes the
-    search: a breakpoint at a kink lands on it exactly.  While the DP
-    left breakpoints unused, one is tried just beside each placed one."""
+    search: a breakpoint at a kink lands on it exactly.  While fewer than
+    ``m`` breakpoints are used, insertion (:func:`_insert`) places a new
+    one ``SPLIT_STEP`` of the support to either side of each placed one
+    and ascends from the start that earns most."""
     width, knots = dist.hi - dist.lo, dist.knots or ()
     levels = np.linspace(0.0, 1.0, DP_GRID)
     grid = np.unique(np.concatenate([dist.ppf(levels),
@@ -979,28 +989,33 @@ def _exact_search(form, dist, m):
     thetas, dp_revenue, size = _grid_dp(form, dist, m, grid)
     kinks = sorted({k for k in (*knots, *form.kinks) if dist.lo < k < dist.hi})
     fun = partial(_sorted_call, partial(_exact_gradient, form, dist))
-    x, revenue, evals = _cell_ascent(fun, thetas.tolist(), dist.lo, dist.hi,
-                                     kinks)
+    evals = []
+
+    def local(x):
+        x, revenue, e = _cell_ascent(fun, x, dist.lo, dist.hi, kinks)
+        evals.append(e)
+        return x, revenue
+
     # A breakpoint the DP left unused can gain beside one it placed, in a
     # window narrower than the grid's steps: the piece it cuts off has the
     # ratio of the density to the slope of 1/a on that side, not its
-    # block's ratio.  It starts SPLIT_STEP of the support away on either
-    # side, and the best ascent is kept while it gains.
+    # block's ratio.
     step = SPLIT_STEP * width
-    while 0 < len(x) < m:
-        trials = [_cell_ascent(fun, [*x, min(max(t + d, dist.lo), dist.hi)],
-                               dist.lo, dist.hi, kinks)
+
+    def split(x):
+        # a new breakpoint to either side of each placed one; only the
+        # start that earns most ascends
+        starts = [[*x, min(max(t + d, dist.lo), dist.hi)]
                   for t in x for d in (-step, step)]
-        evals += sum(e for _, _, e in trials)
-        y, y_rev, _ = max(trials, key=lambda trial: trial[1])
-        if not y_rev > revenue:
-            break
-        x, revenue = y, y_rev
+        evals.append(len(starts))
+        return [max(starts, key=lambda y: fun(y)[0])] if starts else []
+
+    x, _ = _insert(local, *local(thetas.tolist()), m, len, split)
     thetas = np.sort(x)
     _, qs = _exact_profile(form, dist, thetas)
     return list(thetas), list(qs), {"method": "exact_quantities",
                                      "dp_grid": size, "dp_revenue": dp_revenue,
-                                     "ascent_evals": evals}
+                                     "ascent_evals": sum(evals)}
 
 
 def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,

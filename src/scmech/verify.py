@@ -28,16 +28,16 @@ The grid checks are array code.  A step mechanism is evaluated on the
 whole grid at once (:meth:`FiniteMechanism.evaluate_many`), a callable
 once per point, and :func:`verify_mechanism` evaluates the rule once for
 all three checks.  The incentive check prices each grid point's type
-against a table of the distinct bundles the rule allocates (a step
-mechanism's range, or a callable's distinct allocations), in blocks of
-grid rows of at most ``PAIR_BLOCK`` payments or one row; a row's gain
-against a bundle is its gain against every point that holds it.  So its
-time and memory grow with grid × distinct bundles, not with the grid's
-square, beyond the records of the pairs that fail.  Records are listed
-by truthful parameter, then by deviant parameter, and an inadmissible
-point raises the error that a loop over the sorted grid would meet
-first.  A record is a :class:`Violation` named tuple built in C, so a
-failing report of many pairs stays cheap to build.
+against a table of the distinct bundles the rule allocates on the grid
+(told apart by a step mechanism's lookup, or by a callable's bits), in
+blocks of grid rows of at most ``PAIR_BLOCK`` payments or one row; a
+row's gain against a bundle is its gain against every point that holds
+it.  So its time and memory grow with grid × distinct bundles, not with
+the grid's square, beyond the records of the pairs that fail.  Records
+are listed by truthful parameter, then by deviant parameter, and an
+inadmissible point raises the error that a loop over the sorted grid
+would meet first.  A record is a :class:`Violation` named tuple built
+in C, so a failing report of many pairs stays cheap to build.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .domain import Bundle, PreferenceDomain, ZERO_BUNDLE, is_diagonal
-from .errors import DomainError, InfeasibleRangeError, TractabilityError
+from .errors import (DomainError, InfeasibleRangeError, ScmechError,
+                     TractabilityError)
 from .measure import TypeDistribution, expected_revenue
 from .mechanism import FiniteMechanism, from_range
 
@@ -122,9 +123,9 @@ def check_strategy_proof(domain: PreferenceDomain, mech_fn: Callable,
                          tol: float = TAU_IC) -> VerificationReport:
     """Flag every grid pair where misreporting beats truth-telling."""
     grid = _sorted_grid(param_grid)
-    _, ts, qs, table = _allocate(mech_fn, grid)
+    _, ts, qs, index = _allocate(mech_fn, grid)
     return VerificationReport(
-        tuple(_incentive_violations(domain, grid, ts, qs, table, tol)),
+        tuple(_incentive_violations(domain, grid, ts, qs, index, tol)),
         len(grid), tol)
 
 
@@ -133,8 +134,13 @@ def check_individual_rationality(domain: PreferenceDomain, mech_fn: Callable,
                                  tol: float = TAU_IC) -> VerificationReport:
     """Flag grid points where the buyer would rather walk away."""
     grid = _sorted_grid(param_grid)
-    allocs, ts, qs, _ = _allocate(mech_fn, grid)
-    violations = _participation_violations(domain, grid, allocs, ts, qs, tol)
+    allocs, ts, qs, _, rejected = _allocate_below(mech_fn, grid)
+    # a loop over the grid checks each point's bundle before it asks the
+    # rule for the next point's
+    violations = _participation_violations(domain, grid[:len(ts)], allocs,
+                                           ts, qs, tol)
+    if rejected is not None:
+        raise rejected
     return VerificationReport(tuple(violations), len(grid), tol)
 
 
@@ -157,35 +163,63 @@ def _sorted_grid(param_grid) -> np.ndarray:
 
 
 def _allocate(rule, grid) -> tuple:
-    """``(allocations, ts, qs, table)``: the rule's bundles on the grid, and
-    their payments and quantities as arrays.  ``table`` is ``(index, bts,
-    bqs)``: each grid point's row in a table of bundles, and the table's
-    payments and quantities as floats.  A step mechanism is evaluated on
-    the whole grid at once, its table is its range, and it gives no bundle
-    list.  Any other rule, callables included, is called point by point,
-    and its table is its distinct allocations in first-seen order, told
-    apart by their bits, so that ``-0.0`` and ``0.0`` stay two bundles."""
+    """``(allocations, ts, qs, index)`` of :func:`_allocate_below` on the
+    whole grid; the first point the rule rejects raises its error."""
+    allocs, ts, qs, index, rejected = _allocate_below(rule, grid)
+    if rejected is not None:
+        raise rejected
+    return allocs, ts, qs, index
+
+
+def _allocate_below(rule, grid) -> tuple:
+    """``(allocations, ts, qs, index, rejected)``: the rule's bundles on
+    the grid points below the first one it rejects, their payments and
+    quantities as arrays, the index into its range of each point's bundle,
+    and the error the rule raised at the point it rejects, or None.  A
+    step mechanism is evaluated on the whole grid at once and gives no
+    bundle list; where it rejects a point, its ``evaluate`` runs instead.
+    Any other rule, callables included, is called point by point and gives
+    no index."""
     if isinstance(rule, FiniteMechanism):
-        index, bts, bqs = rule._lookup(grid)
-        return None, bts[index], bqs[index], (index, bts, bqs)
+        try:
+            index, bts, bqs = rule._lookup(grid)
+            return None, bts[index], bqs[index], index, None
+        except DomainError:
+            pass
     fn = rule.evaluate if hasattr(rule, "evaluate") else rule
-    allocs = [fn(r) for r in grid]
-    ts = np.array([z[0] for z in allocs])
-    qs = np.array([z[1] for z in allocs])
+    allocs, rejected = [], None
+    try:
+        for r in grid:
+            allocs.append(fn(r))
+    except ScmechError as exc:  # raised once the points below it are checked
+        rejected = exc
+    return (allocs, np.array([z[0] for z in allocs]),
+            np.array([z[1] for z in allocs]), None, rejected)
+
+
+def _table(ts, qs, index) -> tuple:
+    """``(index, bts, bqs)``: each grid point's row in a table of the
+    distinct bundles the grid points hold, and the table's payments and
+    quantities as floats.  Bundles are told apart by the step mechanism's
+    ``index`` where it is given, else by the bits of ``(t, q)``, so that
+    ``-0.0`` and ``0.0`` stay two bundles."""
     tf, qf = np.asarray(ts, dtype=float), np.asarray(qs, dtype=float)
-    seen = {}
-    index = np.array([seen.setdefault(key, len(seen)) for key in zip(
-        tf.view(np.int64).tolist(), qf.view(np.int64).tolist())], dtype=np.intp)
-    first = np.unique(index, return_index=True)[1]
-    return allocs, ts, qs, (index, tf[first], qf[first])
+    if index is None:
+        seen = {}
+        index = np.array([seen.setdefault(key, len(seen)) for key in zip(
+            tf.view(np.int64).tolist(), qf.view(np.int64).tolist())],
+            dtype=np.intp)
+    _, first, index = np.unique(index, return_index=True, return_inverse=True)
+    return index, tf[first], qf[first]
 
 
-def _incentive_violations(domain, grid, ts, qs, table, tol) -> list:
+def _incentive_violations(domain, grid, ts, qs, index, tol) -> list:
     """IC records of every grid pair, in :func:`_sorted` order.  The
     canonical payments are those of each grid point's type against each
-    bundle of the ``table`` (see :func:`_allocate`), in blocks of rows of at
-    most ``PAIR_BLOCK`` payments, or one row.  A row's gain against a
-    bundle is its gain against every grid point that holds the bundle."""
+    bundle of the table (:func:`_table`, from :func:`_allocate`'s
+    ``index``), in blocks of rows of at most ``PAIR_BLOCK`` payments, or
+    one row.  A row's gain against a bundle is its gain against every grid
+    point that holds the bundle."""
     over = ts > grid + 1e-12
     if domain.restricted and over.any():
         i = int(np.argmax(over))
@@ -193,27 +227,32 @@ def _incentive_violations(domain, grid, ts, qs, table, tol) -> list:
             f"mechanism allocates payment {ts[i]} above the bound of "
             f"preference {grid[i]}"
         )
-    index, bts, bqs = table
+    index, bts, bqs = _table(ts, qs, index)
     n, m = len(grid), len(bts)
-    # unless each point holds a bundle of its own, the holders of each
-    # bundle, in grid order, are holders[start[u]:start[u] + count[u]]
-    alone = m == n and np.array_equal(index, np.arange(n))
-    if not alone:
-        holders = np.argsort(index, kind="stable")
-        count = np.bincount(index, minlength=m)
-        start = np.cumsum(count) - count
+    # the holders of bundle u, in grid order, are
+    # holders[start[u]:start[u] + count[u]]
+    holders = np.argsort(index, kind="stable")
+    count = np.bincount(index, minlength=m)
+    start = np.cumsum(count) - count
     step = max(1, PAIR_BLOCK // max(m, 1))
     truth, dev, gains = [], [], []
     for lo in range(0, n, step):
         rows = np.arange(lo, min(lo + step, n))
         g = _gains(domain, grid[rows], index[rows], bts, bqs)
-        i, j = np.nonzero(g > tol)
-        gain = g[i, j]
-        if not alone:  # hit h stands for the pairs of its count[j[h]] holders
-            c = count[j]
+        i, u = np.nonzero(g > tol)
+        gain = g[i, u]
+        if m < n:
+            # hit h stands for the pairs of row i[h] with the count[u[h]]
+            # holders of its bundle
+            c = count[u]
             i, gain = np.repeat(i, c), np.repeat(gain, c)
             j = holders[np.arange(len(i))
-                        + np.repeat(start[j] - (np.cumsum(c) - c), c)]
+                        + np.repeat(start[u] - (np.cumsum(c) - c), c)]
+        else:
+            # each bundle has one holder (the affine rule): the repeats
+            # would copy the hits' arrays, a block's worth, for nothing,
+            # and on a certify pass lift glibc's heap by about 8 MB
+            j = holders[u]
         truth.append(rows[i])
         dev.append(j)
         gains.append(gain)
@@ -365,8 +404,8 @@ def verify_mechanism(domain: PreferenceDomain, mech, param_grid,
     The rule is evaluated once; the three checks share its allocations.
     """
     grid = _sorted_grid(param_grid)
-    allocs, ts, qs, table = _allocate(mech, grid)
-    violations = _incentive_violations(domain, grid, ts, qs, table, tol)
+    allocs, ts, qs, index = _allocate(mech, grid)
+    violations = _incentive_violations(domain, grid, ts, qs, index, tol)
     violations += _participation_violations(domain, grid, allocs, ts, qs, tol)
     if isinstance(mech, FiniteMechanism):
         violations += _monotonicity_violations(grid, ts, qs)

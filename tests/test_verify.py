@@ -72,6 +72,18 @@ def test_constant_mechanism_trivially_strategy_proof():
     assert not report.ok and all(v.kind == "IR" for v in report.violations)
 
 
+def test_ir_check_raises_what_a_loop_over_the_grid_meets_first():
+    # the payment above the bound at 1.0 comes before the NaN in the grid's
+    # order, whether the rule is the step mechanism or its evaluate
+    dom = make_domain("myerson")
+    mech = FiniteMechanism(dom, (Bundle(2.0, 0.0), ZERO_BUNDLE), (2.0,))
+    for rule in (mech, mech.evaluate):
+        with pytest.raises(DomainError, match="above the bound t_R=1.0"):
+            check_individual_rationality(dom, rule, [1.0, math.nan])
+        with pytest.raises(DomainError, match="parameter nan"):
+            check_strategy_proof(dom, rule, [1.0, math.nan])
+
+
 def test_zero_purchase_mechanism_flagged_by_ir():
     # allocating (t, 0) with t > 0 is strictly worse than walking away
     report = check_individual_rationality(
@@ -164,6 +176,26 @@ def test_incentive_check_pays_for_distinct_bundles():
             report = check_strategy_proof(QL, rule, grid)
         assert report.ok
         assert sum(seen) <= 300 * 5
+
+
+def test_incentive_check_prices_only_the_bundles_the_grid_holds():
+    # a 41-bundle range on 5 points: the points hold 5 of its bundles, so
+    # the check prices 5 x 5 payments, not 5 x 41
+    mech = from_range(QL, [ZERO_BUNDLE, *(Bundle(k * (k + 1) / 80, k / 40)
+                                          for k in range(1, 41))])
+    grid = np.linspace(0.5, 4.5, 5)
+    assert len({mech.evaluate(r) for r in grid}) == 5
+    real = PreferenceDomain.canonical_payment_many
+    seen = []
+
+    def spy(self, r, t, q):
+        out = real(self, r, t, q)
+        seen.append(np.size(out))
+        return out
+
+    with mock.patch.object(PreferenceDomain, "canonical_payment_many", spy):
+        assert check_strategy_proof(QL, mech, grid).ok
+    assert seen == [5 * 5]
 
 
 def test_incentive_check_reports_a_step_rule_alike_in_every_form():
@@ -527,6 +559,14 @@ def grid_cases(draw):
                from_range(make_domain("quasilinear", 0.0, 1.0),
                           [ZERO_BUNDLE, Bundle(0.5, 1.0)]),
                [0.5, math.nan, 3.0, 0.1]), block=verify.PAIR_BLOCK)
+# the loop meets the payment above the bound at 1.0 before the NaN: the
+# participation check raises it, where the others evaluate the whole grid
+# first and raise at the NaN
+@example(case=(make_domain("myerson"),
+               FiniteMechanism(make_domain("myerson"),
+                               (Bundle(2.0, 0.0), ZERO_BUNDLE, ZERO_BUNDLE),
+                               (2.0, 1.0)),
+               [1.0, math.nan]), block=1)
 def test_grid_checks_match_the_reference(case, block):
     dom, rule, grid = case
     fn = rule.evaluate if isinstance(rule, FiniteMechanism) else rule
