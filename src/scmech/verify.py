@@ -229,30 +229,33 @@ def _incentive_violations(domain, grid, ts, qs, index, tol) -> list:
         )
     index, bts, bqs = _table(ts, qs, index)
     n, m = len(grid), len(bts)
-    # the holders of bundle u, in grid order, are
-    # holders[start[u]:start[u] + count[u]]
-    holders = np.argsort(index, kind="stable")
-    count = np.bincount(index, minlength=m)
-    start = np.cumsum(count) - count
+    if m == n:
+        # every grid point holds a bundle of its own (the affine rule):
+        # the grid's bundles are the table, and a hit's column is its
+        # deviant point.  A gather through the holders would add an array
+        # of the block's hits per block, which made a perfbench certify
+        # pass's peak RSS jump by 8 MB far more often
+        index, bts, bqs = np.arange(n), ts, qs
+    else:
+        # the holders of bundle u, in grid order, are
+        # holders[start[u]:start[u] + count[u]]
+        holders = np.argsort(index, kind="stable")
+        count = np.bincount(index, minlength=m)
+        start = np.cumsum(count) - count
     step = max(1, PAIR_BLOCK // max(m, 1))
     truth, dev, gains = [], [], []
     for lo in range(0, n, step):
         rows = np.arange(lo, min(lo + step, n))
         g = _gains(domain, grid[rows], index[rows], bts, bqs)
-        i, u = np.nonzero(g > tol)
-        gain = g[i, u]
+        i, j = np.nonzero(g > tol)
+        gain = g[i, j]
         if m < n:
-            # hit h stands for the pairs of row i[h] with the count[u[h]]
+            # hit h stands for the pairs of row i[h] with the count[j[h]]
             # holders of its bundle
-            c = count[u]
+            c = count[j]
             i, gain = np.repeat(i, c), np.repeat(gain, c)
             j = holders[np.arange(len(i))
-                        + np.repeat(start[u] - (np.cumsum(c) - c), c)]
-        else:
-            # each bundle has one holder (the affine rule): the repeats
-            # would copy the hits' arrays, a block's worth, for nothing,
-            # and on a certify pass lift glibc's heap by about 8 MB
-            j = holders[u]
+                        + np.repeat(start[j] - (np.cumsum(c) - c), c)]
         truth.append(rows[i])
         dev.append(j)
         gains.append(gain)
