@@ -12,7 +12,7 @@ path sells ``q_m = 1``: the searched profile is
 ``(theta_1..theta_m, q_1..q_{m-1})``.
 
 :func:`solve_finite` takes one of three paths, named by
-``diagnostics["method"]``:
+``diagnostics["method"]``, each with one algorithm:
 
 * ``"posted_price"``.  Where the family's revenue program separates
   (quasilinear and sqrt_quasilinear in payments, myerson in expected
@@ -22,34 +22,29 @@ path sells ``q_m = 1``: the searched profile is
   optimal for every distribution; expected payments are at most payments,
   and equal at its ``q = 1``, so quasilinear and sqrt_quasilinear post it
   in both modes (``Family.posted_price_modes``).
-* ``"exact_quantities"``.  For a classical family with ``phi(t) = t**2``
-  (``Family.exact_quantities``: income_effect, payment_param, two_param)
-  in payments, the quantities are exact for given breakpoints: the
-  revenue is ``R(theta) = sqrt(sum_B c_B**2 / d_B)`` over the blocks that
-  pool-adjacent-violators makes of the segments (:func:`_exact_profile`).
-  The breakpoints come from the best chain of segments on a grid of
-  quantiles, even points and knots, exact on the grid (:func:`_grid_dp`).
-  Between the kinks of the CDF and of ``a``, ``R`` is C1 with its
-  gradient in closed form (:func:`_exact_gradient`), and an ascent cell
-  by cell (:func:`_cell_ascent`) finishes from them.
+* ``"exact_quantities"``.  In a family's ``Family.exact_quantity_modes``
+  the quantities are exact for given breakpoints.  For a classical family
+  with ``phi(t) = t**2`` (income_effect, payment_param, two_param) in
+  payments, the revenue is ``R(theta) = sqrt(sum_B c_B**2 / d_B)`` over
+  the blocks that pool-adjacent-violators makes of the segments
+  (:func:`_exact_profile`), and its best chain of segments on a grid is
+  exact (:func:`_grid_dp`).  For a restricted family with ``w(q) = q**2``
+  (risk_averse) in expected payments, the revenue is concave in the
+  quantities, which an active-set Newton method gives exactly
+  (:func:`_square_weight_profile`).  Both revenues are C1 between the
+  kinks of the CDF (and of ``a``), with their gradients in closed form,
+  and one breakpoint search (:func:`_breakpoint_search`) ascends cell by
+  cell from the best chains of a DP and inserts breakpoints.
 * ``"sweep"``.  Elsewhere the objective is piecewise smooth and
   low-dimensional.  The revenue of a range is a chain over consecutive
   bundles, so the best range of at most ``n`` bundles on a grid of
   ``CHAIN_GRID**2`` bundles is the best chain of bundle pairs, exactly,
-  for every ``n`` at once (:func:`_chain_dp`).  One local search starts
-  from each of these ranges and from the posted price, which the grid can
-  miss, and the best result goes on.  Bundle insertion tries a new bundle
-  in each gap while fewer than allowed are used.  The searched vector is
-  the whole profile, except in a family's ``Family.exact_quantity_modes``
-  on this path: for a restricted family with ``w(q) = q**2``
-  (risk_averse) in expected payments the revenue at fixed breakpoints is
-  concave in the quantities, which an active-set Newton method gives
-  exactly, with the revenue's gradient in the breakpoints
-  (:func:`_square_weight_profile`), and only the breakpoints are searched
-  (``diagnostics["searched"]``), by the same ascent cell by cell on that
-  gradient.  Elsewhere the local search is a sweep (coordinate-wise
-  bounded scalar maximization with endpoint probing), and one Nelder-Mead
-  polish moves along ridges the coordinates do not follow.
+  for every ``n`` at once (:func:`_chain_dp`).  A sweep of the whole
+  profile (coordinate-wise bounded scalar maximization with endpoint
+  probing) starts from each of these ranges and from the posted price,
+  which the grid can miss, and the best result goes on.  Bundle insertion
+  tries a new bundle in each gap while fewer than allowed are used, and
+  one Nelder-Mead polish moves along ridges the coordinates do not follow.
 
 Both DPs are one, :func:`_best_chain`: the revenue of a range is a sum over
 consecutive pairs whose keys do not decrease, the pooled ratio ``c/d`` of
@@ -80,8 +75,8 @@ STEP_FLOOR = 1e-12  # steps a restricted family's range counts as round-off
 SWEEP_ROUNDS = 12  # coordinate sweeps per local search, at most
 SWEEP_TOL = 1e-12  # a sweep stops once a whole round gains less revenue
 RIDGE_TOL = 1e-10  # revenue an insertion must gain
-DP_GRID = 160  # quantiles, and even points, of the exact path's first grid
-CHAIN_GRID = 14  # payment and quantity steps of the sweep path's bundle grid
+DP_GRID = 160  # quantiles, and even points, of the classical form's grid DP
+CHAIN_GRID = 14  # payment and quantity steps of the chain DP's bundle grid
 POLISH_STEP = 1e-3  # first simplex of the sweep path's polish, per unit range
 POLISH_XATOL = 1e-10  # Nelder-Mead stops once its simplex is this small in theta
 POLISH_FATOL = 1e-15  # and its revenues spread this little
@@ -378,16 +373,14 @@ def _square_weight_profile(dist, thetas):
 
 
 class _Space(NamedTuple):
-    """The searched vector: ``n`` breakpoints in ``[lo, hi]``, then, where
-    ``quantities`` is set, ``q_1..q_{n-1}`` in [0, 1] (the top quantity
-    is 1)."""
+    """The searched vector: ``n`` breakpoints in ``[lo, hi]``, then
+    ``q_1..q_{n-1}`` in [0, 1] (the top quantity is 1)."""
 
     lo: float
     hi: float
-    quantities: bool
 
     def count(self, x):
-        return (len(x) + 1) // 2 if self.quantities else len(x)
+        return (len(x) + 1) // 2
 
 
 def _sweep(revenue, x, space):
@@ -680,30 +673,10 @@ def _cell_ascent(fun, x, lo, hi, kinks):
     return x, f, evals
 
 
-def _ascend(dist, x, kinks):
-    """:func:`_cell_ascent` of the breakpoints ``x`` at exact quantities
-    (:func:`_square_weight_profile`) between the CDF's ``kinks``.  A
-    breakpoint that sells no more than the one below it, by the ascent's
-    own evaluations, is dropped, so that insertion can place it again.
-    Returns the sorted breakpoints, their revenue and the evaluations."""
-    sold = {}
-
-    def profile(thetas):
-        revenue, qs, grad = _square_weight_profile(dist, thetas)
-        sold[tuple(thetas)] = qs
-        return revenue, grad
-
-    x, revenue, evals = _cell_ascent(partial(_sorted_call, profile), x,
-                                     dist.lo, dist.hi, kinks)
-    x = sorted(x)
-    qs = sold[tuple(x)]
-    return [t for t, p, q in zip(x, [0.0, *qs], qs) if q > p], revenue, evals
-
-
 def _insert(local, x, rev, m, count, trials):
-    """Bundle insertion: while ``count(x)`` is below ``m``, run the
-    ``local`` search from each vector of ``trials(x)`` and keep the best
-    result that earns more than ``RIDGE_TOL``."""
+    """Insertion: while ``count(x)`` breakpoints are fewer than ``m``, run
+    the ``local`` search from each vector of ``trials(x)`` and keep the
+    best result that earns more than ``RIDGE_TOL``."""
     while count(x) < m:
         best = max(map(local, trials(x)), key=lambda trial: trial[1],
                    default=(x, rev))
@@ -714,17 +687,16 @@ def _insert(local, x, rev, m, count, trials):
 
 
 def _gap_trials(space, x):
-    """A new breakpoint in each gap of the searched vector ``x``, at the
-    gap's midpoint and, where quantities are searched, with its quantity 1%
-    of the way up the gap."""
+    """A new bundle in each gap of the searched vector ``x``, with its
+    breakpoint at the gap's midpoint and its quantity 1% of the way up the
+    gap."""
     n = space.count(x)
     th, qs = [space.lo, *x[:n], space.hi], [*x[n:], 1.0]
     q = [0.0, *qs, 1.0]
     trials = []
     for k in range(n + 1):
         trial = [*x[:k], 0.5 * (th[k] + th[k + 1]), *x[k:n]]
-        if space.quantities:
-            trial += [*qs[:k], q[k] + 0.01 * (q[k + 1] - q[k]), *qs[k:]][:-1]
+        trial += [*qs[:k], q[k] + 0.01 * (q[k + 1] - q[k]), *qs[k:]][:-1]
         trials.append(trial)
     return trials
 
@@ -757,67 +729,33 @@ def _polish(revenue, x, rev, space):
     return x, rev, int(res.nfev)
 
 
-def _search(domain, dist, m, mode, exact):
-    """The sweep path: a local search from each distinct range of the chain
-    DP and from the posted price, then bundle insertion from the best
-    result.
+def _search(domain, dist, m, mode):
+    """The profile sweep: a sweep of the whole profile from each distinct
+    range of the chain DP and from the posted price, bundle insertion from
+    the best result, and a Nelder-Mead polish, re-swept when it gains.
+    Returns the profile and its diagnostics."""
+    space = _Space(dist.lo, dist.hi)
 
-    Where the quantities are ``exact`` at fixed breakpoints
-    (:func:`_square_weight_profile`), the searched vector is the
-    breakpoints, smooth between the CDF's knots with its gradient in
-    closed form, and the local search an ascent cell by cell
-    (:func:`_ascend`; ``"ascent_evals"`` counts its evaluations).  A
-    table's density can drop at both ends of a cell, with a local maximum
-    inside, so there the best result with one breakpoint fewer than
-    allowed is extended by insertion as well.  Otherwise the searched
-    vector is the whole profile, the local search is a sweep, and a
-    Nelder-Mead polish, re-swept when it gains, ends the search.  Returns
-    the profile and its diagnostics."""
-    space = _Space(dist.lo, dist.hi, not exact)
-    kinks = tuple(k for k in dist.knots or () if dist.lo < k < dist.hi)
-    ascent_evals = []
-    if exact:
-        def local(x):
-            x, rev, evals = _ascend(dist, x, kinks)
-            ascent_evals.append(evals)
-            return x, rev
-    else:
-        def revenue(x):
-            n = space.count(x)
-            return _profile_revenue(domain, dist, mode, x[:n],
-                                    [*x[n:], 1.0])
+    def revenue(x):
+        n = space.count(x)
+        return _profile_revenue(domain, dist, mode, x[:n], [*x[n:], 1.0])
 
-        def local(x):
-            return _sweep(revenue, x, space)
+    def local(x):
+        return _sweep(revenue, x, space)
 
-    grid = _bundle_grid(domain.family, dist)
-    starts, size = _chain_dp(domain, dist, mode, m, *grid)
+    starts, size = _chain_dp(domain, dist, mode, m,
+                             *_bundle_grid(domain.family, dist))
     profiles = [p for p, _ in starts] + [([monopoly_price(dist)], [1.0])]
-    vectors = [[*th, *qs[:-1]] if space.quantities else list(th)
-               for th, qs in profiles]
+    vectors = [[*th, *qs[:-1]] for th, qs in profiles]
     results = [local(x) for k, x in enumerate(vectors)
                if x not in vectors[:k]]
-    best = max(results, key=lambda r: r[1])
-    gaps = partial(_insert, local, m=m, count=space.count,
-                   trials=partial(_gap_trials, space))
-    x, rev = gaps(*best)
-    fewer = [r for r in results if space.count(r[0]) == m - 1]
-    if exact and kinks and fewer and best not in fewer:
-        y, y_rev = gaps(*max(fewer, key=lambda r: r[1]))
-        if y_rev > rev:
-            x, rev = y, y_rev
-    diagnostics = {"method": "sweep", "dp_grid": size,
-                   "dp_revenue": starts[-1][1],
-                   "searched": "breakpoints" if exact else "profile"}
-    if exact:
-        diagnostics["ascent_evals"] = sum(ascent_evals)
-    else:
-        x, rev, diagnostics["polish_evals"] = _polish(revenue, x, rev, space)
+    x, rev = _insert(local, *max(results, key=lambda r: r[1]), m,
+                     space.count, partial(_gap_trials, space))
+    x, rev, polish_evals = _polish(revenue, x, rev, space)
     n = space.count(x)
-    thetas = [float(t) for t in x[:n]]
-    qs = (_square_weight_profile(dist, thetas)[1] if exact
-          else [*x[n:], 1.0])
-    return thetas, qs, diagnostics
+    return [float(t) for t in x[:n]], [*x[n:], 1.0], {
+        "method": "sweep", "dp_grid": size, "dp_revenue": starts[-1][1],
+        "polish_evals": polish_evals}
 
 
 def _mechanism(domain, thetas, qs) -> FiniteMechanism:
@@ -948,6 +886,9 @@ def _grid_dp(form, dist, m, grid):
     nondecreasing.  The chain runs down from the top of the support, node
     0, through the breakpoints from the highest, keyed by the negated
     ratios, so that it ends at any lowest breakpoint (:func:`_best_chain`).
+    Returns, as :func:`_chain_dp` does, the breakpoints and revenue of the
+    best chain of at most ``n`` breakpoints for each ``n = 1..m``, and the
+    grid size.
     """
     inv = _inverse_a(form, grid)
     sells = np.isfinite(inv) & (inv > 0.0)  # see _exact_profile
@@ -965,57 +906,104 @@ def _grid_dp(form, dist, m, grid):
     key, gain = np.full((n, n), np.nan), np.full((n, n), -np.inf)
     ratio = (cdf[u] - cdf[v]) / (inv[v] - inv[u])
     key[u, v], gain[u, v] = -ratio, (cdf[u] - cdf[v]) * ratio
-    chain, total = _best_chain(key, gain, m)[-1]
-    return grid[-np.array(chain[::-1])], math.sqrt(total), len(grid)
+    return [(grid[-np.array(chain[::-1])].tolist(), math.sqrt(total))
+            for chain, total in _best_chain(key, gain, m)], len(grid)
 
 
-def _exact_search(form, dist, m):
-    """Grid DP over the breakpoints, then an ascent from its breakpoints.
+def _breakpoint_search(domain, dist, m):
+    """The breakpoint search of both exact-quantity programs.
 
-    The first grid is ``DP_GRID`` quantiles, evenly spaced in level,
+    Each program supplies its revenue and gradient, its quantities, its
+    kinks and its starts: for a classical form, :func:`_exact_gradient`,
+    :func:`_exact_profile`, ``a``'s kinks and the best chains of
+    :func:`_grid_dp` on ``DP_GRID`` quantiles, evenly spaced in level,
     ``DP_GRID`` even points of the support, which cover the pieces with
-    less mass than a quantile step, and the CDF's knots.  ``R`` is C1 in
-    the breakpoints between the kinks of the CDF and of ``a`` inside the
-    support, with its gradient in closed form (:func:`_exact_gradient`),
-    and an ascent cell by cell (:func:`_cell_ascent`) finishes the
-    search: a breakpoint at a kink lands on it exactly.  While fewer than
-    ``m`` breakpoints are used, insertion (:func:`_insert`) places a new
-    one ``SPLIT_STEP`` of the support to either side of each placed one
-    and ascends from the start that earns most."""
-    width, knots = dist.hi - dist.lo, dist.knots or ()
-    levels = np.linspace(0.0, 1.0, DP_GRID)
-    grid = np.unique(np.concatenate([dist.ppf(levels),
-                                     dist.lo + width * levels, knots]))
-    thetas, dp_revenue, size = _grid_dp(form, dist, m, grid)
-    kinks = sorted({k for k in (*knots, *form.kinks) if dist.lo < k < dist.hi})
-    fun = partial(_sorted_call, partial(_exact_gradient, form, dist))
-    evals = []
+    less mass than a quantile step, and the CDF's knots; for risk_averse,
+    :func:`_square_weight_profile` and the ranges of :func:`_chain_dp`.
+    The CDF's knots inside the support are kinks too.  One rule then
+    searches.  Without a kink, one ascent (:func:`_cell_ascent`) starts
+    from the DP's best chain.  With kinks, the revenue can peak inside any
+    cell: an ascent starts from the DP's best chain of each length, and
+    for risk_averse from the posted price, which the bundle grid misses on
+    a table with all its mass in a sliver.  After each ascent, a
+    breakpoint that sells no more than the one below it is dropped.
+    Insertion (:func:`_insert`) extends the best result and the best with
+    one breakpoint fewer than ``m``.  Its trials are a new breakpoint at
+    each gap's midpoint, each ascended, and one ``SPLIT_STEP`` of the
+    support to either side of each placed breakpoint, where only the trial
+    that earns most ascends: the piece a split cuts off has the ratio of
+    the density to the slope of ``1/a`` on that side, not its block's, so
+    it can gain in a window narrower than the grid's steps.  Returns the
+    profile and its diagnostics; ``"ascent_evals"`` counts the revenue
+    evaluations of the ascents and the split trials."""
+    form = domain.family.exact_quantities
+    if form is not None:
+        profile = partial(_exact_gradient, form, dist)
+
+        def quantities(thetas):
+            return _exact_profile(form, dist, thetas)[1].tolist()
+
+        levels = np.linspace(0.0, 1.0, DP_GRID)
+        grid = np.unique(np.concatenate([
+            dist.ppf(levels), dist.lo + (dist.hi - dist.lo) * levels,
+            dist.knots or ()]))
+        chains, size = _grid_dp(form, dist, m, grid)
+        kinks = form.kinks
+    else:
+        def profile(thetas):
+            revenue, _, grad = _square_weight_profile(dist, thetas)
+            return revenue, grad
+
+        def quantities(thetas):
+            return _square_weight_profile(dist, thetas)[1]
+
+        ranges, size = _chain_dp(domain, dist, "expected_payment", m,
+                                 *_bundle_grid(domain.family, dist))
+        chains = [(thetas, revenue) for (thetas, _), revenue in ranges]
+        kinks = ()
+    kinks = sorted({k for k in (*(dist.knots or ()), *kinks)
+                    if dist.lo < k < dist.hi})
+    fun = partial(_sorted_call, profile)
+    sold, evals = {}, []
 
     def local(x):
         x, revenue, e = _cell_ascent(fun, x, dist.lo, dist.hi, kinks)
         evals.append(e)
+        x = sorted(x)
+        qs = quantities(x)
+        kept = [(t, q) for t, p, q in zip(x, [0.0, *qs], qs) if q > p]
+        x = [t for t, _ in kept]
+        sold[tuple(x)] = [q for _, q in kept]
         return x, revenue
 
-    # A breakpoint the DP left unused can gain beside one it placed, in a
-    # window narrower than the grid's steps: the piece it cuts off has the
-    # ratio of the density to the slope of 1/a on that side, not its
-    # block's ratio.
-    step = SPLIT_STEP * width
+    step = SPLIT_STEP * (dist.hi - dist.lo)
 
-    def split(x):
-        # a new breakpoint to either side of each placed one; only the
-        # start that earns most ascends
-        starts = [[*x, min(max(t + d, dist.lo), dist.hi)]
+    def trials(x):
+        ends = [dist.lo, *x, dist.hi]
+        gaps = [[*x[:k], 0.5 * (ends[k] + ends[k + 1]), *x[k:]]
+                for k in range(len(x) + 1)]
+        splits = [[*x, min(max(t + d, dist.lo), dist.hi)]
                   for t in x for d in (-step, step)]
-        evals.append(len(starts))
-        return [max(starts, key=lambda y: fun(y)[0])] if starts else []
+        evals.append(len(splits))
+        if splits:
+            gaps.append(max(splits, key=lambda y: fun(y)[0]))
+        return gaps
 
-    x, _ = _insert(local, *local(thetas.tolist()), m, len, split)
-    thetas = np.sort(x)
-    _, qs = _exact_profile(form, dist, thetas)
-    return list(thetas), list(qs), {"method": "exact_quantities",
-                                     "dp_grid": size, "dp_revenue": dp_revenue,
-                                     "ascent_evals": sum(evals)}
+    starts = [thetas for thetas, _ in chains] if kinks else [chains[-1][0]]
+    if kinks and form is None:
+        starts.append([monopoly_price(dist)])
+    results = [local(x) for k, x in enumerate(starts) if x not in starts[:k]]
+    best = max(results, key=lambda r: r[1])
+    x, rev = _insert(local, *best, m, len, trials)
+    fewer = [r for r in results if len(r[0]) == m - 1]
+    if fewer and best not in fewer:
+        y, y_rev = _insert(local, *max(fewer, key=lambda r: r[1]), m, len,
+                           trials)
+        if y_rev > rev:
+            x = y
+    return x, sold[tuple(x)], {"method": "exact_quantities",
+                               "dp_grid": size, "dp_revenue": chains[-1][1],
+                               "ascent_evals": sum(evals)}
 
 
 def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
@@ -1026,39 +1014,33 @@ def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
 
     In the family's posted-price modes the answer is the posted price
     :func:`~scmech.measure.monopoly_price`, exact for every distribution.
-    In its ``exact_quantity_modes`` a family has exact quantities for
-    given breakpoints, and only the breakpoints are searched, by an ascent
-    on the revenue's gradient that works cell by cell between the kinks
-    of the CDF (and of ``a``): for a classical family with
-    ``phi(t) = t**2`` in payments from a grid DP, and on the sweep path
-    for risk_averse in expected payments.  Otherwise the profile is
-    swept.  Both searches start from the same DP, the best chain of
-    consecutive pairs on a grid of breakpoints or of bundles.
-    ``diagnostics["method"]`` says which path ran (``"posted_price"``,
-    ``"exact_quantities"`` or ``"sweep"``); the last two also report their
-    first DP's grid size ``"dp_grid"`` (breakpoints, or bundles) and grid
-    optimum ``"dp_revenue"``, and, where they search breakpoints, the
-    revenue evaluations of their ascents, ``"ascent_evals"``.  The sweep
-    path reports the vector it searched, ``"searched"`` (``"breakpoints"``
-    or ``"profile"``), and, after sweeps, the revenue evaluations of its
-    polish, ``"polish_evals"``.  The mechanism is certified for every type
-    of the support by :func:`~scmech.verify.certify_step`, and a failure
-    raises :class:`ScmechError`.
+    In its ``exact_quantity_modes`` the quantities are exact for given
+    breakpoints, and one breakpoint search ascends on the revenue's
+    gradient.  Otherwise the whole profile is swept.  Both searches start
+    from a DP, the best chain of consecutive pairs on a grid of breakpoints
+    or of bundles.  ``diagnostics["method"]`` says which path ran
+    (``"posted_price"``, ``"exact_quantities"`` or ``"sweep"``); the last
+    two also report their first DP's grid size ``"dp_grid"`` (breakpoints,
+    or bundles) and grid optimum ``"dp_revenue"``.  The breakpoint search
+    reports the revenue evaluations of its ascents, ``"ascent_evals"``,
+    and the sweep those of its polish, ``"polish_evals"``.  The mechanism
+    is certified for every type of the support by
+    :func:`~scmech.verify.certify_step`, and a failure raises
+    :class:`ScmechError`.
     """
     check_revenue_mode(mode)
     _check_support(domain, dist)
     family = domain.family
-    exact = mode in family.exact_quantity_modes
     if mode in family.posted_price_modes:
         price = monopoly_price(dist)
         thetas, qs = [price], [1.0]
         diagnostics = {"method": "posted_price", "price": price}
-    elif exact and family.exact_quantities is not None:
-        thetas, qs, diagnostics = _exact_search(
-            family.exact_quantities, dist, opts.max_bundles - 1)
+    elif mode in family.exact_quantity_modes:
+        thetas, qs, diagnostics = _breakpoint_search(domain, dist,
+                                                     opts.max_bundles - 1)
     else:
         thetas, qs, diagnostics = _search(domain, dist, opts.max_bundles - 1,
-                                          mode, exact)
+                                          mode)
 
     mech = _mechanism(domain, thetas, qs)
     revenue = expected_revenue(domain, mech, dist, mode)

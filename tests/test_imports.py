@@ -67,11 +67,16 @@ def test_import_loads_no_scipy(tmp_path):
       "--max-bundles", "3"], 0),
     (["optimize", "--domain", "risk_averse:0,1", "--dist", "kinked.json",
       "--max-bundles", "4", "--revenue-mode", "expected_payment"], 0),
+    # on a CDF without inner knots the breakpoint search starts from the
+    # chain DP alone, so no posted price is refined by scipy.optimize
+    (["optimize", "--domain", "risk_averse:0,1", "--dist", "beta:2,3",
+      "--max-bundles", "4", "--revenue-mode", "expected_payment"], 0),
     # an integer-shape beta CDF is a polynomial of the package's own
     (["revenue", "--mech", "mech.json", "--dist", "beta:2,3"], 0),
 ], ids=["verify", "truncate", "multibuyer", "validate-domain", "optimize",
         "optimize-risk_averse", "optimize-income_effect",
-        "optimize-risk_averse-table", "revenue-beta-integer"])
+        "optimize-risk_averse-table", "optimize-risk_averse-beta",
+        "revenue-beta-integer"])
 def test_subcommand_loads_no_scipy(tmp_path, argv, rc):
     (tmp_path / "mech.json").write_text(json.dumps(MECH))
     (tmp_path / "kinked.json").write_text(json.dumps(KINKED))

@@ -13,7 +13,7 @@ from scmech.errors import DomainError, ScmechError
 from scmech.mechanism import FiniteMechanism, from_range
 from scmech.optimize import (OptimizeOptions, payments_from_breakpoints,
                              solve_finite, stationarity_residuals)
-from scmech.verify import brute_force_optimal, verify_mechanism
+from scmech.verify import brute_force_optimal, certify_step, verify_mechanism
 
 QL = make_domain("quasilinear", 0.0, 1.0)
 MY = make_domain("myerson", 0.0, 1.0)
@@ -143,22 +143,21 @@ def test_solve_evaluation_budget(objective_calls):
 
 
 def test_sweep_evaluation_budget(objective_calls):
-    # risk_averse in expected payments takes the sweep path over the
-    # breakpoints alone, and on a CDF without inner knots its local search
-    # is the module's own projected BFGS: 1 evaluation from the chain DP's
-    # best single breakpoint, which is the posted price 0.5 and
-    # stationary, 9 from its best pair and 1 for the quantities (the sweeps
-    # and the polish took 395).  The count is plain float arithmetic, so it
-    # no longer depends on the scipy version.  No quantity is searched:
+    # risk_averse in expected payments searches its breakpoints alone, and
+    # on a CDF without inner knots the search is one projected BFGS ascent
+    # from the chain DP's best pair: 9 evaluations, and 1 for the quantities
+    # (the sweeps and the polish took 395; the ascents from every chain and
+    # the posted price 10).  The count is plain float arithmetic, so it
+    # does not depend on the scipy version.  No quantity is searched:
     # payments are taken once, for the mechanism
     dom = make_domain("risk_averse", 0.0, 1.0)
     sol = solve_finite(dom, measure.uniform(0.1, 1.0),
                        OptimizeOptions(max_bundles=3, seed=11),
                        mode="expected_payment")
-    assert sol.diagnostics["searched"] == "breakpoints"
-    assert sol.diagnostics["ascent_evals"] == 10
+    assert sol.diagnostics["method"] == "exact_quantities"
+    assert sol.diagnostics["ascent_evals"] == 9
     assert [name for name, _ in objective_calls] == [
-        *["_square_weight_profile"] * 11, "payments_from_breakpoints"]
+        *["_square_weight_profile"] * 10, "payments_from_breakpoints"]
 
 
 @pytest.mark.parametrize("name", ["quasilinear", "income_effect"])
@@ -327,8 +326,8 @@ def test_randomization_helps_the_risk_averse_model():
 
 
 def test_exact_quantity_modes():
-    # the modes whose quantities are exact at fixed breakpoints: the exact
-    # path's, and risk_averse's search over breakpoints alone
+    # the modes whose quantities are exact at fixed breakpoints, where one
+    # breakpoint search runs; elsewhere the profile is swept
     modes = {name: make_domain(name).family.exact_quantity_modes
              for name in FACTORY_FAMILIES}
     assert modes == {"quasilinear": (), "sqrt_quasilinear": (),
@@ -338,7 +337,9 @@ def test_exact_quantity_modes():
                      "risk_averse": ("expected_payment",)}
     dom = make_domain("risk_averse", 0.0, 1.0)
     assert solve_finite(dom, U01, mode="payment").diagnostics[
-        "searched"] == "profile"
+        "method"] == "sweep"
+    assert solve_finite(dom, U01, mode="expected_payment").diagnostics[
+        "method"] == "exact_quantities"
 
 
 # segments without mass (a flat middle, and everything above 0.0058 in
@@ -542,12 +543,15 @@ def test_cell_ascent_without_kinks_is_one_bfgs_ascent():
     ("kinked", 3, 0.3092207792207792), ("kinked", 4, 0.30923302777022754),
     ("kinked", 5, 0.3092356004086647),
     ("T3", 3, 0.39008547008547007), ("T3", 4, 0.39010342038427998),
-    ("T3", 5, 0.39013615452221273), ("T3", 6, 0.39015040866952011)])
+    ("T3", 5, 0.39013615452221273), ("T3", 6, 0.39015040866952011),
+    ("kinked", 6, 0.3092372908178843)])
 def test_risk_averse_keeps_the_sweeps_revenue(monkeypatch, dist, l, before):
     # the revenues of the coordinate sweeps and the Nelder-Mead polish over
     # the breakpoints, which an ascent cell by cell between the CDF's knots
     # replaces on every CDF, the tables (and the equal-revenue one, above)
-    # included.  On T3 the sweeps stopped at 4 active bundles at l = 5
+    # included.  On T3 the sweeps stopped at 4 active bundles at l = 5.
+    # On KINKED at l = 6, insertion with midpoint trials alone ended at
+    # 0.30923654779289045; the split trials reach 0.3092372908178843
     def fail(*args):
         raise AssertionError("a sweep or polish ran over breakpoints")
 
@@ -732,6 +736,30 @@ def test_sweep_path_ignores_the_seed():
     assert a.revenue == b.revenue and a.diagnostics == b.diagnostics
     assert a.diagnostics["dp_revenue"] <= a.revenue
     assert a.diagnostics["dp_grid"] == optimize.CHAIN_GRID ** 2
+
+
+def test_a_menu_beats_every_posted_full_bundle_in_expected_payments():
+    # two narrow lumps of mass, at 1 and 100: a bundle of less than the
+    # whole good bound at 0.99, and the whole good bound at 99.99, earn
+    # more in expected payments than the best posted full bundle, which
+    # the solve at max_bundles = 2 gives, for k = 1/2 and for k = 1
+    dist = measure.from_table([[0.99, 0], [1.01, 0.9], [99.99, 0.9],
+                               [100.01, 1]])
+    for name, q1, menu in (("income_effect", 0.9025, 1.0314361601091206),
+                           ("payment_param", 0.85, 1.0997547895228559)):
+        dom = make_domain(name, 0.5, 101.0)
+        posted = solve_finite(dom, dist, OptimizeOptions(max_bundles=2),
+                              mode="expected_payment")
+        assert abs(posted.revenue - 0.9999499987499373) <= 1e-15
+        bind = dom.family.bind
+        t1 = float(bind(0.99, 0.0, 0.0, q1))
+        mech = from_range(dom, [Bundle(0.0, 0.0), Bundle(t1, q1),
+                                Bundle(float(bind(99.99, t1, q1, 1.0)), 1.0)])
+        assert mech.breakpoints == pytest.approx([0.99, 99.99], abs=1e-12)
+        assert certify_step(dom, mech, dist.lo, dist.hi).ok
+        revenue = measure.expected_revenue(dom, mech, dist, "expected_payment")
+        assert abs(revenue - menu) <= 1e-12
+        assert revenue > 1.03 * posted.revenue
 
 
 def test_sweep_path_beats_the_posted_price_on_a_heavy_tail():
@@ -1051,7 +1079,7 @@ def test_revenue_never_falls_with_the_top_quantity(name, dist, mode, profile):
     ("myerson", "uniform", "expected_payment", 3, "posted_price"),
     ("income_effect", "table", "payment", 4, "exact_quantities"),
     ("two_param", "U[0,3]", "payment", 3, "exact_quantities"),
-    ("risk_averse", "table", "expected_payment", 4, "sweep"),
+    ("risk_averse", "table", "expected_payment", 4, "exact_quantities"),
     ("myerson", "beta", "payment", 4, "sweep"),
     ("two_param", "U[0,3]", "expected_payment", 3, "sweep"),
     ("power_q", "U[0.26,0.33]", "payment", 3, "sweep"),
@@ -1136,8 +1164,9 @@ def test_grid_dp_matches_the_best_subset(name, dist):
     best = [max(optimize._exact_profile(form, dist, list(thetas))[0]
                 for thetas in itertools.combinations(grid, k))
             for k in range(1, 5)]
-    for m in range(1, 5):
-        thetas, revenue, _ = optimize._grid_dp(form, dist, m, grid)
+    chains, _ = optimize._grid_dp(form, dist, 4, grid)
+    assert len(chains) == 4
+    for m, (thetas, revenue) in enumerate(chains, 1):
         assert 1 <= len(thetas) <= m
         assert abs(revenue - max(best[:m])) <= 1e-12
         assert abs(optimize._exact_profile(form, dist, thetas)[0]
@@ -1194,11 +1223,11 @@ def test_exact_path_beats_a_fine_grid_and_keeps_a_kink():
     dom = make_domain("income_effect", 0.0, 1.0)
     form = dom.family.exact_quantities
     grid = np.sort(np.append(np.linspace(0.0, 1.0, 800), dist.knots))
-    fine = optimize._grid_dp(form, dist, 5, grid)[1]
+    fine = optimize._grid_dp(form, dist, 5, grid)[0][-1][1]
     assert fine >= 0.50605631
     sol = solve_finite(dom, dist, OptimizeOptions(max_bundles=6))
     assert sol.revenue >= fine
-    thetas, _, _ = optimize._exact_search(form, dist, 5)
+    thetas, _, _ = optimize._breakpoint_search(dom, dist, 5)
     assert 0.6 in thetas
     assert min(abs(b - 0.6) for b in sol.mechanism.breakpoints) <= 1e-12
 
@@ -1230,6 +1259,16 @@ def test_exact_path_beats_a_fine_grid_and_keeps_a_kink():
                                   [0.9157679115853659, 0.5019607843137255],
                                   [1, 1]]),
          name="income_effect", m=2)
+# two nearly tied basins: the ascent from the DP's best four breakpoints
+# ends at 0.5766492921540508, 6.5e-8 short of the 400-point DP's
+# 0.5766493566880837; a split above 0.5685 of the best three reaches
+# 0.5766495569300116
+@example(dist=measure.from_table([[0.125, 0],
+                                  [0.37610361131389775, 0.24833141003346143],
+                                  [0.5684959576215424, 0.24833141003346143],
+                                  [0.7850638515568947, 0.49666282006692286],
+                                  [1, 1]]),
+         name="payment_param", m=4)
 def test_exact_path_beats_a_finer_grid(dist, name, m):
     # the ascent starts from the DP on 160 quantiles and 160 even points and
     # never falls, so it earns at least that; it also earns at least the
@@ -1237,7 +1276,7 @@ def test_exact_path_beats_a_finer_grid(dist, name, m):
     dom = make_domain(name, 0.0, 1.0)
     form = dom.family.exact_quantities
     grid = np.sort(np.append(np.linspace(dist.lo, dist.hi, 400), dist.knots))
-    fine = optimize._grid_dp(form, dist, m, grid)[1]
+    fine = optimize._grid_dp(form, dist, m, grid)[0][-1][1]
     sol = solve_finite(dom, dist, OptimizeOptions(max_bundles=m + 1))
     assert sol.revenue >= fine - 1e-12
     assert sol.revenue >= sol.diagnostics["dp_revenue"] - 1e-12
