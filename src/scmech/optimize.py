@@ -11,17 +11,17 @@ revenue never falls as ``q_m`` rises (no distortion at the top), and every
 path sells ``q_m = 1``: the searched profile is
 ``(theta_1..theta_m, q_1..q_{m-1})``.
 
-:func:`solve_finite` takes one of three paths, named by
-``diagnostics["method"]``, each with one algorithm:
+:func:`solve_finite` takes one of two paths.  Where the family's revenue
+program separates (quasilinear and sqrt_quasilinear in payments, myerson
+in expected payments), the binding indifferences telescope the revenue
+into ``sum_k theta_k (1 - F(theta_k)) * dh_k`` with ``sum_k dh_k <= 1``,
+so one posted price at the maximizer of ``theta * (1 - F(theta))`` is
+optimal for every distribution; expected payments are at most payments,
+and equal at its ``q = 1``, so quasilinear and sqrt_quasilinear post it in
+both modes (``Family.posted_price_modes``), and ``diagnostics["method"]``
+is ``"posted_price"``.  Everywhere else one search (:func:`_search`) runs
+one rule on one of three programs, and the method names its kind:
 
-* ``"posted_price"``.  Where the family's revenue program separates
-  (quasilinear and sqrt_quasilinear in payments, myerson in expected
-  payments), the binding indifferences telescope the revenue into
-  ``sum_k theta_k (1 - F(theta_k)) * dh_k`` with ``sum_k dh_k <= 1``, so
-  one posted price at the maximizer of ``theta * (1 - F(theta))`` is
-  optimal for every distribution; expected payments are at most payments,
-  and equal at its ``q = 1``, so quasilinear and sqrt_quasilinear post it
-  in both modes (``Family.posted_price_modes``).
 * ``"exact_quantities"``.  In a family's ``Family.exact_quantity_modes``
   the quantities are exact for given breakpoints.  For a classical family
   with ``phi(t) = t**2`` (income_effect, payment_param, two_param) in
@@ -33,23 +33,23 @@ path sells ``q_m = 1``: the searched profile is
   quantities, which an active-set Newton method gives exactly
   (:func:`_square_weight_profile`).  Both revenues are C1 between the
   kinks of the CDF (and of ``a``), with their gradients in closed form,
-  and one breakpoint search (:func:`_breakpoint_search`) ascends cell by
-  cell from the best chains of a DP and inserts breakpoints.
+  so the breakpoints alone ascend, cell by cell (:func:`_cell_ascent`).
 * ``"sweep"``.  Elsewhere the objective is piecewise smooth and
-  low-dimensional.  The revenue of a range is a chain over consecutive
-  bundles, so the best range of at most ``n`` bundles on a grid of
-  ``CHAIN_GRID**2`` bundles is the best chain of bundle pairs, exactly,
-  for every ``n`` at once (:func:`_chain_dp`).  A sweep of the whole
-  profile (coordinate-wise bounded scalar maximization with endpoint
-  probing) starts from each of these ranges and from the posted price,
-  which the grid can miss, and the best result goes on.  Bundle insertion
-  tries a new bundle in each gap while fewer than allowed are used, and
-  one Nelder-Mead polish moves along ridges the coordinates do not follow.
+  low-dimensional, and the whole profile is swept coordinate-wise with
+  endpoint probing (:func:`_sweep`), then finished by a Nelder-Mead
+  polish (:func:`_polish`), which moves along ridges the coordinates do
+  not follow.
 
-Both DPs are one, :func:`_best_chain`: the revenue of a range is a sum over
-consecutive pairs whose keys do not decrease, the pooled ratio ``c/d`` of
-a breakpoint segment or the indifference parameter of a bundle pair.  No
-path draws a random start, so ``OptimizeOptions.seed`` is unused.
+The rule starts each program from the best chains of a DP and inserts
+breakpoints while fewer than allowed are used.  The revenue of a range is
+a chain over consecutive bundles, so the best range of at most ``n``
+bundles on a grid of ``CHAIN_GRID**2`` bundles is the best chain of
+bundle pairs, exactly, for every ``n`` at once (:func:`_chain_dp`); it
+seeds risk_averse and the sweep.  Both DPs are one, :func:`_best_chain`:
+the revenue of a range is a sum over consecutive pairs whose keys do not
+decrease, the pooled ratio ``c/d`` of a breakpoint segment or the
+indifference parameter of a bundle pair.  No path draws a random start,
+so ``OptimizeOptions.seed`` is unused.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import partial
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -372,33 +372,23 @@ def _square_weight_profile(dist, thetas):
     return revenue, qs, grad
 
 
-class _Space(NamedTuple):
-    """The searched vector: ``n`` breakpoints in ``[lo, hi]``, then
-    ``q_1..q_{n-1}`` in [0, 1] (the top quantity is 1)."""
-
-    lo: float
-    hi: float
-
-    def count(self, x):
-        return (len(x) + 1) // 2
-
-
-def _sweep(revenue, x, space):
+def _sweep(revenue, x, lo, hi):
     """Coordinate-wise bounded maximization with endpoint probing.
 
-    Each coordinate of the searched vector ``x`` is bounded by its
-    neighbours in its own block, and at the block ends by the support
-    (breakpoints) or by [0, 1] (quantities).
+    The searched vector ``x`` is ``n`` breakpoints in ``[lo, hi]``, then
+    ``q_1..q_{n-1}`` (the top quantity is 1).  Each coordinate is bounded
+    by its neighbours in its own block, and at the block ends by the
+    support (breakpoints) or by [0, 1] (quantities).
     """
     from scipy.optimize import minimize_scalar
 
-    n = space.count(x)
+    n = (len(x) + 1) // 2
     x = list(x)
     best = revenue(x)
     for _ in range(SWEEP_ROUNDS):
         improved = 0.0
         for i in range(len(x)):
-            ends = ([space.lo, *x[:n], space.hi] if i < n
+            ends = ([lo, *x[:n], hi] if i < n
                     else [0.0, *x[n:], 1.0])
             a, b = ends[i % n], ends[i % n + 2]
             if b - a < 1e-13:
@@ -673,42 +663,22 @@ def _cell_ascent(fun, x, lo, hi, kinks):
     return x, f, evals
 
 
-def _insert(local, x, rev, m, count, trials):
-    """Insertion: while ``count(x)`` breakpoints are fewer than ``m``, run
-    the ``local`` search from each vector of ``trials(x)`` and keep the
-    best result that earns more than ``RIDGE_TOL``."""
-    while count(x) < m:
-        best = max(map(local, trials(x)), key=lambda trial: trial[1],
-                   default=(x, rev))
-        if best[1] <= rev + RIDGE_TOL:
-            break
-        x, rev = best
-    return x, rev
+def _gap_trials(lo, hi, thetas):
+    """The sorted breakpoints ``thetas`` with a new one at the midpoint of
+    each gap between them and the ends ``lo`` and ``hi``, gap by gap."""
+    ends = [lo, *thetas, hi]
+    return [[*thetas[:k], 0.5 * (ends[k] + ends[k + 1]), *thetas[k:]]
+            for k in range(len(thetas) + 1)]
 
 
-def _gap_trials(space, x):
-    """A new bundle in each gap of the searched vector ``x``, with its
-    breakpoint at the gap's midpoint and its quantity 1% of the way up the
-    gap."""
-    n = space.count(x)
-    th, qs = [space.lo, *x[:n], space.hi], [*x[n:], 1.0]
-    q = [0.0, *qs, 1.0]
-    trials = []
-    for k in range(n + 1):
-        trial = [*x[:k], 0.5 * (th[k] + th[k + 1]), *x[k:n]]
-        trial += [*qs[:k], q[k] + 0.01 * (q[k + 1] - q[k]), *qs[k:]][:-1]
-        trials.append(trial)
-    return trials
-
-
-def _polish(revenue, x, rev, space):
-    """Nelder-Mead on the searched vector ``x`` from a first simplex
-    ``POLISH_STEP`` of the support and of [0, 1] wide, re-swept when it
-    gains.  Returns the vector, its revenue and the polish's
-    evaluations."""
+def _polish(revenue, x, rev, lo, hi):
+    """Nelder-Mead on the sweep's vector ``x`` (see :func:`_sweep`) from a
+    first simplex ``POLISH_STEP`` of the support and of [0, 1] wide,
+    re-swept when it gains.  Returns the vector, its revenue and the
+    polish's evaluations."""
     from scipy.optimize import minimize
 
-    n, lo, hi = space.count(x), space.lo, space.hi
+    n = (len(x) + 1) // 2
 
     def clip(x):
         x = x.tolist()
@@ -725,37 +695,8 @@ def _polish(revenue, x, rev, space):
                    options={"initial_simplex": simplex, "xatol": POLISH_XATOL,
                             "fatol": POLISH_FATOL, "maxfev": POLISH_MAXFEV})
     if -res.fun > rev:
-        x, rev = _sweep(revenue, clip(res.x), space)
+        x, rev = _sweep(revenue, clip(res.x), lo, hi)
     return x, rev, int(res.nfev)
-
-
-def _search(domain, dist, m, mode):
-    """The profile sweep: a sweep of the whole profile from each distinct
-    range of the chain DP and from the posted price, bundle insertion from
-    the best result, and a Nelder-Mead polish, re-swept when it gains.
-    Returns the profile and its diagnostics."""
-    space = _Space(dist.lo, dist.hi)
-
-    def revenue(x):
-        n = space.count(x)
-        return _profile_revenue(domain, dist, mode, x[:n], [*x[n:], 1.0])
-
-    def local(x):
-        return _sweep(revenue, x, space)
-
-    starts, size = _chain_dp(domain, dist, mode, m,
-                             *_bundle_grid(domain.family, dist))
-    profiles = [p for p, _ in starts] + [([monopoly_price(dist)], [1.0])]
-    vectors = [[*th, *qs[:-1]] for th, qs in profiles]
-    results = [local(x) for k, x in enumerate(vectors)
-               if x not in vectors[:k]]
-    x, rev = _insert(local, *max(results, key=lambda r: r[1]), m,
-                     space.count, partial(_gap_trials, space))
-    x, rev, polish_evals = _polish(revenue, x, rev, space)
-    n = space.count(x)
-    return [float(t) for t in x[:n]], [*x[n:], 1.0], {
-        "method": "sweep", "dp_grid": size, "dp_revenue": starts[-1][1],
-        "polish_evals": polish_evals}
 
 
 def _mechanism(domain, thetas, qs) -> FiniteMechanism:
@@ -763,12 +704,17 @@ def _mechanism(domain, thetas, qs) -> FiniteMechanism:
     that steps up in both coordinates from the one below.  A restricted
     family counts a step of up to ``STEP_FLOOR`` as round-off, because its
     breakpoint divides by the weight step; a classical family counts every
-    positive step, as :func:`payments_from_breakpoints` does."""
+    positive step, as :func:`payments_from_breakpoints` does.  A bundle
+    whose breakpoint ties the next one is held by no type, and is dropped:
+    the bundles on either side of it are indifferent at that breakpoint
+    too."""
     floor = STEP_FLOOR if domain.restricted else 0.0
     bundles = [ZERO_BUNDLE]
-    for t, q in zip(payments_from_breakpoints(domain, thetas, qs), qs):
+    pays = payments_from_breakpoints(domain, thetas, qs)
+    for t, q, r, up in zip(pays, qs, thetas, [*thetas[1:], math.inf]):
         z = Bundle(float(t), float(q))
-        if z.t > bundles[-1].t + floor and z.q > bundles[-1].q + floor:
+        if (up > r and z.t > bundles[-1].t + floor
+                and z.q > bundles[-1].q + floor):
             bundles.append(z)
     return from_range(domain, bundles)
 
@@ -910,100 +856,153 @@ def _grid_dp(form, dist, m, grid):
             for chain, total in _best_chain(key, gain, m)], len(grid)
 
 
-def _breakpoint_search(domain, dist, m):
-    """The breakpoint search of both exact-quantity programs.
+def _search(domain, dist, m, mode):
+    """One search rule for the three programs of a range of at most ``m``
+    breakpoints.
 
-    Each program supplies its revenue and gradient, its quantities, its
-    kinks and its starts: for a classical form, :func:`_exact_gradient`,
-    :func:`_exact_profile`, ``a``'s kinks and the best chains of
-    :func:`_grid_dp` on ``DP_GRID`` quantiles, evenly spaced in level,
-    ``DP_GRID`` even points of the support, which cover the pieces with
-    less mass than a quantile step, and the CDF's knots; for risk_averse,
-    :func:`_square_weight_profile` and the ranges of :func:`_chain_dp`.
-    The CDF's knots inside the support are kinks too.  One rule then
-    searches.  Without a kink, one ascent (:func:`_cell_ascent`) starts
-    from the DP's best chain.  With kinks, the revenue can peak inside any
-    cell: an ascent starts from the DP's best chain of each length, and
-    for risk_averse from the posted price, which the bundle grid misses on
-    a table with all its mass in a sliver.  After each ascent, a
-    breakpoint that sells no more than the one below it is dropped.
-    Insertion (:func:`_insert`) extends the best result and the best with
-    one breakpoint fewer than ``m``.  Its trials are a new breakpoint at
-    each gap's midpoint, each ascended, and one ``SPLIT_STEP`` of the
-    support to either side of each placed breakpoint, where only the trial
-    that earns most ascends: the piece a split cuts off has the ratio of
-    the density to the slope of ``1/a`` on that side, not its block's, so
-    it can gain in a window narrower than the grid's steps.  Returns the
-    profile and its diagnostics; ``"ascent_evals"`` counts the revenue
-    evaluations of the ascents and the split trials."""
-    form = domain.family.exact_quantities
-    if form is not None:
-        profile = partial(_exact_gradient, form, dist)
+    Each program supplies its searched vector, local step, insertion
+    trials, finish and starts, the best chains of a DP of at most ``1..m``
+    breakpoints.  The exact-quantity programs search the breakpoints: the
+    local step is an ascent cell by cell between the kinks
+    (:func:`_cell_ascent`) on the revenue's gradient, after which a
+    breakpoint that sells no more than the one below it is dropped, and the
+    finish does nothing.  A classical form ascends :func:`_exact_gradient`
+    and starts from :func:`_grid_dp` on ``DP_GRID`` quantiles, evenly
+    spaced in level, ``DP_GRID`` even points of the support, which cover
+    the pieces with less mass than a quantile step, and the CDF's knots;
+    ``a``'s kinks are kinks too.  risk_averse ascends
+    :func:`_square_weight_profile` and starts from :func:`_chain_dp`.  The
+    trials are a new breakpoint at each gap's midpoint (:func:`_gap_trials`),
+    each ascended, and one ``SPLIT_STEP`` of the support to either side of
+    each placed breakpoint, where only the trial that earns most ascends:
+    the piece a split cuts off has the ratio of the density to the slope of
+    ``1/a`` on that side, not its block's, so it can gain in a window
+    narrower than the grid's steps.  The profile sweep searches
+    ``(theta_1..theta_n, q_1..q_{n-1})``: its local step is :func:`_sweep`,
+    its trials :func:`_gap_trials` with a quantity each, its starts the
+    ranges of :func:`_chain_dp` and its finish :func:`_polish`.
+
+    The rule: the CDF's knots inside the support are kinks too.  Without a
+    kink the local step runs from the DP's best chain.  With kinks the
+    revenue can peak inside any cell, and it runs from the best chain of
+    each length and, for the programs seeded from the bundle grid, from the
+    posted price, which the grid misses on a table with all its mass in a
+    sliver.  Insertion runs the local step from each trial while fewer
+    than ``m`` breakpoints are used, and keeps the best result if it earns
+    more than ``RIDGE_TOL``; the finish follows.  Both run from the best
+    result and from the best with one breakpoint fewer than ``m``, and the
+    better is kept.  Returns the profile and its diagnostics;
+    ``"ascent_evals"`` counts the revenue evaluations of the ascents and
+    the split trials, and ``"polish_evals"`` those of both polishes."""
+    family, lo, hi = domain.family, dist.lo, dist.hi
+    form, exact = family.exact_quantities, mode in family.exact_quantity_modes
+    classical, kinks, evals = exact and form is not None, (), []
+    if classical:
+        gradient = partial(_exact_gradient, form, dist)
 
         def quantities(thetas):
             return _exact_profile(form, dist, thetas)[1].tolist()
 
         levels = np.linspace(0.0, 1.0, DP_GRID)
         grid = np.unique(np.concatenate([
-            dist.ppf(levels), dist.lo + (dist.hi - dist.lo) * levels,
-            dist.knots or ()]))
+            dist.ppf(levels), lo + (hi - lo) * levels, dist.knots or ()]))
         chains, size = _grid_dp(form, dist, m, grid)
         kinks = form.kinks
     else:
-        def profile(thetas):
-            revenue, _, grad = _square_weight_profile(dist, thetas)
-            return revenue, grad
+        ranges, size = _chain_dp(domain, dist, mode, m,
+                                 *_bundle_grid(family, dist))
+        chains = [(thetas if exact else [*thetas, *qs[:-1]], total)
+                  for (thetas, qs), total in ranges]
+    if exact:
+        if not classical:
+            def gradient(thetas):
+                revenue, _, grad = _square_weight_profile(dist, thetas)
+                return revenue, grad
 
-        def quantities(thetas):
-            return _square_weight_profile(dist, thetas)[1]
+            def quantities(thetas):
+                return _square_weight_profile(dist, thetas)[1]
 
-        ranges, size = _chain_dp(domain, dist, "expected_payment", m,
-                                 *_bundle_grid(domain.family, dist))
-        chains = [(thetas, revenue) for (thetas, _), revenue in ranges]
-        kinks = ()
-    kinks = sorted({k for k in (*(dist.knots or ()), *kinks)
-                    if dist.lo < k < dist.hi})
-    fun = partial(_sorted_call, profile)
-    sold, evals = {}, []
+        fun, sold, count = partial(_sorted_call, gradient), {}, len
+        step = SPLIT_STEP * (hi - lo)
 
-    def local(x):
-        x, revenue, e = _cell_ascent(fun, x, dist.lo, dist.hi, kinks)
-        evals.append(e)
-        x = sorted(x)
-        qs = quantities(x)
-        kept = [(t, q) for t, p, q in zip(x, [0.0, *qs], qs) if q > p]
-        x = [t for t, _ in kept]
-        sold[tuple(x)] = [q for _, q in kept]
-        return x, revenue
+        def local(x):
+            x, revenue, e = _cell_ascent(fun, x, lo, hi, kinks)
+            evals.append(e)
+            x = sorted(x)
+            qs = quantities(x)
+            kept = [(t, q) for t, p, q in zip(x, [0.0, *qs], qs) if q > p]
+            x = [t for t, _ in kept]
+            sold[tuple(x)] = [q for _, q in kept]
+            return x, revenue
 
-    step = SPLIT_STEP * (dist.hi - dist.lo)
+        def trials(x):
+            splits = [[*x, min(max(t + d, lo), hi)]
+                      for t in x for d in (-step, step)]
+            evals.append(len(splits))
+            gaps = _gap_trials(lo, hi, x)
+            if splits:
+                gaps.append(max(splits, key=lambda y: fun(y)[0]))
+            return gaps
 
-    def trials(x):
-        ends = [dist.lo, *x, dist.hi]
-        gaps = [[*x[:k], 0.5 * (ends[k] + ends[k + 1]), *x[k:]]
-                for k in range(len(x) + 1)]
-        splits = [[*x, min(max(t + d, dist.lo), dist.hi)]
-                  for t in x for d in (-step, step)]
-        evals.append(len(splits))
-        if splits:
-            gaps.append(max(splits, key=lambda y: fun(y)[0]))
-        return gaps
+        def finish(x, rev):
+            return x, rev
 
-    starts = [thetas for thetas, _ in chains] if kinks else [chains[-1][0]]
-    if kinks and form is None:
+        def profile(x):
+            return x, sold[tuple(x)]
+    else:
+        def count(x):
+            return (len(x) + 1) // 2
+
+        def revenue(x):
+            n = count(x)
+            return _profile_revenue(domain, dist, mode, x[:n], [*x[n:], 1.0])
+
+        local = partial(_sweep, revenue, lo=lo, hi=hi)
+
+        def trials(x):
+            # the new bundle's quantity is 1% of the way up its gap
+            n = count(x)
+            qs = [*x[n:], 1.0]
+            q = [0.0, *qs, 1.0]
+            gaps = _gap_trials(lo, hi, x[:n])
+            for k, trial in enumerate(gaps):
+                trial += [*qs[:k], q[k] + 0.01 * (q[k + 1] - q[k]),
+                          *qs[k:]][:-1]
+            return gaps
+
+        def finish(x, rev):
+            x, rev, e = _polish(revenue, x, rev, lo, hi)
+            evals.append(e)
+            return x, rev
+
+        def profile(x):
+            n = count(x)
+            return x[:n], [*x[n:], 1.0]
+
+    def extend(x, rev):
+        while count(x) < m:
+            best = max(map(local, trials(x)), key=lambda r: r[1])
+            if best[1] <= rev + RIDGE_TOL:
+                break
+            x, rev = best
+        return finish(x, rev)
+
+    kinks = sorted({k for k in (*(dist.knots or ()), *kinks) if lo < k < hi})
+    starts = [x for x, _ in chains] if kinks else [chains[-1][0]]
+    if kinks and not classical:
         starts.append([monopoly_price(dist)])
     results = [local(x) for k, x in enumerate(starts) if x not in starts[:k]]
     best = max(results, key=lambda r: r[1])
-    x, rev = _insert(local, *best, m, len, trials)
-    fewer = [r for r in results if len(r[0]) == m - 1]
+    x, rev = extend(*best)
+    fewer = [r for r in results if count(r[0]) == m - 1]
     if fewer and best not in fewer:
-        y, y_rev = _insert(local, *max(fewer, key=lambda r: r[1]), m, len,
-                           trials)
+        y, y_rev = extend(*max(fewer, key=lambda r: r[1]))
         if y_rev > rev:
             x = y
-    return x, sold[tuple(x)], {"method": "exact_quantities",
-                               "dp_grid": size, "dp_revenue": chains[-1][1],
-                               "ascent_evals": sum(evals)}
+    return (*profile(x), {
+        "method": "exact_quantities" if exact else "sweep", "dp_grid": size,
+        "dp_revenue": chains[-1][1],
+        "ascent_evals" if exact else "polish_evals": sum(evals)})
 
 
 def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
@@ -1012,18 +1011,20 @@ def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
     """Maximize expected revenue over mechanisms with at most
     ``opts.max_bundles`` range bundles.
 
-    In the family's posted-price modes the answer is the posted price
-    :func:`~scmech.measure.monopoly_price`, exact for every distribution.
-    In its ``exact_quantity_modes`` the quantities are exact for given
-    breakpoints, and one breakpoint search ascends on the revenue's
-    gradient.  Otherwise the whole profile is swept.  Both searches start
-    from a DP, the best chain of consecutive pairs on a grid of breakpoints
-    or of bundles.  ``diagnostics["method"]`` says which path ran
-    (``"posted_price"``, ``"exact_quantities"`` or ``"sweep"``); the last
-    two also report their first DP's grid size ``"dp_grid"`` (breakpoints,
-    or bundles) and grid optimum ``"dp_revenue"``.  The breakpoint search
-    reports the revenue evaluations of its ascents, ``"ascent_evals"``,
-    and the sweep those of its polish, ``"polish_evals"``.  The mechanism
+    Two paths.  In the family's posted-price modes the answer is the
+    posted price :func:`~scmech.measure.monopoly_price`, exact for every
+    distribution.  Otherwise one search rule runs (:func:`_search`): from
+    a DP, the best chain of consecutive pairs on a grid of breakpoints or
+    of bundles, a local step, then insertion and a finish.  In the
+    family's ``exact_quantity_modes`` the quantities are exact for given
+    breakpoints and the breakpoints ascend on the revenue's gradient;
+    otherwise the whole profile is swept and polished.
+    ``diagnostics["method"]`` says which ran (``"posted_price"``,
+    ``"exact_quantities"`` or ``"sweep"``); the last two also report their
+    DP's grid size ``"dp_grid"`` (breakpoints, or bundles) and grid
+    optimum ``"dp_revenue"``.  The exact programs report the revenue
+    evaluations of their ascents, ``"ascent_evals"``, and the sweep those
+    of its polishes, ``"polish_evals"``.  The mechanism
     is certified for every type of the support by
     :func:`~scmech.verify.certify_step`, and a failure raises
     :class:`ScmechError`.
@@ -1035,9 +1036,6 @@ def solve_finite(domain: PreferenceDomain, dist: TypeDistribution,
         price = monopoly_price(dist)
         thetas, qs = [price], [1.0]
         diagnostics = {"method": "posted_price", "price": price}
-    elif mode in family.exact_quantity_modes:
-        thetas, qs, diagnostics = _breakpoint_search(domain, dist,
-                                                     opts.max_bundles - 1)
     else:
         thetas, qs, diagnostics = _search(domain, dist, opts.max_bundles - 1,
                                           mode)

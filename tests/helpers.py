@@ -197,3 +197,24 @@ def reference_verify(domain, mech, param_grid, tol=1e-7):
     if step:
         report = report.merged_with(reference_shape(domain, mech, param_grid))
     return report
+
+
+def sup_b(dist, m, points=2001):
+    """``sup B`` over at most ``m`` breakpoints, ``B(theta) = sum_k theta_k
+    (F(theta_{k+1}) - F(theta_k))`` with ``F(theta_{m+1}) = 1``, the bound
+    on a restricted family's revenue in payments: a reference DP over the
+    CDF's knots and ``points`` even points of the support.
+
+    ``best[i]`` is the most that breakpoints from ``grid[i]`` up earn; a
+    breakpoint may repeat the one above it, which adds nothing, so each
+    stage also allows fewer."""
+    grid = np.unique(np.append(np.linspace(dist.lo, dist.hi, points),
+                               dist.knots or ()))
+    cdf = np.asarray(dist.cdf(grid), dtype=float)
+    # gain[i, j]: theta_k = grid[i] below theta_{k+1} = grid[j], j >= i
+    gain = np.where(np.arange(len(grid))[:, None] <= np.arange(len(grid)),
+                    grid[:, None] * (cdf - cdf[:, None]), -np.inf)
+    best = grid * (1.0 - cdf)
+    for _ in range(m - 1):
+        best = np.max(gain + best, axis=1)
+    return float(best.max())

@@ -4,6 +4,9 @@ import json
 import pytest
 
 from scmech.cli import main
+from scmech.domain import make_domain
+from scmech.measure import uniform
+from scmech.optimize import OptimizeOptions, solve_finite
 
 
 def run(capsys, *argv):
@@ -68,13 +71,17 @@ def test_exact_path_output_ignores_the_seed(tmp_path, capsys):
 
 
 def test_sweep_path_output_ignores_the_seed(tmp_path, capsys):
-    # risk_averse in expected payments takes the sweep path, which starts
-    # from the chain DP's range and draws no random start either
-    outputs = optimize_at_seeds(tmp_path, capsys, "--domain", "risk_averse:0,1",
-                                "--dist", "uniform:0.1,1", "--max-bundles", "3",
-                                "--revenue-mode", "expected_payment")
+    # income_effect in expected payments takes the profile sweep, which
+    # starts from the chain DP's range and draws no random start either
+    argv = ("--domain", "income_effect", "--dist", "uniform:0.1,1",
+            "--max-bundles", "3", "--revenue-mode", "expected_payment")
+    outputs = optimize_at_seeds(tmp_path, capsys, *argv)
     assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0][1])["active_bundles"] == 3
+    sol = solve_finite(make_domain("income_effect", 0.1, 1.0),
+                       uniform(0.1, 1.0), OptimizeOptions(max_bundles=3),
+                       mode="expected_payment")
+    assert sol.diagnostics["method"] == "sweep"
+    assert json.loads(outputs[0][1])["revenue"] == sol.revenue
 
 
 def test_power_q_on_its_whole_interval_solves(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import FACTORY_FAMILIES
+from helpers import FACTORY_FAMILIES, sup_b
 from scmech import measure, optimize
 from scmech.domain import Bundle, ZERO_BUNDLE, make_domain
 from scmech.errors import DomainError, ScmechError
@@ -114,6 +114,18 @@ def test_solve_rejects_a_mechanism_that_fails_certification(monkeypatch):
         solve_finite(QL, U01, OptimizeOptions(max_bundles=2))
 
 
+def test_mechanism_drops_a_bundle_no_type_holds():
+    # the first breakpoint ties the second, so no type holds the first
+    # bundle; the bundles on either side of it are indifferent at 0.26 too.
+    # A search of power_q over U[0.26, 0.33] from the chain DP's best range
+    # alone ends at this profile
+    dom = make_domain("power_q")
+    mech = optimize._mechanism(dom, [0.26, 0.26], [0.9285714285714285, 1.0])
+    assert len(mech.bundles) == 2
+    assert mech.breakpoints == pytest.approx([0.26], abs=1e-12)
+    assert mech.bundles[1].q == 1.0
+
+
 def test_solver_is_seed_deterministic():
     a = solve_finite(QL, U01, OptimizeOptions(max_bundles=3, seed=12))
     b = solve_finite(QL, U01, OptimizeOptions(max_bundles=3, seed=12))
@@ -142,7 +154,7 @@ def test_solve_evaluation_budget(objective_calls):
     assert len(objective_calls) <= 8000
 
 
-def test_sweep_evaluation_budget(objective_calls):
+def test_risk_averse_evaluation_budget(objective_calls):
     # risk_averse in expected payments searches its breakpoints alone, and
     # on a CDF without inner knots the search is one projected BFGS ascent
     # from the chain DP's best pair: 9 evaluations, and 1 for the quantities
@@ -432,26 +444,39 @@ SMOOTH_DISTS = {"U[0.1,1]": measure.uniform(0.1, 1.0), "U[0,1]": U01,
 @settings(max_examples=200, deadline=None)
 @given(dist=st.sampled_from(sorted(SMOOTH_DISTS)),
        levels=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=7))
+# q_1 is 1 here, and the difference at h = 1e-6 straddles the point where
+# the lower block merges with the top one: it missed the gradient by 2.4e-7
+@example(dist="texp(3,0,1)", levels=[0.6751021919242749, 0.17627054635047837])
 def test_square_weight_gradient_matches_central_differences(dist, levels):
     # breakpoints at least 0.01 apart and from the ends of the support.
     # The difference's error is O(h**2) times R's third derivative, which
     # grows as the top segment's mass falls, and only O(h) where the
     # active set switches, where R is C1 but not C2: 6000 examples stayed
     # within 2.5e-9, at (0.01, 0.99) on U[0, 1], and within 2.4e-7 with
-    # breakpoints 1e-3 from the top
-    dist, m, gap, h = SMOOTH_DISTS[dist], len(levels), 1e-2, 1e-6
+    # breakpoints 1e-3 from the top.  So where the quantities' active set
+    # (which of them tie the one below, 0 or 1) differs between the two
+    # ends of the difference, h shrinks until it does not
+    dist, m, gap = SMOOTH_DISTS[dist], len(levels), 1e-2
     width = dist.hi - dist.lo - (m + 1) * gap
     thetas = [dist.lo + gap * (k + 1) + width * v
               for k, v in enumerate(sorted(levels))]
     _, _, grad = optimize._square_weight_profile(dist, thetas)
     assert len(grad) == m
+
+    def at(k, step):
+        x = list(thetas)
+        x[k] += step
+        revenue, qs, _ = optimize._square_weight_profile(dist, x)
+        return x[k], revenue, [p == q for p, q in zip([0.0, *qs], qs)]
+
     for k in range(m):
-        up, down = list(thetas), list(thetas)
-        up[k] += h
-        down[k] -= h
-        diff = (optimize._square_weight_profile(dist, up)[0]
-                - optimize._square_weight_profile(dist, down)[0])
-        assert abs(diff / (up[k] - down[k]) - grad[k]) <= 1e-8
+        h = 1e-6
+        while True:
+            (a, up, tied_up), (b, down, tied_down) = at(k, h), at(k, -h)
+            if tied_up == tied_down:
+                break
+            h /= 4.0
+        assert abs((up - down) / (a - b) - grad[k]) <= 1e-8
 
 
 def test_bfgs_ascent_stops_on_an_active_bound():
@@ -707,7 +732,7 @@ def test_sweep_path_posts_the_price_at_a_kink():
     assert abs(sol.revenue - 0.475) <= 1e-12
 
 
-def test_sweep_path_inserts_a_small_first_bundle():
+def test_risk_averse_inserts_a_small_first_bundle():
     # risk_averse's best range on KINKED starts with a bundle at q < 0.01,
     # below the grid's first quantity 1/14; the ascents keep two bundles at
     # 0.3092208, and the insertion adds it for 1.2e-5 more
@@ -728,7 +753,7 @@ def test_sweep_path_at_the_top_of_two_param():
     assert sol.revenue >= 2.0 / 3.0 - 1e-12
 
 
-def test_sweep_path_ignores_the_seed():
+def test_risk_averse_ignores_the_seed():
     dom = make_domain("risk_averse", 0.0, 1.0)
     a, b = (solve_finite(dom, KINKED, OptimizeOptions(max_bundles=4, seed=s),
                          mode="expected_payment") for s in (1, 2))
@@ -920,6 +945,32 @@ def test_restricted_payment_at_a_tiny_weight_is_pinned():
     for theta, a, b in zip(thetas, bundles, bundles[1:]):
         assert 0.0 <= b.t <= theta
         assert abs(dom.family.special(a, b) - theta) <= 1e-12
+
+
+def test_sup_b_on_the_uniform_closed_form():
+    # on U[lo, 1] with lo <= 1/(m + 1), theta_k = k/(m + 1) and
+    # sup B = m / (2 (m + 1) (1 - lo)); a grid point lies within 1/4000
+    # of each, and B is flat to first order there
+    for lo, m in ((0.0, 2), (0.0, 3), (0.1, 4)):
+        want = m / (2.0 * (m + 1) * (1.0 - lo))
+        assert abs(sup_b(measure.uniform(lo, 1.0), m) - want) <= 1e-6
+
+
+@pytest.mark.parametrize("dist, l, floor", [(KINKED, 4, 0.4475 - 1e-8),
+                                             (T3, 5, 0.41662)])
+def test_risk_averse_in_payments_reaches_sup_b_on_a_table(dist, l, floor):
+    # the revenue is below sup B and approaches it as the weight ratios
+    # fall (README, restricted families in payment mode).  A sweep from the
+    # chain DP's ranges and the posted price alone ended at 0.4463636 on
+    # KINKED and 0.4138828 on T3; insertion and the polish from the best
+    # result with one breakpoint fewer reach sup B
+    bound = sup_b(dist, l - 1)
+    assert bound - 1e-7 <= floor <= bound
+    dom = make_domain("risk_averse", 0.0, 1.0)
+    sol = solve_finite(dom, dist, OptimizeOptions(max_bundles=l))
+    assert sol.diagnostics["method"] == "sweep"
+    assert floor <= sol.revenue <= bound + 1e-7
+    assert certify_step(dom, sol.mechanism, dist.lo, dist.hi).ok
 
 
 @pytest.mark.parametrize("seed", [0, 1, 10])
@@ -1227,7 +1278,7 @@ def test_exact_path_beats_a_fine_grid_and_keeps_a_kink():
     assert fine >= 0.50605631
     sol = solve_finite(dom, dist, OptimizeOptions(max_bundles=6))
     assert sol.revenue >= fine
-    thetas, _, _ = optimize._breakpoint_search(dom, dist, 5)
+    thetas, _, _ = optimize._search(dom, dist, 5, "payment")
     assert 0.6 in thetas
     assert min(abs(b - 0.6) for b in sol.mechanism.breakpoints) <= 1e-12
 
