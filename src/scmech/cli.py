@@ -292,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("verify", help="grid-check a mechanism file")
+    p = sub.add_parser("verify", help="certify a mechanism file on a grid, "
+                       "a step mechanism on the grid's whole span")
     p.add_argument("--mech", required=True)
     p.add_argument("--grid", type=int, default=200)
     p.add_argument("--out", help="report JSON path")

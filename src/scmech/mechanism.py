@@ -23,8 +23,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .domain import (Bundle, Ordering, PreferenceDomain, check_bundle,
-                     is_diagonal)
+from .domain import (Bundle, Ordering, PreferenceDomain, TAU_INDIFF,
+                     check_bundle, is_diagonal)
 from .errors import DomainError, InfeasibleRangeError, TractabilityError
 
 TAIL_INDEX_CAP = 10**6
@@ -71,13 +71,6 @@ class FiniteMechanism:
         arrays; :meth:`evaluate` at each type, bit for bit.  The first type
         outside the domain interval, or not finite, raises its
         :class:`DomainError`."""
-        k, ts, qs = self._lookup(rs)
-        return ts[k], qs[k]
-
-    def _lookup(self, rs) -> tuple:
-        """``(k, ts, qs)``: the index into ``bundles`` of the bundle each
-        type ``rs`` gets, and the bundles' payments and quantities as
-        arrays.  Raises as :meth:`evaluate_many` does."""
         rs = np.asarray(rs, dtype=float)
         dom = self.domain
         admissible = np.isfinite(rs) & (dom.lo <= rs) & (rs <= dom.hi)
@@ -86,7 +79,7 @@ class FiniteMechanism:
         k = np.searchsorted(np.array(self._steps, dtype=float), rs,
                             side="right")
         ts, qs = np.array(self.bundles, dtype=float).T
-        return k, ts, qs
+        return ts[k], qs[k]
 
     def revenue_segments(self, dist) -> Iterator[tuple]:
         """Clamped parameter intervals on which each bundle is allocated, cut
@@ -98,7 +91,7 @@ class FiniteMechanism:
             if hi > lo:
                 yield lo, hi, z
 
-    def is_well_formed(self, tol: float = 1e-9) -> bool:
+    def is_well_formed(self, tol: float = TAU_INDIFF) -> bool:
         """Ordered diagonal range with nondecreasing, indifferent breakpoints."""
         for a, b in zip(self.bundles, self.bundles[1:]):
             if not is_diagonal(a, b):

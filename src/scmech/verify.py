@@ -13,31 +13,33 @@ incentive and participation checks run at the ends of each interval only,
 against every bundle of the range; monotonicity and indifference at the
 breakpoints are checked as well.  It builds its records with the grid
 checks' helpers below.  :func:`~scmech.optimize.solve_finite` gates its
-result on it.
+result on it, and :func:`verify_mechanism` certifies a step mechanism with
+it on the span of the grid it is given.
 
-The grid checks (:func:`verify_mechanism` and its parts) serve any rule,
-callables included, at the points of a grid.  The incentive check tests
-direct-revelation misreports only: for every ordered pair of grid
-parameters, the allocation at the truthful report must be weakly better
-(lower canonical payment) than the allocation at the misreport.  For
+The grid checks (:func:`check_strategy_proof`,
+:func:`check_individual_rationality`, and :func:`verify_mechanism` for
+every rule but a step mechanism) serve any rule, callables included, at
+the points of a grid.  The incentive check tests direct-revelation
+misreports only: for every ordered pair of grid parameters, the
+allocation at the truthful report must be weakly better (lower canonical
+payment) than the allocation at the misreport.  For
 restricted-kind domains, misreports whose allocation is unaffordable under
 the truthful preference are outside the definition and are skipped, in
 both kinds of check.
 
-The grid checks are array code.  A step mechanism is evaluated on the
-whole grid at once (:meth:`FiniteMechanism.evaluate_many`), a callable
-once per point, and :func:`verify_mechanism` evaluates the rule once for
-all three checks.  The incentive check prices each grid point's type
-against a table of the distinct bundles the rule allocates on the grid
-(told apart by a step mechanism's lookup, or by a callable's bits), in
-blocks of grid rows of at most ``PAIR_BLOCK`` payments or one row; a
-row's gain against a bundle is its gain against every point that holds
-it.  So its time and memory grow with grid × distinct bundles, not with
-the grid's square, beyond the records of the pairs that fail.  Records
-are listed by truthful parameter, then by deviant parameter, and an
-inadmissible point raises the error that a loop over the sorted grid
-would meet first.  A record is a :class:`Violation` named tuple built
-in C, so a failing report of many pairs stays cheap to build.
+The grid checks are array code.  A rule is called once per grid point (a
+step mechanism through its ``evaluate``), and :func:`verify_mechanism`
+calls it once for both checks.  The incentive check prices each grid
+point's type against a table of the distinct bundles the rule allocates
+on the grid (told apart by their bits), in blocks of grid rows of at most
+``PAIR_BLOCK`` payments or one row; a row's gain against a bundle is its
+gain against every point that holds it.  So its time and memory grow
+with grid × distinct bundles, not with the grid's square, beyond the
+records of the pairs that fail.  Records are listed by truthful
+parameter, then by deviant parameter, and an inadmissible point raises
+the error that a loop over the sorted grid would meet first.  A record
+is a :class:`Violation` named tuple built in C, so a failing report of
+many pairs stays cheap to build.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .domain import Bundle, PreferenceDomain, ZERO_BUNDLE, is_diagonal
+from .domain import (Bundle, PreferenceDomain, TAU_INDIFF, ZERO_BUNDLE,
+                     is_diagonal)
 from .errors import (DomainError, InfeasibleRangeError, ScmechError,
                      TractabilityError)
 from .measure import TypeDistribution, expected_revenue
@@ -123,9 +126,9 @@ def check_strategy_proof(domain: PreferenceDomain, mech_fn: Callable,
                          tol: float = TAU_IC) -> VerificationReport:
     """Flag every grid pair where misreporting beats truth-telling."""
     grid = _sorted_grid(param_grid)
-    _, ts, qs, index = _allocate(mech_fn, grid)
+    _, ts, qs = _allocate(mech_fn, grid)
     return VerificationReport(
-        tuple(_incentive_violations(domain, grid, ts, qs, index, tol)),
+        tuple(_incentive_violations(domain, grid, ts, qs, tol)),
         len(grid), tol)
 
 
@@ -134,7 +137,7 @@ def check_individual_rationality(domain: PreferenceDomain, mech_fn: Callable,
                                  tol: float = TAU_IC) -> VerificationReport:
     """Flag grid points where the buyer would rather walk away."""
     grid = _sorted_grid(param_grid)
-    allocs, ts, qs, _, rejected = _allocate_below(mech_fn, grid)
+    allocs, ts, qs, rejected = _allocate_below(mech_fn, grid)
     # a loop over the grid checks each point's bundle before it asks the
     # rule for the next point's
     violations = _participation_violations(domain, grid[:len(ts)], allocs,
@@ -146,7 +149,7 @@ def check_individual_rationality(domain: PreferenceDomain, mech_fn: Callable,
 
 def check_shape(domain: PreferenceDomain, mech: FiniteMechanism,
                 param_grid: Sequence[float],
-                indiff_tol: float = 1e-9) -> VerificationReport:
+                indiff_tol: float = TAU_INDIFF) -> VerificationReport:
     """Monotonicity on the grid plus indifference at every breakpoint.
 
     Both properties hold for every strategy-proof mechanism; a mechanism
@@ -163,29 +166,20 @@ def _sorted_grid(param_grid) -> np.ndarray:
 
 
 def _allocate(rule, grid) -> tuple:
-    """``(allocations, ts, qs, index)`` of :func:`_allocate_below` on the
-    whole grid; the first point the rule rejects raises its error."""
-    allocs, ts, qs, index, rejected = _allocate_below(rule, grid)
+    """``(allocations, ts, qs)`` of :func:`_allocate_below` on the whole
+    grid; the first point the rule rejects raises its error."""
+    allocs, ts, qs, rejected = _allocate_below(rule, grid)
     if rejected is not None:
         raise rejected
-    return allocs, ts, qs, index
+    return allocs, ts, qs
 
 
 def _allocate_below(rule, grid) -> tuple:
-    """``(allocations, ts, qs, index, rejected)``: the rule's bundles on
-    the grid points below the first one it rejects, their payments and
-    quantities as arrays, the index into its range of each point's bundle,
-    and the error the rule raised at the point it rejects, or None.  A
-    step mechanism is evaluated on the whole grid at once and gives no
-    bundle list; where it rejects a point, its ``evaluate`` runs instead.
-    Any other rule, callables included, is called point by point and gives
-    no index."""
-    if isinstance(rule, FiniteMechanism):
-        try:
-            index, bts, bqs = rule._lookup(grid)
-            return None, bts[index], bqs[index], index, None
-        except DomainError:
-            pass
+    """``(allocations, ts, qs, rejected)``: the rule's bundles on the grid
+    points below the first one it rejects, their payments and quantities
+    as arrays, and the error the rule raised at the point it rejects, or
+    None.  The rule is called point by point: a callable, or the
+    ``evaluate`` of a rule object such as a step mechanism."""
     fn = rule.evaluate if hasattr(rule, "evaluate") else rule
     allocs, rejected = [], None
     try:
@@ -194,30 +188,27 @@ def _allocate_below(rule, grid) -> tuple:
     except ScmechError as exc:  # raised once the points below it are checked
         rejected = exc
     return (allocs, np.array([z[0] for z in allocs]),
-            np.array([z[1] for z in allocs]), None, rejected)
+            np.array([z[1] for z in allocs]), rejected)
 
 
-def _table(ts, qs, index) -> tuple:
+def _table(ts, qs) -> tuple:
     """``(index, bts, bqs)``: each grid point's row in a table of the
     distinct bundles the grid points hold, and the table's payments and
-    quantities as floats.  Bundles are told apart by the step mechanism's
-    ``index`` where it is given, else by the bits of ``(t, q)``, so that
-    ``-0.0`` and ``0.0`` stay two bundles."""
+    quantities as floats.  Bundles are told apart by the bits of
+    ``(t, q)``, so that ``-0.0`` and ``0.0`` stay two bundles."""
     tf, qf = np.asarray(ts, dtype=float), np.asarray(qs, dtype=float)
-    if index is None:
-        seen = {}
-        index = np.array([seen.setdefault(key, len(seen)) for key in zip(
-            tf.view(np.int64).tolist(), qf.view(np.int64).tolist())],
-            dtype=np.intp)
+    seen = {}
+    index = np.array([seen.setdefault(key, len(seen)) for key in zip(
+        tf.view(np.int64).tolist(), qf.view(np.int64).tolist())],
+        dtype=np.intp)
     _, first, index = np.unique(index, return_index=True, return_inverse=True)
     return index, tf[first], qf[first]
 
 
-def _incentive_violations(domain, grid, ts, qs, index, tol) -> list:
+def _incentive_violations(domain, grid, ts, qs, tol) -> list:
     """IC records of every grid pair, in :func:`_sorted` order.  The
     canonical payments are those of each grid point's type against each
-    bundle of the table (:func:`_table`, from :func:`_allocate`'s
-    ``index``), in blocks of rows of at most ``PAIR_BLOCK`` payments, or
+    bundle of the table (:func:`_table`), in blocks of rows of at most ``PAIR_BLOCK`` payments, or
     one row.  A row's gain against a bundle is its gain against every grid
     point that holds the bundle."""
     over = ts > grid + 1e-12
@@ -227,7 +218,7 @@ def _incentive_violations(domain, grid, ts, qs, index, tol) -> list:
             f"mechanism allocates payment {ts[i]} above the bound of "
             f"preference {grid[i]}"
         )
-    index, bts, bqs = _table(ts, qs, index)
+    index, bts, bqs = _table(ts, qs)
     n, m = len(grid), len(bts)
     if m == n:
         # every grid point holds a bundle of its own (the affine rule):
@@ -349,7 +340,7 @@ def certify_step(domain: PreferenceDomain, mech: FiniteMechanism,
       ``1e-12``, as on the grid), and no breakpoint falls below the one
       before it (within ``1e-12``, as in :func:`from_range`).
     * CONT: each breakpoint is indifferent between its two bundles
-      (within ``1e-9``, as :func:`check_shape` checks it).
+      (within ``TAU_INDIFF``, as :func:`check_shape` checks it).
     * IC and IR at the ends of each bundle's allocation interval, clipped
       to ``[lo, hi]``: deviations to the bundles at or above it in both
       coordinates at the right end, and to every other bundle and to
@@ -366,7 +357,8 @@ def certify_step(domain: PreferenceDomain, mech: FiniteMechanism,
       lowest type cannot afford raises :class:`DomainError`, as in
       :func:`check_individual_rationality`.
 
-    The report's ``grid_size`` is the number of distinct types checked.
+    The report's ``grid_size`` is the number of distinct types checked,
+    and its ``tolerance`` the larger of ``tol`` and ``TAU_INDIFF``.
     """
     lo, hi = domain.check_param(lo), domain.check_param(hi)
     if lo > hi:
@@ -377,7 +369,7 @@ def certify_step(domain: PreferenceDomain, mech: FiniteMechanism,
     # between them, and a fall of a breakpoint at the later one
     violations = _monotonicity_violations(np.append(domain.lo, bps), ts, qs)
     violations += _monotonicity_violations(bps, bps, bps)
-    violations += _indifference_violations(domain, mech, 1e-9)
+    violations += _indifference_violations(domain, mech, TAU_INDIFF)
 
     # bundle k goes to the types from the largest of its first k
     # breakpoints (the domain's bottom for k = 0) up to breakpoint k
@@ -395,25 +387,31 @@ def certify_step(domain: PreferenceDomain, mech: FiniteMechanism,
     i, j = np.nonzero(bad)
     violations += _records("IC", types[i].tolist(), starts[j].tolist(),
                            gains[i, j].tolist())
-    # a type where two bundles meet can report the same deviation from both
+    # a type where two bundles meet can report the same deviation from both,
+    # and a report names the largest of its tolerances
     return VerificationReport(_sorted(dict.fromkeys(violations)),
-                              len(np.unique(types)), tol)
+                              len(np.unique(types)), max(tol, TAU_INDIFF))
 
 
 def verify_mechanism(domain: PreferenceDomain, mech, param_grid,
                      tol: float = TAU_IC) -> VerificationReport:
     """Incentives, individual rationality, and (for step mechanisms) shape.
 
-    The rule is evaluated once; the three checks share its allocations.
+    A step mechanism is certified by :func:`certify_step` on the grid's
+    span: the grid's first inadmissible point raises, the report keeps the
+    grid's size, and an empty grid's holds the CONT records alone.  Any
+    other rule is evaluated once, for both grid checks.
     """
     grid = _sorted_grid(param_grid)
-    allocs, ts, qs, index = _allocate(mech, grid)
-    violations = _incentive_violations(domain, grid, ts, qs, index, tol)
-    violations += _participation_violations(domain, grid, allocs, ts, qs, tol)
     if isinstance(mech, FiniteMechanism):
-        violations += _monotonicity_violations(grid, ts, qs)
-        violations += _indifference_violations(domain, mech, 1e-9)
-        tol = max(tol, 1e-9)  # a report names the largest of its tolerances
+        mech.evaluate_many(grid)  # raises at the first inadmissible point
+        report = (certify_step(domain, mech, grid[0], grid[-1], tol)
+                  if len(grid) else check_shape(domain, mech, grid))
+        return VerificationReport(report.violations, len(grid),
+                                  max(tol, TAU_INDIFF))
+    allocs, ts, qs = _allocate(mech, grid)
+    violations = _incentive_violations(domain, grid, ts, qs, tol)
+    violations += _participation_violations(domain, grid, allocs, ts, qs, tol)
     return VerificationReport(_sorted(violations), len(grid), tol)
 
 

@@ -188,7 +188,9 @@ def reference_shape(domain, mech, param_grid, indiff_tol=1e-9):
 
 def reference_verify(domain, mech, param_grid, tol=1e-7):
     """Incentives, participation and, for a step mechanism, shape, each
-    check on its own, merged as reports."""
+    check on its own, merged as reports.  ``verify_mechanism`` gives this
+    report for a rule that is not a step mechanism; a step mechanism it
+    certifies on the grid's span, which fails wherever this fails."""
     step = hasattr(mech, "breakpoints")
     fn = partial(reference_evaluate, mech) if step else mech
     report = reference_strategy_proof(domain, fn, param_grid, tol)

@@ -119,6 +119,30 @@ def test_verify_flags_linear_continuum_rule(tmp_path, capsys):
     assert len(lines) == len(report["violations"]) + 1
 
 
+def test_verify_certifies_a_step_mechanism_between_grid_points(tmp_path,
+                                                               capsys):
+    # indifferent at both breakpoints, but the range falls from (0.5, 0.5)
+    # to (0.2, 0.25): the grid 0.5, 1.25, 2.0 holds no type that gains, and
+    # the certificate of [0.5, 2] finds the types that do
+    path = tmp_path / "mech.json"
+    path.write_text(json.dumps({
+        "domain": {"family": "quasilinear", "params": {"lo": 0.5, "hi": 2.0}},
+        "bundles": [[0.0, 0.0], [0.5, 0.5], [0.2, 0.25]],
+        "breakpoints": [1.0, 1.2]}))
+    csv_path = tmp_path / "report.csv"
+    rc, out, _ = run(capsys, "verify", "--mech", str(path), "--grid", "3",
+                     "--csv", str(csv_path))
+    assert rc == 2
+    report = json.loads(out)
+    assert report["grid_size"] == 3
+    assert [(v["kind"], v["truthful_r"], v["deviant_r"])
+            for v in report["violations"]] == [
+        ("IC", 1.0, 1.2), ("MONO", 1.2, None), ("IC", 2.0, 1.0)]
+    assert [v["gain"] for v in report["violations"]] == pytest.approx(
+        [0.05, 0.3, 0.2])
+    assert len(csv_path.read_text().splitlines()) == 4
+
+
 # SHA-256 of report.json and report.csv as the point-by-point grid checks
 # wrote them, before the checks became array code
 README_MECH = {"domain": {"family": "quasilinear",

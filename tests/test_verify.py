@@ -199,9 +199,8 @@ def test_incentive_check_prices_only_the_bundles_the_grid_holds():
 
 
 def test_incentive_check_reports_a_step_rule_alike_in_every_form():
-    # the teaser fails incentives; as a mechanism its table is its range,
-    # as a callable its distinct allocations, and the grid repeats points,
-    # so a hit against one bundle stands for several deviant points
+    # the teaser fails incentives, and the grid repeats points, so a hit
+    # against one bundle stands for several deviant points
     dom = make_domain("quasilinear", 0.5, 3.0)
     mech = FiniteMechanism(
         dom, (Bundle(1.0, 1.0), ZERO_BUNDLE, Bundle(2.0, 1.0)), (1.0, 2.0))
@@ -247,11 +246,12 @@ def _outcome(check):
 
 
 def assert_certify_agrees(mech, grid):
-    """``certify_step`` on the grid's span and ``verify_mechanism`` on the
-    grid give the same verdict and the same violation kinds."""
+    """``certify_step`` on the grid's span and the point-by-point reference
+    of ``verify_mechanism``'s grid checks give the same verdict and the
+    same violation kinds."""
     dom, grid = mech.domain, np.asarray(grid, dtype=float)
     exact = _outcome(lambda: certify_step(dom, mech, grid[0], grid[-1]))
-    on_grid = _outcome(lambda: verify_mechanism(dom, mech, grid))
+    on_grid = _outcome(lambda: reference_verify(dom, mech, grid))
     assert exact == on_grid, (mech, exact, on_grid)
     return exact
 
@@ -399,16 +399,20 @@ def test_certify_step_checks_the_ends_not_a_grid():
     # indifferent at both breakpoints, but the range falls from (0.5, 0.5)
     # to (0.2, 0.25): the types above 1.2 would rather report into
     # [1, 1.2), and those in (0.8, 1) would rather report above 1.2.  A
-    # grid that steps over both intervals sees nothing
+    # grid that steps over both intervals sees nothing; verify_mechanism
+    # certifies the grid's span, and its report keeps the grid's size
     zs = (ZERO_BUNDLE, Bundle(0.5, 0.5), Bundle(0.2, 0.25))
     bad = FiniteMechanism(QL, zs, (1.0, 1.2))
-    assert verify_mechanism(QL, bad, [0.5, 1.5, 2.0]).ok
-    report = certify_step(QL, bad, 0.5, 2.0)
-    assert [(v.kind, v.truthful_r, v.deviant_r) for v in report.violations] \
-        == [("IC", 1.0, 1.2), ("MONO", 1.2, None), ("IC", 2.0, 1.0)]
-    assert [v.gain for v in report.violations] == pytest.approx(
-        [0.05, 0.3, 0.2])
-    assert report.grid_size == 4  # 0.5, 1.0, 1.2 and 2.0
+    grid = [0.5, 1.5, 2.0]
+    assert reference_verify(QL, bad, grid).ok
+    for report, size in ((certify_step(QL, bad, 0.5, 2.0), 4),
+                         (verify_mechanism(QL, bad, grid), 3)):
+        assert [(v.kind, v.truthful_r, v.deviant_r)
+                for v in report.violations] \
+            == [("IC", 1.0, 1.2), ("MONO", 1.2, None), ("IC", 2.0, 1.0)]
+        assert [v.gain for v in report.violations] == pytest.approx(
+            [0.05, 0.3, 0.2])
+        assert report.grid_size == size  # certify_step: 0.5, 1.0, 1.2, 2.0
 
 
 def test_certify_step_rejects_an_unaffordable_bundle():
@@ -465,6 +469,12 @@ def _report_or_error(check):
         return check().to_dict()
     except ScmechError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def _fails(outcome):
+    """Whether a :func:`_report_or_error` outcome is an error or a failing
+    report."""
+    return isinstance(outcome, str) or not outcome["ok"]
 
 
 # Families whose canonical payment gives the same bits for a float parameter
@@ -569,14 +579,14 @@ def grid_cases(draw):
                [1.0, math.nan]), block=1)
 def test_grid_checks_match_the_reference(case, block):
     dom, rule, grid = case
-    fn = rule.evaluate if isinstance(rule, FiniteMechanism) else rule
+    step = isinstance(rule, FiniteMechanism)
+    fn = rule.evaluate if step else rule
     checks = [(check_strategy_proof, reference_strategy_proof, fn),
               (check_individual_rationality, reference_individual_rationality,
                fn),
-              (verify_mechanism, reference_verify, rule)]
-    if isinstance(rule, FiniteMechanism):
-        checks += [(check_shape, reference_shape, rule),
-                   (verify_mechanism, reference_verify, fn)]
+              (verify_mechanism, reference_verify, fn)]
+    if step:
+        checks.append((check_shape, reference_shape, rule))
     exact = dom.family.name in SAME_BITS_ON_ARRAYS
     with mock.patch.object(verify, "PAIR_BLOCK", block):
         for check, reference, arg in checks:
@@ -584,6 +594,18 @@ def test_grid_checks_match_the_reference(case, block):
                 expected = _report_or_error(lambda: reference(dom, arg, grid))
             assert_same_outcome(_report_or_error(lambda: check(dom, arg, grid)),
                                 expected, exact)
+    if step:
+        # verify_mechanism certifies a step mechanism on the grid's span:
+        # an inadmissible grid raises what the grid checks raise, and what
+        # fails on the grid fails on its span
+        with np.errstate(invalid="ignore"):
+            expected = _report_or_error(lambda: reference_verify(dom, rule,
+                                                                 grid))
+        got = _report_or_error(lambda: verify_mechanism(dom, rule, grid))
+        if not all(math.isfinite(r) and dom.lo <= r <= dom.hi for r in grid):
+            assert got == expected
+        elif _fails(expected):
+            assert _fails(got), (got, expected)
 
 
 # -- brute force ----------------------------------------------------------------
