@@ -439,8 +439,13 @@ def _power_term(r, q):
 def _spliced_power_term(r, q):
     # the power term from the splice quantity on, and below it the line of
     # slope _power_q_slope_label(r) that meets it there
-    q = np.asarray(q, dtype=float)
     qs = POWER_Q_SPLICE
+    if isinstance(r, float) and isinstance(q, float):
+        # one bundle: its own piece only, by the same operations
+        return float(_power_term(r, q) if q >= qs else
+                     _power_q_slope_label(r) * (qs - q) + 1.0
+                     - np.power(qs, r))
+    q = np.asarray(q, dtype=float)
     out = np.where(q >= qs, _power_term(r, q),
                    _power_q_slope_label(r) * (qs - q) + 1.0 - np.power(qs, r))
     return out if out.ndim else float(out)

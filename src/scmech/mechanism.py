@@ -302,7 +302,11 @@ class CountableMechanism:
         ``done(s, z, a, b, end)`` holds, then the limit bundle on the rest,
         or a clamped tail's repeated last bundle.  A switch that cannot be
         computed or falls by more than ``from_range``'s ``1e-12``, or a
-        bundle past ``TAIL_INDEX_CAP``, raises :class:`TractabilityError`."""
+        bundle past ``TAIL_INDEX_CAP``, raises :class:`TractabilityError`.
+        A bundle with a coordinate that moves away from the limit, past
+        the bundle before it, makes the tail malformed and raises
+        :class:`DomainError`; a coordinate that only stalls is a limit of
+        resolution."""
         tail = self.increasing if below else self.decreasing
         if tail is None:
             return
@@ -316,6 +320,12 @@ class CountableMechanism:
             nxt = tail.bundle(n + 1)
             if nxt == z:
                 break  # the line clamped the tail: z is its last bundle
+            lower, upper = (z, nxt) if below else (nxt, z)
+            for name, k in (("payment", 0), ("quantity", 1)):
+                if upper[k] < lower[k]:
+                    move = "falls below" if below else "rises above"
+                    raise DomainError(f"malformed tail at index {n + 1}: its "
+                                      f"{name} {move} index {n}'s")
             try:
                 switch = s * self._switch(below, n)
             except DomainError as exc:

@@ -36,14 +36,20 @@ on the grid (told apart by their bits), in blocks of grid rows of at most
 gain against every point that holds it.  So its time and memory grow
 with grid × distinct bundles, not with the grid's square, beyond the
 records of the pairs that fail.  Records are listed by truthful
-parameter, then by deviant parameter, and an inadmissible point raises
-the error that a loop over the sorted grid would meet first.  A record
-is a :class:`Violation` named tuple built in C, so a failing report of
-many pairs stays cheap to build.
+parameter, then by deviant parameter: on a grid with no repeated point
+one stable argsort of the pairs' row-major indices gives that order,
+and a grid that repeats a point (or holds a NaN) sorts on every key.  An
+inadmissible point raises the error that a loop over the sorted grid
+would meet first.  A record is a :class:`Violation` named tuple built in
+C with the cyclic garbage collector paused.  The pause is process-wide,
+and the collector is left enabled or disabled as it was found, also when
+the build fails.  So a failing report of many pairs costs its records
+and its arithmetic, not repeated collections over them.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 from dataclasses import dataclass
@@ -197,12 +203,10 @@ def _table(ts, qs) -> tuple:
     quantities as floats.  Bundles are told apart by the bits of
     ``(t, q)``, so that ``-0.0`` and ``0.0`` stay two bundles."""
     tf, qf = np.asarray(ts, dtype=float), np.asarray(qs, dtype=float)
-    seen = {}
-    index = np.array([seen.setdefault(key, len(seen)) for key in zip(
-        tf.view(np.int64).tolist(), qf.view(np.int64).tolist())],
-        dtype=np.intp)
-    _, first, index = np.unique(index, return_index=True, return_inverse=True)
-    return index, tf[first], qf[first]
+    bits = np.stack([tf, qf], axis=1).view(np.int64)
+    _, first, index = np.unique(bits, axis=0, return_index=True,
+                                return_inverse=True)
+    return index.reshape(-1), tf[first], qf[first]
 
 
 def _incentive_violations(domain, grid, ts, qs, tol) -> list:
@@ -254,18 +258,34 @@ def _incentive_violations(domain, grid, ts, qs, tol) -> list:
         return []
     i, j, gain = map(np.concatenate, (truth, dev, gains))
     # _sorted's order: by truthful then deviant parameter, and on repeated
-    # grid points by row then column, as the stable sort leaves them
-    order = np.lexsort((j, i, grid[j], grid[i]))
-    r = grid.tolist()  # the records share one float object per grid point
-    return _records("IC", map(r.__getitem__, i[order].tolist()),
-                    map(r.__getitem__, j[order].tolist()), gain[order].tolist())
+    # grid points by row then column, as the stable sort leaves them.  On
+    # a grid that strictly increases that is row-major order, in which
+    # the hits mostly arrive already, and timsort passes such a run once
+    if np.all(grid[1:] > grid[:-1]):
+        order = np.argsort(i * n + j, kind="stable")
+    else:  # a repeated point, or a NaN that sorted() left in place
+        order = np.lexsort((j, i, grid[j], grid[i]))
+    # the records share one float object per grid point, gathered in C
+    r = np.array(grid.tolist(), dtype=object)
+    return _records("IC", r[i[order]].tolist(), r[j[order]].tolist(),
+                    gain[order].tolist())
 
 
 def _records(kind, truth, deviant, gains) -> list:
     """:class:`Violation` records of one kind, built field by field in C:
-    ``tuple.__new__`` skips the named tuple's constructor."""
-    return list(map(tuple.__new__, itertools.repeat(Violation),
-                    zip(itertools.repeat(kind), truth, deviant, gains)))
+    ``tuple.__new__`` skips the named tuple's constructor.  The cyclic
+    garbage collector is paused meanwhile and left as it was found: CPython
+    never untracks a tuple subclass, so each collection would walk every
+    record built so far, and these records, acyclic and immutable, give it
+    nothing to free."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return list(map(tuple.__new__, itertools.repeat(Violation),
+                        zip(itertools.repeat(kind), truth, deviant, gains)))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _gains(domain, types, own, ts, qs) -> np.ndarray:

@@ -233,6 +233,26 @@ def test_power_q_rounds_a_float_parameter_as_an_array():
             assert same_bits(f(rs, 0.5, q), floats)
 
 
+def test_power_q_term_of_one_bundle_matches_the_array_path():
+    # a float (r, q) evaluates only its own piece; each value keeps the
+    # bits of the array path's np.where, also at the splice and beside it
+    from scmech.domain import POWER_Q_SPLICE, _spliced_power_term as term
+
+    s = POWER_Q_SPLICE
+    qs = [0.0, 1.0, s, math.nextafter(s, 0.0), math.nextafter(s, 1.0)]
+    rs = [0.25, 0.3, 1 / 3]
+    rng = np.random.default_rng(11)
+    pairs = [(r, q) for r in rs for q in qs] + list(zip(
+        rng.uniform(0.25, 1 / 3, 2000).tolist(),
+        rng.uniform(0.0, 1.0, 2000).tolist()))
+    floats = [term(r, q) for r, q in pairs]
+    assert all(type(v) is float for v in floats)
+    r_arr, q_arr = np.array(pairs).T
+    assert same_bits(term(r_arr, q_arr), floats)
+    for r in rs:  # a float parameter against an array of quantities
+        assert same_bits(term(r, np.array(qs)), [term(r, q) for q in qs])
+
+
 def test_income_effect_payment_increments_shrink():
     # two chords of one preference: the increment needed to move to the
     # higher quantity falls as the starting payment rises

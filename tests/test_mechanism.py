@@ -410,10 +410,36 @@ def test_truncation_and_revenue_stop_at_a_switch_that_fails():
     cm = CountableMechanism(QL, Bundle(0.5, 0.8),
                             increasing=TailRule(rising, start=3), limit_lo=1.25)
     dist = measure.uniform(0.3, 2.5)
-    with pytest.raises(TractabilityError, match="^eps=0.001 .* tail index 4 fails"):
+    # a malformed tail, not a limit of the tail's resolution
+    reason = "malformed tail at index 5: its payment falls below index 4's"
+    with pytest.raises(DomainError) as info:
         epsilon_truncate(cm, 1e-3, dist)
-    with pytest.raises(TractabilityError, match="^its .* tail index 4 fails"):
+    assert str(info.value) == reason
+    with pytest.raises(DomainError) as info:
         list(cm.revenue_segments(dist))
+    assert str(info.value) == reason
+    # the same above the limit, where bundle 5's payment rises
+    def falling(n):
+        return Bundle(0.9 if n == 5 else 0.5 + 0.2 / n, 0.8 + 0.1 / n)
+
+    above = CountableMechanism(QL, Bundle(0.5, 0.8),
+                               decreasing=TailRule(falling, start=3),
+                               limit_hi=1.25)
+    with pytest.raises(DomainError) as info:
+        list(above.revenue_segments(dist))
+    assert str(info.value) == ("malformed tail at index 5: its payment "
+                               "rises above index 4's")
+    # a quantity that only stalls leaves the switch to fail, a limit of
+    # resolution
+    def stalling(n):
+        return Bundle(0.5 + 0.2 / n, 1.0)
+
+    above = CountableMechanism(QL, Bundle(0.5, 0.8),
+                               decreasing=TailRule(stalling, start=3),
+                               limit_hi=1.25)
+    with pytest.raises(TractabilityError, match="^its switching parameter "
+                       "at tail index 3 fails: bundles must satisfy a < b"):
+        list(above.revenue_segments(dist))
 
 
 def test_tail_index_cap_bounds_every_walk(monkeypatch):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import math
@@ -214,6 +215,39 @@ def test_incentive_check_reports_a_step_rule_alike_in_every_form():
     assert_same_outcome(report.to_dict(),
                         reference_strategy_proof(dom, mech.evaluate,
                                                  grid).to_dict(), True)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_records_leave_the_collector_as_they_found_it(enabled):
+    def failing():
+        yield 1.0
+        raise RuntimeError("input failed")
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        records = verify._records("IR", [1.0, 2.0], itertools.repeat(None),
+                                  [0.5, 0.25])
+        assert records == [("IR", 1.0, None, 0.5), ("IR", 2.0, None, 0.25)]
+        assert all(type(v) is verify.Violation for v in records)
+        assert gc.isenabled() == enabled
+        with pytest.raises(RuntimeError, match="input failed"):
+            verify._records("IC", failing(), [2.0, 3.0], [0.5, 0.5])
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_failing_report_runs_at_most_one_collection():
+    # the affine rule's 124,750 records are built with the collector
+    # paused; one young collection may follow, and none of the oldest
+    grid = np.linspace(1.0, 2.0, 500)
+    gc.collect()
+    before = [s["collections"] for s in gc.get_stats()]
+    report = check_strategy_proof(QL12, linear_continuum_mech, grid)
+    runs = [s["collections"] - b for s, b in zip(gc.get_stats(), before)]
+    assert len(report.violations) == 500 * 499 // 2
+    assert runs[2] == 0 and sum(runs) <= 1, runs
 
 
 def test_report_ordering_is_deterministic():
@@ -577,6 +611,17 @@ def grid_cases(draw):
                                (Bundle(2.0, 0.0), ZERO_BUNDLE, ZERO_BUNDLE),
                                (2.0, 1.0)),
                [1.0, math.nan]), block=1)
+# the record order from a sort of every key: a grid that repeats points
+@example(case=(QL12, _affine(-1 / 3, 1 / 3, -1.0, 1.0),
+               [1.5, 1.0, 2.0, 1.5, 1.25, 1.0, 2.0]), block=5)
+# from one sort of rows and columns: fewer bundles than points, each hit
+# standing for its bundle's holders
+@example(case=(QL, FiniteMechanism(QL, (Bundle(0.5, 1.0), ZERO_BUNDLE,
+                                        Bundle(0.2, 0.5)), (1.0, 2.0)),
+               np.linspace(0.3, 3.0, 13).tolist()), block=5)
+# and a bundle for every point
+@example(case=(QL12, _affine(-1 / 3, 1 / 3, -1.0, 1.0),
+               np.linspace(1.0, 2.0, 9).tolist()), block=verify.PAIR_BLOCK)
 def test_grid_checks_match_the_reference(case, block):
     dom, rule, grid = case
     step = isinstance(rule, FiniteMechanism)
