@@ -786,10 +786,12 @@ def validate_single_crossing(
     indifference curves through the anchor are traced over the quantity
     grid.  A pair is reported when the curves meet at two or more grid
     locations, or when they touch tangentially (equal slopes without a
-    transversal crossing) at the anchor.
+    transversal crossing) at the anchor.  A parameter outside the domain
+    raises :class:`DomainError`; an anchor a restricted type cannot afford
+    is skipped for the pairs holding that type.
     """
     anchors = [check_bundle(z) for z in bundle_grid]
-    params = sorted(float(r) for r in param_grid)
+    params = sorted(domain.check_param(r) for r in param_grid)
     if not anchors or not params:
         raise DomainError("grids must be nonempty")
     if q_grid is None:
@@ -812,7 +814,7 @@ def _check_pair(domain, r1, r2, anchor, q_grid, touch_tol, slope_tol):
         c1 = domain.canonical_payment(r1, anchor)
         c2 = domain.canonical_payment(r2, anchor)
     except DomainError:
-        return None  # anchor inadmissible for this pair
+        return None  # a restricted type cannot afford the anchor
     qs = np.unique(np.append(q_grid, anchor.q))
     with np.errstate(invalid="ignore"):
         t_on_1 = np.asarray(domain.curve_payment(r1, c1, qs), dtype=float)

@@ -162,6 +162,9 @@ def truncated_exponential(rate: float, lo: float, hi: float) -> TypeDistribution
         raise DomainError("truncated exponential needs finite rate > 0 and "
                           f"finite lo < hi, got ({rate}, {lo}, {hi})")
     z = 1.0 - math.exp(-rate * (hi - lo))
+    if z == 0.0:  # the CDF would divide by zero
+        raise DomainError(f"truncated exponential rate {rate} is too small for "
+                          f"the support [{lo}, {hi}]: its mass rounds to 0")
     return TypeDistribution(
         "truncated_exponential", {"rate": rate, "lo": lo, "hi": hi}, lo, hi,
         lambda x: (1.0 - np.exp(-rate * (x - lo))) / z,

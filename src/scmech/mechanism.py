@@ -23,8 +23,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .domain import (Bundle, Ordering, PreferenceDomain, TAU_INDIFF,
-                     check_bundle, is_diagonal)
+from .domain import (Bundle, PreferenceDomain, TAU_INDIFF, check_bundle,
+                     is_diagonal)
 from .errors import DomainError, InfeasibleRangeError, TractabilityError
 
 TAIL_INDEX_CAP = 10**6
@@ -92,18 +92,13 @@ class FiniteMechanism:
                 yield lo, hi, z
 
     def is_well_formed(self, tol: float = TAU_INDIFF) -> bool:
-        """Ordered diagonal range with nondecreasing, indifferent breakpoints."""
-        for a, b in zip(self.bundles, self.bundles[1:]):
-            if not is_diagonal(a, b):
-                return False
-        for r1, r2 in zip(self.breakpoints, self.breakpoints[1:]):
-            if r2 < r1 - tol:
-                return False
-        for k, bp in enumerate(self.breakpoints):
-            if self.domain.prefers(bp, self.bundles[k], self.bundles[k + 1],
-                                   tol=tol) is not Ordering.INDIFFERENT:
-                return False
-        return True
+        """Strictly diagonal range whose shape passes
+        :func:`~scmech.verify.check_shape` at ``tol``: nondecreasing
+        breakpoints, each indifferent between its two bundles."""
+        from .verify import _shape_violations
+
+        return (all(map(is_diagonal, self.bundles, self.bundles[1:]))
+                and not _shape_violations(self.domain, self, tol))
 
     def to_dict(self) -> dict:
         return {

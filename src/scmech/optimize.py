@@ -1072,8 +1072,10 @@ def stationarity_residuals(dist: TypeDistribution, mech: FiniteMechanism,
         (1 - cdf(theta_k)) * dq_k  -  pdf(theta_k) * drev_k
 
     where ``drev_k`` is the step in the revenue measure (payment, or
-    expected payment) across the breakpoint.  At an exact maximizer every
-    residual is zero.
+    expected payment) across the breakpoint.  Only for the separable,
+    posted-price program (quasilinear) is every residual zero at an exact
+    maximizer; other programs have other conditions (at ``max_bundles=4``
+    on U[0.1, 1] income_effect in payments reads -0.107, -0.127, 0.217).
     """
     res = []
     prev = mech.bundles[0]

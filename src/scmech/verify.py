@@ -10,11 +10,12 @@ a bundle its type cannot afford raises :class:`DomainError`.
 interval.  On a single-crossing domain a deviation that pays off for some
 type of a bundle's interval pays off at one of its two ends, so the
 incentive and participation checks run at the ends of each interval only,
-against every bundle of the range; monotonicity and indifference at the
-breakpoints are checked as well.  It builds its records with the grid
-checks' helpers below.  :func:`~scmech.optimize.solve_finite` gates its
-result on it, and :func:`verify_mechanism` certifies a step mechanism with
-it on the span of the grid it is given.
+against every bundle of the range; monotonicity and indifference are
+read off the range and the breakpoints, as :func:`check_shape` reports
+them.  It builds its records with the grid checks' helpers below.
+:func:`~scmech.optimize.solve_finite` gates its result on it, and
+:func:`verify_mechanism` certifies a step mechanism with it on the span of
+the grid it is given.
 
 The grid checks (:func:`check_strategy_proof`,
 :func:`check_individual_rationality`, and :func:`verify_mechanism` for
@@ -156,14 +157,15 @@ def check_individual_rationality(domain: PreferenceDomain, mech_fn: Callable,
 def check_shape(domain: PreferenceDomain, mech: FiniteMechanism,
                 param_grid: Sequence[float],
                 indiff_tol: float = TAU_INDIFF) -> VerificationReport:
-    """Monotonicity on the grid plus indifference at every breakpoint.
+    """Monotonicity and indifference of a step mechanism, for every type:
+    :func:`certify_step`'s MONO and CONT records, at ``indiff_tol``.
 
-    Both properties hold for every strategy-proof mechanism; a mechanism
-    passing the incentive grid check passes this one.
+    Both hold for every strategy-proof mechanism.  The grid only sets the
+    report's ``grid_size``, and its first inadmissible point raises.
     """
     grid = _sorted_grid(param_grid)
-    violations = _monotonicity_violations(grid, *mech.evaluate_many(grid))
-    violations += _indifference_violations(domain, mech, indiff_tol)
+    mech.evaluate_many(grid)  # raises at the first inadmissible point
+    violations = _shape_violations(domain, mech, indiff_tol)
     return VerificationReport(_sorted(violations), len(grid), indiff_tol)
 
 
@@ -324,30 +326,26 @@ def _participation_violations(domain, grid, allocs, ts, qs, tol) -> list:
                     gains[k].tolist())
 
 
-def _monotonicity_violations(grid, ts, qs) -> list:
-    """MONO records where a coordinate falls between neighboring points."""
-    drop = np.maximum(ts[:-1] - ts[1:], qs[:-1] - qs[1:])
-    k = np.nonzero(drop > 1e-12)[0]
-    return _records("MONO", grid[k + 1].tolist(), itertools.repeat(None),
-                    drop[k].tolist())
-
-
-def _indifference_violations(domain, mech, indiff_tol) -> list:
-    """CONT: each breakpoint is indifferent between the two bundles it
-    separates, within ``indiff_tol`` in canonical payment; a bundle the
-    breakpoint cannot afford counts as an infinite gap."""
-    violations = []
-    for k, bp in enumerate(mech.breakpoints):
-        lo_z, hi_z = mech.bundles[k], mech.bundles[k + 1]
+def _shape_violations(domain, mech, indiff_tol) -> list:
+    """MONO where a coordinate falls from a bundle to the next, at the
+    breakpoint between them, or a breakpoint falls below the one before it,
+    at the later one (within ``1e-12``, as in :func:`from_range`).  CONT
+    where a breakpoint's two bundles differ by more than ``indiff_tol`` in
+    canonical payment; a bundle it cannot afford is an infinite gap."""
+    zs, bps = mech.bundles, mech.breakpoints
+    drops = [(bp, max(a.t - b.t, a.q - b.q))
+             for bp, a, b in zip(bps, zs, zs[1:])]
+    drops += [(bp, a - bp) for a, bp in zip(bps, bps[1:])]
+    violations = [Violation("MONO", bp, None, drop) for bp, drop in drops
+                  if drop > 1e-12]
+    for bp, lo_z, hi_z in zip(bps, zs, zs[1:]):
         try:
-            f_lo = domain.canonical_payment(bp, lo_z)
-            f_hi = domain.canonical_payment(bp, hi_z)
+            gap = abs(domain.canonical_payment(bp, lo_z)
+                      - domain.canonical_payment(bp, hi_z))
         except DomainError:
-            violations.append(Violation("CONT", float(bp), None, math.inf))
-            continue
-        gap = abs(f_lo - f_hi)
+            gap = math.inf
         if gap > indiff_tol:
-            violations.append(Violation("CONT", float(bp), None, float(gap)))
+            violations.append(Violation("CONT", bp, None, gap))
     return violations
 
 
@@ -356,11 +354,10 @@ def certify_step(domain: PreferenceDomain, mech: FiniteMechanism,
                  tol: float = TAU_IC) -> VerificationReport:
     """Certify a step mechanism for every type in ``[lo, hi]``, exactly.
 
-    * MONO: no coordinate falls from a bundle to the next (within
-      ``1e-12``, as on the grid), and no breakpoint falls below the one
-      before it (within ``1e-12``, as in :func:`from_range`).
-    * CONT: each breakpoint is indifferent between its two bundles
-      (within ``TAU_INDIFF``, as :func:`check_shape` checks it).
+    * MONO and CONT, as :func:`check_shape` reports them at
+      ``TAU_INDIFF``: no coordinate falls from a bundle to the next and
+      no breakpoint falls below the one before it (within ``1e-12``), and
+      each breakpoint is indifferent between its two bundles.
     * IC and IR at the ends of each bundle's allocation interval, clipped
       to ``[lo, hi]``: deviations to the bundles at or above it in both
       coordinates at the right end, and to every other bundle and to
@@ -385,11 +382,7 @@ def certify_step(domain: PreferenceDomain, mech: FiniteMechanism,
         raise DomainError(f"empty type interval [{lo}, {hi}]")
     bps = np.array(mech.breakpoints, dtype=float)
     ts, qs = np.array(mech.bundles, dtype=float).T
-    # a fall from each bundle to the next is recorded at the breakpoint
-    # between them, and a fall of a breakpoint at the later one
-    violations = _monotonicity_violations(np.append(domain.lo, bps), ts, qs)
-    violations += _monotonicity_violations(bps, bps, bps)
-    violations += _indifference_violations(domain, mech, TAU_INDIFF)
+    violations = _shape_violations(domain, mech, TAU_INDIFF)
 
     # bundle k goes to the types from the largest of its first k
     # breakpoints (the domain's bottom for k = 0) up to breakpoint k
@@ -419,8 +412,8 @@ def verify_mechanism(domain: PreferenceDomain, mech, param_grid,
 
     A step mechanism is certified by :func:`certify_step` on the grid's
     span: the grid's first inadmissible point raises, the report keeps the
-    grid's size, and an empty grid's holds the CONT records alone.  Any
-    other rule is evaluated once, for both grid checks.
+    grid's size, and an empty grid's holds :func:`check_shape`'s records
+    alone.  Any other rule is evaluated once, for both grid checks.
     """
     grid = _sorted_grid(param_grid)
     if isinstance(mech, FiniteMechanism):

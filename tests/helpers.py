@@ -1,6 +1,7 @@
 """Shared test utilities: random feasible ranges, verification grids, the
 closed-form oracle for the epsilon-truncation instance, a registered
-cubic family and a point-by-point reference for the grid checks."""
+cubic family, a point-by-point reference for the grid checks and a loop
+over a step mechanism's range for its shape."""
 
 import math
 from functools import partial
@@ -163,6 +164,9 @@ def reference_individual_rationality(domain, mech_fn, param_grid, tol=1e-7):
 
 
 def reference_shape(domain, mech, param_grid, indiff_tol=1e-9):
+    """Monotonicity read off the grid, as ``check_shape`` once did: a fall
+    between neighboring grid points' bundles.  It misses a fall between
+    grid points, so ``check_shape`` fails wherever this finds a MONO."""
     grid = sorted(float(r) for r in param_grid)
     violations = []
     prev = None
@@ -173,6 +177,33 @@ def reference_shape(domain, mech, param_grid, indiff_tol=1e-9):
             if drop > 1e-12:
                 violations.append(Violation("MONO", r, None, float(drop)))
         prev = z
+    violations += _reference_indifference(domain, mech, indiff_tol)
+    return VerificationReport(_sorted(violations), len(grid), indiff_tol)
+
+
+def reference_step_shape(domain, mech, param_grid, indiff_tol=1e-9):
+    """``check_shape``'s report: the grid's points are only evaluated, so
+    that the first inadmissible one raises, and the shape is read off the
+    range and the breakpoints, a loop over consecutive bundles, then one
+    over consecutive breakpoints."""
+    grid = sorted(float(r) for r in param_grid)
+    for r in grid:
+        reference_evaluate(mech, r)
+    zs, bps = mech.bundles, mech.breakpoints
+    violations = []
+    for k, bp in enumerate(bps):
+        drop = max(zs[k].t - zs[k + 1].t, zs[k].q - zs[k + 1].q)
+        if drop > 1e-12:
+            violations.append(Violation("MONO", bp, None, drop))
+    for prev, bp in zip(bps, bps[1:]):
+        if prev - bp > 1e-12:
+            violations.append(Violation("MONO", bp, None, prev - bp))
+    violations += _reference_indifference(domain, mech, indiff_tol)
+    return VerificationReport(_sorted(violations), len(grid), indiff_tol)
+
+
+def _reference_indifference(domain, mech, indiff_tol):
+    violations = []
     for k, bp in enumerate(mech.breakpoints):
         lo_z, hi_z = mech.bundles[k], mech.bundles[k + 1]
         try:
@@ -183,7 +214,7 @@ def reference_shape(domain, mech, param_grid, indiff_tol=1e-9):
             continue
         if gap > indiff_tol:
             violations.append(Violation("CONT", float(bp), None, float(gap)))
-    return VerificationReport(_sorted(violations), len(grid), indiff_tol)
+    return violations
 
 
 def reference_verify(domain, mech, param_grid, tol=1e-7):

@@ -227,6 +227,19 @@ def test_validate_domain_exit_codes(capsys):
     assert json.loads(out)["tangency_witnesses"]
 
 
+@pytest.mark.parametrize("params", ["3,4", "0.3333333333333333,nan"],
+                         ids=["outside", "nan"])
+def test_validate_domain_parameter_outside_the_domain_is_domain_error(
+        capsys, params):
+    rc, out, err = run(capsys, "validate-domain", "--domain",
+                       "power_q_raw:0.05,0.95", "--params", params,
+                       "--anchor-t", "1.0", "--anchor-q", "0.125,0.5")
+    assert rc == 1
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err)["error"] == "DomainError"
+
+
 def test_hyphenated_revenue_mode_accepted(tmp_path, capsys):
     mech = tmp_path / "mech.json"
     run(capsys, "optimize", "--domain", "myerson", "--dist", "uniform:0,1",
@@ -341,6 +354,7 @@ MECH = {"domain": QL_SPEC, "bundles": [[0, 0], [0.5, 1]], "breakpoints": [0.5]}
     ({"m.json": MECH}, ["revenue", "--mech", "m.json", "--dist", "beta:nan,2"]),
     ({"m.json": MECH}, ["revenue", "--mech", "m.json", "--dist", "beta:inf,2"]),
     ({"m.json": MECH}, ["revenue", "--mech", "m.json", "--dist", "texp:inf,0,1"]),
+    ({}, ["optimize", "--domain", "quasilinear", "--dist", "texp:1e-17,0,1"]),
     ({"m.json": MECH}, ["revenue", "--mech", "m.json", "--dist", "uniform:0,inf"]),
     ({}, [*TRUNCATE, "--line", LINE, "--seq", SEQ, "--eps", "inf"]),
     ({}, [*TRUNCATE, "--line", LINE, "--seq", SEQ, "--eps", "nan"]),
@@ -360,7 +374,7 @@ MECH = {"domain": QL_SPEC, "bundles": [[0, 0], [0.5, 1]], "breakpoints": [0.5]}
         "seq-start-nan", "seq-start-fraction", "grid-negative", "grid-zero",
         "param-count-negative", "q-count-negative", "q-count-zero",
         "q-lo-above-one", "q-lo-nan", "dist-beta-nan", "dist-beta-inf",
-        "dist-texp-inf", "dist-uniform-inf", "eps-inf", "eps-nan",
+        "dist-texp-inf", "dist-texp-tiny-rate", "dist-uniform-inf", "eps-inf", "eps-nan",
         "params-empty", "anchor-t-empty", "anchor-q-empty",
         "dist-uniform-reversed", "config-list", "config-not-object",
         "config-unknown-key", "argv-not-an-int", "argv-missing-option",

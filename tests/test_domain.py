@@ -436,6 +436,27 @@ def test_validator_empty_grid_rejected():
         validate_single_crossing(QL, [], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("params, bad", [([3.0, 4.0], "3.0"),
+                                         ([1 / 3, math.nan], "nan")],
+                         ids=["outside", "nan"])
+def test_validator_rejects_a_parameter_it_cannot_check(params, bad):
+    # a parameter outside the domain interval is an error, not a pair that
+    # passes unchecked
+    raw = make_domain("power_q_raw", 0.05, 0.95)
+    with pytest.raises(DomainError, match=f"parameter {bad} outside"):
+        validate_single_crossing(raw, [Bundle(1.0, 0.125), Bundle(1.0, 0.5)],
+                                 params)
+
+
+def test_validator_skips_an_anchor_a_restricted_type_cannot_afford():
+    # (2, 0.5) is out of reach of the types 0.5 and 1, so only the pairs
+    # with 3.0 compare curves through it
+    report = validate_single_crossing(make_domain("myerson"),
+                                      [Bundle(2.0, 0.5), Bundle(0.2, 0.5)],
+                                      [0.5, 1.0, 3.0])
+    assert report.ok and report.n_params == 3
+
+
 # -- registry extension point ----------------------------------------------------
 
 def test_registering_a_new_family_plugs_into_everything():

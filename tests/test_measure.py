@@ -275,6 +275,20 @@ def test_non_finite_parameters_rejected(make, args):
         make(*args)
 
 
+@pytest.mark.parametrize("rate, lo, hi", [(1e-17, 0.0, 1.0),
+                                          (1e-300, 2.0, 3.0),
+                                          (1.0, 0.0, 1e-17)])
+def test_truncated_exponential_needs_a_normalizer_above_zero(rate, lo, hi):
+    # 1 - exp(-rate * (hi - lo)) rounds to 0: the CDF would be NaN and the
+    # density infinite
+    with pytest.raises(DomainError, match=f"rate {rate} is too small for "
+                                          rf"the support \[{lo}, {hi}\]"):
+        measure.truncated_exponential(rate, lo, hi)
+    # the smallest normalizer above 0 still builds, and its CDF reaches 1
+    dist = measure.truncated_exponential(1.2e-16, 0.0, 1.0)
+    assert dist.cdf(0.0) == 0.0 and dist.cdf(1.0) == 1.0
+
+
 @pytest.mark.parametrize("points", [
     [[0.0, 0.0], [math.inf, 1.0]],
     [[-math.inf, 0.0], [1.0, 1.0]],

@@ -170,6 +170,19 @@ def test_monotone_evaluation_and_breakpoint_indifference():
         assert mech.is_well_formed()
 
 
+def test_well_formed_is_the_shape_verdict():
+    # a breakpoint at 1 cannot afford (2, 0.5): check_shape reports an
+    # infinite CONT gap there, and the range is not well formed
+    my = make_domain("myerson")
+    mech = FiniteMechanism(my, (ZERO_BUNDLE, Bundle(2.0, 0.5)), (1.0,))
+    assert not mech.is_well_formed()
+    # breakpoints that fall fail within 1e-12, as in from_range, whatever
+    # the indifference tolerance
+    mech = from_range(QL, [ZERO_BUNDLE, Bundle(1.0, 0.5), Bundle(3.0, 1.0)])
+    assert not FiniteMechanism(QL, mech.bundles,
+                               mech.breakpoints[::-1]).is_well_formed(tol=10.0)
+
+
 # -- serialization -------------------------------------------------------------
 
 def test_mechanism_json_round_trip_is_bit_exact():

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (FACTORY_FAMILIES, cubic_domain, grid_around,
                      random_feasible_range, reference_individual_rationality,
-                     reference_shape, reference_strategy_proof,
-                     reference_verify)
+                     reference_shape, reference_step_shape,
+                     reference_strategy_proof, reference_verify)
 from scmech import measure, serialize, verify
 from scmech.domain import Bundle, PreferenceDomain, ZERO_BUNDLE, make_domain
 from scmech.errors import DomainError, ScmechError, TractabilityError
@@ -23,6 +23,10 @@ from scmech.verify import (brute_force_optimal, certify_step,
 
 QL = make_domain("quasilinear")
 QL12 = make_domain("quasilinear", 1.0, 2.0)
+# a range that falls from (0.5, 0.5) to (0.2, 0.25) at 1.2, indifferent at
+# both breakpoints
+FALLS_BETWEEN = FiniteMechanism(QL, (ZERO_BUNDLE, Bundle(0.5, 0.5),
+                                     Bundle(0.2, 0.25)), (1.0, 1.2))
 
 
 def linear_continuum_mech(r):
@@ -622,6 +626,11 @@ def grid_cases(draw):
 # and a bundle for every point
 @example(case=(QL12, _affine(-1 / 3, 1 / 3, -1.0, 1.0),
                np.linspace(1.0, 2.0, 9).tolist()), block=verify.PAIR_BLOCK)
+# a range that falls between grid points, indifferent at both breakpoints:
+# the grid sees no fall, the range's shape does
+@example(case=(QL, FALLS_BETWEEN, [0.5, 1.5, 2.0]), block=verify.PAIR_BLOCK)
+# and an empty grid, which certifies no type but still reads the shape
+@example(case=(QL, FALLS_BETWEEN, []), block=verify.PAIR_BLOCK)
 def test_grid_checks_match_the_reference(case, block):
     dom, rule, grid = case
     step = isinstance(rule, FiniteMechanism)
@@ -631,7 +640,7 @@ def test_grid_checks_match_the_reference(case, block):
                fn),
               (verify_mechanism, reference_verify, fn)]
     if step:
-        checks.append((check_shape, reference_shape, rule))
+        checks.append((check_shape, reference_step_shape, rule))
     exact = dom.family.name in SAME_BITS_ON_ARRAYS
     with mock.patch.object(verify, "PAIR_BLOCK", block):
         for check, reference, arg in checks:
@@ -649,8 +658,21 @@ def test_grid_checks_match_the_reference(case, block):
         got = _report_or_error(lambda: verify_mechanism(dom, rule, grid))
         if not all(math.isfinite(r) and dom.lo <= r <= dom.hi for r in grid):
             assert got == expected
-        elif _fails(expected):
+            return
+        if _fails(expected):
             assert _fails(got), (got, expected)
+        # its shape records are check_shape's, and a fall the grid sees is
+        # a fall of the range
+        with np.errstate(invalid="ignore"):
+            shape = reference_step_shape(dom, rule, grid).violations
+            on_grid = reference_shape(dom, rule, grid).violations
+        if not isinstance(got, str):
+            assert ({repr(v) for v in got["violations"]
+                     if v["kind"] in ("MONO", "CONT")}
+                    == {repr(v.to_dict()) for v in shape})
+        if any(v.kind == "MONO" for v in on_grid):
+            assert any(v.kind == "MONO"
+                       for v in check_shape(dom, rule, grid).violations)
 
 
 # -- brute force ----------------------------------------------------------------
