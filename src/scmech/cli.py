@@ -1,8 +1,10 @@
 """Config-driven command line front end.
 
 Subcommands read compact specs (``--domain quasilinear --dist uniform:0,1``)
-or JSON files, write JSON/CSV artifacts with deterministic byte layout, and
-signal outcomes through the exit code:
+or JSON spec files, a compact spec being shorthand for its JSON spec (see
+:mod:`scmech.serialize`); ``optimize`` gives a domain spec without bounds
+the distribution's support.  They write JSON/CSV artifacts with
+deterministic byte layout and signal outcomes through the exit code:
 
 * 0 - success
 * 1 - bad input (a machine-readable error record goes to stderr)
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import measure, multibuyer, serialize
 from .domain import Bundle, PreferenceDomain, validate_single_crossing
-from .errors import DomainError, ScmechError, SpecParseError
+from .errors import ScmechError, SpecParseError
 from .mechanism import (AnchorLine, FiniteMechanism, ParamSequence,
                         constant_sequence, countable_geometric,
                         epsilon_truncate, harmonic_sequence)
@@ -48,12 +50,7 @@ def _floats(text: str, count: int | None = None) -> list[float]:
 
 
 def _config_value(key: str, action: argparse.Action, value):
-    """A config value converted as if typed after the option's flag; a
-    switch such as ``--closed-form`` takes true or false."""
-    if action.nargs == 0:
-        if not isinstance(value, bool):
-            raise SpecParseError(f"config key {key!r} must be true or false")
-        return value
+    """A config value converted as if typed after the option's flag."""
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise SpecParseError(f"config key {key!r} must be a string or a number")
     text = value if isinstance(value, str) else json.dumps(value)
@@ -139,10 +136,10 @@ def _load_mechanism(path: str):
     )
 
 
-def _linspace(lo: float, hi: float, n: int):
-    """``n`` evenly spaced points; a count below 1 is bad input."""
-    if n < 1:
-        raise SpecParseError(f"a grid needs at least 1 point, got {n}")
+def _linspace(lo: float, hi: float, n: int, least: int = 1):
+    """``n`` evenly spaced points; a count below ``least`` is bad input."""
+    if n < least:
+        raise SpecParseError(f"a grid needs at least {least} points, got {n}")
     return np.linspace(lo, hi, n)
 
 
@@ -160,20 +157,10 @@ def _grid(domain: PreferenceDomain, n: int):
 
 def _cmd_optimize(ns) -> int:
     dist = serialize.parse_dist_spec(ns.dist)
-    domain = serialize.parse_domain_spec(ns.domain)
-    if ":" not in ns.domain and not ns.domain.endswith(".json"):
-        # bare family name: align the parameter interval with the support
-        domain = PreferenceDomain(domain.family, dist.lo, dist.hi)
+    # a domain spec that gives no bounds takes the support's
+    domain = serialize.parse_domain_spec(ns.domain, (dist.lo, dist.hi))
     opts = OptimizeOptions(max_bundles=ns.max_bundles, seed=ns.seed)
-    mode = ns.revenue_mode
-    if ns.closed_form:
-        modes = domain.family.posted_price_modes
-        if not modes:
-            raise DomainError(
-                f"family {domain.family.name!r} has no posted-price optimum; "
-                "--closed-form needs quasilinear, sqrt_quasilinear or myerson")
-        mode = mode if mode in modes else modes[0]
-    sol = solve_finite(domain, dist, opts, mode=mode)
+    sol = solve_finite(domain, dist, opts, mode=ns.revenue_mode)
     if ns.out:
         serialize.dump_file(sol.mechanism.to_dict(), ns.out)
     _emit(sol.summary(), ns.summary)
@@ -250,7 +237,7 @@ def _cmd_validate_domain(ns) -> int:
                for t in _floats(ns.anchor_t) for q in _floats(ns.anchor_q)]
     if not 0.0 <= ns.q_lo < 1.0:
         raise SpecParseError(f"--q-lo must lie in [0, 1), got {ns.q_lo}")
-    q_grid = _linspace(ns.q_lo, 1.0, ns.q_count)
+    q_grid = _linspace(ns.q_lo, 1.0, ns.q_count, least=2)
     report = validate_single_crossing(domain, anchors, params, q_grid=q_grid)
     _emit(report.to_dict(), ns.out)
     return 0 if report.ok else 2
@@ -283,10 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted and unused: the solver draws no random start")
     p.add_argument("--revenue-mode", type=_mode, choices=("payment", "expected_payment"),
                    default="payment")
-    p.add_argument("--closed-form", action="store_true",
-                   help="require the exact posted-price optimum (quasilinear "
-                        "and sqrt_quasilinear in either mode, myerson in "
-                        "expected payments)")
     p.add_argument("--out", help="mechanism JSON path")
     p.add_argument("--summary", help="summary JSON path (default: stdout)")
     common(p)

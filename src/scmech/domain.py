@@ -673,7 +673,11 @@ class PreferenceDomain:
         }
 
     @classmethod
-    def from_spec(cls, spec: dict) -> "PreferenceDomain":
+    def from_spec(cls, spec: dict, bounds=None) -> "PreferenceDomain":
+        """Domain from ``{"family": ..., "params": {"lo": ..., "hi": ...}}``;
+        a bound left out or null is ``bounds``'s, ``(lo, hi)``, else the
+        family's.  An interval the family does not admit is a
+        ``DomainError``, any other bad spec a ``SpecParseError``."""
         from .errors import SpecParseError
 
         try:
@@ -682,20 +686,18 @@ class PreferenceDomain:
             raise SpecParseError("domain spec needs a 'family' entry")
         if not isinstance(name, str) or name not in FAMILIES:
             raise SpecParseError(
-                f"unknown family {name!r}; known: {sorted(FAMILIES)}"
-            )
+                f"unknown family {name!r}; known: {sorted(FAMILIES)}")
         fam = FAMILIES[name]
         params = spec.get("params", {}) or {}
         if not isinstance(params, dict):
             raise SpecParseError("domain spec 'params' must be an object")
-        lo = params.get("lo", fam.param_lo)
-        hi = params.get("hi", fam.param_hi)
+        lo, hi = params.get("lo"), params.get("hi")
+        lo_0, hi_0 = bounds or (fam.param_lo, fam.param_hi)
         try:
-            lo = fam.param_lo if lo is None else float(lo)
-            hi = fam.param_hi if hi is None else float(hi)
+            lo = lo_0 if lo is None else float(lo)
+            hi = hi_0 if hi is None else float(hi)
         except (TypeError, ValueError) as exc:
-            raise SpecParseError(
-                f"domain bounds must be numbers: {exc}") from None
+            raise SpecParseError(f"domain bounds must be numbers: {exc}") from None
         dom = cls(fam, lo, hi)
         kind = spec.get("kind")
         if kind is not None and kind != dom.kind:
@@ -707,15 +709,9 @@ class PreferenceDomain:
 
 def make_domain(family: str, lo: Optional[float] = None,
                 hi: Optional[float] = None) -> PreferenceDomain:
-    """Convenience constructor by family name with default bounds."""
-    if family not in FAMILIES:
-        raise DomainError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
-    fam = FAMILIES[family]
-    return PreferenceDomain(
-        fam,
-        fam.param_lo if lo is None else float(lo),
-        fam.param_hi if hi is None else float(hi),
-    )
+    """Domain by family name; a bound left out is the family's."""
+    return PreferenceDomain.from_spec({"family": family,
+                                       "params": {"lo": lo, "hi": hi}})
 
 
 # -- single-crossing validation --------------------------------------------
@@ -786,9 +782,11 @@ def validate_single_crossing(
     indifference curves through the anchor are traced over the quantity
     grid.  A pair is reported when the curves meet at two or more grid
     locations, or when they touch tangentially (equal slopes without a
-    transversal crossing) at the anchor.  A parameter outside the domain
-    raises :class:`DomainError`; an anchor a restricted type cannot afford
-    is skipped for the pairs holding that type.
+    transversal crossing) at the anchor.  A parameter outside the domain,
+    or a ``q_grid`` of fewer than 2 distinct quantities (one grid quantity
+    and the anchor's are too few to tell two meetings apart), raises
+    :class:`DomainError`; an anchor a restricted type cannot afford is
+    skipped for the pairs holding that type.
     """
     anchors = [check_bundle(z) for z in bundle_grid]
     params = sorted(domain.check_param(r) for r in param_grid)
@@ -797,6 +795,8 @@ def validate_single_crossing(
     if q_grid is None:
         q_grid = np.linspace(1e-4, 1.0, 201)
     q_grid = np.asarray(sorted(set(float(q) for q in q_grid)), dtype=float)
+    if q_grid.size < 2:
+        raise DomainError(f"q_grid needs at least 2 distinct quantities: {q_grid}")
 
     witnesses: list[TangencyWitness] = []
     for i, r1 in enumerate(params):

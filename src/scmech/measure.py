@@ -9,13 +9,14 @@ positive density on their support.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .domain import Bundle, PreferenceDomain, ZERO_BUNDLE
-from .errors import DomainError, ScmechError, SpecParseError
+from .errors import DomainError, SpecParseError
 
 REVENUE_MODES = ("payment", "expected_payment")
 PRICE_GRID = 1025  # points of the revenue curve searched before refining
@@ -111,6 +112,9 @@ class TypeDistribution:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "TypeDistribution":
+        """Distribution from ``{"name": ..., "params": {...}}`` (see
+        ``DISTRIBUTIONS``) or ``{"table": [[theta, cdf], ...]}``.  A spec
+        that cannot be built, for any reason, raises ``SpecParseError``."""
         if isinstance(spec, dict) and "table" in spec:
             name, params = "table", {"points": spec["table"]}
         else:
@@ -118,24 +122,19 @@ class TypeDistribution:
                 name, params = spec["name"], spec.get("params", {})
             except (KeyError, TypeError, AttributeError):
                 raise SpecParseError("distribution spec needs 'name' or 'table'")
+        if not isinstance(name, str) or name not in DISTRIBUTIONS:
+            raise SpecParseError(f"unknown distribution {name!r}; known: "
+                                 f"{sorted(DISTRIBUTIONS)}")
+        make, names = DISTRIBUTIONS[name]
+        if not isinstance(params, dict) or set(params) != set(names):
+            raise SpecParseError(f"distribution {name!r} takes the parameters "
+                                 f"{list(names)}, got {params!r}")
         try:
-            if name == "uniform":
-                return uniform(params["lo"], params["hi"])
-            if name == "truncated_exponential":
-                return truncated_exponential(params["rate"], params["lo"],
-                                             params["hi"])
-            if name == "beta":
-                return beta(params["a"], params["b"])
-            if name == "table":
-                return from_table(params["points"])
-        except ScmechError:
+            return make(*(params[k] for k in names))
+        except SpecParseError:
             raise
-        except KeyError as exc:
-            raise SpecParseError(f"distribution {name!r} is missing {exc}")
-        except (TypeError, ValueError) as exc:
-            raise SpecParseError(
-                f"distribution {name!r} has a malformed parameter: {exc}")
-        raise SpecParseError(f"unknown distribution {name!r}")
+        except (TypeError, ValueError) as exc:  # DomainError included
+            raise SpecParseError(f"distribution {name!r}: {exc}") from None
 
 
 def _finite(*params: float) -> bool:
@@ -161,13 +160,13 @@ def truncated_exponential(rate: float, lo: float, hi: float) -> TypeDistribution
     if not (_finite(rate, lo, hi) and rate > 0 and lo < hi):
         raise DomainError("truncated exponential needs finite rate > 0 and "
                           f"finite lo < hi, got ({rate}, {lo}, {hi})")
-    z = 1.0 - math.exp(-rate * (hi - lo))
-    if z == 0.0:  # the CDF would divide by zero
+    if rate * (hi - lo) < sys.float_info.min:  # a subnormal keeps fewer bits
         raise DomainError(f"truncated exponential rate {rate} is too small for "
-                          f"the support [{lo}, {hi}]: its mass rounds to 0")
+                          f"the support [{lo}, {hi}]: rate * (hi - lo) is subnormal")
+    z = -math.expm1(-rate * (hi - lo))
     return TypeDistribution(
         "truncated_exponential", {"rate": rate, "lo": lo, "hi": hi}, lo, hi,
-        lambda x: (1.0 - np.exp(-rate * (x - lo))) / z,
+        lambda x: -np.expm1(-rate * (x - lo)) / z,
         lambda x: rate * np.exp(-rate * (x - lo)) / z,
         lambda u: lo - np.log1p(-z * np.asarray(u, dtype=float)) / rate,
     )
@@ -301,6 +300,17 @@ def from_table(points: Sequence[Sequence[float]]) -> TypeDistribution:
         lambda u: np.interp(np.asarray(u, float), cs, xs),
         tuple(float(x) for x in xs),
     )
+
+
+# The distribution constructors by spec name, with their parameter names in
+# the order the compact spec ``name:v1,v2,...`` gives them
+DISTRIBUTIONS = {
+    "uniform": (uniform, ("lo", "hi")),
+    "truncated_exponential": (truncated_exponential, ("rate", "lo", "hi")),
+    "beta": (beta, ("a", "b")),
+    "table": (from_table, ("points",)),
+}
+DISTRIBUTIONS["texp"] = DISTRIBUTIONS["truncated_exponential"]
 
 
 def monopoly_price(dist: TypeDistribution) -> float:

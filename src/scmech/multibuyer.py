@@ -104,10 +104,13 @@ def simulate_revenue(mech: MultiBuyerMechanism, samples: int,
     and the sample count.  A draw pays the larger of the reserve and the
     second-highest type when its highest type beats the reserve: tied
     winners are each other's second-highest, and their shares of it sum
-    to it, as in :func:`allocate_profiles`.
+    to it, as in :func:`allocate_profiles`.  A sample count below 1, or a
+    seed that is not a nonnegative integer, raises ``DomainError``.
     """
     if samples < 1:
         raise DomainError("samples must be at least 1")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
     total = 0.0

@@ -1,7 +1,9 @@
 """Deterministic JSON/CSV emission and compact spec parsing.
 
 Floats are written with 17 significant digits so every artifact round-trips
-bit-exactly and identical inputs produce byte-identical files.
+bit-exactly and identical inputs produce byte-identical files.  A compact
+spec (``quasilinear:0,1``, ``uniform:0,1``) is shorthand for a JSON spec,
+built by the same ``from_spec``, so both fail with the same error types.
 """
 
 from __future__ import annotations
@@ -81,40 +83,40 @@ def write_csv(rows: list[dict], path: str, columns: list[str]) -> None:
 # -- compact command-line specs ---------------------------------------------
 
 
-def parse_domain_spec(text: str):
-    """Domain from ``family``, ``family:lo,hi``, or a JSON file path."""
-    from .domain import PreferenceDomain, make_domain
+def parse_domain_spec(text: str, bounds=None):
+    """Domain from ``family`` (``{"family": family}``), ``family:lo,hi``
+    (with ``"params": {"lo": lo, "hi": hi}``) or a JSON file path; a bound
+    the spec leaves out is ``bounds``'s, ``(lo, hi)``, else the family's."""
+    from .domain import PreferenceDomain
 
     if text.endswith(".json"):
-        return PreferenceDomain.from_spec(load_file(text))
-    name, _, bounds = text.partition(":")
-    if not bounds:
-        return make_domain(name)
-    try:
-        lo, hi = (float(x) for x in bounds.split(","))
-    except ValueError:
-        raise SpecParseError(
-            f"bad domain spec {text!r}; expected family or family:lo,hi"
-        )
-    return make_domain(name, lo, hi)
+        return PreferenceDomain.from_spec(load_file(text), bounds)
+    name, _, values = text.partition(":")
+    spec = {"family": name}
+    if values:
+        try:
+            lo, hi = (float(x) for x in values.split(","))
+        except ValueError:
+            raise SpecParseError(
+                f"bad domain spec {text!r}; expected family or family:lo,hi")
+        spec["params"] = {"lo": lo, "hi": hi}
+    return PreferenceDomain.from_spec(spec, bounds)
 
 
 def parse_dist_spec(text: str):
-    """Distribution from ``uniform:a,b``, ``texp:rate,a,b``, ``beta:a,b``,
-    or a JSON file path."""
-    from . import measure
+    """Distribution from a JSON file path or ``name:v1,v2,...``, which is
+    ``{"name": name, "params": {...}}`` with the values in the order
+    ``measure.DISTRIBUTIONS`` names the parameters (``texp:rate,lo,hi``)."""
+    from .measure import DISTRIBUTIONS, TypeDistribution
 
     if text.endswith(".json"):
-        return measure.TypeDistribution.from_spec(load_file(text))
+        return TypeDistribution.from_spec(load_file(text))
     name, _, argtext = text.partition(":")
     try:
         args = [float(x) for x in argtext.split(",")] if argtext else []
-        if name == "uniform":
-            return measure.uniform(*args)
-        if name in ("texp", "truncated_exponential"):
-            return measure.truncated_exponential(*args)
-        if name == "beta":
-            return measure.beta(*args)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SpecParseError(f"bad distribution spec {text!r}: {exc}")
-    raise SpecParseError(f"unknown distribution {name!r}")
+    names = DISTRIBUTIONS[name][1] if name in DISTRIBUTIONS else ()
+    # a wrong count of values reaches from_spec as a list, which it rejects
+    params = dict(zip(names, args)) if len(args) == len(names) else args
+    return TypeDistribution.from_spec({"name": name, "params": params})

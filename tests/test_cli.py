@@ -217,12 +217,38 @@ def test_multibuyer_subcommand(capsys):
     assert rec["samples"] == 100000
 
 
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_multibuyer_negative_seed_is_domain_error(capsys, seed):
+    rc, out, err = run(capsys, "multibuyer", "--n", "2", "--dist",
+                       "uniform:0,1", "--samples", "10", "--seed", seed)
+    assert rc == 1
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err)["error"] == "DomainError"
+
+
 def test_validate_domain_exit_codes(capsys):
     rc, _, _ = run(capsys, "validate-domain", "--domain", "quasilinear:0.5,4")
     assert rc == 0
     rc, out, _ = run(capsys, "validate-domain", "--domain", "power_q_raw:0.05,0.95",
                      "--params", "0.3333333333333333,0.6666666666666666",
                      "--anchor-t", "1.0", "--anchor-q", "0.125,0.5")
+    assert rc == 2
+    assert json.loads(out)["tangency_witnesses"]
+
+
+def test_validate_domain_needs_two_grid_quantities(capsys):
+    # one grid quantity and the anchor's are too few for a pair check, so
+    # the one-point grid reported ok where two points find the witnesses
+    argv = ["validate-domain", "--domain", "power_q_raw:0.05,0.95",
+            "--params", "0.3333333333333333,0.6666666666666666",
+            "--anchor-t", "1.0", "--anchor-q", "0.125,0.5", "--q-count"]
+    rc, out, err = run(capsys, *argv, "1")
+    assert rc == 1
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err)["error"] == "SpecParseError"
+    rc, out, _ = run(capsys, *argv, "2")
     assert rc == 2
     assert json.loads(out)["tangency_witnesses"]
 
@@ -293,10 +319,29 @@ def test_malformed_mechanism_file_is_spec_error(tmp_path, capsys, text, error):
     assert json.loads(err)["error"] == error
 
 
+def test_domain_without_bounds_takes_the_support(tmp_path, capsys):
+    # a bare family and a JSON spec without params are the same spec: both
+    # take the support [0, 1], so the files match and verify can grid them
+    spec = tmp_path / "dom.json"
+    spec.write_text(json.dumps({"family": "quasilinear"}))
+    mechs = []
+    for domain in ("quasilinear", str(spec)):
+        mech = tmp_path / f"mech{len(mechs)}.json"
+        rc, _, _ = run(capsys, "optimize", "--domain", domain,
+                       "--dist", "uniform:0,1", "--max-bundles", "3",
+                       "--out", str(mech))
+        assert rc == 0
+        assert run(capsys, "verify", "--mech", str(mech))[0] == 0
+        mechs.append(mech.read_bytes())
+    assert mechs[0] == mechs[1]
+    assert json.loads(mechs[0])["domain"]["params"] == {"lo": 0.0, "hi": 1.0}
+
+
 def test_unknown_family_is_input_error(capsys):
     rc, _, err = run(capsys, "optimize", "--domain", "hyperbolic",
                      "--dist", "uniform:0,1")
     assert rc == 1
+    assert json.loads(err)["error"] == "SpecParseError"
     assert "family" in json.loads(err)["message"]
 
 
@@ -349,12 +394,13 @@ MECH = {"domain": QL_SPEC, "bundles": [[0, 0], [0.5, 1]], "breakpoints": [0.5]}
     ({}, ["validate-domain", "--domain", "quasilinear:0,1", "--param-count", "-1"]),
     ({}, ["validate-domain", "--domain", "quasilinear:0,1", "--q-count", "-1"]),
     ({}, ["validate-domain", "--domain", "quasilinear:0,1", "--q-count", "0"]),
+    ({}, ["validate-domain", "--domain", "quasilinear:0,1", "--q-count", "1"]),
     ({}, ["validate-domain", "--domain", "quasilinear:0,1", "--q-lo", "2"]),
     ({}, ["validate-domain", "--domain", "quasilinear:0,1", "--q-lo", "nan"]),
     ({"m.json": MECH}, ["revenue", "--mech", "m.json", "--dist", "beta:nan,2"]),
     ({"m.json": MECH}, ["revenue", "--mech", "m.json", "--dist", "beta:inf,2"]),
     ({"m.json": MECH}, ["revenue", "--mech", "m.json", "--dist", "texp:inf,0,1"]),
-    ({}, ["optimize", "--domain", "quasilinear", "--dist", "texp:1e-17,0,1"]),
+    ({}, ["optimize", "--domain", "quasilinear", "--dist", "texp:1e-310,0,1"]),
     ({"m.json": MECH}, ["revenue", "--mech", "m.json", "--dist", "uniform:0,inf"]),
     ({}, [*TRUNCATE, "--line", LINE, "--seq", SEQ, "--eps", "inf"]),
     ({}, [*TRUNCATE, "--line", LINE, "--seq", SEQ, "--eps", "nan"]),
@@ -372,7 +418,7 @@ MECH = {"domain": QL_SPEC, "bundles": [[0, 0], [0.5, 1]], "breakpoints": [0.5]}
         "dist-lo", "dist-table", "domain-lo", "domain-family", "params", "line-value",
         "line-count", "seq-value", "reserve", "seq-start-zero", "seq-start-negative",
         "seq-start-nan", "seq-start-fraction", "grid-negative", "grid-zero",
-        "param-count-negative", "q-count-negative", "q-count-zero",
+        "param-count-negative", "q-count-negative", "q-count-zero", "q-count-one",
         "q-lo-above-one", "q-lo-nan", "dist-beta-nan", "dist-beta-inf",
         "dist-texp-inf", "dist-texp-tiny-rate", "dist-uniform-inf", "eps-inf", "eps-nan",
         "params-empty", "anchor-t-empty", "anchor-q-empty",
@@ -409,45 +455,36 @@ def test_config_values_parse_like_flags(tmp_path, capsys):
 @pytest.mark.parametrize("family, revenue", [
     ("quasilinear", 0.25), ("sqrt_quasilinear", 0.25), ("myerson", 0.25)])
 def test_closed_form_takes_the_posted_price(capsys, family, revenue):
-    # myerson is solved in expected payments whatever --revenue-mode says
+    # the solver posts the exact optimal price wherever
+    # Family.posted_price_modes allows, with no flag: myerson only in
+    # expected payments
+    mode = "expected-payment" if family == "myerson" else "payment"
     rc, out, _ = run(capsys, "optimize", "--domain", family,
-                     "--dist", "uniform:0,1", "--closed-form")
+                     "--dist", "uniform:0,1", "--revenue-mode", mode)
     assert rc == 0
     assert json.loads(out) == {"revenue": revenue, "active_bundles": 2}
 
 
-def test_closed_form_from_a_config(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"closed_form": True}))
-    argv = ["optimize", "--domain", "myerson", "--dist", "uniform:0,1"]
-    rc, by_config, _ = run(capsys, *argv, "--config", str(cfg))
-    assert rc == 0
-    assert by_config == run(capsys, *argv, "--closed-form")[1]
-    assert json.loads(by_config) == {"revenue": 0.25, "active_bundles": 2}
-
-
 @pytest.mark.parametrize("family, mode", [
-    ("quasilinear", "expected-payment"), ("myerson", "payment")])
+    ("quasilinear", "expected-payment"),
+    ("sqrt_quasilinear", "expected-payment")])
 def test_closed_form_keeps_a_posted_price_mode(capsys, family, mode):
-    # quasilinear posts its price in either mode; myerson only in expected
-    # payments, whatever --revenue-mode says
+    # quasilinear and sqrt_quasilinear post their price in either mode
     rc, out, _ = run(capsys, "optimize", "--domain", family,
-                     "--dist", "uniform:0,1", "--revenue-mode", mode,
-                     "--closed-form")
+                     "--dist", "uniform:0,1", "--revenue-mode", mode)
     assert rc == 0
     assert json.loads(out) == {"revenue": 0.25, "active_bundles": 2}
 
 
-def test_closed_form_on_non_separable_family_is_domain_error(tmp_path, capsys):
-    out_path = tmp_path / "mech.json"
-    rc, out, err = run(capsys, "optimize", "--domain", "income_effect",
-                       "--dist", "uniform:0,1", "--closed-form",
-                       "--out", str(out_path))
-    assert rc == 1
-    assert out == ""
-    assert err.endswith("\n") and err.count("\n") == 1
-    assert json.loads(err)["error"] == "DomainError"
-    assert not out_path.exists()
+def test_closed_form_flag_and_config_key_are_gone(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"closed_form": True}))
+    for extra in (["--closed-form"], ["--config", str(cfg)]):
+        rc, out, err = run(capsys, *OPTIMIZE, *extra)
+        assert rc == 1
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert json.loads(err)["error"] == "SpecParseError"
 
 
 @pytest.mark.parametrize("files, argv", [

@@ -436,6 +436,19 @@ def test_validator_empty_grid_rejected():
         validate_single_crossing(QL, [], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("q_grid", [[1e-4], [0.5, 0.5], []],
+                         ids=["one", "repeated", "empty"])
+def test_validator_needs_two_grid_quantities(q_grid):
+    # with the anchor's quantity a pair check needs 3 points, so a grid of
+    # one quantity checked no pair and reported the tangency below ok
+    raw = make_domain("power_q_raw", 0.05, 0.95)
+    anchors = [Bundle(1.0, 0.125), Bundle(1.0, 0.5)]
+    with pytest.raises(DomainError, match="at least 2 distinct"):
+        validate_single_crossing(raw, anchors, [1 / 3, 2 / 3], q_grid=q_grid)
+    assert not validate_single_crossing(raw, anchors, [1 / 3, 2 / 3],
+                                        q_grid=[1e-4, 1.0]).ok
+
+
 @pytest.mark.parametrize("params, bad", [([3.0, 4.0], "3.0"),
                                          ([1 / 3, math.nan], "nan")],
                          ids=["outside", "nan"])

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -279,14 +280,46 @@ def test_non_finite_parameters_rejected(make, args):
                                           (1e-300, 2.0, 3.0),
                                           (1.0, 0.0, 1e-17)])
 def test_truncated_exponential_needs_a_normalizer_above_zero(rate, lo, hi):
-    # 1 - exp(-rate * (hi - lo)) rounds to 0: the CDF would be NaN and the
-    # density infinite
+    # 1 - exp(-rate * (hi - lo)) rounds to 0 here, which a CDF built on it
+    # could not divide by; -expm1 keeps the normalizer's bits, so these
+    # build, with the CDF of the expm1 closed form
+    dist = measure.truncated_exponential(rate, lo, hi)
+    mid = (lo + hi) / 2.0
+    exact = math.expm1(-rate * (mid - lo)) / math.expm1(-rate * (hi - lo))
+    assert abs(dist.cdf(mid) - exact) <= 1e-15
+    assert dist.cdf(lo) == 0.0 and dist.cdf(hi) == 1.0
+
+
+@pytest.mark.parametrize("rate, lo, hi", [(1e-310, 0.0, 1.0),
+                                          (1.0, 0.0, 1e-310)])
+def test_truncated_exponential_needs_a_normal_normalizer(rate, lo, hi):
+    # below the smallest normal float the normalizer keeps fewer bits
     with pytest.raises(DomainError, match=f"rate {rate} is too small for "
                                           rf"the support \[{lo}, {hi}\]"):
         measure.truncated_exponential(rate, lo, hi)
-    # the smallest normalizer above 0 still builds, and its CDF reaches 1
-    dist = measure.truncated_exponential(1.2e-16, 0.0, 1.0)
+    # the smallest normal rate * (hi - lo) still builds
+    dist = measure.truncated_exponential(sys.float_info.min, 0.0, 1.0)
     assert dist.cdf(0.0) == 0.0 and dist.cdf(1.0) == 1.0
+    assert abs(dist.cdf(0.5) - 0.5) <= 1e-15
+
+
+@pytest.mark.parametrize("rate", [1e-16, 1e-9, 1e-3, 1.0, 30.0])
+def test_truncated_exponential_against_mpmath(rate):
+    # at rate 1e-9 the CDF built on 1 - exp read 0.5000000555 at 0.5, and
+    # at 1e-16 it read 1.0 with a density of 0.90
+    import mpmath
+
+    dist = measure.truncated_exponential(rate, 0.0, 1.0)
+    x = np.linspace(0.0, 1.0, 201)
+    with mpmath.workdps(40):
+        z = -mpmath.expm1(-mpmath.mpf(rate))
+        cdf = [float(-mpmath.expm1(-rate * mpmath.mpf(v)) / z) for v in x]
+        pdf = [float(rate * mpmath.exp(-rate * mpmath.mpf(v)) / z) for v in x]
+    assert np.max(np.abs(dist.cdf(x) - cdf)) <= 1e-15
+    # a few roundings, and the rounding of the exponent rate * x, which
+    # exp turns into a relative error of up to rate ulps
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(dist.pdf(x) / pdf - 1.0)) <= (4.0 + rate) * eps
 
 
 @pytest.mark.parametrize("points", [

@@ -110,6 +110,16 @@ def test_simulation_deterministic_given_seed():
     assert a == b
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", None],
+                         ids=["negative", "fraction", "float", "str", "none"])
+def test_seed_must_be_a_nonnegative_integer(seed):
+    # numpy's SeedSequence would raise a bare ValueError or TypeError
+    with pytest.raises(DomainError, match="seed"):
+        simulate_revenue(TWO, 10, seed=seed)
+    assert simulate_revenue(TWO, 10, seed=np.int64(3)) == simulate_revenue(
+        TWO, 10, seed=3)
+
+
 def test_truthful_reporting_is_dominant_on_grid():
     grid = np.linspace(0.0, 1.0, 21)
     for theta in grid:

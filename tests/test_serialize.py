@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scmech import serialize
-from scmech.errors import SpecParseError
+from scmech.errors import DomainError, SpecParseError
 
 
 def test_floats_round_trip_bit_exactly():
@@ -78,6 +78,75 @@ def test_spec_files_round_trip(tmp_path):
                                  "kind": "restricted"}))
     dom = serialize.parse_domain_spec(str(dpath))
     assert dom.family.name == "myerson" and dom.hi == 1.0
+
+
+# each compact spec and the JSON spec it is shorthand for
+EQUIVALENT_SPECS = [
+    ("uniform:0,1", {"name": "uniform", "params": {"lo": 0, "hi": 1}}),
+    ("texp:2,0,1", {"name": "texp", "params": {"rate": 2, "lo": 0, "hi": 1}}),
+    ("texp:2,0,1", {"name": "truncated_exponential",
+                    "params": {"rate": 2, "lo": 0, "hi": 1}}),
+    ("beta:2,3", {"name": "beta", "params": {"a": 2, "b": 3}}),
+    ("quasilinear", {"family": "quasilinear"}),
+    ("sqrt_quasilinear:0.2,1", {"family": "sqrt_quasilinear",
+                                "params": {"lo": 0.2, "hi": 1}}),
+]
+
+
+@pytest.mark.parametrize("compact, spec", EQUIVALENT_SPECS,
+                         ids=["uniform", "texp", "texp-long-name", "beta",
+                              "quasilinear", "sqrt_quasilinear"])
+def test_a_compact_spec_builds_its_json_spec(tmp_path, compact, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    parse = (serialize.parse_domain_spec if "family" in spec
+             else serialize.parse_dist_spec)
+    assert parse(compact).to_spec() == parse(str(path)).to_spec()
+
+
+# (compact spec, its JSON spec, the error both raise)
+BAD_SPECS = [
+    ("uniform:0,inf", {"name": "uniform", "params": {"lo": 0, "hi": math.inf}},
+     SpecParseError),
+    ("uniform:1,0", {"name": "uniform", "params": {"lo": 1, "hi": 0}},
+     SpecParseError),
+    ("beta:nan,2", {"name": "beta", "params": {"a": math.nan, "b": 2}},
+     SpecParseError),
+    ("cauchy:0,1", {"name": "cauchy", "params": {"lo": 0, "hi": 1}},
+     SpecParseError),
+    ("nosuch", {"family": "nosuch"}, SpecParseError),
+    ("nosuch:0,1", {"family": "nosuch", "params": {"lo": 0, "hi": 1}},
+     SpecParseError),
+    ("uniform:0", {"name": "uniform", "params": {"lo": 0}}, SpecParseError),
+    ("uniform:0,1,2", {"name": "uniform",
+                       "params": {"lo": 0, "hi": 1, "width": 2}},
+     SpecParseError),
+    ("texp:1e-310,0,1", {"name": "texp",
+                         "params": {"rate": 1e-310, "lo": 0, "hi": 1}},
+     SpecParseError),
+    # bad domain bounds are a DomainError in both syntaxes
+    ("quasilinear:1,0", {"family": "quasilinear",
+                         "params": {"lo": 1, "hi": 0}}, DomainError),
+    ("power_q:0,1", {"family": "power_q", "params": {"lo": 0, "hi": 1}},
+     DomainError),
+]
+
+
+@pytest.mark.parametrize("compact, spec, error", BAD_SPECS,
+                         ids=["uniform-inf", "uniform-reversed", "beta-nan",
+                              "unknown-name", "unknown-family",
+                              "unknown-family-bounds", "too-few", "too-many",
+                              "texp-subnormal", "domain-reversed",
+                              "domain-outside-family"])
+def test_both_syntaxes_raise_the_same_error(tmp_path, compact, spec, error):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))  # Infinity and NaN as Python writes them
+    parse = (serialize.parse_domain_spec if "family" in spec
+             else serialize.parse_dist_spec)
+    for text in (compact, str(path)):
+        with pytest.raises(error) as info:
+            parse(text)
+        assert type(info.value) is error
 
 
 JSON_TREES = st.recursive(
