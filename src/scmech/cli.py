@@ -10,7 +10,9 @@ deterministic byte layout and signal outcomes through the exit code:
 * 1 - bad input (a machine-readable error record goes to stderr)
 * 2 - verification found violations (the report is still written)
 
-A JSON config passed with ``--config`` overrides the corresponding flags.
+A JSON config passed with ``--config`` is more flags, read after the typed
+ones: a key is a flag's long name without the dashes, ``_`` or ``-`` alike,
+and its value what would follow the flag.  No flag is abbreviated.
 """
 
 from __future__ import annotations
@@ -49,37 +51,22 @@ def _floats(text: str, count: int | None = None) -> list[float]:
     return vals
 
 
-def _config_value(key: str, action: argparse.Action, value):
-    """A config value converted as if typed after the option's flag."""
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise SpecParseError(f"config key {key!r} must be a string or a number")
-    text = value if isinstance(value, str) else json.dumps(value)
-    try:
-        out = action.type(text) if action.type else text
-    except (TypeError, ValueError):
-        raise SpecParseError(
-            f"config key {key!r} has an invalid value {value!r}") from None
-    if action.choices is not None and out not in action.choices:
-        raise SpecParseError(
-            f"config key {key!r} must be one of {list(action.choices)}")
-    return out
-
-
-def _apply_config(parser, ns: argparse.Namespace) -> None:
-    """Override the subcommand's options from the ``--config`` JSON object."""
-    if not ns.config:
-        return
-    cfg = serialize.load_file(ns.config)
+def _config_flags(path: str) -> list[str]:
+    """The ``--config`` JSON object as the flags it stands for, a number
+    written as JSON writes it."""
+    cfg = serialize.load_file(path)
     if not isinstance(cfg, dict):
         raise SpecParseError("config file must hold a JSON object")
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    options = {a.dest: a for a in sub.choices[ns.command]._actions}
+    flags = []
     for key, value in cfg.items():
-        action = options.get(key.replace("-", "_"))
-        if action is None or action.dest in ("help", "config"):
+        option = key.replace("_", "-")
+        if option in ("help", "config") or "=" in option:
             raise SpecParseError(f"config key {key!r} matches no option")
-        setattr(ns, action.dest, _config_value(key, action, value))
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise SpecParseError(f"config key {key!r} must be a string or a number")
+        text = value if isinstance(value, str) else json.dumps(value)
+        flags.append(f"--{option}={text}")
+    return flags
 
 
 def _parse_seq(text: str) -> ParamSequence:
@@ -245,7 +232,11 @@ def _cmd_validate_domain(ns) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Raises a bad command line as a ``SpecParseError``, so it exits 1 with
-    an error record like any other bad input; subparsers inherit the class."""
+    an error record like any other bad input, and takes no abbreviated flag,
+    so a flag or config key names one option; subparsers inherit both."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise SpecParseError(f"{self.prog}: {message}")
@@ -335,12 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         ns = parser.parse_args(argv)
         if not getattr(ns, "func", None):
             parser.print_help()
             return 1
-        _apply_config(parser, ns)
+        if ns.config:
+            ns = parser.parse_args([*argv, *_config_flags(ns.config)])
         return ns.func(ns)
     except (ScmechError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}

@@ -674,8 +674,8 @@ class PreferenceDomain:
 
     @classmethod
     def from_spec(cls, spec: dict, bounds=None) -> "PreferenceDomain":
-        """Domain from ``{"family": ..., "params": {"lo": ..., "hi": ...}}``;
-        a bound left out or null is ``bounds``'s, ``(lo, hi)``, else the
+        """Domain from ``{"family", "params": {"lo", "hi"}, "kind"}``, with
+        no other key; a bound left out or null is ``bounds``'s, ``(lo, hi)``, else the
         family's.  An interval the family does not admit is a
         ``DomainError``, any other bad spec a ``SpecParseError``."""
         from .errors import SpecParseError
@@ -689,8 +689,10 @@ class PreferenceDomain:
                 f"unknown family {name!r}; known: {sorted(FAMILIES)}")
         fam = FAMILIES[name]
         params = spec.get("params", {}) or {}
-        if not isinstance(params, dict):
-            raise SpecParseError("domain spec 'params' must be an object")
+        if not (set(spec) <= {"family", "params", "kind"}
+                and isinstance(params, dict) and set(params) <= {"lo", "hi"}):
+            raise SpecParseError("domain spec takes family, params {lo, hi} "
+                                 f"and kind, got {spec!r}")
         lo, hi = params.get("lo"), params.get("hi")
         lo_0, hi_0 = bounds or (fam.param_lo, fam.param_hi)
         try:

@@ -115,13 +115,13 @@ class TypeDistribution:
         """Distribution from ``{"name": ..., "params": {...}}`` (see
         ``DISTRIBUTIONS``) or ``{"table": [[theta, cdf], ...]}``.  A spec
         that cannot be built, for any reason, raises ``SpecParseError``."""
-        if isinstance(spec, dict) and "table" in spec:
+        if isinstance(spec, dict) and set(spec) == {"table"}:
             name, params = "table", {"points": spec["table"]}
+        elif isinstance(spec, dict) and {"name"} <= set(spec) <= {"name", "params"}:
+            name, params = spec["name"], spec.get("params", {})
         else:
-            try:
-                name, params = spec["name"], spec.get("params", {})
-            except (KeyError, TypeError, AttributeError):
-                raise SpecParseError("distribution spec needs 'name' or 'table'")
+            raise SpecParseError("distribution spec needs the keys name and "
+                                 "params, or table alone")
         if not isinstance(name, str) or name not in DISTRIBUTIONS:
             raise SpecParseError(f"unknown distribution {name!r}; known: "
                                  f"{sorted(DISTRIBUTIONS)}")

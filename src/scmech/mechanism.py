@@ -264,11 +264,13 @@ class CountableMechanism:
             return self.limit_bundle
         below = r < lo
         tail = self.increasing if below else self.decreasing
-        # Tail bundles past the tail's resolution are treated as the limit
-        # bundle itself.  A tie goes to the higher bundle.
+        # A clamped tail's repeated bundle holds up to the limit edge, as in
+        # _staircase; tail bundles past the tail's resolution are treated as
+        # the limit bundle itself.  A tie goes to the higher bundle.
         try:
             n = tail.start
-            while (self._switch(below, n) <= r) == below:
+            while (tail.bundle(n + 1) != tail.bundle(n)
+                   and (self._switch(below, n) <= r) == below):
                 n += 1
             return tail.bundle(n)
         except (DomainError, TractabilityError):

@@ -1,7 +1,7 @@
 """Shared test utilities: random feasible ranges, verification grids, the
 closed-form oracle for the epsilon-truncation instance, a registered
-cubic family, a point-by-point reference for the grid checks and a loop
-over a step mechanism's range for its shape."""
+cubic family, the options the CLI parses, a point-by-point reference for
+the grid checks and a loop over a step mechanism's range for its shape."""
 
 import math
 from functools import partial
@@ -109,6 +109,21 @@ def cubic_domain(closed_form=True):
                      if closed_form else None),
         ))
     return make_domain(name)
+
+
+def cli_options(monkeypatch, argv):
+    """The options ``scmech.cli.main(argv)`` hands its subcommand, less
+    ``func`` and ``config``; the subcommand itself does not run."""
+    from scmech import cli
+
+    seen = []
+    for name in vars(cli).copy():
+        if name.startswith("_cmd_"):
+            monkeypatch.setattr(cli, name, lambda ns: seen.append(ns) or 0)
+    assert cli.main(list(argv)) == 0
+    options = vars(seen[0])
+    del options["func"], options["config"]
+    return options
 
 
 # -- the grid checks point by point ------------------------------------------

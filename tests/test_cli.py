@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from helpers import cli_options
 from scmech.cli import main
 from scmech.domain import make_domain
 from scmech.measure import uniform
@@ -414,6 +415,21 @@ MECH = {"domain": QL_SPEC, "bundles": [[0, 0], [0.5, 1]], "breakpoints": [0.5]}
     ({}, [*OPTIMIZE, "--max-bundles", "abc"]),
     ({}, ["optimize", "--dist", "uniform:0,1"]),
     ({}, ["bogus"]),
+    ({}, [*OPTIMIZE, "--max", "3"]),
+    ({"cfg.json": {"max": 3}}, [*OPTIMIZE, "--config", "cfg.json"]),
+    ({"cfg.json": {"conf": "x"}}, [*OPTIMIZE, "--config", "cfg.json"]),
+    ({"cfg.json": {"h": 1}}, [*OPTIMIZE, "--config", "cfg.json"]),
+    ({"cfg.json": {"help": "x"}}, [*OPTIMIZE, "--config", "cfg.json"]),
+    ({"cfg.json": {"config": "x.json"}}, [*OPTIMIZE, "--config", "cfg.json"]),
+    ({"cfg.json": {"out=x.json": ""}}, [*OPTIMIZE, "--config", "cfg.json"]),
+    ({"cfg.json": {"out": None}}, [*OPTIMIZE, "--config", "cfg.json"]),
+    ({"cfg.json": {"out": [1]}}, [*OPTIMIZE, "--config", "cfg.json"]),
+    ({"d.json": {"name": "uniform", "params": {"lo": 0, "hi": 1}, "extra": 1}},
+     ["optimize", "--domain", "quasilinear", "--dist", "d.json"]),
+    ({"dom.json": {"family": "quasilinear", "params": {"lo": 0.5, "high": 2}}},
+     ["validate-domain", "--domain", "dom.json"]),
+    ({"dom.json": {"family": "quasilinear", "parms": {"lo": 0.5, "hi": 2}}},
+     ["validate-domain", "--domain", "dom.json"]),
 ], ids=["config-str", "config-float", "config-switch", "config-choice",
         "dist-lo", "dist-table", "domain-lo", "domain-family", "params", "line-value",
         "line-count", "seq-value", "reserve", "seq-start-zero", "seq-start-negative",
@@ -424,7 +440,11 @@ MECH = {"domain": QL_SPEC, "bundles": [[0, 0], [0.5, 1]], "breakpoints": [0.5]}
         "params-empty", "anchor-t-empty", "anchor-q-empty",
         "dist-uniform-reversed", "config-list", "config-not-object",
         "config-unknown-key", "argv-not-an-int", "argv-missing-option",
-        "argv-unknown-command"])
+        "argv-unknown-command", "argv-abbreviated", "config-abbreviated",
+        "config-abbreviates-config", "config-abbreviates-help", "config-help",
+        "config-config", "config-key-with-value", "config-null",
+        "config-list-out", "dist-extra-key", "domain-unknown-param",
+        "domain-unknown-key"])
 def test_bad_numeric_input_is_spec_error(tmp_path, capsys, files, argv):
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
@@ -450,6 +470,26 @@ def test_config_values_parse_like_flags(tmp_path, capsys):
     assert rc == 0
     rc, by_flags, _ = run(capsys, *OPTIMIZE, "--max-bundles", "3", "--seed", "8")
     assert by_config == by_flags
+
+
+def test_config_keys_spell_options_with_underscore_or_hyphen(tmp_path,
+                                                            monkeypatch):
+    seen = []
+    for sep in "_-":
+        cfg = tmp_path / f"cfg{sep}.json"
+        cfg.write_text(json.dumps({f"max{sep}bundles": 3, "seed": 8,
+                                   f"revenue{sep}mode": f"expected{sep}payment"}))
+        seen.append(cli_options(monkeypatch, [*OPTIMIZE, "--config", str(cfg)]))
+    typed = cli_options(monkeypatch, [*OPTIMIZE, "--max-bundles", "3", "--seed",
+                                      "8", "--revenue-mode", "expected_payment"])
+    assert seen[0] == seen[1] == typed
+    assert typed["max_bundles"] == 3 and typed["revenue_mode"] == "expected_payment"
+
+
+def test_no_subcommand_prints_help(capsys):
+    rc, out, err = run(capsys)
+    assert rc == 1
+    assert out.startswith("usage: scmech") and err == ""
 
 
 @pytest.mark.parametrize("family, revenue", [

@@ -420,6 +420,19 @@ def test_validator_flags_power_q_raw_tangency():
     assert tangent, "tangency near (1, 1/8) not reported"
 
 
+@pytest.mark.parametrize("family, anchor, tangent", [
+    ("cubic", Bundle(0.5, 0.0), True),
+    ("cubic", Bundle(0.5, 0.5), False),
+    ("quasilinear", Bundle(0.5, 0.0), False)])
+def test_validator_flags_a_tangency_at_the_anchor(family, anchor, tangent):
+    # the cubic curves t = c + r q^3 all leave q = 0 flat, so two types touch
+    # at an anchor of quantity 0 and only the slope check there sees it
+    dom = cubic_domain() if family == "cubic" else QL
+    report = validate_single_crossing(dom, [anchor], [1.0, 2.0])
+    witnesses = [(w.location, w.kind) for w in report.tangency_witnesses]
+    assert witnesses == ([(anchor, "tangency")] if tangent else [])
+
+
 def test_validator_passes_spliced_power_q_above_splice():
     from scmech.domain import POWER_Q_SPLICE
 

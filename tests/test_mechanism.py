@@ -455,6 +455,38 @@ def test_truncation_and_revenue_stop_at_a_switch_that_fails():
         list(above.revenue_segments(dist))
 
 
+def _stalled_tail(n):
+    # rises to (0.2304, 0.48) at index 5 and repeats it, short of the limit
+    q = 0.6 - 0.6 / min(n, 5)
+    return Bundle(q * q, q)
+
+
+@pytest.mark.parametrize("case", ["stalled", "example7", "line-end"])
+def test_evaluate_allocates_each_revenue_segment(case):
+    # revenue is summed on the intervals where evaluate allocates each
+    # bundle; a clamped tail's repeated bundle holds up to the limit edge
+    if case == "stalled":
+        cm = CountableMechanism(QL, Bundle(0.5, 0.8), limit_lo=1.25,
+                                increasing=TailRule(_stalled_tail, start=3))
+        dist, tol = measure.uniform(0.3, 2.5), 1e-7
+    else:
+        end = 1 / 3 if case == "example7" else 0.3
+        cm = countable_geometric(SQ, AnchorLine(3.0, 1 / 12, end), SEQ)
+        dist, tol = UNIF, 1e-5
+    segments = list(cm.revenue_segments(dist, tol=tol))
+    if case == "example7":
+        # the tol cut: the limit bundle stands in for the rest of the tail
+        del segments[-2]
+    for a, b, z in segments:
+        assert cm.evaluate((a + b) / 2) == z
+    if case == "stalled":
+        assert segments[-2] == (pytest.approx(0.93), 1.25, Bundle(0.2304, 0.48))
+        by_segments = measure.expected_revenue(QL, cm, dist)
+        assert by_segments == pytest.approx(0.36496727272727275, abs=1e-12)
+        assert measure.expected_revenue(QL, cm.evaluate, dist) == pytest.approx(
+            by_segments, abs=1e-9)
+
+
 def test_tail_index_cap_bounds_every_walk(monkeypatch):
     from scmech import mechanism
 

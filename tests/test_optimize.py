@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import FACTORY_FAMILIES, sup_b
+from helpers import FACTORY_FAMILIES, cubic_domain, sup_b
 from scmech import measure, optimize
 from scmech.domain import Bundle, ZERO_BUNDLE, make_domain
 from scmech.errors import DomainError, ScmechError
@@ -59,6 +59,28 @@ def test_payments_repeated_quantity_repeats_bundle():
     pays = payments_from_breakpoints(make_domain("quasilinear"),
                                      [1.0, 2.0], [0.5, 0.5])
     assert pays[0] == pays[1]
+
+
+def test_payments_of_a_family_without_bind_round_trip_its_canonical_payment():
+    # the registered cubic family has no Family.bind, so each step goes
+    # through the canonical payment and its inverse in t:
+    # t_k = t_{k-1} + theta_k (q_k^3 - q_{k-1}^3)
+    dom = cubic_domain()
+    assert dom.family.bind is None
+    thetas, qs = (0.3, 0.5, 0.8), (0.4, 0.7, 1.0)
+    pays = payments_from_breakpoints(dom, thetas, qs)
+    t = q_prev = 0.0
+    for pay, theta, q in zip(pays, thetas, qs):
+        t, q_prev = t + theta * (q**3 - q_prev**3), q
+        assert pay == pytest.approx(t, abs=1e-16)
+    assert pays.tolist() == pytest.approx([0.0192, 0.1587, 0.6843], abs=1e-15)
+    # the sweep solves through the same round trip to the posted price
+    unit = make_domain(dom.family.name, 0.0, 1.0)
+    for l in (2, 3, 4):
+        sol = solve_finite(unit, U01, OptimizeOptions(max_bundles=l))
+        assert sol.diagnostics["method"] == "sweep"
+        assert sol.revenue == pytest.approx(0.25, abs=1e-12)
+        assert sol.active_bundles == 2
 
 
 def test_solve_collapses_to_posted_price():

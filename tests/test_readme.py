@@ -1,11 +1,14 @@
 """The README's library quick start runs as printed and gives the values its
-comments state, and its CLI commands parse."""
+comments state, and its CLI commands parse, typed or from a config."""
 
 import ast
+import json
 import shlex
 from pathlib import Path
 
+from helpers import cli_options
 from scmech import cli
+from scmech.errors import SpecParseError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -69,3 +72,35 @@ def test_cli_commands_parse():
     assert [argv[1] for argv in commands] == [
         "optimize", "verify", "revenue", "truncate", "multibuyer",
         "validate-domain"]
+
+
+def _config_value(text):
+    """A flag's text as a config value: a JSON number where it is one."""
+    try:
+        value = json.loads(text)
+    except ValueError:
+        return text
+    return value if isinstance(value, (int, float)) else text
+
+
+def test_cli_commands_parse_from_a_config(tmp_path, monkeypatch):
+    # every option a command need not type, moved into a --config file
+    # with "_" in its key, gives the options of the typed command; so an
+    # option added to a README command is covered here too
+    parser = cli.build_parser()
+    cfg = tmp_path / "cfg.json"
+    for argv in cli_commands():
+        command, options = argv[1], list(zip(argv[2::2], argv[3::2]))
+        assert len(argv) % 2 == 0 and all(f.startswith("--") for f, _ in options)
+        typed, config = [command], {}
+        for flag, value in options:
+            rest = [x for other in options if other[0] != flag for x in other]
+            try:
+                parser.parse_args([command, *rest])
+            except SpecParseError:  # a required option stays typed
+                typed += [flag, value]
+            else:
+                config[flag[2:].replace("-", "_")] = _config_value(value)
+        cfg.write_text(json.dumps(config))
+        assert (cli_options(monkeypatch, [*typed, "--config", str(cfg)])
+                == cli_options(monkeypatch, argv[1:]))

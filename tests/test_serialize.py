@@ -149,6 +149,47 @@ def test_both_syntaxes_raise_the_same_error(tmp_path, compact, spec, error):
         assert type(info.value) is error
 
 
+# JSON specs holding a key that from_spec does not know; each once built,
+# taking what it misspelled from the default or dropping what was extra
+UNKNOWN_KEYS = [
+    {"family": "quasilinear", "params": {"lo": 0.5, "high": 2}},
+    {"family": "quasilinear", "parms": {"lo": 0.5, "hi": 2}},
+    {"family": "quasilinear", "params": {"lo": 0, "hi": 1}, "extra": 1},
+    {"name": "uniform", "params": {"lo": 0, "hi": 1}, "extra": 1},
+    {"name": "uniform", "parms": {"lo": 0, "hi": 1}},
+    {"table": [[0, 0], [1, 1]], "name": "table"},
+    {"table": [[0, 0], [1, 1]], "params": {}},
+]
+
+
+@pytest.mark.parametrize("spec", UNKNOWN_KEYS,
+                         ids=["domain-param", "domain-params", "domain-extra",
+                              "dist-extra", "dist-params", "table-name",
+                              "table-params"])
+def test_a_spec_with_an_unknown_key_is_spec_error(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    parse = (serialize.parse_domain_spec if "family" in spec
+             else serialize.parse_dist_spec)
+    with pytest.raises(SpecParseError) as info:
+        parse(str(path))
+    assert type(info.value) is SpecParseError
+
+
+def test_a_spec_takes_every_key_it_knows(tmp_path):
+    path = tmp_path / "spec.json"
+    for spec in ({"family": "myerson", "params": {"lo": 0, "hi": 1},
+                  "kind": "restricted"},
+                 {"family": "myerson", "params": {"hi": 1}},
+                 {"name": "uniform", "params": {"lo": 0, "hi": 1}},
+                 {"name": "table", "params": {"points": [[0, 0], [1, 1]]}},
+                 {"table": [[0, 0], [1, 1]]}):
+        path.write_text(json.dumps(spec))
+        parse = (serialize.parse_domain_spec if "family" in spec
+                 else serialize.parse_dist_spec)
+        assert parse(str(path)).hi == 1.0
+
+
 JSON_TREES = st.recursive(
     st.floats(allow_nan=False, allow_infinity=False) | st.integers()
     | st.text() | st.booleans(),
