@@ -77,6 +77,10 @@ from .errors import DomainError, RichnessError
 # runs on the order parameter.
 TAU_INDIFF = 1e-9
 BISECT_TOL = 1e-12
+# The single-crossing validator's: two indifference curves touch where their
+# payment gap is at most TOUCH_TOL of the canonical payment (or of 1), and
+# their slopes at the anchor are equal within SLOPE_TOL, relatively.
+TOUCH_TOL, SLOPE_TOL = 1e-7, 1e-6
 
 # Splice quantity of the spliced power family: the power piece q**d - t is
 # single-crossing for d in [1/4, 1/3] only where d*ln(q) + 1 > 0, i.e.
@@ -775,8 +779,6 @@ def validate_single_crossing(
     bundle_grid: Sequence[Bundle],
     param_grid: Sequence[float],
     q_grid: Optional[Sequence[float]] = None,
-    touch_tol: float = 1e-7,
-    slope_tol: float = 1e-6,
 ) -> SingleCrossingReport:
     """Search for single-crossing failures on a grid.
 
@@ -784,7 +786,9 @@ def validate_single_crossing(
     indifference curves through the anchor are traced over the quantity
     grid.  A pair is reported when the curves meet at two or more grid
     locations, or when they touch tangentially (equal slopes without a
-    transversal crossing) at the anchor.  A parameter outside the domain,
+    transversal crossing) at the anchor.  The curves meet where their
+    gap is within ``TOUCH_TOL``, and their slopes are equal within
+    ``SLOPE_TOL``.  A parameter outside the domain,
     or a ``q_grid`` of fewer than 2 distinct quantities (one grid quantity
     and the anchor's are too few to tell two meetings apart), raises
     :class:`DomainError`; an anchor a restricted type cannot afford is
@@ -804,14 +808,13 @@ def validate_single_crossing(
     for i, r1 in enumerate(params):
         for r2 in params[i + 1:]:
             for anchor in anchors:
-                w = _check_pair(domain, r1, r2, anchor, q_grid,
-                                touch_tol, slope_tol)
+                w = _check_pair(domain, r1, r2, anchor, q_grid)
                 if w is not None:
                     witnesses.append(w)
     return SingleCrossingReport(tuple(witnesses), len(params), len(anchors))
 
 
-def _check_pair(domain, r1, r2, anchor, q_grid, touch_tol, slope_tol):
+def _check_pair(domain, r1, r2, anchor, q_grid):
     try:
         c1 = domain.canonical_payment(r1, anchor)
         c2 = domain.canonical_payment(r2, anchor)
@@ -830,7 +833,7 @@ def _check_pair(domain, r1, r2, anchor, q_grid, touch_tol, slope_tol):
         return None
 
     scale = max(1.0, abs(c2))
-    signs = np.where(np.abs(h) <= touch_tol * scale, 0, np.sign(h)).astype(int)
+    signs = np.where(np.abs(h) <= TOUCH_TOL * scale, 0, np.sign(h)).astype(int)
 
     # Count contacts on the runs of equal sign: a zero run is one contact,
     # tangent when the runs on both sides have the same sign, and two
@@ -853,6 +856,6 @@ def _check_pair(domain, r1, r2, anchor, q_grid, touch_tol, slope_tol):
     s1 = _curve_slope(domain, r1, c1, anchor.q)
     s2 = _curve_slope(domain, r2, c2, anchor.q)
     if (math.isfinite(s1) and math.isfinite(s2)
-            and abs(s1 - s2) <= slope_tol * max(1.0, abs(s1))):
+            and abs(s1 - s2) <= SLOPE_TOL * max(1.0, abs(s1))):
         return TangencyWitness(r1, r2, anchor, anchor, "tangency")
     return None

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
@@ -193,18 +193,16 @@ def constant_sequence(value: float) -> ParamSequence:
 
 @dataclass
 class TailRule:
-    """Lazy bundle sequence indexed from ``start``; memoized."""
+    """Lazy bundle sequence indexed from ``start``; a countable mechanism's
+    walk memoizes the bundles it reaches."""
 
     bundle_fn: Callable
     start: int
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def bundle(self, n: int) -> Bundle:
-        if n not in self._cache:
-            if n - self.start > TAIL_INDEX_CAP:
-                raise TractabilityError(f"tail index {n} beyond cap {TAIL_INDEX_CAP}")
-            self._cache[n] = check_bundle(self.bundle_fn(n))
-        return self._cache[n]
+        if n - self.start > TAIL_INDEX_CAP:
+            raise TractabilityError(f"tail index {n} beyond cap {TAIL_INDEX_CAP}")
+        return check_bundle(self.bundle_fn(n))
 
 
 def _span(s: float, a: float, b: float) -> tuple:
@@ -215,6 +213,63 @@ def _span(s: float, a: float, b: float) -> tuple:
     return (a, b) if s > 0 else (-b, -a)
 
 
+_CLAMPED = "clamped"
+
+
+class _Walk:
+    """One tail's walk toward the limit bundle, in ``s*r`` (see
+    :func:`_span`), grown on demand and memoized.
+
+    ``switches[i]`` is the switch from ``bundles[i]`` to ``bundles[i + 1]``
+    and ``steps[i]`` the running maximum of ``switches[:i + 1]``.  ``end``
+    is None while the walk can grow, then ``_CLAMPED`` where the tail
+    repeats its last bundle, or the error that stopped it: a
+    :class:`DomainError` for a malformed bundle, one whose coordinate
+    moves away from the limit past the bundle before it, and a
+    :class:`TractabilityError` for a switch that cannot be computed or a
+    bundle past ``TAIL_INDEX_CAP``.  On a side without a tail ``tail`` is
+    None, and the walk is never grown."""
+
+    def __init__(self, domain: PreferenceDomain, tail: Optional[TailRule],
+                 s: float):
+        self.domain, self.tail, self.s = domain, tail, s
+        self.bundles, self.switches, self.steps, self.end = [], [], [], None
+
+    def grow(self):
+        """Walk one switch further, or end the walk."""
+        n = self.tail.start + len(self.switches)
+        try:
+            if not self.bundles:
+                self.bundles.append(self.tail.bundle(n))
+            z, nxt = self.bundles[-1], self.tail.bundle(n + 1)
+            if nxt == z:
+                self.end = _CLAMPED
+                return
+            lower, upper = (z, nxt) if self.s > 0 else (nxt, z)
+            for name, k in (("payment", 0), ("quantity", 1)):
+                if upper[k] < lower[k]:
+                    move = "falls below" if self.s > 0 else "rises above"
+                    raise DomainError(f"malformed tail at index {n + 1}: its "
+                                      f"{name} {move} index {n}'s")
+            try:
+                switch = self.s * self.domain.special_preference(lower, upper)
+            except DomainError as exc:
+                raise TractabilityError(f"its switching parameter at tail "
+                                        f"index {n} fails: {exc}") from exc
+        except (DomainError, TractabilityError) as exc:
+            self.end = exc
+            return
+        self.bundles.append(nxt)
+        self.switches.append(switch)
+        self.steps.append(max(self.steps[-1], switch) if self.steps else switch)
+
+    def reach(self, i: int) -> bool:
+        """Grow the walk to its switch ``i``; False where it ends before."""
+        while self.end is None and len(self.switches) <= i:
+            self.grow()
+        return i < len(self.switches)
+
+
 @dataclass
 class CountableMechanism:
     """Mechanism whose range accumulates at one limit bundle.
@@ -223,7 +278,9 @@ class CountableMechanism:
     allocated below ``limit_lo``; ``decreasing`` generates bundles falling
     to it and is allocated above ``limit_hi``.  Either tail may be absent;
     ``limit_lo`` is given exactly when ``increasing`` is, and ``limit_hi``
-    exactly when ``decreasing`` is.
+    exactly when ``decreasing`` is.  Each given edge must be a parameter
+    of the domain, and ``limit_lo <= limit_hi``.  Each tail is walked once
+    (:class:`_Walk`), as far as the calls so far have needed.
     """
 
     domain: PreferenceDomain
@@ -232,7 +289,7 @@ class CountableMechanism:
     decreasing: Optional[TailRule] = None
     limit_lo: Optional[float] = None  # parameter where the limit bundle starts
     limit_hi: Optional[float] = None  # parameter where it ends
-    _switches: dict = field(default_factory=dict, repr=False)
+    _walks: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.limit_bundle = check_bundle(self.limit_bundle)
@@ -240,41 +297,37 @@ class CountableMechanism:
             raise DomainError("limit_lo needs an increasing tail, and vice versa")
         if (self.decreasing is None) != (self.limit_hi is None):
             raise DomainError("limit_hi needs a decreasing tail, and vice versa")
-
-    def _switch(self, below: bool, n: int) -> float:
-        """Indifference parameter of tail bundles ``n`` and ``n + 1`` on the
-        side ``below`` (or above) the limit; memoized."""
-        key = (below, n)
-        if key not in self._switches:
-            tail = self.increasing if below else self.decreasing
-            lower, upper = (n, n + 1) if below else (n + 1, n)
-            self._switches[key] = self.domain.special_preference(
-                tail.bundle(lower), tail.bundle(upper))
-        return self._switches[key]
+        edges = [self.domain.check_param(r)
+                 for r in (self.limit_lo, self.limit_hi) if r is not None]
+        if edges != sorted(edges):
+            raise DomainError(f"limit_lo must not exceed limit_hi: {edges}")
+        self._walks = {True: _Walk(self.domain, self.increasing, 1.0),
+                       False: _Walk(self.domain, self.decreasing, -1.0)}
 
     def inc_breakpoint(self, n: int) -> float:
         """Breakpoint entering increasing-tail bundle ``n`` from ``n - 1``."""
-        return self._switch(True, n - 1)
+        walk, i = self._walks[True], n - 1 - self.increasing.start
+        if i < 0 or not walk.reach(i):
+            raise DomainError(f"no switch of the walk enters tail bundle {n}")
+        return walk.switches[i]
 
     def evaluate(self, r: float) -> Bundle:
+        """The bundle of type ``r``: the walk's bundle where the running
+        maximum of its switches first passes ``r``, as in
+        :meth:`FiniteMechanism.evaluate`, with a tie going to the higher
+        bundle.  A clamped tail's repeated bundle holds up to the limit
+        edge; a type past the end of a walk that ended in an error gets the
+        limit bundle."""
         r = self.domain.check_param(r)
-        lo = self.limit_lo if self.limit_lo is not None else -math.inf
-        hi = self.limit_hi if self.limit_hi is not None else math.inf
-        if lo <= r <= hi:
+        below = self.limit_lo is not None and r < self.limit_lo
+        if not below and (self.limit_hi is None or r <= self.limit_hi):
             return self.limit_bundle
-        below = r < lo
-        tail = self.increasing if below else self.decreasing
-        # A clamped tail's repeated bundle holds up to the limit edge, as in
-        # _staircase; tail bundles past the tail's resolution are treated as
-        # the limit bundle itself.  A tie goes to the higher bundle.
-        try:
-            n = tail.start
-            while (tail.bundle(n + 1) != tail.bundle(n)
-                   and (self._switch(below, n) <= r) == below):
-                n += 1
-            return tail.bundle(n)
-        except (DomainError, TractabilityError):
-            return self.limit_bundle
+        walk = self._walks[below]
+        x, find = (r, bisect_right) if below else (-r, bisect_left)
+        while (k := find(walk.steps, x)) == len(walk.steps) and walk.end is None:
+            walk.grow()
+        held = k < len(walk.steps) or walk.end is _CLAMPED
+        return walk.bundles[k] if held else self.limit_bundle
 
     def revenue_segments(self, dist, tol: float = 1e-7) -> Iterator[tuple]:
         """Allocation intervals, tails summed until the residual mass times
@@ -293,51 +346,39 @@ class CountableMechanism:
 
     def _staircase(self, below: bool, lo: float, hi: float,
                    done: Callable) -> Iterator[tuple]:
-        """The one walk of a tail, in ``s*r`` (see :func:`_span`) from the
-        outer end of the support ``[lo, hi]`` to the limit edge ``end``: each
-        tail bundle ``z`` on its interval ``[a, b]`` up to the first for which
+        """A tail's walk read from the outer end of the support ``[lo, hi]``
+        to the limit edge ``end``, in ``s*r`` (see :func:`_span`): each tail
+        bundle ``z`` on its interval ``[a, b]`` up to the first for which
         ``done(s, z, a, b, end)`` holds, then the limit bundle on the rest,
-        or a clamped tail's repeated last bundle.  A switch that cannot be
-        computed or falls by more than ``from_range``'s ``1e-12``, or a
-        bundle past ``TAIL_INDEX_CAP``, raises :class:`TractabilityError`.
-        A bundle with a coordinate that moves away from the limit, past
-        the bundle before it, makes the tail malformed and raises
-        :class:`DomainError`; a coordinate that only stalls is a limit of
-        resolution."""
-        tail = self.increasing if below else self.decreasing
-        if tail is None:
+        or a clamped tail's repeated last bundle.  A switch that falls by
+        more than ``from_range``'s ``1e-12`` raises
+        :class:`TractabilityError`, and so does the end of a walk that
+        ended in one; a walk that ended at a malformed bundle raises its
+        :class:`DomainError`.  A coordinate that only stalls leaves the
+        switch to fail, a limit of resolution."""
+        walk = self._walks[below]
+        if walk.tail is None:
             return
-        s = 1.0 if below else -1.0
+        s = walk.s
         a = s * (lo if below else hi)
         end = s * (self.limit_lo if below else self.limit_hi)
         if a >= end:
             return  # the support stops short of this tail
-        n, z, last = tail.start, tail.bundle(tail.start), -math.inf
-        while True:
-            nxt = tail.bundle(n + 1)
-            if nxt == z:
-                break  # the line clamped the tail: z is its last bundle
-            lower, upper = (z, nxt) if below else (nxt, z)
-            for name, k in (("payment", 0), ("quantity", 1)):
-                if upper[k] < lower[k]:
-                    move = "falls below" if below else "rises above"
-                    raise DomainError(f"malformed tail at index {n + 1}: its "
-                                      f"{name} {move} index {n}'s")
-            try:
-                switch = s * self._switch(below, n)
-            except DomainError as exc:
-                raise TractabilityError(f"its switching parameter at tail "
-                                        f"index {n} fails: {exc}") from exc
+        i, last = 0, -math.inf
+        while walk.reach(i):
+            z, switch = walk.bundles[i], walk.switches[i]
             if switch < last - 1e-12:
-                raise TractabilityError(
-                    f"its switching parameters fall at tail index {n}")
+                raise TractabilityError(f"its switching parameters fall at "
+                                        f"tail index {walk.tail.start + i}")
             b = min(max(switch, a), end)
             yield (*_span(s, a, b), z)
             if done(s, z, a, b, end):
-                a, z = b, self.limit_bundle
-                break
-            a, n, z, last = b, n + 1, nxt, switch
-        yield (*_span(s, a, end), z)
+                yield (*_span(s, b, end), self.limit_bundle)
+                return
+            a, i, last = b, i + 1, switch
+        if walk.end is not _CLAMPED:
+            raise walk.end.with_traceback(None)  # dropping its old frames
+        yield (*_span(s, a, end), walk.bundles[i])
 
 
 def _search_best_on_line(domain: PreferenceDomain, r: float, slope: float,

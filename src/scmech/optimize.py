@@ -74,7 +74,7 @@ COLLAPSE_TOL = 1e-6  # componentwise duplicate-bundle threshold for reporting
 STEP_FLOOR = 1e-12  # steps a restricted family's range counts as round-off
 SWEEP_ROUNDS = 12  # coordinate sweeps per local search, at most
 SWEEP_TOL = 1e-12  # a sweep stops once a whole round gains less revenue
-RIDGE_TOL = 1e-10  # revenue an insertion must gain
+RIDGE_TOL = 1e-12  # revenue an insertion must gain
 DP_GRID = 160  # quantiles, and even points, of the classical form's grid DP
 CHAIN_GRID = 14  # payment and quantity steps of the chain DP's bundle grid
 POLISH_STEP = 1e-3  # first simplex of the sweep path's polish, per unit range
@@ -595,12 +595,13 @@ def _bfgs_ascent(fun, x, lo, hi):
     return x, f, evals
 
 
-def _sorted_call(profile, x):
-    """``profile`` of the sorted breakpoints ``x``, a revenue and its
+def _sorted_call(program, x):
+    """The revenue and its gradient from ``program`` at the sorted
+    breakpoints ``x``, which returns the revenue, the quantities and the
     gradient, with the gradient put back in the order of ``x``: the
     objective is symmetric in the breakpoints."""
     order = sorted(range(len(x)), key=x.__getitem__)
-    revenue, grad = profile([x[i] for i in order])
+    revenue, _, grad = program([x[i] for i in order])
     out = [0.0] * len(x)
     for i, d in zip(order, grad):
         out[i] = d
@@ -760,7 +761,8 @@ def _exact_blocks(form, dist, thetas):
 
 def _exact_profile(form, dist, thetas):
     """Revenue-maximizing quantities at fixed breakpoints, for a classical
-    form with ``phi(t) = t**2`` in payment mode.
+    form with ``phi(t) = t**2`` in payment mode, and the revenue's gradient
+    in the breakpoints.
 
     With ``v_k = t_k**2``, binding indifference gives
     ``v_k - v_{k-1} = a(theta_k) * dh_k``, so ``h(q_m) = sum_k d_k v_k``
@@ -770,31 +772,10 @@ def _exact_profile(form, dist, thetas):
     nondecreasing ``v`` with ``sum_k d_k v_k <= 1`` pools the segments into
     blocks on which ``c/d`` is nondecreasing (:func:`_exact_blocks`) and
     sets ``v_B = (c_B/d_B)**2 / S`` with ``S = sum_B c_B**2 / d_B``; the
-    revenue is ``sqrt(S)`` (README, classical families in payment mode).
-    A breakpoint where ``1/a`` is infinite sells nothing: its ``v`` and
-    ``dh`` are 0.  One where ``1/a`` is 0 (the top of two_param) repeats
-    the bundle below, and its mass, if any, is that bundle's.
-    ``thetas`` must be sorted.  Returns the revenue and the quantities.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    first, inv, blocks = _exact_blocks(form, dist, thetas)
-    last = first + len(inv)
-    total = sum(cb * cb / db for cb, db, _ in blocks)
-    v = np.zeros(last)
-    if total > 0.0:
-        v[first:] = np.repeat([(cb / db) ** 2 / total for cb, db, _ in blocks],
-                              [n for _, _, n in blocks])
-    dh = np.zeros(len(thetas))
-    dh[first:last] = np.diff(v, prepend=0.0)[first:] * inv
-    h = np.cumsum(dh)
-    if h[-1] > 0.0:
-        h /= h[-1]  # the budget binds: h(q_m) = 1 up to round-off, made exact
-    return math.sqrt(total), np.asarray(form.h_inv(h), dtype=float)
-
-
-def _exact_gradient(form, dist, thetas):
-    """The revenue ``R`` of :func:`_exact_profile` and its gradient in the
-    sorted breakpoints ``thetas``.
+    revenue is ``R = sqrt(S)`` (README, classical families in payment
+    mode).  A breakpoint where ``1/a`` is infinite sells nothing: its ``v``
+    and ``dh`` are 0.  One where ``1/a`` is 0 (the top of two_param)
+    repeats the bundle below, and its mass, if any, is that bundle's.
 
     With ``b = 1/a`` and ``rho_B = c_B/d_B``, ``d(c**2/d) = 2 rho dc -
     rho**2 dd`` gives, for the first breakpoint ``theta_i`` of block B
@@ -802,23 +783,35 @@ def _exact_gradient(form, dist, thetas):
     ``dS/dtheta_i = (rho_A - rho_B)(2 f(theta_i) + b'(theta_i)(rho_A +
     rho_B))``; a breakpoint inside a block has gradient 0, and so has one
     that sells nothing (README).  ``dR = dS / (2R)``.
+    ``thetas`` must be sorted.  Returns the revenue, the quantities and
+    the gradient, as :func:`_square_weight_profile` does.
     """
     thetas = np.asarray(thetas, dtype=float)
-    first, _, blocks = _exact_blocks(form, dist, thetas)
+    first, inv, blocks = _exact_blocks(form, dist, thetas)
     total = sum(cb * cb / db for cb, db, _ in blocks)
-    grad = [0.0] * len(thetas)
-    if not total > 0.0:
-        return 0.0, grad
-    starts = np.cumsum([first, *(n for _, _, n in blocks[:-1])])
-    dens = dist.pdf(thetas[starts]).tolist()
-    slope = form.inv_a_slope(thetas[starts]).tolist()
-    revenue, below = math.sqrt(total), 0.0
-    for k, f, b, (cb, db, _) in zip(starts.tolist(), dens, slope, blocks):
-        rho = cb / db
-        grad[k] = ((below - rho) * (2.0 * f + b * (below + rho))
-                   / (2.0 * revenue))
-        below = rho
-    return revenue, grad
+    revenue, grad = math.sqrt(total), [0.0] * len(thetas)
+    dh = np.zeros(len(thetas))
+    if total > 0.0:
+        starts = np.cumsum([first, *(n for _, _, n in blocks[:-1])]).tolist()
+        dens = dist.pdf(thetas[starts]).tolist()
+        # the slope of 1/a is infinite where 1/a is finite but its square
+        # overflows (theta near 0): the gradient is, and the quantities
+        # never read it
+        with np.errstate(divide="ignore", over="ignore"):
+            slope = form.inv_a_slope(thetas[starts]).tolist()
+        below = v_below = 0.0
+        # v and so h step only where a block starts
+        for k, f, b, (cb, db, _) in zip(starts, dens, slope, blocks):
+            rho = cb / db
+            grad[k] = ((below - rho) * (2.0 * f + b * (below + rho))
+                       / (2.0 * revenue))
+            v = rho ** 2 / total
+            dh[k] = (v - v_below) * inv[k - first]
+            below, v_below = rho, v
+    h = np.cumsum(dh)
+    if h[-1] > 0.0:
+        h /= h[-1]  # the budget binds: h(q_m) = 1 up to round-off, made exact
+    return revenue, np.asarray(form.h_inv(h), dtype=float), grad
 
 
 def _grid_dp(form, dist, m, grid):
@@ -866,16 +859,19 @@ def _search(domain, dist, m, mode):
     local step is an ascent cell by cell between the kinks
     (:func:`_cell_ascent`) on the revenue's gradient, after which a
     breakpoint that sells no more than the one below it is dropped, and the
-    finish does nothing.  A classical form ascends :func:`_exact_gradient`
-    and starts from :func:`_grid_dp` on ``DP_GRID`` quantiles, evenly
-    spaced in level, ``DP_GRID`` even points of the support, which cover
-    the pieces with less mass than a quantile step, and the CDF's knots;
-    ``a``'s kinks are kinks too.  risk_averse ascends
-    :func:`_square_weight_profile` and starts from :func:`_chain_dp`.  The
+    finish does nothing.  Each is one ``program`` that returns the revenue,
+    the quantities and the gradient: a classical form's is
+    :func:`_exact_profile`, which starts from :func:`_grid_dp` on
+    ``DP_GRID`` quantiles, evenly spaced in level, ``DP_GRID`` even points
+    of the support, which cover the pieces with less mass than a quantile
+    step, and the CDF's knots; ``a``'s kinks are kinks too.  risk_averse's
+    is :func:`_square_weight_profile`, which starts from
+    :func:`_chain_dp`.  The
     trials are a new breakpoint at each gap's midpoint (:func:`_gap_trials`),
     each ascended, and one ``SPLIT_STEP`` of the support to either side of
-    each placed breakpoint, where only the trial that earns most ascends:
-    the piece a split cuts off has the ratio of the density to the slope of
+    each placed breakpoint, where only the trial whose new breakpoint has
+    the steepest revenue slope away from the one it splits ascends: the
+    piece a split cuts off has the ratio of the density to the slope of
     ``1/a`` on that side, not its block's, so it can gain in a window
     narrower than the grid's steps.  The profile sweep searches
     ``(theta_1..theta_n, q_1..q_{n-1})``: its local step is :func:`_sweep`,
@@ -898,50 +894,44 @@ def _search(domain, dist, m, mode):
     form, exact = family.exact_quantities, mode in family.exact_quantity_modes
     classical, kinks, evals = exact and form is not None, (), []
     if classical:
-        gradient = partial(_exact_gradient, form, dist)
-
-        def quantities(thetas):
-            return _exact_profile(form, dist, thetas)[1].tolist()
-
+        program = partial(_exact_profile, form, dist)
         levels = np.linspace(0.0, 1.0, DP_GRID)
         grid = np.unique(np.concatenate([
             dist.ppf(levels), lo + (hi - lo) * levels, dist.knots or ()]))
         chains, size = _grid_dp(form, dist, m, grid)
         kinks = form.kinks
     else:
+        # risk_averse's program; the profile sweep has none
+        program = partial(_square_weight_profile, dist)
         ranges, size = _chain_dp(domain, dist, mode, m,
                                  *_bundle_grid(family, dist))
         chains = [(thetas if exact else [*thetas, *qs[:-1]], total)
                   for (thetas, qs), total in ranges]
     if exact:
-        if not classical:
-            def gradient(thetas):
-                revenue, _, grad = _square_weight_profile(dist, thetas)
-                return revenue, grad
-
-            def quantities(thetas):
-                return _square_weight_profile(dist, thetas)[1]
-
-        fun, sold, count = partial(_sorted_call, gradient), {}, len
+        fun, sold, count = partial(_sorted_call, program), {}, len
         step = SPLIT_STEP * (hi - lo)
 
         def local(x):
             x, revenue, e = _cell_ascent(fun, x, lo, hi, kinks)
             evals.append(e)
             x = sorted(x)
-            qs = quantities(x)
+            qs = np.asarray(program(x)[1], dtype=float).tolist()
             kept = [(t, q) for t, p, q in zip(x, [0.0, *qs], qs) if q > p]
             x = [t for t, _ in kept]
             sold[tuple(x)] = [q for _, q in kept]
             return x, revenue
 
         def trials(x):
-            splits = [[*x, min(max(t + d, lo), hi)]
+            # a split ranks by its new breakpoint's slope away from the one it
+            # splits: its gain is that slope times SPLIT_STEP, which round-off
+            # in its revenue hides where the slope is small
+            splits = [([*x, min(max(t + d, lo), hi)], d)
                       for t in x for d in (-step, step)]
             evals.append(len(splits))
             gaps = _gap_trials(lo, hi, x)
             if splits:
-                gaps.append(max(splits, key=lambda y: fun(y)[0]))
+                y, _ = max(splits, key=lambda s: fun(s[0])[1][-1] * s[1])
+                gaps.append(y)
             return gaps
 
         def finish(x, rev):

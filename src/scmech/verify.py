@@ -129,44 +129,47 @@ def _sorted(violations) -> tuple:
 
 
 def check_strategy_proof(domain: PreferenceDomain, mech_fn: Callable,
-                         param_grid: Sequence[float],
-                         tol: float = TAU_IC) -> VerificationReport:
-    """Flag every grid pair where misreporting beats truth-telling."""
+                         param_grid: Sequence[float]) -> VerificationReport:
+    """Flag every grid pair where misreporting beats truth-telling by more
+    than ``TAU_IC``."""
     grid = _sorted_grid(param_grid)
     _, ts, qs = _allocate(mech_fn, grid)
     return VerificationReport(
-        tuple(_incentive_violations(domain, grid, ts, qs, tol)),
-        len(grid), tol)
+        tuple(_incentive_violations(domain, grid, ts, qs)), len(grid), TAU_IC)
 
 
-def check_individual_rationality(domain: PreferenceDomain, mech_fn: Callable,
-                                 param_grid: Sequence[float],
-                                 tol: float = TAU_IC) -> VerificationReport:
-    """Flag grid points where the buyer would rather walk away."""
+def check_individual_rationality(
+        domain: PreferenceDomain, mech_fn: Callable,
+        param_grid: Sequence[float]) -> VerificationReport:
+    """Flag grid points where the buyer would rather walk away, by more
+    than ``TAU_IC``."""
     grid = _sorted_grid(param_grid)
     allocs, ts, qs, rejected = _allocate_below(mech_fn, grid)
     # a loop over the grid checks each point's bundle before it asks the
     # rule for the next point's
     violations = _participation_violations(domain, grid[:len(ts)], allocs,
-                                           ts, qs, tol)
+                                           ts, qs)
     if rejected is not None:
         raise rejected
-    return VerificationReport(tuple(violations), len(grid), tol)
+    return VerificationReport(tuple(violations), len(grid), TAU_IC)
 
 
 def check_shape(domain: PreferenceDomain, mech: FiniteMechanism,
-                param_grid: Sequence[float],
-                indiff_tol: float = TAU_INDIFF) -> VerificationReport:
+                param_grid: Sequence[float]) -> VerificationReport:
     """Monotonicity and indifference of a step mechanism, for every type:
-    :func:`certify_step`'s MONO and CONT records, at ``indiff_tol``.
+    :func:`certify_step`'s MONO and CONT records, at ``TAU_INDIFF``.
 
     Both hold for every strategy-proof mechanism.  The grid only sets the
-    report's ``grid_size``, and its first inadmissible point raises.
+    report's ``grid_size``, and its first inadmissible point raises: the
+    grid is sorted only when some point is inadmissible.
     """
-    grid = _sorted_grid(param_grid)
-    mech.evaluate_many(grid)  # raises at the first inadmissible point
-    violations = _shape_violations(domain, mech, indiff_tol)
-    return VerificationReport(_sorted(violations), len(grid), indiff_tol)
+    grid = np.asarray(param_grid, dtype=float)
+    try:
+        mech.evaluate_many(grid)
+    except DomainError:  # raise at the first inadmissible point, sorted
+        mech.evaluate_many(_sorted_grid(grid))
+    violations = _shape_violations(domain, mech, TAU_INDIFF)
+    return VerificationReport(_sorted(violations), len(grid), TAU_INDIFF)
 
 
 def _sorted_grid(param_grid) -> np.ndarray:
@@ -211,7 +214,7 @@ def _table(ts, qs) -> tuple:
     return index.reshape(-1), tf[first], qf[first]
 
 
-def _incentive_violations(domain, grid, ts, qs, tol) -> list:
+def _incentive_violations(domain, grid, ts, qs) -> list:
     """IC records of every grid pair, in :func:`_sorted` order.  The
     canonical payments are those of each grid point's type against each
     bundle of the table (:func:`_table`), in blocks of rows of at most ``PAIR_BLOCK`` payments, or
@@ -244,7 +247,7 @@ def _incentive_violations(domain, grid, ts, qs, tol) -> list:
     for lo in range(0, n, step):
         rows = np.arange(lo, min(lo + step, n))
         g = _gains(domain, grid[rows], index[rows], bts, bqs)
-        i, j = np.nonzero(g > tol)
+        i, j = np.nonzero(g > TAU_IC)
         gain = g[i, j]
         if m < n:
             # hit h stands for the pairs of row i[h] with the count[j[h]]
@@ -304,7 +307,7 @@ def _gains(domain, types, own, ts, qs) -> np.ndarray:
     return g
 
 
-def _participation_violations(domain, grid, allocs, ts, qs, tol) -> list:
+def _participation_violations(domain, grid, allocs, ts, qs) -> list:
     """IR records in grid order.  The first point whose parameter, bundle,
     or (restricted) payment bound is inadmissible raises the error that
     :meth:`PreferenceDomain.canonical_payment` raises for it."""
@@ -321,7 +324,7 @@ def _participation_violations(domain, grid, allocs, ts, qs, tol) -> list:
             domain.check_admissible(domain.check_param(grid[k]), z)
         gains = (domain.canonical_payment_many(grid, ts, qs)
                  - domain.canonical_payment_many(grid, 0.0, 0.0))
-    k = np.nonzero(gains > tol)[0]
+    k = np.nonzero(gains > TAU_IC)[0]
     return _records("IR", grid[k].tolist(), itertools.repeat(None),
                     gains[k].tolist())
 
@@ -350,8 +353,7 @@ def _shape_violations(domain, mech, indiff_tol) -> list:
 
 
 def certify_step(domain: PreferenceDomain, mech: FiniteMechanism,
-                 lo: float, hi: float,
-                 tol: float = TAU_IC) -> VerificationReport:
+                 lo: float, hi: float) -> VerificationReport:
     """Certify a step mechanism for every type in ``[lo, hi]``, exactly.
 
     * MONO and CONT, as :func:`check_shape` reports them at
@@ -375,7 +377,7 @@ def certify_step(domain: PreferenceDomain, mech: FiniteMechanism,
       :func:`check_individual_rationality`.
 
     The report's ``grid_size`` is the number of distinct types checked,
-    and its ``tolerance`` the larger of ``tol`` and ``TAU_INDIFF``.
+    and its ``tolerance`` the larger of ``TAU_IC`` and ``TAU_INDIFF``.
     """
     lo, hi = domain.check_param(lo), domain.check_param(hi)
     if lo > hi:
@@ -391,23 +393,23 @@ def certify_step(domain: PreferenceDomain, mech: FiniteMechanism,
     left, right = np.maximum(starts, lo), np.minimum(ends, hi)
     held = np.nonzero((left < ends) & (left <= hi))[0]
     violations += _participation_violations(domain, left[held], None,
-                                            ts[held], qs[held], tol)
+                                            ts[held], qs[held])
     # each held bundle at its left end, then at its right end
     types, own = np.append(left[held], right[held]), np.tile(held, 2)
     gains = _gains(domain, types, own, ts, qs)
     above = (ts >= ts[own, None]) & (qs >= qs[own, None])
-    bad = (gains > tol) & np.vstack([~above[:len(held)], above[len(held):]])
+    bad = (gains > TAU_IC) & np.vstack([~above[:len(held)], above[len(held):]])
     i, j = np.nonzero(bad)
     violations += _records("IC", types[i].tolist(), starts[j].tolist(),
                            gains[i, j].tolist())
     # a type where two bundles meet can report the same deviation from both,
     # and a report names the largest of its tolerances
     return VerificationReport(_sorted(dict.fromkeys(violations)),
-                              len(np.unique(types)), max(tol, TAU_INDIFF))
+                              len(np.unique(types)), max(TAU_IC, TAU_INDIFF))
 
 
-def verify_mechanism(domain: PreferenceDomain, mech, param_grid,
-                     tol: float = TAU_IC) -> VerificationReport:
+def verify_mechanism(domain: PreferenceDomain, mech,
+                     param_grid) -> VerificationReport:
     """Incentives, individual rationality, and (for step mechanisms) shape.
 
     A step mechanism is certified by :func:`certify_step` on the grid's
@@ -418,14 +420,14 @@ def verify_mechanism(domain: PreferenceDomain, mech, param_grid,
     grid = _sorted_grid(param_grid)
     if isinstance(mech, FiniteMechanism):
         mech.evaluate_many(grid)  # raises at the first inadmissible point
-        report = (certify_step(domain, mech, grid[0], grid[-1], tol)
+        report = (certify_step(domain, mech, grid[0], grid[-1])
                   if len(grid) else check_shape(domain, mech, grid))
         return VerificationReport(report.violations, len(grid),
-                                  max(tol, TAU_INDIFF))
+                                  max(TAU_IC, TAU_INDIFF))
     allocs, ts, qs = _allocate(mech, grid)
-    violations = _incentive_violations(domain, grid, ts, qs, tol)
-    violations += _participation_violations(domain, grid, allocs, ts, qs, tol)
-    return VerificationReport(_sorted(violations), len(grid), tol)
+    violations = _incentive_violations(domain, grid, ts, qs)
+    violations += _participation_violations(domain, grid, allocs, ts, qs)
+    return VerificationReport(_sorted(violations), len(grid), TAU_IC)
 
 
 # -- brute-force optimal oracle ------------------------------------------------

@@ -1,7 +1,8 @@
 """Shared test utilities: random feasible ranges, verification grids, the
 closed-form oracle for the epsilon-truncation instance, a registered
 cubic family, the options the CLI parses, a point-by-point reference for
-the grid checks and a loop over a step mechanism's range for its shape."""
+the grid checks, a loop over a step mechanism's range for its shape, and
+a countable mechanism's allocation as a linear walk of its tail."""
 
 import math
 from functools import partial
@@ -11,7 +12,8 @@ from scipy.special import polygamma
 
 from scmech.domain import (FAMILIES, Bundle, Family, ZERO_BUNDLE, make_domain,
                            register_family)
-from scmech.errors import DomainError, InfeasibleRangeError
+from scmech.errors import (DomainError, InfeasibleRangeError,
+                           TractabilityError)
 from scmech.mechanism import from_range
 from scmech.verify import Violation, VerificationReport, _sorted
 
@@ -142,6 +144,48 @@ def reference_evaluate(mech, r):
         else:
             break
     return mech.bundles[k]
+
+
+def reference_countable_evaluate(cmech, rs):
+    """``CountableMechanism.evaluate`` at each of the types ``rs`` as a
+    linear walk from the tail's start: on to the next tail bundle while the
+    switch out of this one lies at or below the type (below the limit), or
+    above it (above the limit), stopping at a bundle the tail repeats.  A
+    walk that meets a bundle or a switch that cannot be computed gives the
+    limit bundle.  The bundles and switches are memoized across the types
+    only to keep the walks cheap."""
+    bundles, switches, out = {}, {}, []
+
+    def bundle(tail, n):
+        if (id(tail), n) not in bundles:
+            bundles[id(tail), n] = tail.bundle(n)
+        return bundles[id(tail), n]
+
+    def switch(tail, below, n):
+        if (below, n) not in switches:
+            lower, upper = (n, n + 1) if below else (n + 1, n)
+            switches[below, n] = cmech.domain.special_preference(
+                bundle(tail, lower), bundle(tail, upper))
+        return switches[below, n]
+
+    for r in rs:
+        r = cmech.domain.check_param(r)
+        lo = -math.inf if cmech.limit_lo is None else cmech.limit_lo
+        hi = math.inf if cmech.limit_hi is None else cmech.limit_hi
+        if lo <= r <= hi:
+            out.append(cmech.limit_bundle)
+            continue
+        below = r < lo
+        tail = cmech.increasing if below else cmech.decreasing
+        try:
+            n = tail.start
+            while (bundle(tail, n + 1) != bundle(tail, n)
+                   and (switch(tail, below, n) <= r) == below):
+                n += 1
+            out.append(bundle(tail, n))
+        except (DomainError, TractabilityError):
+            out.append(cmech.limit_bundle)
+    return out
 
 
 def reference_strategy_proof(domain, mech_fn, param_grid, tol=1e-7):

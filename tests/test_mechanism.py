@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (FACTORY_FAMILIES, grid_around, random_feasible_range,
-                     reference_evaluate, same_bits)
+                     reference_countable_evaluate, reference_evaluate,
+                     same_bits)
 from scmech import measure, serialize
 from scmech.domain import Bundle, Ordering, ZERO_BUNDLE, make_domain
 from scmech.errors import DomainError, InfeasibleRangeError, TractabilityError
@@ -498,6 +499,130 @@ def test_tail_index_cap_bounds_every_walk(monkeypatch):
         epsilon_truncate(cm, 1e-3, UNIF)
     with pytest.raises(TractabilityError, match="beyond cap 5$"):
         list(cm.revenue_segments(UNIF))
+
+
+def _malformed_tail(n):
+    # bundle 5 costs less than bundle 4 and gives more
+    q = 0.8 - 1.0 / n
+    return Bundle(0.0 if n == 5 else 0.78125 * q * q, q)
+
+
+def _countable(case):
+    """The six countable mechanisms whose ``evaluate`` is checked against
+    the linear walk, and a distribution over their types."""
+    ql_dist = measure.uniform(0.3, 2.5)
+    if case == "example7":
+        return countable_geometric(SQ, LINE, SEQ), UNIF
+    if case == "line-end":
+        return countable_geometric(SQ, AnchorLine(3.0, 1 / 12, 0.3), SEQ), UNIF
+    if case == "decreasing":
+        dom = make_domain("sqrt_quasilinear", 0.26, 1.0)
+        return (countable_geometric(dom, AnchorLine(1.0, 0.01, 0.9),
+                                    harmonic_sequence(0.5, -1.0, 3)),
+                measure.uniform(0.26, 1.0))
+    if case == "two-sided":
+        return _two_sided(), ql_dist
+    tail = _stalled_tail if case == "stalled" else _malformed_tail
+    return (CountableMechanism(QL, Bundle(0.5, 0.8), limit_lo=1.25,
+                               increasing=TailRule(tail, start=3)), ql_dist)
+
+
+COUNTABLE = ["example7", "line-end", "decreasing", "two-sided", "stalled",
+             "malformed"]
+
+
+def _types_and_switches(cm, dist):
+    """A grid over the support, types a little inside each limit edge (on
+    example 7 the last two lie past the tail's resolution, at index 10,648,
+    and the last past its 20,000th bundle), and, as types, the switches
+    out of each tail's first 300 bundles and out of those 2**k further on,
+    up to 2**15.  The reference walks each type from the tail's start, so
+    the deep switches are sampled.  A switch that cannot be computed, or
+    out of a bundle past the cap, is left out."""
+    edges = [e for e in (cm.limit_lo, cm.limit_hi) if e is not None]
+    types = [*np.linspace(dist.lo, dist.hi, 201),
+             *(e + s * d for e in edges for s in (-1, 1)
+               for d in (1e-3, 1e-4, 9e-5, 4e-5))]
+    for below, tail in ((True, cm.increasing), (False, cm.decreasing)):
+        for i in [*range(300), *(2**k for k in range(9, 16))] if tail else ():
+            n = tail.start + i
+            try:
+                pair = (tail.bundle(n), tail.bundle(n + 1))
+                types.append(cm.domain.special_preference(
+                    *(pair if below else pair[::-1])))
+            except (DomainError, TractabilityError):
+                break
+    return [float(r) for r in types if dist.lo <= r <= dist.hi]
+
+
+@pytest.mark.parametrize("case", COUNTABLE)
+def test_evaluate_matches_the_linear_walk(case):
+    # evaluate bisects the running maximum of the memoized switches; the
+    # reference walks each tail from its start for every type.  The types
+    # are visited in a shuffled order, so the walk grows out of order
+    cm, dist = _countable(case)
+    types = _types_and_switches(cm, dist)
+    np.random.default_rng(40).shuffle(types)
+    got = [cm.evaluate(r) for r in types]
+    assert same_bits(got, reference_countable_evaluate(cm, types))
+    if case == "malformed":
+        # past the switch that cannot be computed, the limit bundle
+        assert cm.evaluate(1.2) == Bundle(0.5, 0.8)
+
+
+def test_evaluate_matches_the_linear_walk_beyond_the_cap(monkeypatch):
+    from scmech import mechanism
+
+    monkeypatch.setattr(mechanism, "TAIL_INDEX_CAP", 5)
+    cm, dist = _countable("example7")
+    types = _types_and_switches(cm, dist)
+    assert same_bits([cm.evaluate(r) for r in types],
+                     reference_countable_evaluate(cm, types))
+
+
+def test_evaluate_computes_each_tail_bundle_once(monkeypatch):
+    # the midpoints of example 7's revenue segments at tol=1e-5, evaluated
+    # on a fresh mechanism: each call bisects one memoized walk, which asks
+    # the tail rule for each bundle it reaches once.  The midpoint of the
+    # tol cut's stand-in segment gets bundle 707, so the walk reaches 708
+    segments = list(_countable("example7")[0].revenue_segments(UNIF, tol=1e-5))
+    assert len(segments) == 353
+    cm, _ = _countable("example7")
+    calls = []
+    rule = TailRule.bundle
+    monkeypatch.setattr(TailRule, "bundle",
+                        lambda self, n: calls.append(n) or rule(self, n))
+    for a, b, _ in segments:
+        cm.evaluate((a + b) / 2)
+    assert sorted(calls) == list(range(3, 3 + 706))
+
+
+def test_inc_breakpoint_reads_the_walk():
+    # the stalled tail repeats bundle 5, so no switch enters bundle 6, and
+    # the tail has no bundle 2 to switch from
+    cm, _ = _countable("stalled")
+    rule = cm.increasing
+    assert cm.inc_breakpoint(4) == QL.special_preference(rule.bundle(3),
+                                                         rule.bundle(4))
+    for n in (3, 6):
+        with pytest.raises(DomainError, match=f"tail bundle {n}$"):
+            cm.inc_breakpoint(n)
+
+
+@pytest.mark.parametrize("edges", [
+    {"limit_lo": math.nan}, {"limit_lo": math.inf}, {"limit_lo": -5.0},
+    {"limit_lo": 1.6, "limit_hi": 1.25},
+], ids=["nan", "inf", "outside", "crossed"])
+def test_limit_edges_are_ordered_parameters_of_the_domain(edges):
+    # each once failed late or not at all: nan raised an AttributeError in
+    # evaluate, the crossed edges a TractabilityError in revenue_segments,
+    # and -5.0 earned 0.5 from uniform(0.3, 2.5)
+    tails = _two_sided()
+    kwargs = {"increasing": tails.increasing, **edges}
+    if "limit_hi" in edges:
+        kwargs["decreasing"] = tails.decreasing
+    with pytest.raises(DomainError):
+        CountableMechanism(QL, Bundle(0.5, 0.8), **kwargs)
 
 
 # -- best bundle on a line ----------------------------------------------------

@@ -1342,6 +1342,28 @@ def test_exact_path_beats_a_fine_grid_and_keeps_a_kink():
                                   [0.7850638515568947, 0.49666282006692286],
                                   [1, 1]]),
          name="payment_param", m=4)
+# a split just above the support's bottom gains 4.8e-11 there, less than an
+# insertion once had to gain: the search kept two breakpoints, 1.8e-11 short
+# of the 400-point DP's three
+@example(dist=measure.from_table([[0.291015625, 0.0],
+                                  [0.4539273106546855, 0.030303030303030304],
+                                  [0.6541539634146342, 0.030303030303030304],
+                                  [0.7924923780487805, 1.0], [1.0, 1.0]]),
+         name="income_effect", m=3)
+# the same window with less mass below it: a split 1e-9 of the support above
+# the bottom gains below round-off, so its revenue did not rank it first
+# among the splits, and it never ascended; 8.9e-12 and 1.3e-12 short
+@example(dist=measure.from_table([[0.291015625, 0.0],
+                                  [0.45379264987244894, 0.015384615384615385],
+                                  [0.6527423469387755, 0.015384615384615385],
+                                  [0.7974330357142857, 1.0], [1.0, 1.0]]),
+         name="income_effect", m=3)
+@example(dist=measure.from_table([[0.48167685934312277, 0.0],
+                                  [0.7281994083554433, 0.05809382408168004],
+                                  [0.9303689424388607, 0.05809382408168004],
+                                  [0.9834738107599414, 0.05809382408168004],
+                                  [1.0, 1.0]]),
+         name="payment_param", m=3)
 def test_exact_path_beats_a_finer_grid(dist, name, m):
     # the ascent starts from the DP on 160 quantiles and 160 even points and
     # never falls, so it earns at least that; it also earns at least the
@@ -1360,8 +1382,8 @@ def test_exact_path_at_the_top_of_two_param():
     # step warns; a(r) = r below 2, so R = sqrt(3) * 2/5 at 0.6 and 1.2
     dom, dist = make_domain("two_param"), measure.uniform(0.0, 3.0)
     form = dom.family.exact_quantities
-    rev, qs = optimize._exact_profile(form, dist, [0.6, 1.2, 3.0])
-    below, qs_below = optimize._exact_profile(form, dist, [0.6, 1.2])
+    rev, qs, _ = optimize._exact_profile(form, dist, [0.6, 1.2, 3.0])
+    below, qs_below, _ = optimize._exact_profile(form, dist, [0.6, 1.2])
     assert rev == below and list(qs) == [*qs_below, 1.0]
     sol = solve_finite(dom, dist, OptimizeOptions(max_bundles=3))
     assert sol.diagnostics["method"] == "exact_quantities"
@@ -1382,11 +1404,17 @@ def breakpoints(draw):
        dist=st.sampled_from(sorted(PROFILE_DISTS)), thetas=breakpoints(),
        qs=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
                    min_size=4, max_size=4))
+# a breakpoint so near 0 that the slope of 1/a overflows, in the gradient
+# that the same call returns
+@example(name="income_effect", dist="beta", thetas=[5.262174704484821e-156],
+         qs=[0.0, 0.0, 0.0, 0.0])
+@example(name="two_param", dist="beta", thetas=[5.262174704484821e-156],
+         qs=[0.0, 0.0, 0.0, 0.0])
 def test_exact_quantities_are_optimal_at_fixed_breakpoints(name, dist, thetas,
                                                            qs):
     dom, dist = make_domain(name, 0.0, 1.0), PROFILE_DISTS[dist]
-    bound, exact_qs = optimize._exact_profile(dom.family.exact_quantities,
-                                              dist, thetas)
+    bound, exact_qs, _ = optimize._exact_profile(
+        dom.family.exact_quantities, dist, thetas)
     qs = sorted(qs[:len(thetas)])
     assert optimize._profile_revenue(dom, dist, "payment", thetas,
                                      qs) <= bound + 1e-12
@@ -1432,7 +1460,7 @@ def test_exact_gradient_matches_central_differences(name, dist, levels, ties):
     for k in sorted(ties):
         if k + 1 < m:
             thetas[k + 1] = thetas[k]
-    revenue, grad = optimize._exact_gradient(form, dist, thetas)
+    revenue, _, grad = optimize._exact_profile(form, dist, thetas)
     assert revenue == optimize._exact_profile(form, dist, thetas)[0]
     assert len(grad) == m
 

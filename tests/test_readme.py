@@ -57,7 +57,8 @@ def test_library_quick_start_gives_its_commented_values():
             assert value is True, code
         checked.append(code.split("(")[0].strip())
     assert checked == ["mech.breakpoints", "mech.evaluate", "sol.revenue",
-                       "check_strategy_proof"]
+                       "check_strategy_proof", "cm.limit_bundle",
+                       "cm.evaluate", "round", "len"]
 
 
 def test_cli_commands_parse():
