@@ -373,17 +373,29 @@ def _check_support(domain: PreferenceDomain, dist: TypeDistribution) -> None:
         )
 
 
+def _masses(dist: TypeDistribution, r_lo, r_hi):
+    """``dist.mass`` elementwise over arrays of interval ends, with its
+    bits."""
+    return np.where(r_hi <= r_lo, 0.0, dist.cdf(r_hi) - dist.cdf(r_lo))
+
+
 def expected_revenue(domain: PreferenceDomain, mech, dist: TypeDistribution,
                      mode: str = "payment") -> float:
     """Expected seller revenue of a mechanism under ``dist``, whose support
     must lie in the domain interval.
 
     Step mechanisms (anything exposing ``revenue_segments``) are summed
-    exactly; bare callables ``r -> Bundle`` are integrated by adaptive
-    quadrature.
+    exactly, segment after segment; a countable one's thousands of
+    segments come as arrays (``revenue_arrays``), summed in the same order
+    by ``np.cumsum``.  Bare callables ``r -> Bundle`` are integrated by
+    adaptive quadrature.
     """
     check_revenue_mode(mode)
     _check_support(domain, dist)
+    if hasattr(mech, "revenue_arrays"):
+        r_lo, r_hi, t, q = mech.revenue_arrays(dist)
+        pay = t if mode == "payment" else t * q
+        return float(np.cumsum(np.append(0.0, pay * _masses(dist, r_lo, r_hi)))[-1])
     if hasattr(mech, "revenue_segments"):
         total = 0.0
         for r_lo, r_hi, bundle in mech.revenue_segments(dist):

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .domain import (Bundle, PreferenceDomain, TAU_INDIFF, check_bundle,
+from .domain import (Bundle, PreferenceDomain, TAU_INDIFF, _clamp, check_bundle,
                      is_diagonal)
 from .errors import DomainError, InfeasibleRangeError, TractabilityError
 
@@ -164,17 +164,25 @@ class AnchorLine:
         if self.slope * self.t_hi > 1.0 + 1e-12:
             raise DomainError("anchor line leaves the bundle space (q > 1)")
 
-    def bundle(self, t: float) -> Bundle:
-        return Bundle(float(t), min(self.slope * float(t), 1.0))
+    def bundle(self, t) -> Bundle:
+        """The bundle at payment ``t``, its quantity capped at 1; an array
+        of payments gives a bundle of two arrays."""
+        return Bundle(t, _clamp(self.slope * t, -math.inf, 1.0))
 
 
 @dataclass(frozen=True)
 class ParamSequence:
-    """Monotone parameter sequence with an explicit limit."""
+    """Monotone parameter sequence with an explicit limit.
+
+    ``takes_arrays`` says that ``value`` maps an integer array elementwise,
+    with the bits it gives each index alone, as ``harmonic_sequence``'s
+    does; a closed-form best bundle on a line then computes a block of a
+    tail with one call."""
 
     value: Callable
     limit: float
     start: int = 1
+    takes_arrays: bool = False
 
     def __call__(self, n: int) -> float:
         return float(self.value(n))
@@ -184,7 +192,7 @@ def harmonic_sequence(limit: float, coeff: float = 1.0, start: int = 3) -> Param
     """``limit - coeff/n`` for ``n >= start``; increasing when coeff > 0."""
     if not start >= 1:
         raise DomainError(f"harmonic sequence needs start >= 1, got {start}")
-    return ParamSequence(lambda n: limit - coeff / n, float(limit), start)
+    return ParamSequence(lambda n: limit - coeff / n, float(limit), start, True)
 
 
 def constant_sequence(value: float) -> ParamSequence:
@@ -194,54 +202,118 @@ def constant_sequence(value: float) -> ParamSequence:
 @dataclass
 class TailRule:
     """Lazy bundle sequence indexed from ``start``; a countable mechanism's
-    walk memoizes the bundles it reaches."""
+    walk asks for its bundles a block at a time (:meth:`bundles`) and
+    memoizes them.  ``bundles_fn``, where given, is the array form of
+    ``bundle_fn``: an integer array of indices to a bundle of two float
+    arrays, with the bits ``bundle_fn`` gives each index alone."""
 
     bundle_fn: Callable
     start: int
+    bundles_fn: Optional[Callable] = None
 
     def bundle(self, n: int) -> Bundle:
         if n - self.start > TAIL_INDEX_CAP:
             raise TractabilityError(f"tail index {n} beyond cap {TAIL_INDEX_CAP}")
         return check_bundle(self.bundle_fn(n))
 
+    def bundles(self, n0: int, n1: int) -> tuple:
+        """Payments and quantities of the bundles ``n0`` to ``n1 - 1`` as
+        two float arrays: from ``bundles_fn``, unchecked, or, where the rule
+        has none or it raises, from :meth:`bundle` one index at a time, cut
+        short before the first index where that raises.  The walk checks
+        them as arrays and calls :meth:`bundle` again at the first index
+        that fails, which raises there as it always has."""
+        if self.bundles_fn is not None:
+            try:
+                with np.errstate(all="ignore"):
+                    t, q = self.bundles_fn(np.arange(n0, n1))
+                return np.asarray(t, dtype=float), np.asarray(q, dtype=float)
+            except Exception:  # an index that raises: one at a time up to it
+                pass
+        zs = []
+        for n in range(n0, n1):
+            try:
+                zs.append(self.bundle(n))
+            except Exception:  # raised again if the walk reaches index n
+                break
+        t, q = np.array(zs, dtype=float).reshape(-1, 2).T
+        return t, q
 
-def _span(s: float, a: float, b: float) -> tuple:
-    """The parameter interval between walk coordinates ``a`` and ``b``.
+
+def _span(s: float, a, b) -> tuple:
+    """The parameter interval between walk coordinates ``a`` and ``b``
+    (floats or arrays).
 
     A tail walk runs in ``s*r``, with ``s = 1`` below the limit and ``-1``
     above it, so both tails ascend toward the limit bundle."""
     return (a, b) if s > 0 else (-b, -a)
 
 
+def _first(mask) -> int:
+    """Index of the first True of a boolean array, or its length."""
+    return int(mask.argmax()) if mask.any() else len(mask)
+
+
 _CLAMPED = "clamped"
+_BLOCK = 64  # bundles in a walk's first block; each later block doubles it
 
 
 class _Walk:
     """One tail's walk toward the limit bundle, in ``s*r`` (see
-    :func:`_span`), grown on demand and memoized.
+    :func:`_span`), grown on demand in blocks that double it, and memoized.
 
-    ``switches[i]`` is the switch from ``bundles[i]`` to ``bundles[i + 1]``
-    and ``steps[i]`` the running maximum of ``switches[:i + 1]``.  ``end``
-    is None while the walk can grow, then ``_CLAMPED`` where the tail
-    repeats its last bundle, or the error that stopped it: a
-    :class:`DomainError` for a malformed bundle, one whose coordinate
-    moves away from the limit past the bundle before it, and a
-    :class:`TractabilityError` for a switch that cannot be computed or a
-    bundle past ``TAIL_INDEX_CAP``.  On a side without a tail ``tail`` is
-    None, and the walk is never grown."""
+    ``t`` and ``q`` hold the bundles, ``switches[i]`` the switch from
+    bundle ``i`` to bundle ``i + 1`` and ``steps[i]`` the running maximum
+    of ``switches[:i + 1]``, all float arrays.  ``end`` is None while the
+    walk can grow, then ``_CLAMPED`` where the tail repeats its last
+    bundle, or the error that stopped it: a :class:`DomainError` for a
+    malformed bundle, one whose coordinate moves away from the limit past
+    the bundle before it, and a :class:`TractabilityError` for a switch
+    that cannot be computed or a bundle past ``TAIL_INDEX_CAP``.  On a
+    side without a tail ``tail`` is None, and the walk is never grown."""
 
     def __init__(self, domain: PreferenceDomain, tail: Optional[TailRule],
                  s: float):
         self.domain, self.tail, self.s = domain, tail, s
-        self.bundles, self.switches, self.steps, self.end = [], [], [], None
+        self.t = self.q = self.switches = self.steps = np.empty(0)
+        self.end = None
+
+    def bundle(self, i: int) -> Bundle:
+        return Bundle(float(self.t[i]), float(self.q[i]))
 
     def grow(self):
-        """Walk one switch further, or end the walk."""
+        """Double the walk, or end it.  A block's bundles, up to the cap,
+        come from one :meth:`TailRule.bundles` call and its switches from
+        one :meth:`~scmech.domain.PreferenceDomain.special_preferences`
+        call; the checks of each step are array masks.  At the first index
+        that fails one, the walk keeps the block before it and takes
+        :meth:`_step` there, which ends the walk as that index always has."""
+        nb, start = len(self.t), self.tail.start
+        n0, n1 = start + nb, start + min(max(2 * nb, _BLOCK), TAIL_INDEX_CAP + 1)
+        t, q = self.tail.bundles(n0, n1)
+        k = _first(~(np.isfinite(t) & np.isfinite(q) & (t >= 0.0)
+                     & (q >= 0.0) & (q <= 1.0)))  # check_bundle's rules
+        t = np.concatenate((self.t[-1:], t[:k]))
+        q = np.concatenate((self.q[-1:], q[:k]))
+        za, zb = (t[:-1], q[:-1]), (t[1:], q[1:])
+        lower, upper = (za, zb) if self.s > 0 else (zb, za)
+        switches = self.s * self.domain.special_preferences(lower, upper)
+        j = _first(((zb[0] == za[0]) & (zb[1] == za[1]))  # a repeat
+                   | (upper[0] < lower[0]) | (upper[1] < lower[1])
+                   | np.isnan(switches))
+        kept = slice(1 if nb else 0, j + 1)
+        self._append(t[kept], q[kept], switches[:j])
+        if j < len(switches) or k < n1 - n0 or n0 == n1:
+            self._step()  # at a pair that fails, or a bundle the block lacks
+
+    def _step(self):
+        """Walk one switch further by scalar calls, or end the walk."""
         n = self.tail.start + len(self.switches)
         try:
-            if not self.bundles:
-                self.bundles.append(self.tail.bundle(n))
-            z, nxt = self.bundles[-1], self.tail.bundle(n + 1)
+            if not len(self.t):
+                z = self.tail.bundle(n)
+                self._append([z.t], [z.q], [])
+            z, nxt = self.bundle(-1), self.tail.bundle(n + 1)
             if nxt == z:
                 self.end = _CLAMPED
                 return
@@ -259,9 +331,14 @@ class _Walk:
         except (DomainError, TractabilityError) as exc:
             self.end = exc
             return
-        self.bundles.append(nxt)
-        self.switches.append(switch)
-        self.steps.append(max(self.steps[-1], switch) if self.steps else switch)
+        self._append([nxt.t], [nxt.q], [switch])
+
+    def _append(self, t, q, switches):
+        self.t = np.concatenate((self.t, t))
+        self.q = np.concatenate((self.q, q))
+        self.switches = np.concatenate((self.switches, switches))
+        steps = np.maximum.accumulate(np.concatenate((self.steps[-1:], switches)))
+        self.steps = np.concatenate((self.steps[:-1], steps))
 
     def reach(self, i: int) -> bool:
         """Grow the walk to its switch ``i``; False where it ends before."""
@@ -309,7 +386,7 @@ class CountableMechanism:
         walk, i = self._walks[True], n - 1 - self.increasing.start
         if i < 0 or not walk.reach(i):
             raise DomainError(f"no switch of the walk enters tail bundle {n}")
-        return walk.switches[i]
+        return float(walk.switches[i])
 
     def evaluate(self, r: float) -> Bundle:
         """The bundle of type ``r``: the walk's bundle where the running
@@ -323,62 +400,86 @@ class CountableMechanism:
         if not below and (self.limit_hi is None or r <= self.limit_hi):
             return self.limit_bundle
         walk = self._walks[below]
-        x, find = (r, bisect_right) if below else (-r, bisect_left)
-        while (k := find(walk.steps, x)) == len(walk.steps) and walk.end is None:
+        x, side = (r, "right") if below else (-r, "left")
+        while ((k := int(np.searchsorted(walk.steps, x, side))) == len(walk.steps)
+               and walk.end is None):
             walk.grow()
         held = k < len(walk.steps) or walk.end is _CLAMPED
-        return walk.bundles[k] if held else self.limit_bundle
+        return walk.bundle(k) if held else self.limit_bundle
 
     def revenue_segments(self, dist, tol: float = 1e-7) -> Iterator[tuple]:
         """Allocation intervals, tails summed until the residual mass times
         the residual payment gap is below ``tol``; a ``tol`` past a tail's
         resolution raises :class:`TractabilityError`."""
+        r_lo, r_hi, t, q = self.revenue_arrays(dist, tol)
+        yield from zip(r_lo.tolist(), r_hi.tolist(),
+                       map(Bundle, t.tolist(), q.tolist()))
 
-        def done(s, z, a, b, end):
-            gap = s * (self.limit_bundle.t - z.t)
-            return dist.mass(*_span(s, b, end)) * gap < tol
+    def revenue_arrays(self, dist, tol: float = 1e-7) -> tuple:
+        """:meth:`revenue_segments` as four arrays: the intervals' ends and
+        their bundles' payments and quantities."""
+        from .measure import _masses
+
+        def done(s, t, a, b, end):
+            gap = s * (self.limit_bundle.t - t)
+            return _masses(dist, *_span(s, b, end)) * gap < tol
 
         lo = self.limit_lo if self.limit_lo is not None else dist.lo
         hi = self.limit_hi if self.limit_hi is not None else dist.hi
-        yield from self._staircase(True, dist.lo, dist.hi, done)
-        yield max(lo, dist.lo), min(hi, dist.hi), self.limit_bundle
-        yield from reversed(list(self._staircase(False, dist.lo, dist.hi, done)))
+        limit = ([max(lo, dist.lo)], [min(hi, dist.hi)], [self.limit_bundle.t],
+                 [self.limit_bundle.q])
+        inc = self._staircase(True, dist.lo, dist.hi, done)
+        dec = self._staircase(False, dist.lo, dist.hi, done)
+        return tuple(np.concatenate((a, b, c[::-1]))
+                     for a, b, c in zip(inc, limit, dec))
 
     def _staircase(self, below: bool, lo: float, hi: float,
-                   done: Callable) -> Iterator[tuple]:
+                   done: Callable) -> tuple:
         """A tail's walk read from the outer end of the support ``[lo, hi]``
-        to the limit edge ``end``, in ``s*r`` (see :func:`_span`): each tail
-        bundle ``z`` on its interval ``[a, b]`` up to the first for which
-        ``done(s, z, a, b, end)`` holds, then the limit bundle on the rest,
-        or a clamped tail's repeated last bundle.  A switch that falls by
-        more than ``from_range``'s ``1e-12`` raises
-        :class:`TractabilityError`, and so does the end of a walk that
-        ended in one; a walk that ended at a malformed bundle raises its
-        :class:`DomainError`.  A coordinate that only stalls leaves the
-        switch to fail, a limit of resolution."""
+        to the limit edge ``end``, in ``s*r`` (see :func:`_span`), a block
+        at a time: each tail bundle on its interval ``[a, b]`` up to the
+        first for which ``done(s, t, a, b, end)`` holds (``t`` its payment;
+        all but ``s`` and ``end`` arrays over a block), then the limit
+        bundle on the rest, or a clamped tail's repeated last bundle.  The
+        segments come as four arrays, the intervals' ends in ``r`` and the
+        bundles' payments and quantities.  A switch that falls by more than
+        ``from_range``'s ``1e-12`` raises :class:`TractabilityError`, and
+        so does the end of a walk that ended in one; a walk that ended at a
+        malformed bundle raises its :class:`DomainError`.  A coordinate
+        that only stalls leaves the switch to fail, a limit of
+        resolution."""
         walk = self._walks[below]
         if walk.tail is None:
-            return
+            return (np.empty(0),) * 4
         s = walk.s
-        a = s * (lo if below else hi)
+        a0 = s * (lo if below else hi)
         end = s * (self.limit_lo if below else self.limit_hi)
-        if a >= end:
-            return  # the support stops short of this tail
-        i, last = 0, -math.inf
+        if a0 >= end:
+            return (np.empty(0),) * 4  # the support stops short of this tail
+        # min and max pick one of their arguments, so the interval ends,
+        # clamped one after another, are the clamped running maximum
+        i, a = 0, a0
         while walk.reach(i):
-            z, switch = walk.bundles[i], walk.switches[i]
-            if switch < last - 1e-12:
-                raise TractabilityError(f"its switching parameters fall at "
-                                        f"tail index {walk.tail.start + i}")
-            b = min(max(switch, a), end)
-            yield (*_span(s, a, b), z)
-            if done(s, z, a, b, end):
-                yield (*_span(s, b, end), self.limit_bundle)
-                return
-            a, i, last = b, i + 1, switch
-        if walk.end is not _CLAMPED:
-            raise walk.end.with_traceback(None)  # dropping its old frames
-        yield (*_span(s, a, end), walk.bundles[i])
+            m = len(walk.switches)
+            switches = walk.switches[i:m]
+            b = _clamp(walk.steps[i:m], a0, end)
+            last = walk.switches[i - 1] if i else -math.inf
+            falls = switches < np.append(last, switches[:-1]) - 1e-12
+            e = _first(falls | done(s, walk.t[i:m], np.append(a, b[:-1]), b, end))
+            if e < m - i:
+                if falls[e]:
+                    raise TractabilityError(f"its switching parameters fall at "
+                                            f"tail index {walk.tail.start + i + e}")
+                i, rest = i + e + 1, self.limit_bundle
+                break
+            i, a = m, b[-1]
+        else:
+            if walk.end is not _CLAMPED:
+                raise walk.end.with_traceback(None)  # dropping its old frames
+            rest = walk.bundle(i)
+        b = _clamp(walk.steps[:i], a0, end)
+        return (*_span(s, np.append(a0, b), np.append(b, end)),
+                np.append(walk.t[:i], rest.t), np.append(walk.q[:i], rest.q))
 
 
 def _search_best_on_line(domain: PreferenceDomain, r: float, slope: float,
@@ -394,6 +495,22 @@ def _search_best_on_line(domain: PreferenceDomain, r: float, slope: float,
                           options={"xatol": 1e-13})
     # endpoints can beat the interior probe on flat objectives
     return min((float(res.x), t_lo, t_hi), key=objective)
+
+
+def _best_bundle_tail(domain: PreferenceDomain, line: AnchorLine,
+                      seq: ParamSequence) -> tuple:
+    """The best bundle on ``line`` as a function of the parameter, and the
+    tail rule of the best bundles at ``seq(n)``.  The family's closed form
+    ``best_on_line`` takes arrays, so on a sequence that takes arrays the
+    rule has an array form; a bounded search has none."""
+    closed = domain.family.best_on_line
+    best_on_line = closed or partial(_search_best_on_line, domain)
+
+    def argbest(r) -> Bundle:
+        return line.bundle(best_on_line(r, line.slope, line.t_lo, line.t_hi))
+
+    block = (lambda ns: argbest(seq.value(ns))) if closed and seq.takes_arrays else None
+    return argbest, TailRule(lambda n: argbest(seq(n)), seq.start, block)
 
 
 def countable_geometric(domain: PreferenceDomain, line: AnchorLine,
@@ -423,17 +540,11 @@ def countable_geometric(domain: PreferenceDomain, line: AnchorLine,
     if not constant and gap5 >= gap0:
         raise DomainError("parameter sequence does not approach its limit")
 
-    best_on_line = domain.family.best_on_line or partial(_search_best_on_line,
-                                                         domain)
-
-    def argbest(r: float) -> Bundle:
-        return line.bundle(best_on_line(r, line.slope, line.t_lo, line.t_hi))
-
+    argbest, tail = _best_bundle_tail(domain, line, seq)
     limit_bundle = argbest(seq.limit)
     if constant:
         # degenerate: one bundle allocated everywhere
         return CountableMechanism(domain, limit_bundle=argbest(seq(seq.start)))
-    tail = TailRule(lambda n: argbest(seq(n)), seq.start)
     z0 = tail.bundle(seq.start)
     z1 = tail.bundle(seq.start + 1)
     chain = (z0, z1, limit_bundle) if increasing else (limit_bundle, z1, z0)
@@ -466,7 +577,7 @@ def epsilon_truncate(cmech: CountableMechanism, eps: float,
     The support of ``dist`` must lie in the domain interval.  A cut past
     the tail's floating-point resolution raises :class:`TractabilityError`.
     """
-    from .measure import _check_support, revenue_upper_bound
+    from .measure import _check_support, _masses, revenue_upper_bound
 
     if not (math.isfinite(eps) and eps > 0.0):
         raise DomainError(f"eps must be finite and positive, got {eps}")
@@ -479,10 +590,11 @@ def epsilon_truncate(cmech: CountableMechanism, eps: float,
         weight = (cmech.limit_bundle.t if below
                   else revenue_upper_bound(cmech.domain, dist))
 
-        def done(s, z, a, b, end):
-            return weight * dist.mass(*_span(s, a, end)) < eps / 2.0
+        def done(s, t, a, b, end):
+            return weight * _masses(dist, *_span(s, a, end)) < eps / 2.0
 
-        return [z for _, _, z in cmech._staircase(below, dist.lo, dist.hi, done)
+        _, _, t, q = cmech._staircase(below, dist.lo, dist.hi, done)
+        return [z for z in map(Bundle, t.tolist(), q.tolist())
                 if z != cmech.limit_bundle]
 
     try:

@@ -2,7 +2,8 @@
 closed-form oracle for the epsilon-truncation instance, a registered
 cubic family, the options the CLI parses, a point-by-point reference for
 the grid checks, a loop over a step mechanism's range for its shape, and
-a countable mechanism's allocation as a linear walk of its tail."""
+a countable mechanism's allocation and staircase as linear walks of its
+tail."""
 
 import math
 from functools import partial
@@ -186,6 +187,55 @@ def reference_countable_evaluate(cmech, rs):
         except (DomainError, TractabilityError):
             out.append(cmech.limit_bundle)
     return out
+
+
+def reference_staircase(cmech, below, lo, hi, done):
+    """``CountableMechanism._staircase`` as a list of segments ``(a, b, z)``,
+    read one bundle at a time through ``TailRule.bundle`` and each switch
+    through ``special_preference``: from the outer end of the support
+    ``[lo, hi]`` toward the limit edge, in ``s*r`` with ``s = 1`` below the
+    limit and ``-1`` above it, each tail bundle on its interval up to the
+    first for which ``done(s, z, a, b, end)`` holds, then the limit bundle
+    on the rest, or a repeated bundle on the rest.  A bundle that cannot
+    be computed, a malformed one, a switch that cannot be computed or one
+    that falls by more than 1e-12 raises as the walk always has."""
+    tail = cmech.increasing if below else cmech.decreasing
+    s = 1.0 if below else -1.0
+
+    def span(a, b):
+        return (a, b) if s > 0 else (-b, -a)
+
+    if tail is None:
+        return []
+    a = s * (lo if below else hi)
+    end = s * (cmech.limit_lo if below else cmech.limit_hi)
+    if a >= end:
+        return []
+    out, last, n = [], -math.inf, tail.start
+    z = tail.bundle(n)
+    while True:
+        nxt = tail.bundle(n + 1)
+        if nxt == z:
+            return [*out, (*span(a, end), z)]
+        lower, upper = (z, nxt) if s > 0 else (nxt, z)
+        for name, k in (("payment", 0), ("quantity", 1)):
+            if upper[k] < lower[k]:
+                move = "falls below" if s > 0 else "rises above"
+                raise DomainError(f"malformed tail at index {n + 1}: its "
+                                  f"{name} {move} index {n}'s")
+        try:
+            switch = s * cmech.domain.special_preference(lower, upper)
+        except DomainError as exc:
+            raise TractabilityError(f"its switching parameter at tail index "
+                                    f"{n} fails: {exc}") from exc
+        if switch < last - 1e-12:
+            raise TractabilityError(
+                f"its switching parameters fall at tail index {n}")
+        b = min(max(switch, a), end)
+        out.append((*span(a, b), z))
+        if done(s, z, a, b, end):
+            return [*out, (*span(b, end), cmech.limit_bundle)]
+        a, last, z, n = b, switch, nxt, n + 1
 
 
 def reference_strategy_proof(domain, mech_fn, param_grid, tol=1e-7):

@@ -7,14 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (FACTORY_FAMILIES, grid_around, random_feasible_range,
                      reference_countable_evaluate, reference_evaluate,
-                     same_bits)
+                     reference_staircase, same_bits)
 from scmech import measure, serialize
-from scmech.domain import Bundle, Ordering, ZERO_BUNDLE, make_domain
-from scmech.errors import DomainError, InfeasibleRangeError, TractabilityError
+from scmech.domain import (FAMILIES, Bundle, Family, Ordering, ZERO_BUNDLE,
+                           make_domain, register_family)
+from scmech.errors import (DomainError, InfeasibleRangeError, ScmechError,
+                           TractabilityError)
 from scmech.mechanism import (AnchorLine, CountableMechanism, FiniteMechanism,
-                              TailRule, _search_best_on_line, constant_sequence,
-                              countable_geometric, epsilon_truncate, from_range,
-                              harmonic_sequence)
+                              TailRule, _best_bundle_tail, _search_best_on_line,
+                              constant_sequence, countable_geometric,
+                              epsilon_truncate, from_range, harmonic_sequence)
 from scmech.verify import verify_mechanism
 
 QL = make_domain("quasilinear")
@@ -583,18 +585,194 @@ def test_evaluate_matches_the_linear_walk_beyond_the_cap(monkeypatch):
 def test_evaluate_computes_each_tail_bundle_once(monkeypatch):
     # the midpoints of example 7's revenue segments at tol=1e-5, evaluated
     # on a fresh mechanism: each call bisects one memoized walk, which asks
-    # the tail rule for each bundle it reaches once.  The midpoint of the
-    # tol cut's stand-in segment gets bundle 707, so the walk reaches 708
+    # the tail rule for each bundle it reaches once, in blocks that double
+    # the walk from 64 bundles.  The midpoint of the tol cut's stand-in
+    # segment gets bundle 707, so the walk reaches 708, in its block of
+    # bundles 515-1026
     segments = list(_countable("example7")[0].revenue_segments(UNIF, tol=1e-5))
     assert len(segments) == 353
     cm, _ = _countable("example7")
     calls = []
-    rule = TailRule.bundle
+    one, block = TailRule.bundle, TailRule.bundles
     monkeypatch.setattr(TailRule, "bundle",
-                        lambda self, n: calls.append(n) or rule(self, n))
+                        lambda self, n: calls.append(n) or one(self, n))
+    monkeypatch.setattr(TailRule, "bundles", lambda self, n0, n1: (
+        calls.extend(range(n0, n1)) or block(self, n0, n1)))
     for a, b, _ in segments:
         cm.evaluate((a + b) / 2)
-    assert sorted(calls) == list(range(3, 3 + 706))
+    assert sorted(calls) == list(range(3, 3 + 1024))
+
+
+def test_evaluate_walks_to_the_cap_in_blocks():
+    # example 7's tail below a limit edge at 0.7: its switches never pass
+    # 0.68, so the walk runs to the cap (about 7 s one bundle at a time)
+    # and the type gets the limit bundle
+    ex7 = countable_geometric(SQ, LINE, SEQ)
+    cm = CountableMechanism(SQ, ex7.limit_bundle, increasing=ex7.increasing,
+                            limit_lo=0.7)
+    assert cm.evaluate(0.68) == cm.limit_bundle
+    end = cm._walks[True].end
+    assert isinstance(end, TractabilityError)
+    assert str(end) == "tail index 1000004 beyond cap 1000000"
+
+
+def test_evaluate_deep_in_the_tail_keeps_its_bits():
+    # past the tail's resolution, as the one-bundle walk gave it
+    z = countable_geometric(SQ, LINE, SEQ).evaluate(2 / 3 - 1e-6)
+    assert (z.t.hex(), z.q.hex()) == ("0x1.55543c6a29819p-2",
+                                      "0x1.fffe5a9f3e426p-1")
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the type and message of the package
+    error it raises."""
+    try:
+        return call()
+    except ScmechError as exc:
+        return type(exc), str(exc)
+
+
+def _reference_segments(cm, dist, tol):
+    def done(s, z, a, b, end):
+        gap = s * (cm.limit_bundle.t - z.t)
+        return dist.mass(*((b, end) if s > 0 else (-end, -b))) * gap < tol
+
+    lo = cm.limit_lo if cm.limit_lo is not None else dist.lo
+    hi = cm.limit_hi if cm.limit_hi is not None else dist.hi
+    return [*reference_staircase(cm, True, dist.lo, dist.hi, done),
+            (max(lo, dist.lo), min(hi, dist.hi), cm.limit_bundle),
+            *reversed(reference_staircase(cm, False, dist.lo, dist.hi, done))]
+
+
+def _reference_revenue(cm, dist):
+    total = 0.0
+    for a, b, z in _reference_segments(cm, dist, 1e-7):
+        total += z.t * dist.mass(a, b)
+    return total
+
+
+def _reference_truncate(cm, eps, dist):
+    def kept(below):
+        weight = (cm.limit_bundle.t if below
+                  else measure.revenue_upper_bound(cm.domain, dist))
+
+        def done(s, z, a, b, end):
+            return weight * dist.mass(*((a, end) if s > 0 else (-end, -a))) < eps / 2
+
+        return [z for _, _, z in reference_staircase(cm, below, dist.lo, dist.hi,
+                                                     done)
+                if z != cm.limit_bundle]
+
+    try:
+        bundles = [*kept(True), cm.limit_bundle, *reversed(kept(False))]
+    except TractabilityError as exc:
+        raise TractabilityError(f"eps={eps} is below the tail's numerical "
+                                f"resolution: {exc}") from exc
+    return from_range(cm.domain, bundles)
+
+
+def _power_q_tail():
+    # the bounded-search tail of test_power_q_truncation_by_search
+    return (countable_geometric(make_domain("power_q"),
+                                AnchorLine(3.0, 0.05, 0.33),
+                                harmonic_sequence(0.3, 0.01, 3)),
+            measure.uniform(0.26, 0.33))
+
+
+def _bisected_tail():
+    # f_r(t, q) = t + r (1 - q**3) on [0.3, inf) without a closed-form
+    # indifference parameter; on t = 2 q**6 the switches 2 (H_a + H_b),
+    # H = q**3, rise to 2.048, so the bisection doubles its upper end from
+    # 1 to 2 and 4 as the tail goes on, and bisects [0.3, 1], [0.3, 2] and
+    # [0.3, 4], none a step of another
+    name = "cubed_bisected_test"
+    if name not in FAMILIES:
+        register_family(Family(
+            name, "classical", 0.0, math.inf,
+            utility=lambda r, t, q: r * q * q * q - t,
+            canonical=lambda r, t, q: t + r * (1.0 - q * q * q),
+            curve_payment=lambda r, c, q: c - r * (1.0 - q * q * q)))
+
+    def rising(n):
+        q = 0.8 - 1.0 / n
+        return Bundle(2.0 * q**6, q)
+
+    limit = Bundle(2.0 * 0.8**6, 0.8)
+    return (CountableMechanism(make_domain(name, 0.3), limit, limit_lo=2.048,
+                               increasing=TailRule(rising, start=3)),
+            measure.uniform(0.5, 3.0))
+
+
+@pytest.mark.parametrize("case", [*COUNTABLE, "power_q", "bisected"])
+def test_staircase_matches_the_one_bundle_walk(case):
+    # revenue segments, revenue and truncation read the walk a block at a
+    # time; the reference reads the tail one bundle at a time, as the walk
+    # once did.  Each result keeps its bits, and each error its type and
+    # message
+    cm, dist = {"power_q": _power_q_tail,
+                "bisected": _bisected_tail}.get(case, lambda: _countable(case))()
+    for tol in (1e-7, 1e-5):
+        got = _outcome(lambda: list(cm.revenue_segments(dist, tol)))
+        want = _outcome(lambda: _reference_segments(cm, dist, tol))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert same_bits([(a, b, *z) for a, b, z in got],
+                             [(a, b, *z) for a, b, z in want])
+    got = _outcome(lambda: measure.expected_revenue(cm.domain, cm, dist))
+    want = _outcome(lambda: _reference_revenue(cm, dist))
+    assert got == want if isinstance(want, tuple) else same_bits(got, want)
+    for eps in (0.1, 0.05, 0.01):
+        got = _outcome(lambda: epsilon_truncate(cm, eps, dist))
+        want = _outcome(lambda: _reference_truncate(cm, eps, dist))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert same_bits([*np.ravel(got.bundles), *got.breakpoints],
+                             [*np.ravel(want.bundles), *want.breakpoints])
+
+
+def _blocks_and_bundles(tail, count):
+    t, q = tail.bundles(tail.start, tail.start + count)
+    return (np.array([t, q]).T,
+            [tail.bundle(n) for n in range(tail.start, tail.start + count)])
+
+
+@pytest.mark.parametrize("coeff", [1.0, -1.0], ids=["rising", "falling"])
+@pytest.mark.parametrize("name", FACTORY_FAMILIES)
+def test_tail_blocks_are_the_tail_rules_bundles(name, coeff):
+    # the array form of a closed-form tail against the rule one index at a
+    # time, over 2**12 indices: the types 2 -+ 1/n, on a line from t = 0,
+    # and on one cut at the payments of bundles 50 and 500, which clamps
+    # the best bundles at both ends.  quasilinear takes an endpoint (the
+    # rule for p = k), and two_param's types cross its branches at 2
+    dom, seq = make_domain(name), harmonic_sequence(2.0, coeff, 3)
+    whole = _best_bundle_tail(dom, AnchorLine(0.5, 0.0, 2.0), seq)[1]
+    assert whole.bundles_fn is not None
+    got, want = _blocks_and_bundles(whole, 2**12)
+    assert same_bits(got, want)
+    ts = sorted({whole.bundle(n).t for n in (50, 500)})
+    if len(ts) == 2:
+        cut = _best_bundle_tail(dom, AnchorLine(0.5, *ts), seq)[1]
+        got, want = _blocks_and_bundles(cut, 2**12)
+        assert same_bits(got, want)
+        assert {*ts} <= {*got[:, 0]} and len({*got[:, 0]}) > 2
+
+
+@pytest.mark.parametrize("name", FACTORY_FAMILIES)
+def test_best_on_line_takes_arrays_as_floats(name):
+    # Python's min and max keep the first of a tie or a NaN, where
+    # np.maximum(-0.0, 0.0) is 0.0; -0.0 reaches the clamp at t = 0 of a
+    # restricted family as its best payment
+    dom = make_domain(name)
+    best = dom.family.best_on_line
+    rs = np.array([-0.0, 0.0, 5e-324, 0.3, 1.0, 2.0, 2.5, 2.9, 3.0, 1e100,
+                   math.inf, math.nan])
+    for t_lo, t_hi in ((0.0, 2.0), (0.2, 0.4)):
+        assert same_bits(best(rs, 0.5, t_lo, t_hi),
+                         [best(r, 0.5, t_lo, t_hi) for r in rs.tolist()])
+    if dom.restricted:
+        assert math.copysign(1.0, best(-0.0, 0.5, 0.0, 2.0)) < 0.0
 
 
 def test_inc_breakpoint_reads_the_walk():
