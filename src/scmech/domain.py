@@ -20,8 +20,9 @@ Each built-in family stores closed forms for
   on the segment ``q = slope * t``, ``t_lo <= t <= t_hi``, where a closed
   form exists.
 
-The last two take arrays as they take floats, elementwise, with the bits
-each float gets alone.
+The built-in forms of the last two, and the canonical payment of a form
+without ``special``, take arrays as they take floats, elementwise, with
+the bits each float gets alone (``_ARRAY_FORMS``).
 
 The nine built-in families are instances of three forms and are built
 from their ingredients rather than written out:
@@ -209,10 +210,10 @@ class Family:
     of the forms built by :func:`_classical`, :func:`_restricted` and
     :func:`_linear`; any family can be given directly.  ``special``,
     ``best_on_line`` and ``bind`` are optional closed forms (see the
-    module notes); ``special`` and ``best_on_line`` take arrays as they
-    take floats, with each float's bits, so that a countable
-    mechanism's walk computes a block of its tail with one call of each.
-    The fields from
+    module notes); a countable mechanism's walk calls a given family's
+    ``special`` on two bundles of floats and its ``best_on_line`` on a
+    float parameter, one at a time, and the built-in forms on a block of
+    its tail at once.  The fields from
     ``best_on_line`` on come last so that positional construction up to
     ``blurb`` keeps its meaning.  Without ``bind`` a binding step is the
     round trip through ``canonical`` and ``curve_payment``.
@@ -275,6 +276,14 @@ def _where(cond, a, b):
     """``a if cond else b``, for a float or elementwise for arrays."""
     out = np.where(cond, a, b)
     return out if out.ndim else float(out)
+
+
+# The closed forms the factories below build, which take arrays as they
+# take floats, with each float's bits: a countable mechanism's walk calls
+# them once per block of its tail, and any other family's one pair or one
+# parameter at a time (PreferenceDomain.special_preferences,
+# mechanism._best_bundle_tail).
+_ARRAY_FORMS: set = set()
 
 
 def _clamp(t, lo, hi):
@@ -353,6 +362,7 @@ def _classical(name, utility, p, k, a=_identity, a_inv=_identity,
             t = _pow(a(r) * k * slope**k / p, 1.0 / (p - k))
             return _clamp(t, t_lo, t_hi)
 
+    _ARRAY_FORMS.update((special, best_on_line))
     # with phi and a the identity, t_k - t_{k-1} = theta_k * dh_k
     posted = (("payment", "expected_payment") if p == 1 and a is _identity
               else ())
@@ -401,6 +411,7 @@ def _restricted(name, utility, k, blurb=""):
         # maximizes w(slope*t) * (r - t), unimodal in t >= 0
         return _clamp(k * r / (k + 1.0), t_lo, t_hi)
 
+    _ARRAY_FORMS.update((special, best_on_line))
     # with w(q) = q, q_k t_k - q_{k-1} t_{k-1} = theta_k * dq_k; with
     # w(q) = q**2, t_k q_k = theta_k q_k - sum_{j<k} dtheta_j q_j**2 / q_k
     posted = ("expected_payment",) if k == 1 else ()
@@ -431,6 +442,7 @@ def _linear(name, term, param_lo, param_hi, blurb=""):
     def bind(r, t, q, q2):
         return t + term(r, q) - term(r, q2)
 
+    _ARRAY_FORMS.add(canonical)
     return Family(name, "classical", param_lo, param_hi, utility, canonical,
                   curve_payment, None, blurb, bind=bind)
 
@@ -669,44 +681,42 @@ class PreferenceDomain:
             return min(max(r, self.lo), self.hi)
         return self._special_by_bisection(a, b)
 
-    def special_preferences(self, a, b):
+    def special_preferences(self, a: Bundle, b: Bundle):
         """:meth:`special_preference` of the pairs ``a[i]``, ``b[i]``, each
-        side a pair ``(t, q)`` of float arrays of bundles that pass
-        :func:`check_bundle`: each pair's bits where it returns, and NaN
-        where it raises.  One call of the closed form, or one bisection of
-        all pairs, after each pair's own expansion of an infinite
-        interval."""
-        (ta, qa), (tb, qb) = a, b
-        ok = (ta < tb) & (qa < qb)
-        if self.restricted and math.isfinite(self.hi):
-            ok &= tb < self.hi
-        fam, lo = self.family, self.lo
+        side a bundle of two float arrays that pass :func:`check_bundle`:
+        each pair's bits where it returns, and NaN where it raises.  A
+        built-in closed form takes all pairs in one call, and a built-in
+        canonical payment on a bounded interval is bisected for all pairs
+        at once; any other family is called one pair at a time, as
+        :meth:`special_preference` calls it."""
+        fam, lo, hi = self.family, self.lo, self.hi
+        if not (fam.special in _ARRAY_FORMS or fam.special is None
+                and fam.canonical in _ARRAY_FORMS and math.isfinite(hi)):
+            return np.array(list(map(self._special_or_nan,
+                                     map(Bundle, a.t.tolist(), a.q.tolist()),
+                                     map(Bundle, b.t.tolist(), b.q.tolist()))),
+                            dtype=float)
+        ok = (a.t < b.t) & (a.q < b.q)
+        if self.restricted and math.isfinite(hi):
+            ok &= b.t < hi
         with np.errstate(all="ignore"):
             if fam.special is not None:
                 r = fam.special(a, b)
-                ok &= (lo - 1e-12 <= r) & (r <= self.hi + 1e-12)
-                return np.where(ok, _clamp(r, lo, self.hi), np.nan)
-
-            def gap(r):
-                return fam.canonical(r, ta, qa) - fam.canonical(r, tb, qb)
-
-            hi = self.hi
-            if not math.isfinite(hi):
-                hi = np.full(ta.shape, max(1.0, lo * 2.0))
-                found = np.zeros(ta.shape, dtype=bool)
-                for _ in range(200):
-                    found |= gap(hi) > 0.0
-                    if found.all():
-                        break
-                    hi = np.where(found, hi, hi * 2.0)
-                ok &= found
-            ok &= ~(gap(lo) > 1e-12) & ~(gap(hi) < -1e-12)
-            r = np.full(ta.shape, np.nan)
-            for h in np.unique(np.broadcast_to(hi, ta.shape)[ok]):
-                pick = ok & (hi == h)
-                r[pick] = _bisect_special(fam, (ta[pick], qa[pick]),
-                                          (tb[pick], qb[pick]), lo, h)
+                ok &= (lo - 1e-12 <= r) & (r <= hi + 1e-12)
+                return np.where(ok, _clamp(r, lo, hi), np.nan)
+            ok &= ~(fam.canonical(lo, *a) - fam.canonical(lo, *b) > 1e-12)
+            ok &= ~(fam.canonical(hi, *a) - fam.canonical(hi, *b) < -1e-12)
+            r = np.full(ok.shape, np.nan)
+            r[ok] = _bisect_special(fam, (a.t[ok], a.q[ok]), (b.t[ok], b.q[ok]),
+                                    lo, hi)
         return r
+
+    def _special_or_nan(self, a: Bundle, b: Bundle) -> float:
+        # whatever it raises, a walk raises again where it reaches the pair
+        try:
+            return self.special_preference(a, b)
+        except Exception:
+            return math.nan
 
     def _special_by_bisection(self, a: Bundle, b: Bundle) -> float:
         def gap(r):

@@ -23,8 +23,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .domain import (Bundle, PreferenceDomain, TAU_INDIFF, _clamp, check_bundle,
-                     is_diagonal)
+from .domain import (_ARRAY_FORMS, Bundle, PreferenceDomain, TAU_INDIFF, _clamp,
+                     check_bundle, is_diagonal)
 from .errors import DomainError, InfeasibleRangeError, TractabilityError
 
 TAIL_INDEX_CAP = 10**6
@@ -172,17 +172,11 @@ class AnchorLine:
 
 @dataclass(frozen=True)
 class ParamSequence:
-    """Monotone parameter sequence with an explicit limit.
-
-    ``takes_arrays`` says that ``value`` maps an integer array elementwise,
-    with the bits it gives each index alone, as ``harmonic_sequence``'s
-    does; a closed-form best bundle on a line then computes a block of a
-    tail with one call."""
+    """Monotone parameter sequence with an explicit limit."""
 
     value: Callable
     limit: float
     start: int = 1
-    takes_arrays: bool = False
 
     def __call__(self, n: int) -> float:
         return float(self.value(n))
@@ -192,7 +186,12 @@ def harmonic_sequence(limit: float, coeff: float = 1.0, start: int = 3) -> Param
     """``limit - coeff/n`` for ``n >= start``; increasing when coeff > 0."""
     if not start >= 1:
         raise DomainError(f"harmonic sequence needs start >= 1, got {start}")
-    return ParamSequence(lambda n: limit - coeff / n, float(limit), start, True)
+    return ParamSequence(partial(_harmonic, limit, coeff), float(limit), start)
+
+
+def _harmonic(limit, coeff, n):
+    # maps an integer array as it maps each index alone
+    return limit - coeff / n
 
 
 def constant_sequence(value: float) -> ParamSequence:
@@ -203,13 +202,15 @@ def constant_sequence(value: float) -> ParamSequence:
 class TailRule:
     """Lazy bundle sequence indexed from ``start``; a countable mechanism's
     walk asks for its bundles a block at a time (:meth:`bundles`) and
-    memoizes them.  ``bundles_fn``, where given, is the array form of
-    ``bundle_fn``: an integer array of indices to a bundle of two float
-    arrays, with the bits ``bundle_fn`` gives each index alone."""
+    memoizes them.  ``_bundles_fn``, which only :func:`countable_geometric`
+    sets, is the array form of ``bundle_fn``: an integer array of indices
+    to a bundle of two float arrays, with the bits ``bundle_fn`` gives each
+    index alone."""
 
     bundle_fn: Callable
     start: int
-    bundles_fn: Optional[Callable] = None
+    _bundles_fn: Optional[Callable] = field(default=None, init=False,
+                                            repr=False, compare=False)
 
     def bundle(self, n: int) -> Bundle:
         if n - self.start > TAIL_INDEX_CAP:
@@ -218,15 +219,15 @@ class TailRule:
 
     def bundles(self, n0: int, n1: int) -> tuple:
         """Payments and quantities of the bundles ``n0`` to ``n1 - 1`` as
-        two float arrays: from ``bundles_fn``, unchecked, or, where the rule
+        two float arrays: from ``_bundles_fn``, unchecked, or, where the rule
         has none or it raises, from :meth:`bundle` one index at a time, cut
         short before the first index where that raises.  The walk checks
         them as arrays and calls :meth:`bundle` again at the first index
         that fails, which raises there as it always has."""
-        if self.bundles_fn is not None:
+        if self._bundles_fn is not None:
             try:
                 with np.errstate(all="ignore"):
-                    t, q = self.bundles_fn(np.arange(n0, n1))
+                    t, q = self._bundles_fn(np.arange(n0, n1))
                 return np.asarray(t, dtype=float), np.asarray(q, dtype=float)
             except Exception:  # an index that raises: one at a time up to it
                 pass
@@ -286,8 +287,9 @@ class _Walk:
         come from one :meth:`TailRule.bundles` call and its switches from
         one :meth:`~scmech.domain.PreferenceDomain.special_preferences`
         call; the checks of each step are array masks.  At the first index
-        that fails one, the walk keeps the block before it and takes
-        :meth:`_step` there, which ends the walk as that index always has."""
+        that fails one, the walk keeps the block before it; a block that
+        adds no switch takes :meth:`_step` instead, which ends the walk, or
+        raises, as that index always has."""
         nb, start = len(self.t), self.tail.start
         n0, n1 = start + nb, start + min(max(2 * nb, _BLOCK), TAIL_INDEX_CAP + 1)
         t, q = self.tail.bundles(n0, n1)
@@ -295,7 +297,7 @@ class _Walk:
                      & (q >= 0.0) & (q <= 1.0)))  # check_bundle's rules
         t = np.concatenate((self.t[-1:], t[:k]))
         q = np.concatenate((self.q[-1:], q[:k]))
-        za, zb = (t[:-1], q[:-1]), (t[1:], q[1:])
+        za, zb = Bundle(t[:-1], q[:-1]), Bundle(t[1:], q[1:])
         lower, upper = (za, zb) if self.s > 0 else (zb, za)
         switches = self.s * self.domain.special_preferences(lower, upper)
         j = _first(((zb[0] == za[0]) & (zb[1] == za[1]))  # a repeat
@@ -303,7 +305,7 @@ class _Walk:
                    | np.isnan(switches))
         kept = slice(1 if nb else 0, j + 1)
         self._append(t[kept], q[kept], switches[:j])
-        if j < len(switches) or k < n1 - n0 or n0 == n1:
+        if j == 0:
             self._step()  # at a pair that fails, or a bundle the block lacks
 
     def _step(self):
@@ -500,17 +502,20 @@ def _search_best_on_line(domain: PreferenceDomain, r: float, slope: float,
 def _best_bundle_tail(domain: PreferenceDomain, line: AnchorLine,
                       seq: ParamSequence) -> tuple:
     """The best bundle on ``line`` as a function of the parameter, and the
-    tail rule of the best bundles at ``seq(n)``.  The family's closed form
-    ``best_on_line`` takes arrays, so on a sequence that takes arrays the
-    rule has an array form; a bounded search has none."""
+    tail rule of the best bundles at ``seq(n)``.  A built-in closed form
+    ``best_on_line`` takes arrays, so on a :func:`harmonic_sequence` the
+    rule has an array form; a bounded search or a given family's closed
+    form has none."""
     closed = domain.family.best_on_line
     best_on_line = closed or partial(_search_best_on_line, domain)
 
     def argbest(r) -> Bundle:
         return line.bundle(best_on_line(r, line.slope, line.t_lo, line.t_hi))
 
-    block = (lambda ns: argbest(seq.value(ns))) if closed and seq.takes_arrays else None
-    return argbest, TailRule(lambda n: argbest(seq(n)), seq.start, block)
+    tail = TailRule(lambda n: argbest(seq(n)), seq.start)
+    if closed in _ARRAY_FORMS and getattr(seq.value, "func", None) is _harmonic:
+        tail._bundles_fn = lambda ns: argbest(seq.value(ns))
+    return argbest, tail
 
 
 def countable_geometric(domain: PreferenceDomain, line: AnchorLine,

@@ -680,11 +680,10 @@ def _power_q_tail():
 
 
 def _bisected_tail():
-    # f_r(t, q) = t + r (1 - q**3) on [0.3, inf) without a closed-form
-    # indifference parameter; on t = 2 q**6 the switches 2 (H_a + H_b),
-    # H = q**3, rise to 2.048, so the bisection doubles its upper end from
-    # 1 to 2 and 4 as the tail goes on, and bisects [0.3, 1], [0.3, 2] and
-    # [0.3, 4], none a step of another
+    # f_r(t, q) = t + r (1 - q**3) on [0.3, inf), a registered family
+    # without a closed-form indifference parameter; on t = 2 q**6 the
+    # switches 2 (H_a + H_b), H = q**3, rise to 2.048, so each pair's
+    # bisection doubles its upper end from 1 to 2 and 4 as the tail goes on
     name = "cubed_bisected_test"
     if name not in FAMILIES:
         register_family(Family(
@@ -703,14 +702,53 @@ def _bisected_tail():
             measure.uniform(0.5, 3.0))
 
 
-@pytest.mark.parametrize("case", [*COUNTABLE, "power_q", "bisected"])
+def _float_closed_forms_tail():
+    # a registered family whose closed forms take floats only, as an
+    # extension may write them: special reads the bundles' fields through
+    # math.log, and best_on_line clamps by Python's min and max.  With
+    # f_r(t, q) = t - r log q the best bundle on q = t is t = r, and the
+    # switch between two of them their logarithmic mean
+    def log(q):  # -inf at q = 0, where the zero bundle lies
+        with np.errstate(divide="ignore"):
+            return np.log(q)
+
+    name = "log_float_forms_test"
+    if name not in FAMILIES:
+        register_family(Family(
+            name, "classical", 0.0, math.inf,
+            utility=lambda r, t, q: r * log(q) - t,
+            canonical=lambda r, t, q: t - r * log(q),
+            curve_payment=lambda r, c, q: c + r * log(q),
+            special=lambda a, b: ((b.t - a.t)
+                                  / (math.log(b.q) - math.log(a.q))),
+            best_on_line=lambda r, slope, t_lo, t_hi: min(max(r, t_lo), t_hi)))
+    return (countable_geometric(make_domain(name), AnchorLine(1.0, 0.05, 0.9),
+                                harmonic_sequence(0.6, 1.0, 3)),
+            measure.uniform(0.1, 1.0))
+
+
+def test_a_given_familys_closed_forms_take_floats():
+    # the walk calls a registered family's closed forms one pair or one
+    # parameter at a time, on floats; its revenue keeps the bits the
+    # one-bundle walk gave it
+    cm, dist = _float_closed_forms_tail()
+    rs = [0.2, 0.4, 0.59, 0.5999, *np.linspace(0.1, 1.0, 51)]
+    assert same_bits([cm.evaluate(r) for r in rs],
+                     reference_countable_evaluate(cm, rs))
+    revenue = measure.expected_revenue(cm.domain, cm, dist)
+    assert revenue.hex() == "0x1.e83452f73f474p-2"
+
+
+@pytest.mark.parametrize("case", [*COUNTABLE, "power_q", "bisected",
+                                  "float-forms"])
 def test_staircase_matches_the_one_bundle_walk(case):
     # revenue segments, revenue and truncation read the walk a block at a
     # time; the reference reads the tail one bundle at a time, as the walk
     # once did.  Each result keeps its bits, and each error its type and
     # message
-    cm, dist = {"power_q": _power_q_tail,
-                "bisected": _bisected_tail}.get(case, lambda: _countable(case))()
+    cm, dist = {"power_q": _power_q_tail, "bisected": _bisected_tail,
+                "float-forms": _float_closed_forms_tail}.get(
+                    case, lambda: _countable(case))()
     for tol in (1e-7, 1e-5):
         got = _outcome(lambda: list(cm.revenue_segments(dist, tol)))
         want = _outcome(lambda: _reference_segments(cm, dist, tol))
@@ -748,7 +786,7 @@ def test_tail_blocks_are_the_tail_rules_bundles(name, coeff):
     # rule for p = k), and two_param's types cross its branches at 2
     dom, seq = make_domain(name), harmonic_sequence(2.0, coeff, 3)
     whole = _best_bundle_tail(dom, AnchorLine(0.5, 0.0, 2.0), seq)[1]
-    assert whole.bundles_fn is not None
+    assert whole._bundles_fn is not None
     got, want = _blocks_and_bundles(whole, 2**12)
     assert same_bits(got, want)
     ts = sorted({whole.bundle(n).t for n in (50, 500)})
