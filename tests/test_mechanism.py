@@ -729,14 +729,11 @@ def _float_closed_forms_tail():
 
 def test_a_given_familys_closed_forms_take_floats():
     # the walk calls a registered family's closed forms one pair or one
-    # parameter at a time, on floats; its revenue keeps the bits the
-    # one-bundle walk gave it
+    # parameter at a time, on floats (its staircase is checked below)
     cm, dist = _float_closed_forms_tail()
-    rs = [0.2, 0.4, 0.59, 0.5999, *np.linspace(0.1, 1.0, 51)]
+    rs = [0.2, 0.4, 0.59, 0.5999, *np.linspace(dist.lo, dist.hi, 51)]
     assert same_bits([cm.evaluate(r) for r in rs],
                      reference_countable_evaluate(cm, rs))
-    revenue = measure.expected_revenue(cm.domain, cm, dist)
-    assert revenue.hex() == "0x1.e83452f73f474p-2"
 
 
 @pytest.mark.parametrize("case", [*COUNTABLE, "power_q", "bisected",
